@@ -10,12 +10,11 @@ transformations (generic), and reads the filling back off minor orders
 from .errors import (GenericityError, InputError, LRPairsError, NotInRingError,
                      PrincipalMinorError, RankError, RetriesExhaustedError,
                      VerificationError)
-from .ring import (INFINITY, ONE, T, ZERO, RingElem, detect_cancellation,
-                   random_unit, residue, residue_shift, valuation)
-from .matrix import (IndexSet, RMatrix, det, diag_from_partition, index_tuples,
-                     invariant_partition, invariant_partition_oracle, inverse,
-                     is_mu_admissible, lu_decompose, mat_mul, minor,
-                     minor_order, minor_order_table, smith_transforms)
+from .ring import INFINITY, ONE, T, ZERO, RingElem, random_unit, residue, valuation
+from .matrix import (RMatrix, det, diag_from_partition, invariant_partition,
+                     invariant_partition_oracle, inverse, is_mu_admissible,
+                     lu_decompose, mat_mul, minor, minor_order,
+                     minor_order_table, smith_transforms)
 from .tableaux import (Filling, FillingReport, LRSequence, Partition,
                        as_partition, count_fillings, enumerate_fillings,
                        iter_partitions, random_partition, render_skew,
@@ -27,8 +26,7 @@ from .generic import (GroupElement, MatrixPair, MuGenericCertificate,
                       reset_genericity_stats, to_mu_generic,
                       triangularize_right, verify_mu_generic)
 from .extract import (ExtractionResult, counterexample_demo, extract_filling,
-                      extract_from_pair, kept_rows_order, omitted_rows_order,
-                      row_sum_check)
+                      extract_from_pair, kept_rows_order, row_sum_check)
 
 __version__ = "0.1.0"
 
@@ -36,12 +34,12 @@ __all__ = [
     "GenericityError", "InputError", "LRPairsError", "NotInRingError",
     "PrincipalMinorError", "RankError", "RetriesExhaustedError",
     "VerificationError",
-    "INFINITY", "ONE", "T", "ZERO", "RingElem", "detect_cancellation",
-    "random_unit", "residue", "residue_shift", "valuation",
-    "IndexSet", "RMatrix", "det", "diag_from_partition", "index_tuples",
-    "invariant_partition", "invariant_partition_oracle", "inverse",
-    "is_mu_admissible", "lu_decompose", "mat_mul", "minor", "minor_order",
-    "minor_order_table", "smith_transforms",
+    "INFINITY", "ONE", "T", "ZERO", "RingElem", "random_unit", "residue",
+    "valuation",
+    "RMatrix", "det", "diag_from_partition", "invariant_partition",
+    "invariant_partition_oracle", "inverse", "is_mu_admissible",
+    "lu_decompose", "mat_mul", "minor", "minor_order", "minor_order_table",
+    "smith_transforms",
     "Filling", "FillingReport", "LRSequence", "Partition", "as_partition",
     "count_fillings", "enumerate_fillings", "iter_partitions",
     "random_partition", "render_skew", "sequence_from_filling",
@@ -52,7 +50,6 @@ __all__ = [
     "reset_genericity_stats", "to_mu_generic", "triangularize_right",
     "verify_mu_generic",
     "ExtractionResult", "counterexample_demo", "extract_filling",
-    "extract_from_pair", "kept_rows_order", "omitted_rows_order",
-    "row_sum_check",
+    "extract_from_pair", "kept_rows_order", "row_sum_check",
     "__version__",
 ]

@@ -106,7 +106,7 @@ def cmd_realize(args) -> int:
 def cmd_extract(args) -> int:
     pair = _load_pair(_load_json(args.infile))
     rng = random.Random(args.seed)
-    res = extract_from_pair(pair, rng, max_retries=args.retries, mode=args.verify)
+    res = extract_from_pair(pair, rng, max_retries=args.retries)
     doc = {
         "seed": args.seed,
         "filling": res.filling.to_json(),
@@ -133,7 +133,7 @@ def cmd_roundtrip(args) -> int:
             artifact["mu"] = mu.to_json()
             artifact["filling"] = filling.to_json()
             res = extract_from_pair(realize(filling, mu).pair(), rng,
-                                    max_retries=args.retries, mode=args.verify)
+                                    max_retries=args.retries)
             if res.filling != filling or res.nu != nu or res.lam != lam:
                 artifact["error"] = "extraction disagrees with the realized filling"
                 artifact["got"] = res.filling.to_json()
@@ -200,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         if retries:
             p.add_argument("--retries", type=int, default=20,
                            help="genericity resampling budget (default 20)")
-            p.add_argument("--verify", choices=("full", "sampled"), default=None,
-                           help="verification mode (default: full for r <= 5)")
 
     p = sub.add_parser("realize", help="build the factored realization of a filling")
     p.add_argument("--in", dest="infile", required=True,

@@ -36,13 +36,6 @@ def kept_rows_order(n_star: RMatrix, rows):
     return minor_order(n_star, rows, cols)
 
 
-def omitted_rows_order(n_star: RMatrix, omitted):
-    """Same, on the complement of the omitted rows."""
-    omitted = set(_as_tuple(omitted))
-    kept = tuple(i for i in range(1, n_star.r + 1) if i not in omitted)
-    return kept_rows_order(n_star, kept)
-
-
 class _BlockOrders:
     """Memoized O(p, q): omit the consecutive rows max(1,p)..q."""
 
@@ -145,7 +138,7 @@ def row_sum_check(filling: Filling, n_star: RMatrix, table=None) -> Verification
         CheckResult("block_sum_identity", not block_fail, block_fail),
         CheckResult("row_prefix_identity", not prefix_fail, prefix_fail),
     )
-    return VerificationReport(mode="full", checks=checks)
+    return VerificationReport(checks)
 
 
 class ExtractionResult(NamedTuple):
@@ -156,10 +149,9 @@ class ExtractionResult(NamedTuple):
     certificate: MuGenericCertificate
 
 
-def extract_from_pair(pair: MatrixPair, rng, max_retries: int = 20,
-                      mode=None) -> ExtractionResult:
+def extract_from_pair(pair: MatrixPair, rng, max_retries: int = 20) -> ExtractionResult:
     """Reduce to mu-generic form, extract, and cross-check the result."""
-    cert = to_mu_generic(pair, rng, max_retries=max_retries, mode=mode)
+    cert = to_mu_generic(pair, rng, max_retries=max_retries)
     filling = extract_filling(cert.n_star, cert.mu, table=cert.minor_orders)
     nu = Partition(filling.content())
     if nu != cert.nu:

@@ -11,22 +11,22 @@ extraction module needs.
 Randomness enters only through the caller's rng: the reduction samples a
 lower factor Q_L = D_mu^-1 Q_L0 D_mu with random-unit entries, triangularizes,
 then dresses the result with random-unit upper factors Q_U, T_U.  Every sample
-is verified; any failed check discards the whole attempt and resamples.
+is verified; any failed check discards the whole attempt and resamples.  The
+verification is exhaustive at every size r: each check runs over every index
+pair, or every componentwise triple, of the full minor-order table of N*.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (GenericityError, InputError, PrincipalMinorError,
                      RankError, RetriesExhaustedError)
-from .matrix import (RMatrix, _clearing_unit, _content_unit, diag_from_partition,
-                     det, inverse, invariant_partition, is_mu_admissible,
-                     lu_decompose, mat_mul, minor_order, minor_order_table,
-                     smith_transforms, truncated_matrix, tuples_above,
-                     tuples_below)
+from .matrix import (RMatrix, _clearing_unit, _content_unit, _table_partition,
+                     diag_from_partition, det, inverse, invariant_partition,
+                     is_mu_admissible, lu_decompose, mat_mul, minor_order,
+                     minor_order_table, smith_transforms, truncated_matrix)
 from .ring import INFINITY, ONE, ZERO, RingElem, random_unit
 from .tableaux import Partition, as_partition
 
@@ -138,7 +138,9 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    mode: str
+    """Named check results.  Every check covers its whole domain; to_json
+    records this as "mode": "full"."""
+
     checks: tuple
 
     @property
@@ -150,7 +152,7 @@ class VerificationReport:
 
     def to_json(self):
         return {
-            "mode": self.mode,
+            "mode": "full",
             "ok": self.ok,
             "checked": len(self.checks),
             "failures": [c.to_json() for c in self.failures()],
@@ -327,7 +329,7 @@ def triangularize_right(a: RMatrix):
 
 def _random_unit_upper(r: int, rng) -> RMatrix:
     return RMatrix([
-        [RingElem.const(random_unit(rng)) if j >= i else ZERO for j in range(r)]
+        [random_unit(rng) if j >= i else ZERO for j in range(r)]
         for i in range(r)
     ])
 
@@ -337,11 +339,11 @@ def _sample_lower_factors(mu: Partition, r: int, rng):
     Q_L = D_mu^-1 Q_L0 D_mu built entry by entry (monomials c t^(mu_j - mu_i))."""
     units = [[random_unit(rng) if j <= i else None for j in range(r)] for i in range(r)]
     q_l0 = RMatrix([
-        [RingElem.const(units[i][j]) if j <= i else ZERO for j in range(r)]
+        [units[i][j] if j <= i else ZERO for j in range(r)]
         for i in range(r)
     ])
     q_lower = RMatrix([
-        [RingElem.const(units[i][j]) * RingElem.t_pow(mu.part(j + 1) - mu.part(i + 1))
+        [units[i][j] * RingElem.t_pow(mu.part(j + 1) - mu.part(i + 1))
          if j <= i else ZERO
          for j in range(r)]
         for i in range(r)
@@ -353,31 +355,17 @@ def _sample_lower_factors(mu: Partition, r: int, rng):
 # index-pair enumeration for the verification equations
 
 
-def _pairs_to_check(r: int, mode: str, rng):
-    """(rows, cols) pairs of equal size, including the empty pair."""
-    if mode == "full":
-        for k in range(0, r + 1):
-            for i_set in combinations(range(1, r + 1), k):
-                for j_set in combinations(range(1, r + 1), k):
-                    yield i_set, j_set
-        return
-    seen = set()
-    for k in range(0, min(3, r) + 1):
+def _pairs_to_check(r: int):
+    """Every (rows, cols) pair of equal size, including the empty pair."""
+    for k in range(0, r + 1):
         for i_set in combinations(range(1, r + 1), k):
             for j_set in combinations(range(1, r + 1), k):
-                seen.add((i_set, j_set))
                 yield i_set, j_set
-    budget = 500
-    while budget > 0:
-        k = rng.randint(4, r) if r >= 4 else r
-        i_set = tuple(sorted(rng.sample(range(1, r + 1), k)))
-        j_set = tuple(sorted(rng.sample(range(1, r + 1), k)))
-        if (i_set, j_set) in seen:
-            budget -= 1
-            continue
-        seen.add((i_set, j_set))
-        budget -= 1
-        yield i_set, j_set
+
+
+def _require_full(mode):
+    if mode != "full":
+        raise InputError(f"verification mode must be 'full', got {mode!r}")
 
 
 def _between(lo: tuple, hi: tuple):
@@ -400,15 +388,16 @@ def _componentwise_le(a: tuple, b: tuple) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _weight(mu: Partition, idx: tuple) -> int:
-    return sum(mu.part(i) for i in idx)
-
-
 def check_equation_first(tab_n: dict, tab_right: dict, r: int, mode="full", rng=None):
-    """order(N*_IJ) == min over S >= I of order((Q_L N T^-1)_SJ)."""
-    for i_set, j_set in _pairs_to_check(r, mode, rng):
+    """order(N*_IJ) == min over S >= I of order((Q_L N T^-1)_SJ).
+
+    Checks every pair.  mode must be "full" (anything else raises InputError)
+    and rng is unused; both remain for existing callers."""
+    _require_full(mode)
+    for i_set, j_set in _pairs_to_check(r):
         want = tab_n[(i_set, j_set)]
-        got = min(tab_right[(s, j_set)] for s in tuples_above(i_set, r))
+        top = tuple(range(r - len(i_set) + 1, r + 1))
+        got = min(tab_right[(s, j_set)] for s in _between(i_set, top))
         if want != got:
             return f"I={i_set} J={j_set}: order {want} vs min {got}"
     return ""
@@ -418,24 +407,33 @@ def check_equation_second(tab_n: dict, tab_v: dict, mu: Partition, r: int,
                           mode="full", rng=None):
     """order(N*_IJ) == min over H <= I of order(V_HJ) + |mu_H| - |mu_I|,
     V = Q_hat_U N T^-1; checked on pairs with I <= J componentwise (the only
-    pairs where the minimum is attained without cancellation; see notes)."""
-    for i_set, j_set in _pairs_to_check(r, mode, rng):
+    pairs where the minimum is attained without cancellation; see notes).
+
+    mode must be "full" (anything else raises InputError) and rng is unused;
+    both remain for existing callers."""
+    _require_full(mode)
+    for i_set, j_set in _pairs_to_check(r):
         if not _componentwise_le(i_set, j_set):
             continue
         want = tab_n[(i_set, j_set)]
-        w_i = _weight(mu, i_set)
-        got = min(tab_v[(h, j_set)] + _weight(mu, h) - w_i
-                  for h in tuples_below(i_set)) if i_set else 0
+        w_i = mu.sum_over(i_set)
+        got = min(tab_v[(h, j_set)] + mu.sum_over(h) - w_i
+                  for h in _between((1,) * len(i_set), i_set)) if i_set else 0
         if want != got:
             return f"I={i_set} J={j_set}: order {want} vs min {got}"
     return ""
 
 
 def check_equation_third(tab_n: dict, tab_left: dict, r: int, mode="full", rng=None):
-    """order(N*_IJ) == min over H <= J of order((Q N T_L)_IH)."""
-    for i_set, j_set in _pairs_to_check(r, mode, rng):
+    """order(N*_IJ) == min over H <= J of order((Q N T_L)_IH).
+
+    Checks every pair.  mode must be "full" (anything else raises InputError)
+    and rng is unused; both remain for existing callers."""
+    _require_full(mode)
+    for i_set, j_set in _pairs_to_check(r):
         want = tab_n[(i_set, j_set)]
-        got = min(tab_left[(i_set, h)] for h in tuples_below(j_set)) if j_set else 0
+        got = min(tab_left[(i_set, h)]
+                  for h in _between((1,) * len(j_set), j_set)) if j_set else 0
         if want != got:
             return f"I={i_set} J={j_set}: order {want} vs min {got}"
     return ""
@@ -445,61 +443,40 @@ def check_equation_third(tab_n: dict, tab_left: dict, r: int, mode="full", rng=N
 # verification
 
 
-def _table_partition(table: dict, r: int, shift_mu=None):
-    """Invariant partition read off a minor-order table: the minimal order in
-    size k is the k-th partial sum of the increasing invariant orders.  With
-    shift_mu, reads the table of D_mu times the matrix via row-weight shifts."""
-    g = [0]
-    for k in range(1, r + 1):
-        best = INFINITY
-        for (i_set, j_set), v in table.items():
-            if len(i_set) != k or v is INFINITY:
-                continue
-            if shift_mu is not None:
-                v = v + _weight(shift_mu, i_set)
-            if v < best:
-                best = v
-        if best is INFINITY:
-            return None
-        g.append(best)
-    return Partition(tuple(reversed([g[k] - g[k - 1] for k in range(1, r + 1)])))
-
-
-def verify_mu_generic(n_star: RMatrix, mu, mode=None, rng=None, table=None) -> VerificationReport:
+def verify_mu_generic(n_star: RMatrix, mu, mode="full", rng=None, table=None) -> VerificationReport:
     """Determinant-gap inequalities defining mu-genericity.
 
     For every componentwise triple I <= H <= J of equal-size index sets:
       order(N*_IJ) <= order(N*_HJ) <= order(N*_IJ) + |mu_I| - |mu_H|   (rows)
       order(N*_IH) >= order(N*_IJ)                                     (columns)
-    Full enumeration for r <= 5; above that all triples with |I| <= 3 plus a
-    500-pair random sample, with the mode recorded in the report.
+    Every triple is enumerated, at every size r.  A precomputed minor-order
+    table of n_star is reused when given.  mode must be "full" (anything
+    else raises InputError) and rng is unused; both remain for existing
+    callers.
     """
+    _require_full(mode)
     mu = as_partition(mu)
     r = n_star.r
-    if mode is None:
-        mode = "full" if r <= 5 else "sampled"
-    if rng is None:
-        rng = random.Random(0)
     if table is None:
         table = minor_order_table(n_star)
 
     upper = CheckResult("upper_triangular", n_star.is_upper_triangular())
     row_fail = ""
     col_fail = ""
-    for i_set, j_set in _pairs_to_check(r, mode, rng):
+    for i_set, j_set in _pairs_to_check(r):
         if not _componentwise_le(i_set, j_set):
             continue
         base = table[(i_set, j_set)]
-        w_i = _weight(mu, i_set)
+        w_i = mu.sum_over(i_set)
         for h in _between(i_set, j_set):
             if not row_fail:
                 vh = table[(h, j_set)]
                 if not (base <= vh):
                     row_fail = f"I={i_set} H={h} J={j_set}: {base} > {vh}"
                 elif base is not INFINITY and \
-                        (vh is INFINITY or vh > base + w_i - _weight(mu, h)):
+                        (vh is INFINITY or vh > base + w_i - mu.sum_over(h)):
                     row_fail = (f"I={i_set} H={h} J={j_set}: gap {vh} - {base} exceeds "
-                                f"{w_i - _weight(mu, h)}")
+                                f"{w_i - mu.sum_over(h)}")
             if not col_fail:
                 vc = table[(i_set, h)]
                 if not (vc >= base):
@@ -511,7 +488,7 @@ def verify_mu_generic(n_star: RMatrix, mu, mode=None, rng=None, table=None) -> V
         CheckResult("det_gap_rows", not row_fail, row_fail),
         CheckResult("det_gap_columns", not col_fail, col_fail),
     )
-    return VerificationReport(mode=mode, checks=checks)
+    return VerificationReport(checks)
 
 
 def corner_invariant_check(n_star: RMatrix, mu) -> VerificationReport:
@@ -528,7 +505,7 @@ def corner_invariant_check(n_star: RMatrix, mu) -> VerificationReport:
     lam = invariant_partition(mat_mul(d_mu, n_star))
     lookup = lambda rows, cols: minor_order(n_star, rows, cols)
     checks = _corner_checks(lookup, mu, nu, lam, r)
-    return VerificationReport(mode="full", checks=checks)
+    return VerificationReport(checks)
 
 
 def _corner_checks(lookup, mu, nu, lam, r):
@@ -544,7 +521,7 @@ def _corner_checks(lookup, mu, nu, lam, r):
         want_lam = sum(lam.part(i) for i in right)
         got_lam = lookup(right, right)
         if got_lam is not INFINITY:
-            got_lam = got_lam + _weight(mu, right)
+            got_lam = got_lam + mu.sum_over(right)
         if got_lam != want_lam and not lam_fail:
             lam_fail = f"s={s}: order {got_lam} vs lambda tail {want_lam}"
     return (
@@ -557,7 +534,7 @@ def _corner_checks(lookup, mu, nu, lam, r):
 # the reduction
 
 
-def to_mu_generic(pair: MatrixPair, rng, max_retries: int = 20, mode=None) -> MuGenericCertificate:
+def to_mu_generic(pair: MatrixPair, rng, max_retries: int = 20) -> MuGenericCertificate:
     """Reduce a full-rank pair to (D_mu, N*) with a verified mu-generic N*.
 
     Samples random admissible transformations until the whole verification
@@ -566,8 +543,6 @@ def to_mu_generic(pair: MatrixPair, rng, max_retries: int = 20, mode=None) -> Mu
     """
     mu, nu, lam = pair.invariants()
     r = pair.r
-    if mode is None:
-        mode = "full" if r <= 5 else "sampled"
     diagonal_pair, g_diag = diagonalize_first(pair)
     d_mu = diagonal_pair.first
     n_input = diagonal_pair.second
@@ -576,7 +551,7 @@ def to_mu_generic(pair: MatrixPair, rng, max_retries: int = 20, mode=None) -> Mu
     for attempt in range(1, max_retries + 1):
         _STATS.attempts += 1
         try:
-            cert = _attempt_reduction(d_mu, n_input, mu, nu, lam, rng, mode, r)
+            cert = _attempt_reduction(d_mu, n_input, mu, nu, lam, rng, r)
         except GenericityError as exc:
             _STATS.resamples += 1
             last_failure = str(exc)
@@ -605,7 +580,7 @@ def _conjugate_by_diagonal(q: RMatrix, mu: Partition, r: int) -> RMatrix:
     return RMatrix(rows)
 
 
-def _attempt_reduction(d_mu, n_input, mu, nu, lam, rng, mode, r) -> MuGenericCertificate:
+def _attempt_reduction(d_mu, n_input, mu, nu, lam, rng, r) -> MuGenericCertificate:
     q_l0, q_lower = _sample_lower_factors(mu, r, rng)
     t_lower, u, t_lower_inv = triangularize_right(mat_mul(q_lower, n_input))
     q_upper = _random_unit_upper(r, rng)
@@ -653,21 +628,21 @@ def _attempt_reduction(d_mu, n_input, mu, nu, lam, rng, mode, r) -> MuGenericCer
         tab_right = minor_order_table(mat_mul(u_t, t_upper), cap=cap)
         tab_left = minor_order_table(mat_mul(q_upper, u_t), cap=cap)
         tab_v = minor_order_table(v, cap=cap)
-        eq1 = check_equation_first(tab_n, tab_right, r, mode, rng)
-        eq2 = check_equation_second(tab_n, tab_v, mu, r, mode, rng)
-        eq3 = check_equation_third(tab_n, tab_left, r, mode, rng)
+        eq1 = check_equation_first(tab_n, tab_right, r)
+        eq2 = check_equation_second(tab_n, tab_v, mu, r)
+        eq3 = check_equation_third(tab_n, tab_left, r)
         checks.append(CheckResult("equation_first", not eq1, eq1))
         checks.append(CheckResult("equation_second", not eq2, eq2))
         checks.append(CheckResult("equation_third", not eq3, eq3))
 
-    gap = verify_mu_generic(n_star, mu, mode=mode, rng=rng, table=tab_n)
+    gap = verify_mu_generic(n_star, mu, table=tab_n)
     checks.extend(gap.checks)
 
     # corners against the input pair's nu and lam, straight from the table
     checks.extend(_corner_checks(lambda rows, cols: tab_n[(rows, cols)],
                                  mu, nu, lam, r))
 
-    report = VerificationReport(mode=mode, checks=tuple(checks))
+    report = VerificationReport(tuple(checks))
     if not report.ok:
         raise GenericityError(
             "failed checks: " + ", ".join(c.name for c in report.failures()))

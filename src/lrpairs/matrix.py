@@ -29,69 +29,7 @@ from .tableaux import Partition, as_partition
 _PONE = {0: 1}
 
 
-# ---------------------------------------------------------------------------
-# index sets
-
-
-class IndexSet:
-    """Strictly increasing tuple of 1-based indices."""
-
-    __slots__ = ("indices",)
-
-    def __init__(self, indices=()):
-        idx = tuple(int(i) for i in indices)
-        for i in idx:
-            if i < 1:
-                raise InputError(f"index sets are 1-based, got {i}")
-        for a, b in zip(idx, idx[1:]):
-            if a >= b:
-                raise InputError(f"index set must be strictly increasing, got {idx}")
-        self.indices = idx
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __eq__(self, other):
-        if isinstance(other, IndexSet):
-            return self.indices == other.indices
-        if isinstance(other, tuple):
-            return self.indices == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.indices)
-
-    def __le__(self, other):
-        """Componentwise partial order; only sets of equal length compare."""
-        other = IndexSet(other) if not isinstance(other, IndexSet) else other
-        if len(self.indices) != len(other.indices):
-            raise ValueError("only index sets of equal length are comparable")
-        return all(a <= b for a, b in zip(self.indices, other.indices))
-
-    def __repr__(self):
-        return f"IndexSet({list(self.indices)})"
-
-    def complement(self, r: int) -> "IndexSet":
-        inside = set(self.indices)
-        for i in self.indices:
-            if i > r:
-                raise InputError(f"index {i} outside range 1..{r}")
-        return IndexSet(tuple(i for i in range(1, r + 1) if i not in inside))
-
-    def meet(self, other) -> "IndexSet":
-        """Componentwise minimum (the two sets must have equal length)."""
-        other = IndexSet(other) if not isinstance(other, IndexSet) else other
-        if len(self.indices) != len(other.indices):
-            raise ValueError("componentwise minimum needs equal lengths")
-        return IndexSet(tuple(min(a, b) for a, b in zip(self.indices, other.indices)))
-
-
 def _as_tuple(indices) -> tuple:
-    if isinstance(indices, IndexSet):
-        return indices.indices
     t = tuple(int(i) for i in indices)
     for a, b in zip(t, t[1:]):
         if a >= b:
@@ -99,45 +37,6 @@ def _as_tuple(indices) -> tuple:
     if t and t[0] < 1:
         raise InputError(f"index sets are 1-based, got {t}")
     return t
-
-
-def index_tuples(r: int, k: int) -> tuple:
-    """All strictly increasing k-tuples inside 1..r."""
-    return tuple(combinations(range(1, r + 1), k))
-
-
-def tuples_below(iset) -> list:
-    """All tuples H with h_s <= i_s componentwise (same length)."""
-    iset = _as_tuple(iset)
-    out = []
-
-    def rec(pos, lo, prefix):
-        if pos == len(iset):
-            out.append(prefix)
-            return
-        for h in range(lo, iset[pos] + 1):
-            rec(pos + 1, h + 1, prefix + (h,))
-
-    rec(0, 1, ())
-    return out
-
-
-def tuples_above(iset, r: int) -> list:
-    """All tuples H inside 1..r with h_s >= i_s componentwise (same length)."""
-    iset = _as_tuple(iset)
-    k = len(iset)
-    out = []
-
-    def rec(pos, lo, prefix):
-        if pos == k:
-            out.append(prefix)
-            return
-        hi = r - (k - pos - 1)
-        for h in range(max(lo, iset[pos]), hi + 1):
-            rec(pos + 1, h + 1, prefix + (h,))
-
-    rec(0, 1, ())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +164,25 @@ def diag_from_partition(mu, r: int) -> RMatrix:
 # ---------------------------------------------------------------------------
 # exact minors
 
+def _clear_row(row):
+    """Numerators of a row scaled by the product of its distinct non-constant
+    denominators, together with those denominators."""
+    dens = []
+    for e in row:
+        if max(e.den) > 0 and e.den not in dens:
+            dens.append(e.den)
+    if not dens:
+        return [e.num for e in row], dens
+    cleared = []
+    for e in row:
+        p = e.num
+        for d in dens:
+            if d != e.den:
+                p = _pmul(p, d)
+        cleared.append(p)
+    return cleared, dens
+
+
 def _cleared_grid(m: RMatrix):
     """Scale each row into integer-coefficient polynomial form.
 
@@ -276,24 +194,9 @@ def _cleared_grid(m: RMatrix):
     grid = []
     shifts = []
     for row in m.entries:
-        uniq = []
-        for e in row:
-            d = e.den
-            if max(d) > 0 and d not in uniq:
-                uniq.append(d)
-        if not uniq:
-            cleared = [e.num for e in row]
-            shifts.append(0)
-        else:
-            cleared = []
-            for e in row:
-                p = e.num
-                for d in uniq:
-                    if d != e.den:
-                        p = _pmul(p, d)
-                cleared.append(p)
-            shifts.append(sum(min(d) for d in uniq))
+        cleared, dens = _clear_row(row)
         grid.append(_row_to_int(cleared))
+        shifts.append(sum(min(d) for d in dens))
     return grid, shifts
 
 
@@ -317,13 +220,6 @@ def _row_to_int(polys):
     if g == 0 or (g == 1 and lcm == 1):
         return polys
     return [{d: int(c * lcm) // g for d, c in p.items()} for p in polys]
-
-
-def _row_multiplier_poly(uniq):
-    p = _PONE
-    for d in uniq:
-        p = _pmul(p, d)
-    return p
 
 
 def _poly_det_cofactor(sub):
@@ -395,33 +291,17 @@ def minor(m: RMatrix, rows, cols) -> RingElem:
     rows, cols = _validated_minor_indices(m, rows, cols)
     if not rows:
         return ONE
-    correction = ONE
+    correction = _PONE
     sub = []
     for i in rows:
-        row = [m.entries[i - 1][j - 1] for j in cols]
-        uniq = []
-        for e in row:
-            if max(e.den) > 0 and e.den not in uniq:
-                uniq.append(e.den)
-        if uniq:
-            cleared = []
-            for e in row:
-                p = e.num
-                for d in uniq:
-                    if d != e.den:
-                        p = _pmul(p, d)
-                cleared.append(p)
-            sub.append(cleared)
-            correction = correction * RingElem(_row_multiplier_poly(uniq), _PONE)
-        else:
-            sub.append([e.num for e in row])
+        cleared, dens = _clear_row([m.entries[i - 1][j - 1] for j in cols])
+        sub.append(cleared)
+        for d in dens:
+            correction = _pmul(correction, d)
     det_poly = _poly_det(sub)
     if not det_poly:
         return ZERO
-    value = RingElem(det_poly, _PONE)
-    if correction == ONE:
-        return value
-    return value / correction
+    return RingElem(det_poly, correction)
 
 
 def minor_order(m: RMatrix, rows, cols):
@@ -562,6 +442,31 @@ def _require_over_ring(m: RMatrix, what: str):
         raise NotInRingError(f"{what} must have entries of non-negative order")
 
 
+def _place_pivot(work, k):
+    """Swap an entry of minimal order in the trailing block work[k:][k:] (the
+    first one in row-major order) to position (k, k).
+
+    Returns (order, row, column) of the entry before the swap."""
+    r = len(work)
+    best = None
+    for i in range(k, r):
+        for j in range(k, r):
+            e = work[i][j]
+            if e.is_zero():
+                continue
+            v = e.valuation()
+            if best is None or v < best[0]:
+                best = (v, i, j)
+    if best is None:
+        raise RankError("matrix is rank deficient")
+    _, bi, bj = best
+    work[k], work[bi] = work[bi], work[k]
+    if bj != k:
+        for row in work:
+            row[k], row[bj] = row[bj], row[k]
+    return best
+
+
 def invariant_partition(m: RMatrix) -> Partition:
     """Decreasing orders of the diagonal form of m under unimodular row and
     column operations over the valuation ring.
@@ -576,23 +481,7 @@ def invariant_partition(m: RMatrix) -> Partition:
     work = [list(row) for row in m.entries]
     orders = []
     for k in range(r):
-        best = None
-        for i in range(k, r):
-            for j in range(k, r):
-                e = work[i][j]
-                if e.is_zero():
-                    continue
-                v = e.valuation()
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-        if best is None:
-            raise RankError("matrix is rank deficient")
-        v, bi, bj = best
-        if bi != k:
-            work[k], work[bi] = work[bi], work[k]
-        if bj != k:
-            for row in work:
-                row[k], row[bj] = row[bj], row[k]
+        v, _, _ = _place_pivot(work, k)
         piv = work[k][k]
         # the pivot has minimal order, so these quotients stay in the ring;
         # clearing the pivot row afterwards would not touch the trailing block
@@ -604,23 +493,30 @@ def invariant_partition(m: RMatrix) -> Partition:
     return Partition(tuple(reversed(orders)))
 
 
+def _table_partition(table: dict, r: int, shift_mu=None):
+    """Invariant partition read off a minor-order table: the minimal order
+    among k-by-k minors is the k-th partial sum of the increasing invariant
+    orders.  With shift_mu, reads the table of D_mu times the matrix through
+    row-weight shifts.  None when some size k has no finite minor."""
+    best = [0] + [INFINITY] * r
+    for (i_set, _), v in table.items():
+        if shift_mu is not None:
+            v = v + shift_mu.sum_over(i_set)
+        if v < best[len(i_set)]:
+            best[len(i_set)] = v
+    if INFINITY in best:
+        return None
+    return Partition(tuple(reversed([best[k] - best[k - 1] for k in range(1, r + 1)])))
+
+
 def invariant_partition_oracle(m: RMatrix) -> Partition:
     """Same partition by a different route: the minimal order among k-by-k
     minors is the k-th partial sum of the increasing invariant orders."""
     _require_over_ring(m, "matrix")
-    table = minor_order_table(m)
-    r = m.r
-    g = [0]
-    for k in range(1, r + 1):
-        best = INFINITY
-        for (I, J), v in table.items():
-            if len(I) == k and v < best:
-                best = v
-        if best is INFINITY:
-            raise RankError("matrix is rank deficient")
-        g.append(best)
-    increments = [g[k] - g[k - 1] for k in range(1, r + 1)]
-    return Partition(tuple(reversed(increments)))
+    part = _table_partition(minor_order_table(m), m.r)
+    if part is None:
+        raise RankError("matrix is rank deficient")
+    return part
 
 
 def _is_exact_power_diagonal_decreasing(m: RMatrix) -> bool:
@@ -714,27 +610,10 @@ def smith_transforms(m: RMatrix):
     q = [list(row) for row in RMatrix.identity(r).entries]
 
     for k in range(r):
-        best = None
-        for i in range(k, r):
-            for j in range(k, r):
-                e = work[i][j]
-                if e.is_zero():
-                    continue
-                v = e.valuation()
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-        if best is None:
-            raise RankError("matrix is rank deficient")
-        _, bi, bj = best
-        if bi != k:
-            work[k], work[bi] = work[bi], work[k]
-            p[k], p[bi] = p[bi], p[k]
-        if bj != k:
-            for row in work:
-                row[k], row[bj] = row[bj], row[k]
-            q[k], q[bj] = q[bj], q[k]
+        a_val, bi, bj = _place_pivot(work, k)
+        p[k], p[bi] = p[bi], p[k]
+        q[k], q[bj] = q[bj], q[k]
         piv = work[k][k]
-        a_val = piv.valuation()
         t_a = RingElem.t_pow(a_val)
         p0 = piv / t_a  # valuation-zero part of the pivot, a unit
         for i in range(k + 1, r):

@@ -63,14 +63,6 @@ def _pscale(a, c):
     return {d: cc * c for d, cc in a.items()}
 
 
-def _pord(a):
-    return min(a) if a else None
-
-
-def _pdeg(a):
-    return max(a) if a else None
-
-
 def _pshift(a, k):
     """Multiply by t**k (k may be negative when divisibility is known)."""
     return {d + k: c for d, c in a.items()}
@@ -340,14 +332,6 @@ class RingElem:
             self.den = e.den
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "RingElem":
-        return _ZERO
-
-    @staticmethod
-    def one() -> "RingElem":
-        return _ONE
 
     @staticmethod
     def const(c) -> "RingElem":
@@ -641,28 +625,6 @@ def residue(x: RingElem) -> Fraction:
     if v != 0:
         return Fraction(0)
     return Fraction(x.num[min(x.num)]) / Fraction(x.den[min(x.den)])
-
-
-def residue_shift(x: RingElem, m0: int) -> Fraction:
-    """Residue of x / t**m0: the leading coefficient when the order is
-    exactly m0, and 0 otherwise (including x = 0)."""
-    x = _coerce_strict(x)
-    if x.valuation() != m0:
-        return Fraction(0)
-    return Fraction(x.num[min(x.num)]) / Fraction(x.den[min(x.den)])
-
-
-def detect_cancellation(terms) -> bool:
-    """True when the order of the exact sum exceeds the minimum order of the
-    terms, i.e. the leading parts cancelled catastrophically."""
-    terms = [_coerce_strict(t) for t in terms]
-    if not terms:
-        raise ValueError("detect_cancellation needs at least one term")
-    m0 = min(t.valuation() for t in terms)
-    total = _ZERO
-    for t in terms:
-        total = total + t
-    return total.valuation() > m0
 
 
 def random_unit(rng) -> RingElem:

@@ -1,5 +1,6 @@
 """End-to-end drives of the command line, run in process through main()."""
 
+import hashlib
 import json
 
 import pytest
@@ -127,6 +128,11 @@ def test_extract_rejects_rank_deficient_pair(tmp_path, capsys):
     assert main(["extract", "--in", infile]) == 2
 
 
+def test_extract_has_no_verify_option(tmp_path, capsys):
+    infile = write_json(tmp_path / "in.json", GOLDEN_FILLING_DOC)
+    assert main(["extract", "--in", infile, "--verify", "full"]) == 2
+
+
 def test_extract_retries_exhausted_exits_4(tmp_path, capsys):
     infile = write_json(tmp_path / "in.json", GOLDEN_FILLING_DOC)
     real_file = tmp_path / "real.json"
@@ -137,7 +143,7 @@ def test_extract_retries_exhausted_exits_4(tmp_path, capsys):
 
 
 def test_extract_verification_error_exits_3(tmp_path, capsys, monkeypatch):
-    def boom(pair, rng, max_retries=20, mode=None):
+    def boom(pair, rng, max_retries=20):
         raise VerificationError("certificate rejected")
 
     monkeypatch.setattr(cli, "extract_from_pair", boom)
@@ -174,8 +180,8 @@ def test_roundtrip_injected_bug_exits_3_with_artifact(tmp_path, capsys,
                                                       monkeypatch):
     real_extract = cli.extract_from_pair
 
-    def sabotaged(pair, rng, max_retries=20, mode=None):
-        res = real_extract(pair, rng, max_retries=max_retries, mode=mode)
+    def sabotaged(pair, rng, max_retries=20):
+        res = real_extract(pair, rng, max_retries=max_retries)
         broken = [list(row) for row in res.filling.rows]
         broken[0][0] += 1
         return res._replace(filling=Filling(tuple(tuple(r) for r in broken)))
@@ -267,3 +273,52 @@ def test_seed_echoed_everywhere(tmp_path, capsys):
     assert json.loads(out)["seed"] == 42
     rc, out = run(capsys, "count", "1", "1", "1,1", "--seed", "42")
     assert json.loads(out)["seed"] == 42
+
+
+# ---------------------------------------------------------------------------
+# golden output bytes
+
+
+def _golden_outputs(tmp_path, capsys):
+    """Stdout of each pinned invocation, keyed by a short label."""
+    infile = write_json(tmp_path / "in.json", GOLDEN_FILLING_DOC)
+    real_file = tmp_path / "real.json"
+    assert main(["realize", "--in", infile, "--out", str(real_file)]) == 0
+    r = 5
+    stair = write_json(tmp_path / "stair.json", {
+        "filling": [[0] * (j - 1) + [r - j + 1] for j in range(1, r + 1)],
+        "mu": list(range(r, 0, -1))})
+    stair_real = tmp_path / "stair_real.json"
+    assert main(["realize", "--in", stair, "--out", str(stair_real)]) == 0
+    invocations = {
+        "realize": ["realize", "--in", infile],
+        "extract_golden": ["extract", "--in", str(real_file), "--seed", "7"],
+        "extract_staircase_r5": ["extract", "--in", str(stair_real), "--seed", "7"],
+        "roundtrip": ["roundtrip", "--trials", "5", "--seed", "11"],
+        "counterexample": ["counterexample"],
+    }
+    capsys.readouterr()
+    outputs = {}
+    for label, argv in invocations.items():
+        rc, out = run(capsys, *argv)
+        assert rc == 0, label
+        outputs[label] = out
+    return outputs
+
+
+# sha256 of each invocation's stdout: pins the JSON bytes themselves, where
+# the determinism tests above only compare two runs of the same code
+GOLDEN_SHA256 = {
+    "realize": "b39da7409b9451a402079963747b886ba8c73cd4bf68c8f8e7f0efa36d539530",
+    "extract_golden": "f6cb5eeaf7f57895be7945ca8c3b38bda95a51cbdfde2f2779ebbac4ebe9afae",
+    "extract_staircase_r5": "51e3c2c7d620c357ecea68915f664731b36777102396abd908027e05bc7f5909",
+    "roundtrip": "2c7a213753a675eec466e46d7144502c0ca791b7211a06e2fcb37993d6d0bb10",
+    "counterexample": "2ead2275bb9e7454cbfac94dd3a74282f58495613815f8c2b48ff6d9a1d783ca",
+}
+
+
+def test_golden_output_digests(tmp_path, capsys):
+    outputs = _golden_outputs(tmp_path, capsys)
+    got = {label: hashlib.sha256(out.encode("utf-8")).hexdigest()
+           for label, out in outputs.items()}
+    assert got == GOLDEN_SHA256

@@ -6,8 +6,7 @@ import pytest
 
 from lrpairs.errors import GenericityError, InputError
 from lrpairs.extract import (counterexample_demo, extract_filling,
-                             extract_from_pair, kept_rows_order,
-                             omitted_rows_order, row_sum_check)
+                             extract_from_pair, kept_rows_order, row_sum_check)
 from lrpairs.generic import (GroupElement, MatrixPair, act,
                              corner_invariant_check, verify_mu_generic)
 from lrpairs.matrix import RMatrix, diag_from_partition, mat_mul
@@ -36,14 +35,6 @@ def test_kept_rows_single_row_reads_the_last_column():
     n = golden_n()
     assert kept_rows_order(n, (4,)) == 4
     assert kept_rows_order(n, (1,)) == 2
-
-
-def test_omitted_rows_order_is_complement():
-    n = golden_n()
-    assert omitted_rows_order(n, ()) == KEPT_ORDERS[(1, 2, 3, 4)]
-    assert omitted_rows_order(n, (1,)) == KEPT_ORDERS[(2, 3, 4)]
-    assert omitted_rows_order(n, (2, 3)) == kept_rows_order(n, (1, 4)) == 7
-    assert omitted_rows_order(n, (1, 2, 3, 4)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -176,16 +176,16 @@ def test_triangularize_singular_raises():
 def test_verify_mu_generic_golden():
     rep = verify_mu_generic(golden_n(), MU)
     assert rep.ok
-    assert rep.mode == "full"
+    assert rep.to_json()["mode"] == "full"
     names = [ch.name for ch in rep.checks]
     assert names == ["upper_triangular", "det_gap_rows", "det_gap_columns"]
     doc = rep.to_json()
     assert doc["ok"] is True and doc["failures"] == []
 
 
-def test_verify_mu_generic_sampled_mode():
-    rep = verify_mu_generic(golden_n(), MU, mode="sampled", rng=random.Random(1))
-    assert rep.ok and rep.mode == "sampled"
+def test_verify_mu_generic_rejects_sampled_mode():
+    with pytest.raises(InputError):
+        verify_mu_generic(golden_n(), MU, mode="sampled", rng=random.Random(1))
 
 
 def test_verify_mu_generic_detects_gap_violation():

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lrpairs.errors import NotInRingError
-from lrpairs.ring import (INFINITY, ONE, T, ZERO, RingElem, detect_cancellation,
-                          random_unit, residue, residue_shift, valuation)
+from lrpairs.ring import (INFINITY, ONE, T, ZERO, RingElem, random_unit,
+                          residue, valuation)
 
 
 def poly(*terms):
@@ -88,23 +88,6 @@ def test_residue_values():
     assert residue(poly((2, 0), (1, 1)) / poly((4, 0), (-1, 1))) == Fraction(1, 2)
     with pytest.raises(NotInRingError):
         residue(ONE / T)
-
-
-def test_residue_shift():
-    x = poly((5, 3), (1, 4))
-    assert residue_shift(x, 3) == 5
-    assert residue_shift(x, 2) == 0
-    assert residue_shift(ZERO, 0) == 0
-
-
-def test_detect_cancellation():
-    assert detect_cancellation([T, -T])
-    assert detect_cancellation([poly((1, 1), (1, 2)), poly((-1, 1))])
-    assert not detect_cancellation([T, T])
-    assert not detect_cancellation([T, RingElem.t_pow(2)])
-    assert not detect_cancellation([ZERO])
-    with pytest.raises(ValueError):
-        detect_cancellation([])
 
 
 def test_random_unit_stream_is_frozen():
