@@ -23,10 +23,13 @@ from itertools import combinations
 
 from .errors import (GenericityError, InputError, PrincipalMinorError,
                      RankError, RetriesExhaustedError)
+# det is unused here but stays importable as lrpairs.generic.det, an import
+# site that perfbench's tracer self-test checks
 from .matrix import (RMatrix, _clearing_unit, _content_unit, _table_partition,
-                     diag_from_partition, det, inverse, invariant_partition,
-                     is_mu_admissible, lu_decompose, mat_mul, minor_order,
-                     minor_order_table, smith_transforms, truncated_matrix)
+                     det, diag_from_partition, has_unit_det, inverse,
+                     invariant_partition, is_mu_admissible, lu_decompose,
+                     mat_mul, minor_order, minor_order_table, smith_transforms,
+                     truncated_matrix)
 from .ring import INFINITY, ONE, ZERO, RingElem, random_unit
 from .tableaux import Partition, as_partition
 
@@ -101,7 +104,7 @@ class GroupElement:
                             mat_mul(self.t, other.t))
 
     def is_invertible_over_ring(self) -> bool:
-        return all(m.is_over_ring() and det(m).is_unit() for m in (self.p, self.q, self.t))
+        return all(m.is_over_ring() and has_unit_det(m) for m in (self.p, self.q, self.t))
 
     def to_json(self):
         return {"p": self.p.to_json(), "q": self.q.to_json(), "t": self.t.to_json()}
@@ -363,11 +366,6 @@ def _pairs_to_check(r: int):
                 yield i_set, j_set
 
 
-def _require_full(mode):
-    if mode != "full":
-        raise InputError(f"verification mode must be 'full', got {mode!r}")
-
-
 def _between(lo: tuple, hi: tuple):
     """All strictly increasing tuples H with lo_s <= h_s <= hi_s."""
     k = len(lo)
@@ -388,12 +386,9 @@ def _componentwise_le(a: tuple, b: tuple) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def check_equation_first(tab_n: dict, tab_right: dict, r: int, mode="full", rng=None):
-    """order(N*_IJ) == min over S >= I of order((Q_L N T^-1)_SJ).
-
-    Checks every pair.  mode must be "full" (anything else raises InputError)
-    and rng is unused; both remain for existing callers."""
-    _require_full(mode)
+def check_equation_first(tab_n: dict, tab_right: dict, r: int):
+    """order(N*_IJ) == min over S >= I of order((Q_L N T^-1)_SJ), checked on
+    every pair."""
     for i_set, j_set in _pairs_to_check(r):
         want = tab_n[(i_set, j_set)]
         top = tuple(range(r - len(i_set) + 1, r + 1))
@@ -403,15 +398,10 @@ def check_equation_first(tab_n: dict, tab_right: dict, r: int, mode="full", rng=
     return ""
 
 
-def check_equation_second(tab_n: dict, tab_v: dict, mu: Partition, r: int,
-                          mode="full", rng=None):
+def check_equation_second(tab_n: dict, tab_v: dict, mu: Partition, r: int):
     """order(N*_IJ) == min over H <= I of order(V_HJ) + |mu_H| - |mu_I|,
     V = Q_hat_U N T^-1; checked on pairs with I <= J componentwise (the only
-    pairs where the minimum is attained without cancellation; see notes).
-
-    mode must be "full" (anything else raises InputError) and rng is unused;
-    both remain for existing callers."""
-    _require_full(mode)
+    pairs where the minimum is attained without cancellation; see notes)."""
     for i_set, j_set in _pairs_to_check(r):
         if not _componentwise_le(i_set, j_set):
             continue
@@ -424,12 +414,9 @@ def check_equation_second(tab_n: dict, tab_v: dict, mu: Partition, r: int,
     return ""
 
 
-def check_equation_third(tab_n: dict, tab_left: dict, r: int, mode="full", rng=None):
-    """order(N*_IJ) == min over H <= J of order((Q N T_L)_IH).
-
-    Checks every pair.  mode must be "full" (anything else raises InputError)
-    and rng is unused; both remain for existing callers."""
-    _require_full(mode)
+def check_equation_third(tab_n: dict, tab_left: dict, r: int):
+    """order(N*_IJ) == min over H <= J of order((Q N T_L)_IH), checked on
+    every pair."""
     for i_set, j_set in _pairs_to_check(r):
         want = tab_n[(i_set, j_set)]
         got = min(tab_left[(i_set, h)]
@@ -443,18 +430,15 @@ def check_equation_third(tab_n: dict, tab_left: dict, r: int, mode="full", rng=N
 # verification
 
 
-def verify_mu_generic(n_star: RMatrix, mu, mode="full", rng=None, table=None) -> VerificationReport:
+def verify_mu_generic(n_star: RMatrix, mu, table=None) -> VerificationReport:
     """Determinant-gap inequalities defining mu-genericity.
 
     For every componentwise triple I <= H <= J of equal-size index sets:
       order(N*_IJ) <= order(N*_HJ) <= order(N*_IJ) + |mu_I| - |mu_H|   (rows)
       order(N*_IH) >= order(N*_IJ)                                     (columns)
     Every triple is enumerated, at every size r.  A precomputed minor-order
-    table of n_star is reused when given.  mode must be "full" (anything
-    else raises InputError) and rng is unused; both remain for existing
-    callers.
+    table of n_star is reused when given.
     """
-    _require_full(mode)
     mu = as_partition(mu)
     r = n_star.r
     if table is None:
@@ -593,7 +577,7 @@ def _attempt_reduction(d_mu, n_input, mu, nu, lam, rng, r) -> MuGenericCertifica
     checks = []
 
     checks.append(CheckResult("q_admissible", is_mu_admissible(q, mu)))
-    t_ok = t_inv.is_over_ring() and det(t_inv).is_unit()
+    t_ok = t_inv.is_over_ring() and has_unit_det(t_inv)
     checks.append(CheckResult("t_inverse_in_group", t_ok))
     checks.append(CheckResult("u_upper_triangular", u.is_upper_triangular()))
     checks.append(CheckResult("n_star_over_ring", n_star.is_over_ring()))
@@ -614,7 +598,7 @@ def _attempt_reduction(d_mu, n_input, mu, nu, lam, rng, r) -> MuGenericCertifica
     try:
         q_hat_l, q_hat_u = lu_decompose(q)
         lu_ok = (q_hat_l.is_over_ring() and q_hat_u.is_over_ring()
-                 and det(q_hat_u).is_unit() and is_mu_admissible(q_hat_l, mu))
+                 and has_unit_det(q_hat_u) and is_mu_admissible(q_hat_l, mu))
         checks.append(CheckResult("lu_factors_in_ring", lu_ok))
     except PrincipalMinorError as exc:
         checks.append(CheckResult("lu_factors_in_ring", False, str(exc)))

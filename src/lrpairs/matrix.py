@@ -10,6 +10,8 @@ when the minor vanishes.
 Determinants are computed exactly: rows are first scaled by their
 denominators so the work happens on polynomials, then cofactor expansion is
 used for sizes below 4 and fraction-free Bareiss elimination from size 4 up.
+Whether a determinant is a unit is read in the residue field instead
+(``has_unit_det``), which needs only the constant terms.
 ``minor_order_table`` batches every (I, J) minor order of a matrix through a
 shared-subminor expansion, which the verification and extraction code paths
 rely on.
@@ -22,11 +24,9 @@ from itertools import combinations
 from math import gcd as igcd
 
 from .errors import InputError, NotInRingError, PrincipalMinorError, RankError
-from .ring import (INFINITY, ONE, ZERO, RingElem, _padd, _pdivexact, _pmul,
-                   _pscale)
+from .ring import (_PONE, INFINITY, ONE, ZERO, RingElem, _padd, _pcontent,
+                   _pdivexact_int, _pmul, _pscale)
 from .tableaux import Partition, as_partition
-
-_PONE = {0: 1}
 
 
 def _as_tuple(indices) -> tuple:
@@ -165,11 +165,11 @@ def diag_from_partition(mu, r: int) -> RMatrix:
 # exact minors
 
 def _clear_row(row):
-    """Numerators of a row scaled by the product of its distinct non-constant
-    denominators, together with those denominators."""
+    """Numerators of a row scaled by the product of its distinct denominators
+    (constant ones included), together with those denominators."""
     dens = []
     for e in row:
-        if max(e.den) > 0 and e.den not in dens:
+        if e.den is not _PONE and e.den not in dens:
             dens.append(e.den)
     if not dens:
         return [e.num for e in row], dens
@@ -201,25 +201,18 @@ def _cleared_grid(m: RMatrix):
 
 
 def _row_to_int(polys):
-    """Scale a row of polynomials to integer coefficients with unit content.
+    """Divide a row of integer polynomials by its joint content.
 
     Row scalings by nonzero constants shift no orders, so minor-order grids
     may normalize freely; the smaller integers keep the expansions cheap."""
-    lcm = 1
     g = 0
     for p in polys:
-        for c in p.values():
-            if isinstance(c, Fraction):
-                d = c.denominator
-                lcm = lcm * d // igcd(lcm, d)
-    for p in polys:
-        for c in p.values():
-            g = igcd(g, int(c * lcm))
-            if g == 1 and lcm == 1:
-                return polys
-    if g == 0 or (g == 1 and lcm == 1):
+        g = _pcontent(p, g)
+        if g == 1:
+            return polys
+    if g == 0:
         return polys
-    return [{d: int(c * lcm) // g for d, c in p.items()} for p in polys]
+    return [{d: c // g for d, c in p.items()} for p in polys]
 
 
 def _poly_det_cofactor(sub):
@@ -242,7 +235,7 @@ def _poly_det_cofactor(sub):
 
 
 def _poly_det_bareiss(sub):
-    """Fraction-free elimination; exact divisions stay in the polynomial ring."""
+    """Fraction-free elimination; every division is exact over Z[t]."""
     k = len(sub)
     a = [list(row) for row in sub]
     prev = _PONE
@@ -262,7 +255,7 @@ def _poly_det_bareiss(sub):
         for i in range(col + 1, k):
             for j in range(col + 1, k):
                 num = _padd(_pmul(piv, a[i][j]), _pmul(a[i][col], a[col][j]), -1)
-                a[i][j] = _pdivexact(num, prev) if num else {}
+                a[i][j] = _pdivexact_int(num, prev) if num else {}
             a[i][col] = {}
         prev = piv
     out = a[k - 1][k - 1]
@@ -302,6 +295,23 @@ def minor(m: RMatrix, rows, cols) -> RingElem:
     if not det_poly:
         return ZERO
     return RingElem(det_poly, correction)
+
+
+def has_unit_det(m: RMatrix) -> bool:
+    """For m over the ring: det(m) is a unit exactly when det(m mod t) != 0.
+
+    An entry of order 0 has residue num(0)/den(0), any other entry residue 0.
+    Each residue row is scaled to integers (which changes no zero test) and
+    the constant polynomials go through the exact determinant engine."""
+    grid = []
+    for row in m.entries:
+        lcm = 1
+        for e in row:
+            if 0 in e.num:
+                lcm = lcm * e.den[0] // igcd(lcm, e.den[0])
+        grid.append([{0: e.num[0] * (lcm // e.den[0])} if 0 in e.num else {}
+                     for e in row])
+    return bool(_poly_det(grid))
 
 
 def minor_order(m: RMatrix, rows, cols):
@@ -545,9 +555,9 @@ def _clearing_unit(elems) -> RingElem:
         if e.is_zero():
             continue
         den = (e * u).den
-        if len(den) == 1 and den.get(0) == 1:
+        if max(den) == 0:
             continue
-        u = u * RingElem(dict(den), _PONE)
+        u = u * RingElem(dict(den), {0: den[max(den)]})
     v = u.valuation()
     if v:
         u = u / RingElem.t_pow(v)
@@ -555,14 +565,16 @@ def _clearing_unit(elems) -> RingElem:
 
 
 def _content_unit(elems) -> RingElem:
-    """1/g for the rational content g of the numerators of elems: the constant
-    (unit) scaling that makes all coefficients integers with no common factor.
-    Keeps fraction-free eliminations from blowing up coefficient sizes."""
+    """1/g for the rational content g of the numerators of elems, each read
+    over a monic denominator: the constant (unit) scaling that makes all
+    coefficients integers with no common factor.  Keeps fraction-free
+    eliminations from blowing up coefficient sizes."""
     g_num = 0
     g_den = 1
     for e in elems:
+        lc = e.den[max(e.den)]
         for coeff in e.num.values():
-            f = Fraction(coeff)
+            f = Fraction(coeff, lc)
             g_num = igcd(g_num, f.numerator)
             g_den = g_den * f.denominator // igcd(g_den, f.denominator)
     if g_num == 0 or (g_num == 1 and g_den == 1):
@@ -697,4 +709,4 @@ def is_mu_admissible(q: RMatrix, mu) -> bool:
             v = e.valuation()
             if v < 0 or v + mu.part(i) - mu.part(j) < 0:
                 return False
-    return det(q).is_unit()
+    return has_unit_det(q)

@@ -4,12 +4,16 @@ The working field is Q(t), rational functions in one variable with rational
 coefficients.  Elements with non-negative order form a discrete valuation
 ring with uniformizer t and residue field Q; ``valuation`` is the order, the
 zero element gets the sentinel +infinity.  ``RingElem`` stores a reduced
-fraction of polynomials with a monic denominator, so equality, order and
-residue are canonical and every operation is exact.
+fraction of integer polynomials (coprime, joint content 1, positive leading
+coefficient in the denominator), so equality, order and residue are
+canonical, every operation is exact, and the arithmetic never leaves the
+integers.  Fractions appear only at the boundaries: rational constants and
+JSON are cleared of denominators on the way in, and ``to_json``/``str``
+divide by the denominator's leading coefficient on the way out.
 
-Polynomials are plain dicts mapping degree -> nonzero coefficient (int or
-Fraction); sparse on purpose, since most matrix entries in this package are
-short sums of t-powers.
+Polynomials are plain dicts mapping degree -> nonzero int coefficient;
+sparse on purpose, since most matrix entries in this package are short sums
+of t-powers.
 """
 
 from __future__ import annotations
@@ -68,64 +72,21 @@ def _pshift(a, k):
     return {d + k: c for d, c in a.items()}
 
 
-def _pdivmod(a, b):
-    """Long division over Q; b must be nonzero."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = dict(a)
-    quo: dict = {}
-    db = max(b)
-    lb = b[db]
-    while rem:
-        dr = max(rem)
-        if dr < db:
-            break
-        c = Fraction(rem[dr]) / Fraction(lb)
-        shift = dr - db
-        quo[shift] = c
-        for d, cb in b.items():
-            dd = d + shift
-            s = rem.get(dd, 0) - c * cb
-            if s:
-                rem[dd] = s
-            else:
-                rem.pop(dd, None)
-    return quo, rem
-
-
-def _pdivexact(a, b):
-    q, r = _pdivmod(a, b)
-    if r:
-        raise ArithmeticError("polynomial division was not exact")
-    return q
-
-
-def _pmonic(a):
-    if not a:
-        return a
-    lc = a[max(a)]
-    if lc == 1:
-        return a
-    inv = Fraction(1) / Fraction(lc)
-    return {d: c * inv for d, c in a.items()}
-
-
-def _pint_primitive(a):
-    """Clear coefficient denominators and divide out the integer content."""
-    lcm = 1
+def _pcontent(a, g=0):
+    """gcd of g and the coefficients of the integer polynomial a."""
     for c in a.values():
-        if isinstance(c, Fraction):
-            d = c.denominator
-            lcm = lcm * d // _igcd(lcm, d)
-    out = {}
-    g = 0
-    for d, c in a.items():
-        v = int(c * lcm)
-        out[d] = v
-        g = _igcd(g, v)
+        g = _igcd(g, c)
+        if g == 1:
+            break
+    return g
+
+
+def _pprimitive(a):
+    """The integer polynomial a divided by its content."""
+    g = _pcontent(a)
     if g > 1:
-        out = {d: v // g for d, v in out.items()}
-    return out
+        return {d: c // g for d, c in a.items()}
+    return a
 
 
 def _pprem(a, b):
@@ -233,7 +194,7 @@ def _pheu(a, b):
     xi = 2 * min(na, nb) + 29
     for _ in range(6):
         g = _igcd(_phorner(a, xi), _phorner(b, xi))
-        cand = _pint_primitive(_pfromint(g, xi))
+        cand = _pprimitive(_pfromint(g, xi))
         if cand:
             if max(cand) == 0:
                 return dict(_PONE)
@@ -266,47 +227,22 @@ def _pgcd_subresultant(a, b):
         g = a[max(a)]
         if delta:
             h = g ** delta // h ** (delta - 1)
-    return _pint_primitive(b)
+    return _pprimitive(b)
 
 
 def _pgcd(a, b):
-    """Monic gcd over Q, heuristic first with a subresultant fallback.
+    """Gcd over Q of two nonzero integer polynomials that share no power of
+    t, as a primitive integer polynomial (sign unspecified); heuristic first
+    with a subresultant fallback.
 
-    Shared powers of t are split off up front (typical inputs have positive
-    order), leaving operands with nonzero constant terms."""
-    if not a:
-        return _pmonic(dict(b))
-    if not b:
-        return _pmonic(dict(a))
-    a = _pint_primitive(a)
-    b = _pint_primitive(b)
-    ord_a = min(a)
-    ord_b = min(b)
-    shared = min(ord_a, ord_b)
-    if ord_a:
-        a = {d - ord_a: c for d, c in a.items()}
-    if ord_b:
-        b = {d - ord_b: c for d, c in b.items()}
+    Each operand's own power of t is split off up front, leaving primitive
+    operands with nonzero constant terms."""
+    a = _pprimitive(_pshift(a, -min(a)))
+    b = _pprimitive(_pshift(b, -min(b)))
     if max(a) == 0 or max(b) == 0:
-        g = dict(_PONE)
-    else:
-        g = _pheu(a, b)
-        if g is None:
-            g = _pgcd_subresultant(a, b)
-    if shared:
-        g = {d + shared: c for d, c in g.items()}
-    return _pmonic(g)
-
-
-def _pnormal(a):
-    """Canonicalize coefficients: integral Fractions become ints."""
-    out = {}
-    for d, c in a.items():
-        if isinstance(c, Fraction) and c.denominator == 1:
-            c = c.numerator
-        if c:
-            out[d] = c
-    return out
+        return _PONE
+    g = _pheu(a, b)
+    return _pgcd_subresultant(a, b) if g is None else g
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +251,10 @@ def _pnormal(a):
 class RingElem:
     """An exact element of Q(t), stored as a reduced num/den pair.
 
-    Canonical form: gcd(num, den) = 1, den monic, shared powers of t
-    cancelled; a constant denominator is folded away, so den is either 1 or
-    a genuine monic polynomial of positive degree.
+    Canonical form: num and den are integer polynomials, coprime over Q[t]
+    (so no shared power of t) and with joint integer content 1; den has a
+    positive leading coefficient, and den is the shared ``_PONE`` exactly
+    when it equals 1.  Equal elements therefore have equal num and den.
     """
 
     __slots__ = ("num", "den")
@@ -344,9 +281,10 @@ class RingElem:
             raise TypeError(f"cannot build a ring constant from {type(c).__name__}")
         if c == 0:
             return _ZERO
-        if isinstance(c, Fraction) and c.denominator == 1:
-            c = c.numerator
-        return RingElem({0: c}, _PONE, _raw=True)
+        if isinstance(c, int):
+            return RingElem({0: c}, _PONE, _raw=True)
+        den = c.denominator
+        return RingElem({0: c.numerator}, _PONE if den == 1 else {0: den}, _raw=True)
 
     @staticmethod
     def t_pow(k: int) -> "RingElem":
@@ -367,7 +305,7 @@ class RingElem:
                 num[d] = s
             else:
                 num.pop(d, None)
-        return _make(_pnormal(num), _PONE)
+        return _from_rational(num, _PONE)
 
     # -- basic queries -----------------------------------------------------
 
@@ -393,16 +331,28 @@ class RingElem:
 
     # -- arithmetic ----------------------------------------------------------
 
+    def _add(self, other, sign):
+        sd, od = self.den, other.den
+        if sd is _PONE and od is _PONE:
+            num = _padd(self.num, other.num, sign)
+            return RingElem(num, _PONE, _raw=True) if num else _ZERO
+        # n/d + p stays canonical: gcd(n + p d, d) = gcd(n, d) = 1, and a
+        # prime dividing d's content and n + p d would divide n as well
+        if od is _PONE:
+            return RingElem(_padd(self.num, _pmul(other.num, sd), sign), sd, _raw=True)
+        if sd is _PONE:
+            num = _padd(_pmul(self.num, od), other.num, sign)
+            return RingElem(num, od, _raw=True)
+        if sd == od:
+            return _make(_padd(self.num, other.num, sign), sd)
+        num = _padd(_pmul(self.num, od), _pmul(other.num, sd), sign)
+        return _make(num, _pmul(sd, od))
+
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den is _PONE and other.den is _PONE:
-            return _make(_padd(self.num, other.num), _PONE)
-        if self.den == other.den:
-            return _make(_padd(self.num, other.num), self.den)
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return _make(num, _pmul(self.den, other.den))
+        return self._add(other, 1)
 
     __radd__ = __add__
 
@@ -410,12 +360,7 @@ class RingElem:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den is _PONE and other.den is _PONE:
-            return _make(_padd(self.num, other.num, -1), _PONE)
-        if self.den == other.den:
-            return _make(_padd(self.num, other.num, -1), self.den)
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den), -1)
-        return _make(num, _pmul(self.den, other.den))
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -431,7 +376,8 @@ class RingElem:
         if other is NotImplemented:
             return NotImplemented
         if self.den is _PONE and other.den is _PONE:
-            return _make(_pmul(self.num, other.num), _PONE)
+            num = _pmul(self.num, other.num)
+            return RingElem(num, _PONE, _raw=True) if num else _ZERO
         return _make(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     __rmul__ = __mul__
@@ -471,9 +417,7 @@ class RingElem:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        num = tuple(sorted((d, Fraction(c)) for d, c in self.num.items()))
-        den = tuple(sorted((d, Fraction(c)) for d, c in self.den.items()))
-        return hash((num, den))
+        return hash((tuple(sorted(self.num.items())), tuple(sorted(self.den.items()))))
 
     # -- presentation --------------------------------------------------------
 
@@ -483,18 +427,20 @@ class RingElem:
     def __str__(self):
         if not self.num:
             return "0"
-        num = _poly_str(self.num)
-        if self.den is _PONE or self.den == _PONE:
-            return num
-        return f"({num})/({_poly_str(self.den)})"
+        num, den = _monic(self)
+        if den is None:
+            return _poly_str(num)
+        return f"({_poly_str(num)})/({_poly_str(den)})"
 
     # -- JSON ----------------------------------------------------------------
 
     def to_json(self):
-        """Monomial-list encoding; den omitted when it equals 1."""
-        out = {"num": [[_coeff_str(c), d] for d, c in sorted(self.num.items())]}
-        if self.den != _PONE:
-            out["den"] = [[_coeff_str(c), d] for d, c in sorted(self.den.items())]
+        """Monomial-list encoding of num/den scaled to a monic den; den
+        omitted when it is 1."""
+        num, den = _monic(self)
+        out = {"num": [[str(c), d] for d, c in sorted(num.items())]}
+        if den is not None:
+            out["den"] = [[str(c), d] for d, c in sorted(den.items())]
         return out
 
     @staticmethod
@@ -505,7 +451,7 @@ class RingElem:
         den = _poly_from_json(obj["den"], "den") if "den" in obj else _PONE
         if not den:
             raise InputError("ring element denominator is zero")
-        return _make(num, den)
+        return _from_rational(num, den)
 
 
 def _coerce(x):
@@ -516,8 +462,35 @@ def _coerce(x):
     return NotImplemented
 
 
-def _coeff_str(c) -> str:
-    return str(Fraction(c))
+def _from_rational(num, den) -> RingElem:
+    """Canonical element from polynomials with int or Fraction coefficients:
+    both are scaled by one common denominator, then reduced."""
+    lcm = 1
+    for p in (num, den):
+        for c in p.values():
+            if isinstance(c, Fraction):
+                lcm = lcm * c.denominator // _igcd(lcm, c.denominator)
+    return _make({d: int(c * lcm) for d, c in num.items()},
+                 {d: int(c * lcm) for d, c in den.items()})
+
+
+def _monic(x):
+    """(num, den) of x divided by lc(den), as the boundary encoding writes
+    them; den is None when it is constant."""
+    den = x.den
+    if den is _PONE:
+        return x.num, None
+    lc = den[max(den)]
+    num = {d: Fraction(c, lc) for d, c in x.num.items()}
+    if len(den) == 1 and 0 in den:
+        return num, None
+    return num, {d: Fraction(c, lc) for d, c in den.items()}
+
+
+# Highest degree a JSON polynomial may carry.  The gcd evaluates polynomials
+# at large integers, so unbounded degrees would cost unbounded time and
+# memory before any check could reject the input.
+MAX_DEGREE = 10_000
 
 
 def _poly_from_json(items, label):
@@ -531,6 +504,8 @@ def _poly_from_json(items, label):
         cs, d = it
         if not isinstance(d, int) or d < 0:
             raise InputError(f"'{label}' degree must be a non-negative integer, got {d!r}")
+        if d > MAX_DEGREE:
+            raise InputError(f"'{label}' degree {d} exceeds the limit {MAX_DEGREE}")
         if d <= last:
             raise InputError(f"'{label}' degrees must be strictly ascending")
         last = d
@@ -565,39 +540,31 @@ def _poly_str(p) -> str:
 
 
 def _make(num, den) -> RingElem:
-    """Reduce num/den to canonical form."""
+    """Reduce a pair of integer polynomials to canonical form."""
     if not num:
         return _ZERO
     if not den:
         raise ZeroDivisionError("zero denominator")
     # cancel the shared power of t first: cheap and very common
-    on, od = min(num), min(den)
-    shift = min(on, od)
+    shift = min(min(num), min(den))
     if shift:
         num = _pshift(num, -shift)
         den = _pshift(den, -shift)
-    if len(den) == 1 and min(den) == 0:
-        c = den[0]
-        if c != 1:
-            inv = Fraction(1) / Fraction(c)
-            num = _pnormal(_pscale(num, inv))
-        return RingElem(_pnormal(num), _PONE, _raw=True)
-    g = _pgcd(num, den)
-    if max(g) > 0:
-        num = _pdivexact(num, g)
-        den = _pdivexact(den, g)
-        if len(den) == 1 and min(den) == 0:
-            c = den[0]
-            if c != 1:
-                inv = Fraction(1) / Fraction(c)
-                num = _pscale(num, inv)
-            return RingElem(_pnormal(num), _PONE, _raw=True)
-    lc = den[max(den)]
-    if lc != 1:
-        inv = Fraction(1) / Fraction(lc)
-        num = _pscale(num, inv)
-        den = _pscale(den, inv)
-    return RingElem(_pnormal(num), _pnormal(den), _raw=True)
+    if max(den) > 0 and max(num) > 0:
+        g = _pgcd(num, den)
+        if max(g) > 0:
+            # g is primitive, so by Gauss's lemma both quotients are integral
+            num = _pdivexact_int(num, g)
+            den = _pdivexact_int(den, g)
+    c = _pcontent(num, _pcontent(den))
+    if den[max(den)] < 0:
+        c = -c
+    if c != 1:
+        num = {d: v // c for d, v in num.items()}
+        den = {d: v // c for d, v in den.items()}
+    if len(den) == 1 and den.get(0) == 1:
+        den = _PONE
+    return RingElem(num, den, _raw=True)
 
 
 _ZERO = RingElem(_PZERO, _PONE, _raw=True)
@@ -624,7 +591,7 @@ def residue(x: RingElem) -> Fraction:
         raise NotInRingError(f"residue undefined for order {v} < 0")
     if v != 0:
         return Fraction(0)
-    return Fraction(x.num[min(x.num)]) / Fraction(x.den[min(x.den)])
+    return Fraction(x.num[min(x.num)], x.den[min(x.den)])
 
 
 def random_unit(rng) -> RingElem:

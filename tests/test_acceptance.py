@@ -182,7 +182,7 @@ def test_criterion_4_certificates_fully_verify():
     assert len(certs) == 300
     for cert in certs:
         r = cert.n_star.r
-        assert verify_mu_generic(cert.n_star, cert.mu, mode="full",
+        assert verify_mu_generic(cert.n_star, cert.mu,
                                  table=cert.minor_orders).ok
         assert corner_invariant_check(cert.n_star, cert.mu).ok
         cap = cert.mu.weight() + cert.nu.weight() + 1
@@ -195,11 +195,11 @@ def test_criterion_4_certificates_fully_verify():
         v = mat_mul(cert.q_hat_u, truncated_matrix(x, cap))
         tab_v = minor_order_table(v, cap=cap)
         assert check_equation_first(cert.minor_orders, tab_right,
-                                    r, "full", None) == ""
+                                    r) == ""
         assert check_equation_second(cert.minor_orders, tab_v, cert.mu,
-                                     r, "full", None) == ""
+                                     r) == ""
         assert check_equation_third(cert.minor_orders, tab_left,
-                                    r, "full", None) == ""
+                                    r) == ""
 
 
 def _random_entry(rng):

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import lrpairs.cli as cli
+import lrpairs.ring as ring_mod
 from lrpairs.cli import main
 from lrpairs.errors import VerificationError
 from lrpairs.matrix import RMatrix
@@ -126,6 +127,19 @@ def test_extract_rejects_rank_deficient_pair(tmp_path, capsys):
            "second": {"r": 1, "entries": [[{"num": []}]]}}
     infile = write_json(tmp_path / "pair.json", doc)
     assert main(["extract", "--in", infile]) == 2
+
+
+def test_extract_rejects_huge_degree_before_arithmetic(tmp_path, capsys, monkeypatch):
+    def no_arithmetic(*args):
+        raise AssertionError("arithmetic ran on an unbounded input")
+
+    monkeypatch.setattr(ring_mod, "_make", no_arithmetic)
+    huge = {"num": [["1", 10 ** 9]], "den": [["1", 0], ["1", 1]]}
+    doc = {"first": {"r": 1, "entries": [[huge]]},
+           "second": {"r": 1, "entries": [[{"num": [["1", 0]]}]]}}
+    infile = write_json(tmp_path / "pair.json", doc)
+    assert main(["extract", "--in", infile]) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
 
 
 def test_extract_has_no_verify_option(tmp_path, capsys):
@@ -284,16 +298,20 @@ def _golden_outputs(tmp_path, capsys):
     infile = write_json(tmp_path / "in.json", GOLDEN_FILLING_DOC)
     real_file = tmp_path / "real.json"
     assert main(["realize", "--in", infile, "--out", str(real_file)]) == 0
-    r = 5
-    stair = write_json(tmp_path / "stair.json", {
-        "filling": [[0] * (j - 1) + [r - j + 1] for j in range(1, r + 1)],
-        "mu": list(range(r, 0, -1))})
-    stair_real = tmp_path / "stair_real.json"
-    assert main(["realize", "--in", stair, "--out", str(stair_real)]) == 0
+    stair_real = {}
+    for r in (5, 6):
+        stair = write_json(tmp_path / f"stair{r}.json", {
+            "filling": [[0] * (j - 1) + [r - j + 1] for j in range(1, r + 1)],
+            "mu": list(range(r, 0, -1))})
+        stair_real[r] = str(tmp_path / f"stair_real{r}.json")
+        assert main(["realize", "--in", stair, "--out", stair_real[r]]) == 0
     invocations = {
         "realize": ["realize", "--in", infile],
         "extract_golden": ["extract", "--in", str(real_file), "--seed", "7"],
-        "extract_staircase_r5": ["extract", "--in", str(stair_real), "--seed", "7"],
+        "extract_staircase_r5": ["extract", "--in", stair_real[5], "--seed", "7"],
+        # r = 6 at the first staircase CLI seed of the benchmark
+        "extract_staircase_r6": ["extract", "--in", stair_real[6],
+                                 "--seed", "288545019"],
         "roundtrip": ["roundtrip", "--trials", "5", "--seed", "11"],
         "counterexample": ["counterexample"],
     }
@@ -312,6 +330,7 @@ GOLDEN_SHA256 = {
     "realize": "b39da7409b9451a402079963747b886ba8c73cd4bf68c8f8e7f0efa36d539530",
     "extract_golden": "f6cb5eeaf7f57895be7945ca8c3b38bda95a51cbdfde2f2779ebbac4ebe9afae",
     "extract_staircase_r5": "51e3c2c7d620c357ecea68915f664731b36777102396abd908027e05bc7f5909",
+    "extract_staircase_r6": "be61c49844d44d998d70278f56cf303a5ec3fc60fbe2e1836bd0463c9e75e1dd",
     "roundtrip": "2c7a213753a675eec466e46d7144502c0ca791b7211a06e2fcb37993d6d0bb10",
     "counterexample": "2ead2275bb9e7454cbfac94dd3a74282f58495613815f8c2b48ff6d9a1d783ca",
 }

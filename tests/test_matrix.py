@@ -2,12 +2,13 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from lrpairs.errors import (InputError, NotInRingError, PrincipalMinorError,
                             RankError)
-from lrpairs.matrix import (RMatrix, det, diag_from_partition,
+from lrpairs.matrix import (RMatrix, det, diag_from_partition, has_unit_det,
                             invariant_partition, invariant_partition_oracle,
                             inverse, is_mu_admissible, lu_decompose, mat_mul,
                             minor, minor_order, minor_order_table,
@@ -316,3 +317,48 @@ def test_mu_admissible_conjugation_stays_in_ring():
         conj = mat_mul(mat_mul(d, q), inverse(d))
         assert conj.is_over_ring()
         assert det(conj).is_unit()
+
+
+# ---------------------------------------------------------------------------
+# unit determinants in the residue field
+
+
+def _residue_test_matrix(rng, r, singular):
+    """Over the ring: a chosen residue matrix (singular or not, rational
+    entries) plus t times rational functions with unit denominators."""
+    res = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(r)]
+           for _ in range(r)]
+    if singular:
+        a, b = Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2), 3)
+        res[-1] = [a * x + b * y for x, y in zip(res[0], res[r - 2])]
+    rows = []
+    for i in range(r):
+        row = []
+        for j in range(r):
+            tail = ZERO
+            if rng.random() < 0.6:
+                num = RingElem.from_terms([(rng.randint(-5, 5), k) for k in range(3)])
+                den = RingElem.from_terms([(rng.choice((1, 2, -3, 5)), 0),
+                                           (rng.randint(-4, 4), 1),
+                                           (rng.randint(-2, 2), 2)])
+                tail = t(1) * num / den
+            row.append(RingElem.const(res[i][j]) + tail)
+        rows.append(row)
+    return RMatrix(rows)
+
+
+def test_residue_unit_test_agrees_with_exact_determinant():
+    rng = random.Random(2718)
+    seen = []
+    for k in range(80):
+        r = 1 + k % 5
+        m = _residue_test_matrix(rng, r, singular=(r > 1 and k % 3 == 0))
+        assert m.is_over_ring()
+        want = det(m).is_unit()
+        assert has_unit_det(m) == want
+        seen.append(want)
+    assert 20 <= seen.count(False) <= 60
+    for f in golden_factors():
+        assert has_unit_det(f) == det(f).is_unit()
+    assert not has_unit_det(RMatrix.diagonal([ONE, t(1), ONE]))
+    assert not has_unit_det(RMatrix([[ZERO, ZERO], [ONE, t(2)]]))

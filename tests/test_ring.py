@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrpairs.errors import NotInRingError
-from lrpairs.ring import (INFINITY, ONE, T, ZERO, RingElem, random_unit,
-                          residue, valuation)
+import lrpairs.ring as ring_mod
+from lrpairs.errors import InputError, NotInRingError
+from lrpairs.ring import (_PONE, INFINITY, MAX_DEGREE, ONE, T, ZERO, RingElem,
+                          random_unit, residue, valuation)
 
 
 def poly(*terms):
@@ -155,6 +156,82 @@ def test_json_fractional_case():
     y = RingElem.from_json(x.to_json())
     assert y == x
     assert y.valuation() == 1
+    # the boundary encodings divide by lc(den), giving monic denominators
+    assert x.to_json() == {"num": [["-4/21", 1], ["-10/7", 4]],
+                           "den": [["-2/7", 0], ["1", 2]]}
+    assert str(x) == "(-10/7*t^4 - 4/21*t)/(t^2 - 2/7)"
+
+
+def test_json_constant_denominator_is_folded():
+    x = poly((3, 0), (1, 2)) / 6
+    assert x.to_json() == {"num": [["1/2", 0], ["1/6", 2]]}
+    assert str(x) == "1/6*t^2 + 1/2"
+
+
+# ---------------------------------------------------------------------------
+# canonical form: integer num/den, coprime, joint content 1, lc(den) > 0
+
+
+def assert_canonical(x):
+    coeffs = list(x.num.values()) + list(x.den.values())
+    assert all(type(c) is int for c in coeffs)
+    assert x.den[max(x.den)] > 0
+    assert math.gcd(*coeffs) == 1
+    assert (x.den is _PONE) == (x.den == {0: 1})
+
+
+def assert_identical(x, y):
+    assert x.num == y.num and x.den == y.den
+    assert (x.den is _PONE) == (y.den is _PONE)
+
+
+@settings(max_examples=150, deadline=None)
+@given(elems, elems)
+def test_canonical_form(a, b):
+    assert_canonical(a)
+    for x in (a + b, a - b, a * b, -a, a + 3, Fraction(2, 5) * a):
+        assert_canonical(x)
+    if not b.is_zero():
+        assert_canonical(a / b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(elems, elems.filter(lambda x: not x.is_zero()))
+def test_canonical_form_is_route_independent(a, b):
+    assert_identical((a * b) / b, a)
+    assert_identical(RingElem.from_json(a.to_json()), a)
+
+
+def test_constant_routes_agree():
+    x = RingElem.const(Fraction(3, 7))
+    assert x.num == {0: 3} and x.den == {0: 7}
+    for y in (RingElem.const("3/7"), poly(("3/7", 0)), RingElem.const(3) / 7,
+              RingElem.from_json({"num": [["6/14", 0]]}),
+              RingElem.from_json({"num": [["3", 0]], "den": [["7", 0]]})):
+        assert_identical(y, x)
+    assert_identical(RingElem.const(Fraction(8, 4)), RingElem.const(2))
+    assert RingElem.const(Fraction(8, 4)).den is _PONE
+
+
+# ---------------------------------------------------------------------------
+# untrusted JSON
+
+
+def test_json_degree_above_bound_is_rejected_while_parsing(monkeypatch):
+    def no_arithmetic(*args):
+        raise AssertionError("arithmetic ran on an unbounded input")
+
+    monkeypatch.setattr(ring_mod, "_make", no_arithmetic)
+    huge = {"num": [["1", 10 ** 9]], "den": [["1", 0], ["1", 1]]}
+    with pytest.raises(InputError, match="exceeds the limit"):
+        RingElem.from_json(huge)
+    with pytest.raises(InputError, match="exceeds the limit"):
+        RingElem.from_json({"num": [["1", 0]], "den": [["1", MAX_DEGREE + 1]]})
+
+
+def test_json_degree_at_bound_is_accepted():
+    x = RingElem.from_json({"num": [["1", MAX_DEGREE]]})
+    assert x == RingElem.t_pow(MAX_DEGREE)
 
 
 def test_power_operator():
