@@ -28,7 +28,7 @@ from .generic import MatrixPair, genericity_stats, reset_genericity_stats
 from .matrix import RMatrix
 from .realize import random_filling, realize
 from .ring import INFINITY
-from .tableaux import Filling, Partition, count_fillings
+from .tableaux import MAX_SIZE, Filling, Partition, count_fillings
 
 
 def _parse_partition(text: str) -> Partition:
@@ -53,6 +53,8 @@ def _load_filling(obj) -> Filling:
     rows = obj.get("rows") if isinstance(obj, dict) else obj
     if not isinstance(rows, list):
         raise InputError("filling must be a list of rows or an object with 'rows'")
+    if len(rows) > MAX_SIZE:
+        raise InputError(f"filling size {len(rows)} exceeds the limit {MAX_SIZE}")
     try:
         return Filling(tuple(tuple(int(x) for x in row) for row in rows))
     except (TypeError, ValueError) as exc:
@@ -121,6 +123,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    if args.rmax > MAX_SIZE:
+        raise InputError(f"--rmax {args.rmax} exceeds the limit {MAX_SIZE}")
     rng = random.Random(args.seed)
     reset_genericity_stats()
     art_dir = os.path.dirname(args.out) if args.out else "."

@@ -26,7 +26,7 @@ from math import gcd as igcd
 from .errors import InputError, NotInRingError, PrincipalMinorError, RankError
 from .ring import (_PONE, INFINITY, ONE, ZERO, RingElem, _padd, _pcontent,
                    _pdivexact_int, _pmul, _pscale)
-from .tableaux import Partition, as_partition
+from .tableaux import MAX_SIZE, Partition, as_partition
 
 
 def _as_tuple(indices) -> tuple:
@@ -118,6 +118,8 @@ class RMatrix:
         grid = obj["entries"]
         if not isinstance(grid, list) or not all(isinstance(row, list) for row in grid):
             raise InputError("matrix 'entries' must be a list of rows")
+        if len(grid) > MAX_SIZE or any(len(row) > MAX_SIZE for row in grid):
+            raise InputError(f"matrix size exceeds the limit {MAX_SIZE}")
         m = RMatrix([[RingElem.from_json(e) for e in row] for row in grid])
         if "r" in obj and obj["r"] != m.r:
             raise InputError(f"matrix declares r={obj['r']} but has {m.r} rows")

@@ -7,9 +7,12 @@ zero element gets the sentinel +infinity.  ``RingElem`` stores a reduced
 fraction of integer polynomials (coprime, joint content 1, positive leading
 coefficient in the denominator), so equality, order and residue are
 canonical, every operation is exact, and the arithmetic never leaves the
-integers.  Fractions appear only at the boundaries: rational constants and
-JSON are cleared of denominators on the way in, and ``to_json``/``str``
-divide by the denominator's leading coefficient on the way out.
+integers.  Products, quotients and sums cancel common factors across their
+operands before multiplying (Henrici's cross-cancellation), so no gcd is
+ever taken of a full unreduced product.  Fractions appear only at the
+boundaries: rational constants and JSON are cleared of denominators on the
+way in, and ``to_json``/``str`` divide by the denominator's leading
+coefficient on the way out.
 
 Polynomials are plain dicts mapping degree -> nonzero int coefficient;
 sparse on purpose, since most matrix entries in this package are short sums
@@ -182,13 +185,15 @@ def _pdivexact_int(a, b):
 
 
 def _pheu(a, b):
-    """Heuristic gcd of two primitive integer polynomials, or None.
+    """Heuristic gcd of two primitive integer polynomials with its cofactors,
+    as (g, a/g, b/g), or None.
 
     Evaluates both at a large integer, takes the integer gcd, lifts it back
-    with balanced digits and certifies the candidate by exact trial division
-    (a certified candidate is the gcd: any proper multiple of it dividing
-    both inputs would need a cofactor whose value at xi divides the lifted
-    content, impossible once xi dwarfs every coefficient involved)."""
+    with balanced digits and certifies the candidate by exact trial division,
+    whose quotients are the cofactors (a certified candidate is the gcd: any
+    proper multiple of it dividing both inputs would need a cofactor whose
+    value at xi divides the lifted content, impossible once xi dwarfs every
+    coefficient involved)."""
     na = max(abs(c) for c in a.values())
     nb = max(abs(c) for c in b.values())
     xi = 2 * min(na, nb) + 29
@@ -197,10 +202,12 @@ def _pheu(a, b):
         cand = _pprimitive(_pfromint(g, xi))
         if cand:
             if max(cand) == 0:
-                return dict(_PONE)
-            if (_pdivexact_int(a, cand) is not None
-                    and _pdivexact_int(b, cand) is not None):
-                return cand
+                return _PONE, a, b
+            qa = _pdivexact_int(a, cand)
+            if qa is not None:
+                qb = _pdivexact_int(b, cand)
+                if qb is not None:
+                    return cand, qa, qb
         xi = xi * 73794 // 27011
     return None
 
@@ -221,7 +228,7 @@ def _pgcd_subresultant(a, b):
         if not rem:
             break
         if max(rem) == 0:
-            return dict(_PONE)
+            return _PONE
         divisor = g * h ** delta
         a, b = b, {d: c // divisor for d, c in rem.items()}
         g = a[max(a)]
@@ -230,19 +237,39 @@ def _pgcd_subresultant(a, b):
     return _pprimitive(b)
 
 
-def _pgcd(a, b):
-    """Gcd over Q of two nonzero integer polynomials that share no power of
-    t, as a primitive integer polynomial (sign unspecified); heuristic first
-    with a subresultant fallback.
+def _pgcd_cof(a, b):
+    """(g, a/g, b/g) for nonzero integer polynomials a and b, where g is
+    their gcd over Q as a primitive integer polynomial, powers of t included
+    (sign unspecified); g is the shared ``_PONE`` exactly when it is 1.
 
-    Each operand's own power of t is split off up front, leaving primitive
-    operands with nonzero constant terms."""
-    a = _pprimitive(_pshift(a, -min(a)))
-    b = _pprimitive(_pshift(b, -min(b)))
-    if max(a) == 0 or max(b) == 0:
-        return _PONE
-    g = _pheu(a, b)
-    return _pgcd_subresultant(a, b) if g is None else g
+    Each operand's own power of t and content are split off first, leaving
+    primitive operands with nonzero constant terms for the heuristic gcd and
+    its subresultant fallback; the cofactors get them back at the end."""
+    ka, kb = min(a), min(b)
+    ca, cb = _pcontent(a), _pcontent(b)
+    pa = {d - ka: c // ca for d, c in a.items()} if ka or ca != 1 else a
+    pb = {d - kb: c // cb for d, c in b.items()} if kb or cb != 1 else b
+    g = _PONE
+    if max(pa) and max(pb):
+        res = _pheu(pa, pb)
+        if res is None:
+            g = _pgcd_subresultant(pa, pb)
+            if g is not _PONE:
+                # g is primitive, so by Gauss's lemma both quotients are integral
+                pa, pb = _pdivexact_int(pa, g), _pdivexact_int(pb, g)
+        else:
+            g, pa, pb = res
+    k = min(ka, kb)
+    if k:
+        g = {k: 1} if g is _PONE else _pshift(g, k)
+    elif g is _PONE:
+        return _PONE, a, b
+    ka, kb = ka - k, kb - k
+    if ka or ca != 1:
+        pa = {d + ka: c * ca for d, c in pa.items()}
+    if kb or cb != 1:
+        pb = {d + kb: c * cb for d, c in pb.items()}
+    return g, pa, pb
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +372,16 @@ class RingElem:
             return RingElem(num, od, _raw=True)
         if sd == od:
             return _make(_padd(self.num, other.num, sign), sd)
+        # a/b + c/d with g = gcd(b, d): num = a d' + c b' shares no factor
+        # with b' d', so only gcd(num, g) is left to cancel (Knuth 4.5.1)
+        g, sd, od = _pgcd_cof(sd, od)
         num = _padd(_pmul(self.num, od), _pmul(other.num, sd), sign)
-        return _make(num, _pmul(sd, od))
+        if not num:
+            return _ZERO
+        if g is _PONE:
+            return _normal(num, _pmul(self.den, od))
+        _, num, g = _pgcd_cof(num, g)
+        return _normal(num, _pmul(_pmul(sd, od), g))
 
     def __add__(self, other):
         other = _coerce(other)
@@ -378,7 +413,7 @@ class RingElem:
         if self.den is _PONE and other.den is _PONE:
             num = _pmul(self.num, other.num)
             return RingElem(num, _PONE, _raw=True) if num else _ZERO
-        return _make(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        return _mul(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -388,7 +423,7 @@ class RingElem:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by the zero element")
-        return _make(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        return _mul(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -417,7 +452,11 @@ class RingElem:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((tuple(sorted(self.num.items())), tuple(sorted(self.den.items()))))
+        # constants hash as the int or Fraction they equal, as __eq__ needs
+        num, den = self.num, self.den
+        if num.keys() <= {0} and den.keys() == {0}:
+            return hash(Fraction(num.get(0, 0), den[0]))
+        return hash((tuple(sorted(num.items())), tuple(sorted(den.items()))))
 
     # -- presentation --------------------------------------------------------
 
@@ -545,17 +584,14 @@ def _make(num, den) -> RingElem:
         return _ZERO
     if not den:
         raise ZeroDivisionError("zero denominator")
-    # cancel the shared power of t first: cheap and very common
-    shift = min(min(num), min(den))
-    if shift:
-        num = _pshift(num, -shift)
-        den = _pshift(den, -shift)
-    if max(den) > 0 and max(num) > 0:
-        g = _pgcd(num, den)
-        if max(g) > 0:
-            # g is primitive, so by Gauss's lemma both quotients are integral
-            num = _pdivexact_int(num, g)
-            den = _pdivexact_int(den, g)
+    if max(den) and max(num):
+        _, num, den = _pgcd_cof(num, den)
+    return _normal(num, den)
+
+
+def _normal(num, den) -> RingElem:
+    """Canonical element from coprime integer polynomials num != 0 and den:
+    divide out the joint content and make lc(den) positive."""
     c = _pcontent(num, _pcontent(den))
     if den[max(den)] < 0:
         c = -c
@@ -565,6 +601,20 @@ def _make(num, den) -> RingElem:
     if len(den) == 1 and den.get(0) == 1:
         den = _PONE
     return RingElem(num, den, _raw=True)
+
+
+def _mul(a, b, c, d) -> RingElem:
+    """(a/b) * (c/d) for coprime pairs, by cross-cancellation: the gcds of c
+    with b and of a with d are divided out before multiplying, and what is
+    left is already coprime (Henrici; Knuth, TAOCP 4.5.1).  A constant side
+    shares no factor over Q, so its gcd is skipped."""
+    if not a or not c:
+        return _ZERO
+    if max(c) and max(b):
+        _, c, b = _pgcd_cof(c, b)
+    if max(a) and max(d):
+        _, a, d = _pgcd_cof(a, d)
+    return _normal(_pmul(a, c), _pmul(b, d))
 
 
 _ZERO = RingElem(_PZERO, _PONE, _raw=True)

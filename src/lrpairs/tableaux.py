@@ -22,6 +22,11 @@ from dataclasses import dataclass
 
 from .errors import InputError
 
+# Largest matrix size r (rows of a filling) accepted from outside.  A pair of
+# size r builds minor tables of C(2r, r) entries on every attempt, so an
+# unbounded r would cost unbounded time before any check could reject it.
+MAX_SIZE = 10
+
 
 class Partition:
     """A weakly decreasing tuple of non-negative integers.
@@ -148,6 +153,8 @@ class Filling:
             isinstance(row, list) and all(isinstance(v, int) for v in row) for row in rows
         ):
             raise InputError("filling 'rows' must be a list of integer lists")
+        if len(rows) > MAX_SIZE:
+            raise InputError(f"filling size {len(rows)} exceeds the limit {MAX_SIZE}")
         f = Filling(rows)
         if "r" in obj and obj["r"] != f.r:
             raise InputError(f"filling declares r={obj['r']} but has {f.r} rows")

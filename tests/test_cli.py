@@ -10,7 +10,8 @@ import lrpairs.ring as ring_mod
 from lrpairs.cli import main
 from lrpairs.errors import VerificationError
 from lrpairs.matrix import RMatrix
-from lrpairs.tableaux import Filling
+from lrpairs.ring import RingElem
+from lrpairs.tableaux import MAX_SIZE, Filling
 
 from golden import FILLING, MU, golden_n
 
@@ -139,6 +140,37 @@ def test_extract_rejects_huge_degree_before_arithmetic(tmp_path, capsys, monkeyp
            "second": {"r": 1, "entries": [[{"num": [["1", 0]]}]]}}
     infile = write_json(tmp_path / "pair.json", doc)
     assert main(["extract", "--in", infile]) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
+def _never(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran on an oversized input")
+    return fail
+
+
+def test_extract_rejects_oversized_pair_before_parsing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(RingElem, "from_json", staticmethod(_never("parsing")))
+    size = MAX_SIZE + 1
+    grid = [[{"num": [["1", 0]]}] * size for _ in range(size)]
+    doc = {"first": {"r": size, "entries": grid}, "second": {"r": size, "entries": grid}}
+    infile = write_json(tmp_path / "pair.json", doc)
+    assert main(["extract", "--in", infile]) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
+def test_realize_rejects_oversized_filling(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "realize", _never("realize"))
+    rows = [[0] * j for j in range(1, MAX_SIZE + 2)]
+    for filling in (rows, {"rows": rows}):
+        infile = write_json(tmp_path / "in.json", {"filling": filling, "mu": [1]})
+        assert main(["realize", "--in", infile]) == 2
+        assert "exceeds the limit" in capsys.readouterr().err
+
+
+def test_roundtrip_rejects_oversized_rmax(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "random_filling", _never("sampling"))
+    assert main(["roundtrip", "--rmax", str(MAX_SIZE + 1), "--trials", "1"]) == 2
     assert "exceeds the limit" in capsys.readouterr().err
 
 

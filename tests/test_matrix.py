@@ -14,7 +14,7 @@ from lrpairs.matrix import (RMatrix, det, diag_from_partition, has_unit_det,
                             minor, minor_order, minor_order_table,
                             smith_transforms)
 from lrpairs.ring import INFINITY, ONE, ZERO, RingElem
-from lrpairs.tableaux import Partition
+from lrpairs.tableaux import MAX_SIZE, Partition
 
 from golden import (KEPT_ORDERS, LAM, MU, NU, c, golden_factors, golden_m,
                     golden_mn, golden_n, t)
@@ -107,6 +107,23 @@ def test_json_roundtrip():
     n = golden_n()
     assert RMatrix.from_json(n.to_json()) == n
     m = random_ring_matrix(random.Random(3), 3, frac=True)
+    assert RMatrix.from_json(m.to_json()) == m
+
+
+def test_json_size_above_bound_is_rejected_before_parsing(monkeypatch):
+    def no_parsing(obj):
+        raise AssertionError("an entry was parsed from an oversized grid")
+
+    entry = {"num": [["1", 0]]}
+    monkeypatch.setattr(RingElem, "from_json", staticmethod(no_parsing))
+    for rows, cols in ((MAX_SIZE + 1, MAX_SIZE + 1), (1, MAX_SIZE + 1)):
+        grid = [[entry] * cols for _ in range(rows)]
+        with pytest.raises(InputError, match="exceeds the limit"):
+            RMatrix.from_json({"entries": grid})
+
+
+def test_json_size_at_bound_is_accepted():
+    m = RMatrix.identity(MAX_SIZE)
     assert RMatrix.from_json(m.to_json()) == m
 
 

@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 import lrpairs.ring as ring_mod
 from lrpairs.errors import InputError, NotInRingError
 from lrpairs.ring import (_PONE, INFINITY, MAX_DEGREE, ONE, T, ZERO, RingElem,
-                          random_unit, residue, valuation)
+                          _make, _pcontent, _pgcd_cof, _pgcd_subresultant,
+                          _pmul, _pprimitive, _pshift, random_unit, residue,
+                          valuation)
 
 
 def poly(*terms):
@@ -248,6 +250,18 @@ def test_equality_against_plain_ints():
     assert T != 1
 
 
+def test_hash_agrees_with_equality_on_constants():
+    for value in (5, -3, 1, 0, Fraction(3, 7), Fraction(-8, 3)):
+        x = RingElem.const(value)
+        assert hash(x) == hash(value)
+        assert value in {x} and x in {value}
+        assert {value: "v"}[x] == "v" and {x: "x"}[value] == "x"
+    assert 0 in {ZERO} and ZERO in {0} and hash(ZERO) == hash(0)
+    assert Fraction(1, 2) in {ONE / 2} and ONE / 2 in {Fraction(1, 2)}
+    # non-constant elements keep distinct hashes from their constant terms
+    assert T + 1 not in {1} and len({T, T * 1, ONE / T, T / 2}) == 3
+
+
 def test_gcd_handles_large_coefficient_growth():
     # repeated mixed operations drive the gcd/normalization machinery hard
     x = poly((1, 0), (1, 1)) / poly((3, 0), (-1, 2))
@@ -261,3 +275,128 @@ def test_gcd_handles_large_coefficient_growth():
     for k in reversed(range(12)):
         back = (back - RingElem.const(k) * step) / x
     assert back == ONE
+
+
+# ---------------------------------------------------------------------------
+# gcd with cofactors and cross-cancelling arithmetic
+
+SHARED_FACTORS = ({0: 1, 1: 1}, {0: 2, 1: -1}, {0: 1, 2: 3})
+
+
+def _ppow(p, k):
+    out = _PONE
+    for _ in range(k):
+        out = _pmul(out, p)
+    return out
+
+
+int_polys = st.lists(
+    st.tuples(st.integers(-6, 6), st.integers(0, 4)), max_size=4
+).map(lambda terms: RingElem.from_terms(terms).num)
+nonzero_int_polys = int_polys.filter(bool)
+
+
+@st.composite
+def planted_polys(draw):
+    """A nonzero integer polynomial times t^j, a constant and powers of a
+    few fixed factors, so that independent draws often share factors."""
+    p = draw(nonzero_int_polys)
+    p = _pshift(p, draw(st.integers(0, 3)))
+    p = {d: c * draw(st.sampled_from([1, 1, 2, -3, 6])) for d, c in p.items()}
+    for f in SHARED_FACTORS:
+        p = _pmul(p, _ppow(f, draw(st.integers(0, 2))))
+    return p
+
+
+@st.composite
+def planted_elems(draw):
+    """num/den with planted (1 + t)^k, t^j, other shared factors and
+    constant denominators; zero now and then."""
+    num = draw(planted_polys()) if draw(st.integers(0, 9)) else {}
+    den = draw(st.one_of(planted_polys(), st.sampled_from([{0: 1}, {0: 4}, {0: -6}])))
+    return _make(num, den)
+
+
+@st.composite
+def planted_pairs(draw):
+    """(a, b) from planted_elems; half the time b = c - a for a third draw
+    c, so that a + b cancels down to c past the gcd of the denominators."""
+    a, c = draw(planted_elems()), draw(planted_elems())
+    return (a, _unreduced("-", c, a)) if draw(st.booleans()) else (a, c)
+
+
+def assert_coprime(p, q):
+    """p and q share no nonconstant factor over Q (subresultant oracle)."""
+    assert min(p) == 0 or min(q) == 0
+    p = _pprimitive(_pshift(p, -min(p)))
+    q = _pprimitive(_pshift(q, -min(q)))
+    if max(p) and max(q):
+        assert _pgcd_subresultant(p, q) is _PONE
+
+
+def check_gcd_cof(a, b):
+    g, qa, qb = _pgcd_cof(a, b)
+    assert _pmul(g, qa) == a and _pmul(g, qb) == b
+    assert _pcontent(g) == 1
+    assert (g is _PONE) == (g == {0: 1})
+    assert_coprime(qa, qb)
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_polys(), planted_polys())
+def test_gcd_cofactors_heuristic_route(a, b):
+    check_gcd_cof(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_polys(), planted_polys())
+def test_gcd_cofactors_subresultant_route(a, b):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring_mod, "_pheu", lambda a, b: None)
+        check_gcd_cof(a, b)
+
+
+def test_gcd_cofactors_known_cases():
+    g, qa, qb = _pgcd_cof({2: 6, 3: 6}, {1: 4, 2: 8, 3: 4})  # 6t^2(1+t), 4t(1+t)^2
+    assert g in ({1: 1, 2: 1}, {1: -1, 2: -1})
+    assert _pmul(g, qa) == {2: 6, 3: 6} and _pmul(g, qb) == {1: 4, 2: 8, 3: 4}
+    a, b = {0: 3, 1: 1}, {0: 2, 2: 5}
+    g, qa, qb = _pgcd_cof(a, b)
+    assert g is _PONE and qa is a and qb is b
+    assert _pgcd_cof({3: 2}, {1: 7}) == ({1: 1}, {2: 2}, {0: 7})
+
+
+def _unreduced(op, a, b):
+    """_make applied to the cross products of a op b, unreduced."""
+    if op in "+-":
+        num = ring_mod._padd(_pmul(a.num, b.den), _pmul(b.num, a.den),
+                             1 if op == "+" else -1)
+        return _make(num, _pmul(a.den, b.den))
+    if op == "*":
+        return _make(_pmul(a.num, b.num), _pmul(a.den, b.den))
+    return _make(_pmul(a.num, b.den), _pmul(a.den, b.num))
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_pairs())
+def test_cross_cancelling_ops_match_make_of_cross_products(pair):
+    a, b = pair
+    results = {"+": a + b, "-": a - b, "*": a * b}
+    if not b.is_zero():
+        results["/"] = a / b
+    for op, got in results.items():
+        want = _unreduced(op, a, b)
+        assert_identical(got, want)
+        assert_canonical(got)
+
+
+def test_cross_cancellation_known_cases():
+    p = T + 1
+    # (1/(1+t)) * ((1+t)/(t(t-1))): gcd(c, b) = 1 + t cancels across
+    assert_identical(ONE / p * (p / (T * (T - 1))), ONE / (T * T - T))
+    # ((1+t)/t) / ((1+t)/3): gcd(a, d) = 1 + t cancels across
+    assert_identical(p / T / (p / 3), 3 / T)
+    # 1/(1+t) + 1/(t(1+t)): g = 1 + t, num = t + 1 shares g again -> 1/t
+    for x in (ONE / p + ONE / (T * p), ONE / (T * p) + ONE / p):
+        assert_identical(x, ONE / T)
+    assert_identical(ONE / p - ONE / (T * p), (T - 1) / (T * p))

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from lrpairs.errors import InputError
-from lrpairs.tableaux import (Filling, Partition, as_partition, count_fillings,
+from lrpairs.tableaux import (MAX_SIZE, Filling, Partition, as_partition,
+                              count_fillings,
                               enumerate_fillings, iter_partitions,
                               random_partition, render_skew,
                               sequence_from_filling, validate_filling)
@@ -89,6 +90,13 @@ def test_filling_json_roundtrip():
         Filling.from_json({"r": 3, "rows": [[1]]})
     with pytest.raises(InputError):
         Filling.from_json({"rows": [["x"]]})
+
+
+def test_filling_json_size_is_bounded():
+    rows = [[0] * j for j in range(1, MAX_SIZE + 2)]
+    with pytest.raises(InputError, match="exceeds the limit"):
+        Filling.from_json({"rows": rows})
+    assert Filling.from_json({"rows": rows[:MAX_SIZE]}).r == MAX_SIZE
 
 
 # ---------------------------------------------------------------------------
