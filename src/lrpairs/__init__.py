@@ -26,7 +26,7 @@ from .generic import (GroupElement, MatrixPair, MuGenericCertificate,
                       reset_genericity_stats, to_mu_generic,
                       triangularize_right, verify_mu_generic)
 from .extract import (ExtractionResult, counterexample_demo, extract_filling,
-                      extract_from_pair, kept_rows_order, row_sum_check)
+                      extract_from_pair, row_sum_check)
 
 __version__ = "0.1.0"
 
@@ -50,6 +50,6 @@ __all__ = [
     "reset_genericity_stats", "to_mu_generic", "triangularize_right",
     "verify_mu_generic",
     "ExtractionResult", "counterexample_demo", "extract_filling",
-    "extract_from_pair", "kept_rows_order", "row_sum_check",
+    "extract_from_pair", "row_sum_check",
     "__version__",
 ]

@@ -50,15 +50,8 @@ def _load_json(path):
 
 
 def _load_filling(obj) -> Filling:
-    rows = obj.get("rows") if isinstance(obj, dict) else obj
-    if not isinstance(rows, list):
-        raise InputError("filling must be a list of rows or an object with 'rows'")
-    if len(rows) > MAX_SIZE:
-        raise InputError(f"filling size {len(rows)} exceeds the limit {MAX_SIZE}")
-    try:
-        return Filling(tuple(tuple(int(x) for x in row) for row in rows))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad filling rows: {exc}")
+    """A filling given as its list of rows or as a filling object."""
+    return Filling.from_json({"rows": obj} if isinstance(obj, list) else obj)
 
 
 def _load_pair(obj) -> MatrixPair:
@@ -96,7 +89,7 @@ def cmd_realize(args) -> int:
     if not isinstance(data, dict) or "filling" not in data or "mu" not in data:
         raise InputError("realize input must be an object with 'filling' and 'mu'")
     filling = _load_filling(data["filling"])
-    mu = Partition(tuple(data["mu"]))
+    mu = Partition.from_json(data["mu"])
     real = realize(filling, mu, verify=True)
     doc = real.to_json()
     doc["seed"] = args.seed
@@ -125,6 +118,9 @@ def cmd_extract(args) -> int:
 def cmd_roundtrip(args) -> int:
     if args.rmax > MAX_SIZE:
         raise InputError(f"--rmax {args.rmax} exceeds the limit {MAX_SIZE}")
+    if args.rmax < 1 or args.pmax < 1:
+        raise InputError(f"--rmax and --pmax must be at least 1, got "
+                         f"{args.rmax} and {args.pmax}")
     rng = random.Random(args.seed)
     reset_genericity_stats()
     art_dir = os.path.dirname(args.out) if args.out else "."

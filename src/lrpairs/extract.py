@@ -21,28 +21,22 @@ from typing import NamedTuple
 from .errors import GenericityError, InputError
 from .generic import (CheckResult, MatrixPair, MuGenericCertificate,
                       VerificationReport, to_mu_generic, verify_mu_generic)
-from .matrix import (RMatrix, _as_tuple, diag_from_partition, det,
-                     invariant_partition, mat_mul, minor_order)
+from .matrix import (RMatrix, diag_from_partition, det, invariant_partition,
+                     mat_mul, minor_order_table)
 from .ring import INFINITY, ZERO, RingElem, residue
 from .tableaux import (Filling, Partition, as_partition,
                        sequence_from_filling, validate_filling)
 
 
-def kept_rows_order(n_star: RMatrix, rows):
-    """Order of the minor on the given rows and the rightmost columns."""
-    rows = _as_tuple(rows)
-    r = n_star.r
-    cols = tuple(range(r - len(rows) + 1, r + 1))
-    return minor_order(n_star, rows, cols)
-
-
 class _BlockOrders:
-    """Memoized O(p, q): omit the consecutive rows max(1,p)..q."""
+    """Memoized O(p, q): omit the consecutive rows max(1,p)..q.
+
+    Orders are read off the minor-order table of n_star, which is built
+    when none is given."""
 
     def __init__(self, n_star: RMatrix, table=None):
-        self.n = n_star
         self.r = n_star.r
-        self.table = table
+        self.table = minor_order_table(n_star) if table is None else table
         self.memo = {}
 
     def __call__(self, p: int, q: int):
@@ -53,11 +47,8 @@ class _BlockOrders:
             kept = tuple(i for i in range(1, self.r + 1) if not lo <= i <= q)
         got = self.memo.get(kept)
         if got is None:
-            if self.table is not None:
-                cols = tuple(range(self.r - len(kept) + 1, self.r + 1))
-                got = self.table[(kept, cols)]
-            else:
-                got = kept_rows_order(self.n, kept)
+            cols = tuple(range(self.r - len(kept) + 1, self.r + 1))
+            got = self.table[(kept, cols)]
             self.memo[kept] = got
         return got
 

@@ -8,8 +8,8 @@ The order of a minor is the valuation of its exact determinant, +infinity
 when the minor vanishes.
 
 Determinants are computed exactly: rows are first scaled by their
-denominators so the work happens on polynomials, then cofactor expansion is
-used for sizes below 4 and fraction-free Bareiss elimination from size 4 up.
+denominators so the work happens on polynomials, then fraction-free Bareiss
+elimination runs at every size.
 Whether a determinant is a unit is read in the residue field instead
 (``has_unit_det``), which needs only the constant terms.
 ``minor_order_table`` batches every (I, J) minor order of a matrix through a
@@ -217,26 +217,7 @@ def _row_to_int(polys):
     return [{d: c // g for d, c in p.items()} for p in polys]
 
 
-def _poly_det_cofactor(sub):
-    k = len(sub)
-    if k == 1:
-        return dict(sub[0][0])
-    if k == 2:
-        return _padd(_pmul(sub[0][0], sub[1][1]), _pmul(sub[0][1], sub[1][0]), -1)
-    # k == 3
-    acc: dict = {}
-    for j in range(3):
-        e = sub[0][j]
-        if not e:
-            continue
-        cols = [c for c in range(3) if c != j]
-        m2 = _padd(_pmul(sub[1][cols[0]], sub[2][cols[1]]),
-                   _pmul(sub[1][cols[1]], sub[2][cols[0]]), -1)
-        acc = _padd(acc, _pmul(e, m2), 1 if j % 2 == 0 else -1)
-    return acc
-
-
-def _poly_det_bareiss(sub):
+def _poly_det(sub):
     """Fraction-free elimination; every division is exact over Z[t]."""
     k = len(sub)
     a = [list(row) for row in sub]
@@ -260,14 +241,8 @@ def _poly_det_bareiss(sub):
                 a[i][j] = _pdivexact_int(num, prev) if num else {}
             a[i][col] = {}
         prev = piv
-    out = a[k - 1][k - 1]
-    return _pscale(out, sign) if sign < 0 else out
-
-
-def _poly_det(sub):
-    if len(sub) >= 4:
-        return _poly_det_bareiss(sub)
-    return _poly_det_cofactor(sub)
+    # _pscale copies, so at k = 1 the caller's entry is not handed back
+    return _pscale(a[k - 1][k - 1], sign)
 
 
 def _validated_minor_indices(m, rows, cols):
@@ -334,15 +309,14 @@ def minor_order_table(m: RMatrix, cap=None) -> dict:
     so the whole table costs little more than the single full determinant.
 
     With ``cap`` set, everything is computed modulo t^(cap+1): orders at most
-    cap are exact, larger ones collapse to infinity.  Minors that vanish
+    cap are exact, a larger one is exact or infinity.  Minors that vanish
     identically still report infinity either way, so a cap of at least the
     largest finite order that matters makes the truncated table authoritative.
     """
     r = m.r
     grid, shifts = _cleared_grid(m)
-    if cap is None:
-        acc_cap = None
-    else:
+    acc_cap = INFINITY
+    if cap is not None:
         # row clearing multiplies minors by the denominator products, whose
         # orders are the recorded shifts; keep enough terms to see past them
         acc_cap = cap + sum(shifts)
@@ -369,26 +343,16 @@ def minor_order_table(m: RMatrix, cap=None) -> dict:
                     if e:
                         sub = prev[(rest, J[:pos] + J[pos + 1:])]
                         if sub:
-                            if acc_cap is None:
-                                for d1, c1 in e.items():
-                                    for d2, c2 in sub.items():
-                                        d = d1 + d2
-                                        s = acc.get(d, 0) + sign * c1 * c2
-                                        if s:
-                                            acc[d] = s
-                                        else:
-                                            del acc[d]
-                            else:
-                                for d1, c1 in e.items():
-                                    for d2, c2 in sub.items():
-                                        d = d1 + d2
-                                        if d > acc_cap:
-                                            continue
-                                        s = acc.get(d, 0) + sign * c1 * c2
-                                        if s:
-                                            acc[d] = s
-                                        else:
-                                            del acc[d]
+                            for d1, c1 in e.items():
+                                for d2, c2 in sub.items():
+                                    d = d1 + d2
+                                    if d > acc_cap:
+                                        continue
+                                    s = acc.get(d, 0) + sign * c1 * c2
+                                    if s:
+                                        acc[d] = s
+                                    else:
+                                        del acc[d]
                     sign = -sign
                 cur[(I, J)] = acc
                 orders[(I, J)] = (min(acc) - shift_i) if acc else INFINITY
@@ -548,10 +512,15 @@ def _is_exact_power_diagonal_decreasing(m: RMatrix) -> bool:
     return True
 
 
-def _clearing_unit(elems) -> RingElem:
-    """A valuation-zero polynomial u such that e * u has no polynomial
-    denominator for every e in elems.  Such a u is a unit of the ring, so
-    scaling a row or column by it is an admissible transformation."""
+def _cleaning_unit(elems) -> RingElem:
+    """The unit u of the ring that scales elems clean, so that scaling a row
+    or column by it is an admissible transformation.
+
+    u is a valuation-zero polynomial that leaves no e * u with a polynomial
+    denominator, times 1/g for the rational content g of the numerators of
+    those products, each read over a monic denominator.  All coefficients
+    then become integers with no common factor, which keeps fraction-free
+    eliminations from blowing up coefficient sizes."""
     u = ONE
     for e in elems:
         if e.is_zero():
@@ -563,45 +532,17 @@ def _clearing_unit(elems) -> RingElem:
     v = u.valuation()
     if v:
         u = u / RingElem.t_pow(v)
-    return u
-
-
-def _content_unit(elems) -> RingElem:
-    """1/g for the rational content g of the numerators of elems, each read
-    over a monic denominator: the constant (unit) scaling that makes all
-    coefficients integers with no common factor.  Keeps fraction-free
-    eliminations from blowing up coefficient sizes."""
     g_num = 0
     g_den = 1
-    for e in elems:
+    for e in ([e * u for e in elems] if u != ONE else elems):
         lc = e.den[max(e.den)]
         for coeff in e.num.values():
             f = Fraction(coeff, lc)
             g_num = igcd(g_num, f.numerator)
             g_den = g_den * f.denominator // igcd(g_den, f.denominator)
     if g_num == 0 or (g_num == 1 and g_den == 1):
-        return ONE
-    return RingElem.const(Fraction(g_den, g_num))
-
-
-def truncated_matrix(m: RMatrix, cap: int) -> RMatrix:
-    """The matrix with polynomial entries cut off after degree cap.
-
-    Congruent to m modulo t^(cap+1), which products with ring elements
-    preserve, so minor orders up to cap may be read from products built on
-    the truncation.  Entries with a non-constant denominator are kept whole.
-    """
-    rows = []
-    for row in m.entries:
-        out = []
-        for e in row:
-            if len(e.den) == 1 and 0 in e.den and e.num and max(e.num) > cap:
-                num = {d: c for d, c in e.num.items() if d <= cap}
-                out.append(RingElem(num, dict(e.den)) if num else ZERO)
-            else:
-                out.append(e)
-        rows.append(out)
-    return RMatrix(rows)
+        return u
+    return u * RingElem.const(Fraction(g_den, g_num))
 
 
 def smith_transforms(m: RMatrix):

@@ -19,7 +19,7 @@ from lrpairs.generic import (GroupElement, MatrixPair, act,
 from lrpairs.matrix import (RMatrix, det, diag_from_partition,
                             invariant_partition, invariant_partition_oracle,
                             inverse, is_mu_admissible, mat_mul,
-                            minor_order_table, truncated_matrix)
+                            minor_order_table)
 from lrpairs.realize import random_filling, realize
 from lrpairs.ring import ZERO, RingElem
 from lrpairs.tableaux import (Partition, count_fillings, enumerate_fillings,
@@ -187,12 +187,9 @@ def test_criterion_4_certificates_fully_verify():
         assert corner_invariant_check(cert.n_star, cert.mu).ok
         cap = cert.mu.weight() + cert.nu.weight() + 1
         u = mat_mul(mat_mul(cert.q_lower, cert.n_input), cert.t_lower)
-        u_t = truncated_matrix(u, cap)
-        tab_right = minor_order_table(mat_mul(u_t, cert.t_upper), cap=cap)
-        tab_left = minor_order_table(mat_mul(cert.q_upper, u_t), cap=cap)
-        x = mat_mul(truncated_matrix(cert.n_input, cap),
-                    truncated_matrix(cert.t_inv, cap))
-        v = mat_mul(cert.q_hat_u, truncated_matrix(x, cap))
+        tab_right = minor_order_table(mat_mul(u, cert.t_upper), cap=cap)
+        tab_left = minor_order_table(mat_mul(cert.q_upper, u), cap=cap)
+        v = mat_mul(cert.q_hat_u, mat_mul(cert.n_input, cert.t_inv))
         tab_v = minor_order_table(v, cap=cap)
         assert check_equation_first(cert.minor_orders, tab_right,
                                     r) == ""

@@ -174,6 +174,42 @@ def test_roundtrip_rejects_oversized_rmax(tmp_path, capsys, monkeypatch):
     assert "exceeds the limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound", ["--rmax", "--pmax"])
+def test_roundtrip_rejects_zero_bound_before_sampling(tmp_path, capsys,
+                                                     monkeypatch, bound):
+    monkeypatch.setattr(cli, "random_filling", _never("sampling"))
+    rc = main(["roundtrip", bound, "0", "--trials", "2",
+               "--out", str(tmp_path / "sum.json")])
+    assert rc == 2
+    assert "must be at least 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("doc", [
+    {"filling": [[4.9], [2, 4], [1, 1, 3], [1, 0, 1, 2]], "mu": [7, 4, 2, 1]},
+    {"filling": [[4], [2, 4], [1, 1, 3], [1, 0, 1, 2]], "mu": [7.5, 4, 2, 1]},
+    {"filling": [["4"], [2, 4], [1, 1, 3], [1, 0, 1, 2]], "mu": [7, 4, 2, 1]},
+], ids=["float-entry", "float-part", "string-entry"])
+def test_realize_rejects_non_integer_input(tmp_path, capsys, monkeypatch, doc):
+    monkeypatch.setattr(cli, "realize", _never("realize"))
+    infile = write_json(tmp_path / "in.json", doc)
+    assert main(["realize", "--in", infile]) == 2
+    assert "integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("component", ["first", "second"])
+def test_extract_rejects_negative_order_entry(tmp_path, capsys, component):
+    one = {"num": [["1", 0]]}
+    zero = {"num": []}
+    inv_t = {"num": [["1", 0]], "den": [["1", 1]]}
+    eye = {"r": 2, "entries": [[one, zero], [zero, one]]}
+    doc = {"first": eye, "second": eye}
+    doc[component] = {"r": 2, "entries": [[one, inv_t], [zero, one]]}
+    infile = write_json(tmp_path / "pair.json", doc)
+    assert main(["extract", "--in", infile]) == 2
+    assert "non-negative order" in capsys.readouterr().err
+
+
 def test_extract_has_no_verify_option(tmp_path, capsys):
     infile = write_json(tmp_path / "in.json", GOLDEN_FILLING_DOC)
     assert main(["extract", "--in", infile, "--verify", "full"]) == 2

@@ -6,10 +6,11 @@ import pytest
 
 from lrpairs.errors import GenericityError, InputError
 from lrpairs.extract import (counterexample_demo, extract_filling,
-                             extract_from_pair, kept_rows_order, row_sum_check)
+                             extract_from_pair, row_sum_check)
 from lrpairs.generic import (GroupElement, MatrixPair, act,
                              corner_invariant_check, verify_mu_generic)
-from lrpairs.matrix import RMatrix, diag_from_partition, mat_mul
+from lrpairs.matrix import (RMatrix, diag_from_partition, mat_mul, minor_order,
+                            minor_order_table)
 from lrpairs.realize import random_filling, realize
 from lrpairs.ring import ONE, ZERO
 from lrpairs.tableaux import Filling, Partition
@@ -25,16 +26,24 @@ def golden_pair():
 # minor-order queries
 
 
+def _right_cols(n, rows):
+    return tuple(range(n.r - len(rows) + 1, n.r + 1))
+
+
 def test_kept_rows_orders_golden():
     n = golden_n()
+    table = minor_order_table(n)
     for rows, want in KEPT_ORDERS.items():
-        assert kept_rows_order(n, rows) == want, f"rows {rows}"
+        cols = _right_cols(n, rows)
+        assert table[(rows, cols)] == want, f"rows {rows}"
+        assert minor_order(n, rows, cols) == want, f"rows {rows}"
 
 
 def test_kept_rows_single_row_reads_the_last_column():
     n = golden_n()
-    assert kept_rows_order(n, (4,)) == 4
-    assert kept_rows_order(n, (1,)) == 2
+    table = minor_order_table(n)
+    assert table[((4,), (4,))] == 4
+    assert table[((1,), (4,))] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +69,6 @@ def test_extract_filling_golden_sum_identities():
 
 
 def test_extract_filling_reuses_supplied_table():
-    from lrpairs.matrix import minor_order_table
-
     n = golden_n()
     table = minor_order_table(n)
     assert extract_filling(n, MU, table=table) == FILLING

@@ -8,11 +8,11 @@ import pytest
 
 from lrpairs.errors import (InputError, NotInRingError, PrincipalMinorError,
                             RankError)
-from lrpairs.matrix import (RMatrix, det, diag_from_partition, has_unit_det,
-                            invariant_partition, invariant_partition_oracle,
-                            inverse, is_mu_admissible, lu_decompose, mat_mul,
-                            minor, minor_order, minor_order_table,
-                            smith_transforms)
+from lrpairs.matrix import (RMatrix, _poly_det, det, diag_from_partition,
+                            has_unit_det, invariant_partition,
+                            invariant_partition_oracle, inverse,
+                            is_mu_admissible, lu_decompose, mat_mul, minor,
+                            minor_order, minor_order_table, smith_transforms)
 from lrpairs.ring import INFINITY, ONE, ZERO, RingElem
 from lrpairs.tableaux import MAX_SIZE, Partition
 
@@ -139,10 +139,16 @@ def test_det_golden():
 
 def test_det_matches_permutation_expansion():
     rng = random.Random(11)
-    for r in (2, 3, 4):
+    for r in (1, 2, 3, 4, 5):
         for _ in range(6):
             m = random_ring_matrix(rng, r, max_order=3, frac=True)
             assert det(m) == det_by_permutations(m)
+
+
+def test_poly_det_of_size_one_is_a_copy():
+    p = {0: 3, 2: -1}
+    got = _poly_det([[p]])
+    assert got == p and got is not p
 
 
 def test_minor_golden_kept_orders():
@@ -160,16 +166,55 @@ def test_minor_empty_and_full():
     assert minor_order(n, (2,), (1,)) is INFINITY
 
 
+def random_shifted_matrix(rng, r):
+    """Entries c t^a / (t^s (1 + b t)): non-constant denominators, some with a
+    power of t, so that row clearing shifts the minor orders."""
+    rows = []
+    for _ in range(r):
+        row = []
+        for _ in range(r):
+            if rng.random() < 0.2:
+                row.append(ZERO)
+                continue
+            e = c(rng.randint(-9, 9) or 1) * t(rng.randint(0, 4))
+            den = t(rng.choice((0, 0, 1, 2))) * (ONE + c(rng.randint(-3, 3)) * t(1))
+            row.append(e / den)
+        rows.append(row)
+    return RMatrix(rows)
+
+
 def test_minor_order_table_matches_single_queries():
     rng = random.Random(5)
     for m in (golden_n(), random_ring_matrix(rng, 3, frac=True),
-              random_full_rank(rng, 4)):
+              random_full_rank(rng, 4), random_shifted_matrix(rng, 3)):
         table = minor_order_table(m)
         assert table[((), ())] == 0
         for k in range(0, m.r + 1):
             for rows in itertools.combinations(range(1, m.r + 1), k):
                 for cols in itertools.combinations(range(1, m.r + 1), k):
                     assert table[(rows, cols)] == minor_order(m, rows, cols)
+
+
+def test_minor_order_table_cap_is_a_precision_cut():
+    """Up to cap the capped table is exact; above it an entry is either
+    exact or infinity."""
+    rng = random.Random(17)
+    shifted = 0
+    for r in (1, 2, 3, 4):
+        for _ in range(6):
+            m = random_shifted_matrix(rng, r)
+            shifted += any(not e.in_ring() for row in m.entries for e in row)
+            exact = minor_order_table(m)
+            for cap in (0, 1, 3, 6, 10):
+                capped = minor_order_table(m, cap=cap)
+                assert capped.keys() == exact.keys()
+                for key, want in exact.items():
+                    got = capped[key]
+                    if want <= cap:
+                        assert got == want, (key, cap)
+                    else:
+                        assert got is INFINITY or got == want, (key, cap)
+    assert shifted > 10
 
 
 def test_minor_fractional_entries_are_exact():
