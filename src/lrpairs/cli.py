@@ -121,6 +121,8 @@ def cmd_roundtrip(args) -> int:
     if args.rmax < 1 or args.pmax < 1:
         raise InputError(f"--rmax and --pmax must be at least 1, got "
                          f"{args.rmax} and {args.pmax}")
+    if args.trials < 0:
+        raise InputError(f"--trials must be at least 0, got {args.trials}")
     rng = random.Random(args.seed)
     reset_genericity_stats()
     art_dir = os.path.dirname(args.out) if args.out else "."

@@ -25,10 +25,11 @@ from .errors import (GenericityError, InputError, PrincipalMinorError,
                      RankError, RetriesExhaustedError)
 # det is unused here but stays importable as lrpairs.generic.det, an import
 # site that perfbench's tracer self-test checks
-from .matrix import (RMatrix, _cleaning_unit, _table_partition, det,
-                     diag_from_partition, has_unit_det, inverse,
-                     invariant_partition, is_mu_admissible, lu_decompose,
-                     mat_mul, minor_order, minor_order_table, smith_transforms)
+from .matrix import (RMatrix, _between, _cleaning_unit, _comparable_pairs,
+                     _table_partition, det, diag_from_partition, has_unit_det,
+                     inverse, invariant_partition, is_mu_admissible,
+                     lu_decompose, mat_mul, minor_order, minor_order_table,
+                     smith_transforms)
 from .ring import INFINITY, ONE, ZERO, RingElem, random_unit
 from .tableaux import Partition, as_partition
 
@@ -358,26 +359,6 @@ def _pairs_to_check(r: int):
                 yield i_set, j_set
 
 
-def _between(lo: tuple, hi: tuple):
-    """All strictly increasing tuples H with lo_s <= h_s <= hi_s."""
-    k = len(lo)
-    out = []
-
-    def rec(pos, floor, prefix):
-        if pos == k:
-            out.append(prefix)
-            return
-        for h in range(max(floor, lo[pos]), hi[pos] + 1):
-            rec(pos + 1, h + 1, prefix + (h,))
-
-    rec(0, 1, ())
-    return out
-
-
-def _componentwise_le(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 def check_equation_first(tab_n: dict, tab_right: dict, r: int):
     """order(N*_IJ) == min over S >= I of order((Q_L N T^-1)_SJ), checked on
     every pair."""
@@ -393,14 +374,13 @@ def check_equation_first(tab_n: dict, tab_right: dict, r: int):
 def check_equation_second(tab_n: dict, tab_v: dict, mu: Partition, r: int):
     """order(N*_IJ) == min over H <= I of order(V_HJ) + |mu_H| - |mu_I|,
     V = Q_hat_U N T^-1; checked on pairs with I <= J componentwise (the only
-    pairs where the minimum is attained without cancellation; see notes)."""
-    for i_set, j_set in _pairs_to_check(r):
-        if not _componentwise_le(i_set, j_set):
-            continue
+    pairs where the minimum is attained without cancellation; see notes).
+    The empty pair holds trivially; tab_v is read only at pairs H <= J."""
+    for i_set, j_set in _comparable_pairs(r):
         want = tab_n[(i_set, j_set)]
         w_i = mu.sum_over(i_set)
         got = min(tab_v[(h, j_set)] + mu.sum_over(h) - w_i
-                  for h in _between((1,) * len(i_set), i_set)) if i_set else 0
+                  for h in _between((1,) * len(i_set), i_set))
         if want != got:
             return f"I={i_set} J={j_set}: order {want} vs min {got}"
     return ""
@@ -428,8 +408,9 @@ def verify_mu_generic(n_star: RMatrix, mu, table=None) -> VerificationReport:
     For every componentwise triple I <= H <= J of equal-size index sets:
       order(N*_IJ) <= order(N*_HJ) <= order(N*_IJ) + |mu_I| - |mu_H|   (rows)
       order(N*_IH) >= order(N*_IJ)                                     (columns)
-    Every triple is enumerated, at every size r.  A precomputed minor-order
-    table of n_star is reused when given.
+    Every triple is enumerated, at every size r (the empty one holds
+    trivially).  A precomputed minor-order table of n_star is reused when
+    given.
     """
     mu = as_partition(mu)
     r = n_star.r
@@ -439,9 +420,7 @@ def verify_mu_generic(n_star: RMatrix, mu, table=None) -> VerificationReport:
     upper = CheckResult("upper_triangular", n_star.is_upper_triangular())
     row_fail = ""
     col_fail = ""
-    for i_set, j_set in _pairs_to_check(r):
-        if not _componentwise_le(i_set, j_set):
-            continue
+    for i_set, j_set in _comparable_pairs(r):
         base = table[(i_set, j_set)]
         w_i = mu.sum_over(i_set)
         for h in _between(i_set, j_set):
@@ -601,7 +580,7 @@ def _attempt_reduction(d_mu, n_input, mu, nu, lam, rng, r) -> MuGenericCertifica
         tab_right = minor_order_table(mat_mul(u, t_upper), cap=cap)
         tab_left = minor_order_table(mat_mul(q_upper, u), cap=cap)
         v = mat_mul(q_hat_u, mat_mul(n_input, t_inv))
-        tab_v = minor_order_table(v, cap=cap)
+        tab_v = minor_order_table(v, cap=cap, comparable_only=True)
         eq1 = check_equation_first(tab_n, tab_right, r)
         eq2 = check_equation_second(tab_n, tab_v, mu, r)
         eq3 = check_equation_third(tab_n, tab_left, r)

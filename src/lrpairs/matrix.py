@@ -13,14 +13,19 @@ elimination runs at every size.
 Whether a determinant is a unit is read in the residue field instead
 (``has_unit_det``), which needs only the constant terms.
 ``minor_order_table`` batches every (I, J) minor order of a matrix through a
-shared-subminor expansion, which the verification and extraction code paths
-rely on.
+shared-subminor expansion along the last row, which the verification and
+extraction code paths rely on.  That expansion keeps the comparable pairs
+I <= J closed, so an upper triangular matrix, whose other minors vanish, and
+the reduction's V table, which is read only there, are expanded on those
+pairs alone.  Its minors are dense coefficient lists truncated at the
+requested precision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, compress, count
 from math import gcd as igcd
 
 from .errors import InputError, NotInRingError, PrincipalMinorError, RankError
@@ -121,8 +126,8 @@ class RMatrix:
         if len(grid) > MAX_SIZE or any(len(row) > MAX_SIZE for row in grid):
             raise InputError(f"matrix size exceeds the limit {MAX_SIZE}")
         m = RMatrix([[RingElem.from_json(e) for e in row] for row in grid])
-        if "r" in obj and obj["r"] != m.r:
-            raise InputError(f"matrix declares r={obj['r']} but has {m.r} rows")
+        if "r" in obj and (type(obj["r"]) is not int or obj["r"] != m.r):
+            raise InputError(f"matrix declares r={obj['r']!r} but has {m.r} rows")
         return m
 
 
@@ -302,16 +307,69 @@ def det(m: RMatrix) -> RingElem:
     return minor(m, full, full)
 
 
-def minor_order_table(m: RMatrix, cap=None) -> dict:
+def _between(lo: tuple, hi: tuple):
+    """All strictly increasing tuples H with lo_s <= h_s <= hi_s."""
+    k = len(lo)
+    out = []
+
+    def rec(pos, floor, prefix):
+        if pos == k:
+            out.append(prefix)
+            return
+        for h in range(max(floor, lo[pos]), hi[pos] + 1):
+            rec(pos + 1, h + 1, prefix + (h,))
+
+    rec(0, 1, ())
+    return out
+
+
+@lru_cache(maxsize=None)
+def _comparable_plan(r: int):
+    """The index sets of a size-r table, built once per size: for each k >= 1
+    the row sets I of size k, each with its column sets J >= I; and every
+    pair (I, J) that is not comparable."""
+    plan = []
+    off = []
+    for k in range(1, r + 1):
+        hi = tuple(range(r - k + 1, r + 1))
+        sets = list(combinations(range(1, r + 1), k))
+        rows = tuple((I, tuple(_between(I, hi))) for I in sets)
+        plan.append(rows)
+        for I, js in rows:
+            js = set(js)
+            off.extend((I, J) for J in sets if J not in js)
+    return tuple(plan), tuple(off)
+
+
+def _comparable_pairs(r: int):
+    """Every nonempty pair I <= J of index sets in 1..r, by size, then I,
+    then J, in lexicographic order."""
+    for rows in _comparable_plan(r)[0]:
+        for I, js in rows:
+            for J in js:
+                yield I, J
+
+
+def minor_order_table(m: RMatrix, cap=None, *, comparable_only=False) -> dict:
     """Orders of every square minor, keyed by (row tuple, column tuple).
 
-    Includes the empty minor (order 0).  Shared subminors are expanded once,
-    so the whole table costs little more than the single full determinant.
+    Includes the empty minor (order 0).  Each k-by-k minor is expanded along
+    its last row into (k-1)-by-(k-1) minors already in the table, so the
+    whole table costs little more than the single full determinant.
+    Removing the last row i_k and any column j_p of a pair I <= J leaves a
+    pair I' <= J', so the comparable pairs are closed under this expansion.
+    An upper triangular m (N*, U T_U, Q_U U, ...) is expanded on comparable
+    pairs only: its other minors vanish identically, and their keys get
+    infinity.  With ``comparable_only`` the table holds the comparable pairs
+    and nothing else, whatever m is.
 
     With ``cap`` set, everything is computed modulo t^(cap+1): orders at most
     cap are exact, a larger one is exact or infinity.  Minors that vanish
     identically still report infinity either way, so a cap of at least the
     largest finite order that matters makes the truncated table authoritative.
+    Minors are dense coefficient lists truncated at that precision, or with
+    no cap at the sum of the rows' largest degrees, which no product passes;
+    the product loop stops there instead of forming terms it would discard.
     """
     r = m.r
     grid, shifts = _cleared_grid(m)
@@ -320,43 +378,60 @@ def minor_order_table(m: RMatrix, cap=None) -> dict:
         # row clearing multiplies minors by the denominator products, whose
         # orders are the recorded shifts; keep enough terms to see past them
         acc_cap = cap + sum(shifts)
-        grid = [[{d: c for d, c in e.items() if d <= acc_cap} for e in row]
-                for row in grid]
+    # each entry as its ascending (degree, coefficient) terms up to acc_cap
+    terms = [[sorted(dc for dc in e.items() if dc[0] <= acc_cap) for e in row]
+             for row in grid]
+    row_deg = [max((e[-1][0] for e in row if e), default=0) for row in terms]
+    triangular = all(not terms[i][j] for i in range(r) for j in range(i))
+    comparable = comparable_only or triangular
+    if comparable:
+        plan, off = _comparable_plan(r)
+    else:
+        sets = [list(combinations(range(1, r + 1), k)) for k in range(1, r + 1)]
+        plan = [[(I, js) for I in js] for js in sets]
     orders = {((), ()): 0}
-    prev = {((), ()): {0: 1}}
-    all_idx = range(1, r + 1)
-    for k in range(1, r + 1):
+    # prev[I'][J'] is a (k-1)-minor as (its order d, its dense coefficients
+    # of t^d and up), or None when it vanishes
+    prev = {(): {(): (0, [1])}}
+    for k, rows in enumerate(plan, 1):
         cur = {}
-        row_sets = list(combinations(all_idx, k))
-        col_sets = row_sets
-        for I in row_sets:
-            i0 = I[0]
-            rest = I[1:]
-            row = grid[i0 - 1]
+        first_sign = 1 if k % 2 else -1  # (-1)^(k+1): position (k, 1) of the minor
+        for I, js in rows:
+            row = terms[I[-1] - 1]
+            subs = prev[I[:-1]]
+            lim = min(acc_cap, sum(row_deg[i - 1] for i in I))
             shift_i = sum(shifts[i - 1] for i in I)
-            for J in col_sets:
-                acc: dict = {}
-                sign = 1
-                for pos in range(k):
-                    j = J[pos]
-                    e = row[j - 1]
+            found = cur[I] = {}
+            for J in js:
+                acc = [0] * (lim + 1)
+                sign = first_sign
+                for p in range(k):
+                    e = row[J[p] - 1]
                     if e:
-                        sub = prev[(rest, J[:pos] + J[pos + 1:])]
-                        if sub:
-                            for d1, c1 in e.items():
-                                for d2, c2 in sub.items():
-                                    d = d1 + d2
-                                    if d > acc_cap:
-                                        continue
-                                    s = acc.get(d, 0) + sign * c1 * c2
-                                    if s:
-                                        acc[d] = s
-                                    else:
-                                        del acc[d]
+                        sub = subs[J[:p] + J[p + 1:]]
+                        if sub is not None:
+                            v2, coeffs = sub
+                            for d1, c1 in e:
+                                d = d1 + v2
+                                if d > lim:
+                                    break
+                                c1 *= sign
+                                for c2 in coeffs[:lim - d + 1]:
+                                    acc[d] += c1 * c2
+                                    d += 1
                     sign = -sign
-                cur[(I, J)] = acc
-                orders[(I, J)] = (min(acc) - shift_i) if acc else INFINITY
+                v = next(compress(count(), acc), None)  # lowest nonzero degree
+                if v is None:
+                    found[J] = None
+                    orders[(I, J)] = INFINITY
+                else:
+                    while not acc[-1]:
+                        acc.pop()
+                    found[J] = (v, acc[v:])
+                    orders[(I, J)] = v - shift_i
         prev = cur
+    if comparable and not comparable_only:
+        orders.update(dict.fromkeys(off, INFINITY))
     return orders
 
 

@@ -22,6 +22,7 @@ of t-powers.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from math import gcd as _igcd
 
@@ -531,6 +532,11 @@ def _monic(x):
 # memory before any check could reject the input.
 MAX_DEGREE = 10_000
 
+# A JSON coefficient is an integer or a string "[+-]digits[/digits]".
+# Fraction alone would also take exponent forms such as "1e200000", whose
+# cost grows with the exponent, not with the length of the string.
+_COEFF_STR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 def _poly_from_json(items, label):
     if not isinstance(items, list):
@@ -541,16 +547,19 @@ def _poly_from_json(items, label):
         if not (isinstance(it, list) and len(it) == 2):
             raise InputError(f"'{label}' entries must be [coefficient, degree] pairs, got {it!r}")
         cs, d = it
-        if not isinstance(d, int) or d < 0:
+        if type(d) is not int or d < 0:
             raise InputError(f"'{label}' degree must be a non-negative integer, got {d!r}")
         if d > MAX_DEGREE:
             raise InputError(f"'{label}' degree {d} exceeds the limit {MAX_DEGREE}")
         if d <= last:
             raise InputError(f"'{label}' degrees must be strictly ascending")
         last = d
+        if not (type(cs) is int or isinstance(cs, str) and _COEFF_STR.fullmatch(cs)):
+            raise InputError(f"coefficient in '{label}' must be an integer or a "
+                             f"string p or p/q, got {cs!r}")
         try:
             c = Fraction(cs)
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad coefficient {cs!r} in '{label}'") from exc
         if c == 0:
             raise InputError(f"zero coefficient not allowed in '{label}'")

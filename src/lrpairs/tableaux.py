@@ -94,7 +94,8 @@ class Partition:
 
     @staticmethod
     def from_json(obj) -> "Partition":
-        if not isinstance(obj, list) or not all(isinstance(p, int) for p in obj):
+        # type(...) is int: JSON true/false arrive as bools, an int subclass
+        if not isinstance(obj, list) or not all(type(p) is int for p in obj):
             raise InputError(f"partition must be a list of integers, got {obj!r}")
         return Partition(obj)
 
@@ -150,14 +151,14 @@ class Filling:
             raise InputError(f"filling must be an object with a 'rows' list, got {obj!r}")
         rows = obj["rows"]
         if not isinstance(rows, list) or not all(
-            isinstance(row, list) and all(isinstance(v, int) for v in row) for row in rows
+            isinstance(row, list) and all(type(v) is int for v in row) for row in rows
         ):
             raise InputError("filling 'rows' must be a list of integer lists")
         if len(rows) > MAX_SIZE:
             raise InputError(f"filling size {len(rows)} exceeds the limit {MAX_SIZE}")
         f = Filling(rows)
-        if "r" in obj and obj["r"] != f.r:
-            raise InputError(f"filling declares r={obj['r']} but has {f.r} rows")
+        if "r" in obj and (type(obj["r"]) is not int or obj["r"] != f.r):
+            raise InputError(f"filling declares r={obj['r']!r} but has {f.r} rows")
         return f
 
 

@@ -197,6 +197,20 @@ def test_realize_rejects_non_integer_input(tmp_path, capsys, monkeypatch, doc):
     assert "integer" in capsys.readouterr().err
 
 
+def test_realize_rejects_boolean_filling(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "realize", _never("realize"))
+    infile = write_json(tmp_path / "in.json", {"filling": [[True]], "mu": [1]})
+    assert main(["realize", "--in", infile]) == 2
+    assert "integer" in capsys.readouterr().err
+
+
+def test_extract_rejects_exponent_coefficient(tmp_path, capsys):
+    entry = {"r": 1, "entries": [[{"num": [["1e5", 0]]}]]}
+    infile = write_json(tmp_path / "pair.json", {"first": entry, "second": entry})
+    assert main(["extract", "--in", infile]) == 2
+    assert "string p or p/q" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("component", ["first", "second"])
 def test_extract_rejects_negative_order_entry(tmp_path, capsys, component):
     one = {"num": [["1", 0]]}
@@ -256,6 +270,15 @@ def test_roundtrip_zero_trials(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(out)
     assert doc["trials"] == 0 and doc["passes"] == 0
+
+
+def test_roundtrip_rejects_negative_trials_before_sampling(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(cli, "random_filling", _never("sampling"))
+    rc = main(["roundtrip", "--trials", "-2", "--out", str(tmp_path / "sum.json")])
+    assert rc == 2
+    assert "--trials must be at least 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_roundtrip_injected_bug_exits_3_with_artifact(tmp_path, capsys,

@@ -3,8 +3,10 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lrpairs.errors import (InputError, NotInRingError, PrincipalMinorError,
                             RankError)
@@ -122,6 +124,13 @@ def test_json_size_above_bound_is_rejected_before_parsing(monkeypatch):
             RMatrix.from_json({"entries": grid})
 
 
+def test_json_rejects_boolean_size():
+    entries = [[{"num": [["1", 0]]}]]
+    assert RMatrix.from_json({"r": 1, "entries": entries}) == RMatrix.identity(1)
+    with pytest.raises(InputError):
+        RMatrix.from_json({"r": True, "entries": entries})
+
+
 def test_json_size_at_bound_is_accepted():
     m = RMatrix.identity(MAX_SIZE)
     assert RMatrix.from_json(m.to_json()) == m
@@ -215,6 +224,129 @@ def test_minor_order_table_cap_is_a_precision_cut():
                     else:
                         assert got is INFINITY or got == want, (key, cap)
     assert shifted > 10
+
+
+def comparable(rows, cols):
+    return all(i <= j for i, j in zip(rows, cols))
+
+
+def all_pairs(r):
+    for k in range(r + 1):
+        for rows in itertools.combinations(range(1, r + 1), k):
+            for cols in itertools.combinations(range(1, r + 1), k):
+                yield rows, cols
+
+
+@st.composite
+def shifted_matrices(draw, triangular=False, max_r=4):
+    """Entries c t^a / (t^s (1 + b t)); the first row always carries a
+    power of t in its denominators, so row clearing shifts the orders."""
+    r = draw(st.integers(1, max_r))
+    rows = []
+    for i in range(r):
+        s = draw(st.integers(1 if i == 0 else 0, 2))
+        row = []
+        for j in range(r):
+            if (triangular and j < i) or draw(st.integers(0, 4)) == 0:
+                row.append(ZERO)
+                continue
+            e = c(draw(st.integers(1, 9)) * draw(st.sampled_from((1, -1)))) \
+                * t(draw(st.integers(0, 4)))
+            den = t(s) * (ONE + c(draw(st.integers(-3, 3))) * t(1))
+            row.append(e / den)
+        rows.append(row)
+    return RMatrix(rows)
+
+
+def assert_agrees_under_cap(table, m, cap, keys):
+    """Every key carries minor_order's value; with a cap, an order above it
+    may read infinity instead."""
+    assert table.keys() == set(keys)
+    for rows, cols in keys:
+        want = minor_order(m, rows, cols)
+        got = table[(rows, cols)]
+        if cap is None or want <= cap:
+            assert got == want, (rows, cols, cap)
+        else:
+            assert got is INFINITY or got == want, (rows, cols, cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shifted_matrices(), st.sampled_from((None, 0, 1, 3, 6, 10)), st.booleans())
+def test_minor_order_table_agrees_with_minor_order(m, cap, comparable_only):
+    table = minor_order_table(m, cap=cap, comparable_only=comparable_only)
+    keys = [key for key in all_pairs(m.r)
+            if not comparable_only or comparable(*key)]
+    assert_agrees_under_cap(table, m, cap, keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shifted_matrices(triangular=True), st.sampled_from((None, 0, 1, 3, 6, 10)))
+def test_minor_order_table_agrees_on_triangular_input(m, cap):
+    assert m.is_upper_triangular()
+    assert_agrees_under_cap(minor_order_table(m, cap=cap), m, cap, all_pairs(m.r))
+
+
+def catalan(n):
+    return comb(2 * n, n) // (n + 1)
+
+
+def test_comparable_only_table_has_catalan_many_keys():
+    rng = random.Random(23)
+    for r in range(1, 6):
+        m = random_shifted_matrix(rng, r)
+        full = minor_order_table(m, cap=6)
+        table = minor_order_table(m, cap=6, comparable_only=True)
+        assert len(table) == catalan(r + 1)
+        assert all(comparable(*key) for key in table)
+        assert all(table[key] == full[key] for key in table)
+
+
+def test_triangular_table_is_full_with_infinity_off_the_comparable_set():
+    rng = random.Random(29)
+    for r in range(1, 6):
+        m = RMatrix([[e if j >= i else ZERO for j, e in enumerate(row)]
+                     for i, row in enumerate(random_ring_matrix(rng, r).entries)])
+        table = minor_order_table(m)
+        assert len(table) == comb(2 * r, r)
+        assert sum(not comparable(*key) for key in table) == comb(2 * r, r) - catalan(r + 1)
+        for key, v in table.items():
+            if not comparable(*key):
+                assert v is INFINITY, key
+        # the guard reads the matrix: one entry below the diagonal and the
+        # off-comparable minors are expanded again
+        if r > 1:
+            rows = [list(row) for row in m.entries]
+            rows[r - 1][0] = ONE
+            low = RMatrix(rows)
+            assert minor_order_table(low)[((r,), (1,))] == 0
+
+
+@pytest.mark.parametrize("cap", [None, 4])
+def test_minor_order_table_sees_cancellation(cap):
+    """Orders where the lowest terms cancel.  Random entries almost never
+    cancel, so only these cases tell the signed expansion from a wrong sign
+    pattern, such as a permanent's."""
+    singular = RMatrix([[c(1), c(2), c(3)], [c(4), c(5), c(6)], [c(7), c(8), c(9)]])
+    lowest = RMatrix([[ONE, ONE], [ONE, ONE + t(1)]])
+    upper = RMatrix([[ONE, ONE, ONE], [ZERO, ONE, ONE], [ZERO, ZERO, t(1)]])
+    for m, key, want in ((singular, ((1, 2, 3), (1, 2, 3)), INFINITY),
+                         (singular, ((2, 3), (1, 3)), 0),
+                         (lowest, ((1, 2), (1, 2)), 1),
+                         (upper, ((1, 2), (2, 3)), INFINITY),
+                         (upper, ((1, 3), (2, 3)), 1)):
+        table = minor_order_table(m, cap=cap)
+        assert table[key] == want == minor_order(m, *key), (key, cap)
+
+
+def test_minor_order_table_cap_truncates_products():
+    """The cap is a real precision cut: a minor all of whose terms lie past
+    t^cap is never formed and reads infinity, while its factors are kept."""
+    m = RMatrix([[t(2), ZERO], [ZERO, t(2)]])
+    assert minor_order_table(m)[((1, 2), (1, 2))] == 4
+    capped = minor_order_table(m, cap=3)
+    assert capped[((1,), (1,))] == 2
+    assert capped[((1, 2), (1, 2))] is INFINITY
 
 
 def test_minor_fractional_entries_are_exact():

@@ -236,6 +236,27 @@ def test_json_degree_at_bound_is_accepted():
     assert x == RingElem.t_pow(MAX_DEGREE)
 
 
+@pytest.mark.parametrize("item", [["1", True], [True, 0], [False, 1]],
+                         ids=["bool-degree", "true-coefficient", "false-coefficient"])
+def test_json_rejects_booleans(item):
+    with pytest.raises(InputError):
+        RingElem.from_json({"num": [item]})
+
+
+@pytest.mark.parametrize("cs", ["1e5", "1E-3", "1.5", "0x10", " 1", "1_000",
+                                "1/2/3", "", "inf", 1.5, None],
+                         ids=repr)
+def test_json_coefficient_forms_outside_the_grammar_are_rejected(cs):
+    with pytest.raises(InputError):
+        RingElem.from_json({"num": [[cs, 0]]})
+
+
+def test_json_coefficient_integer_and_fraction_forms_load():
+    for cs, want in ((7, 7), ("-3", -3), ("+2", 2), ("6/14", Fraction(3, 7)),
+                     ("-10/7", Fraction(-10, 7)), ("007", 7)):
+        assert RingElem.from_json({"num": [[cs, 2]]}) == RingElem.const(want) * T ** 2
+
+
 def test_power_operator():
     assert T ** 0 == ONE
     assert T ** 3 == RingElem.t_pow(3)

@@ -1,4 +1,5 @@
-"""The ring arithmetic checked against sympy's rational-function cancel.
+"""The ring arithmetic checked against sympy's rational-function cancel, and
+minor orders against sympy determinants.
 
 Skipped when sympy is not installed."""
 
@@ -8,6 +9,9 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from lrpairs.matrix import minor_order_table  # noqa: E402
+from lrpairs.ring import INFINITY  # noqa: E402
+from test_matrix import all_pairs, shifted_matrices  # noqa: E402
 from test_ring import planted_pairs  # noqa: E402
 
 t = sympy.Symbol("t")
@@ -40,3 +44,26 @@ def test_ops_agree_with_sympy_cancel(pair):
     check_against_cancel(a * b, x * y)
     if not b.is_zero():
         check_against_cancel(a / b, x / y)
+
+
+def sympy_order(expr):
+    """Order at t = 0 of a rational function: lowest degree of the reduced
+    numerator minus that of the denominator."""
+    num, den = sympy.fraction(sympy.cancel(expr))
+    if num == 0:
+        return INFINITY
+    low = lambda p: min(m[0] for m in sympy.Poly(p, t).monoms())
+    return low(num) - low(den)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shifted_matrices(max_r=3))
+def test_minor_orders_agree_with_sympy_determinants(m):
+    grid = sympy.Matrix([[to_sympy(e.num) / to_sympy(e.den) for e in row]
+                         for row in m.entries])
+    table = minor_order_table(m)
+    for rows, cols in all_pairs(m.r):
+        if not rows:
+            continue
+        sub = grid.extract([i - 1 for i in rows], [j - 1 for j in cols])
+        assert table[(rows, cols)] == sympy_order(sub.det()), (rows, cols)

@@ -56,6 +56,13 @@ def test_partition_json():
         Partition.from_json("6,3,1")
 
 
+def test_partition_json_rejects_booleans():
+    with pytest.raises(InputError):
+        Partition.from_json([True])
+    with pytest.raises(InputError):
+        Partition.from_json([2, False])
+
+
 def test_as_partition():
     p = Partition((2, 1))
     assert as_partition(p) is p
@@ -90,6 +97,13 @@ def test_filling_json_roundtrip():
         Filling.from_json({"r": 3, "rows": [[1]]})
     with pytest.raises(InputError):
         Filling.from_json({"rows": [["x"]]})
+
+
+def test_filling_json_rejects_booleans():
+    with pytest.raises(InputError):
+        Filling.from_json({"rows": [[True]]})
+    with pytest.raises(InputError):
+        Filling.from_json({"r": True, "rows": [[1]]})
 
 
 def test_filling_json_size_is_bounded():
