@@ -71,13 +71,33 @@ def _orders_to_json(table) -> dict:
     return out
 
 
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")
+
+
 def _emit(doc, out_path):
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(out_path, text + "\n")
     else:
         print(text)
+
+
+def _check_options(args):
+    """Reject --retries and --out values that no command can use, before any
+    work is done."""
+    if getattr(args, "retries", 0) < 0:
+        raise InputError(f"--retries must be at least 0, got {args.retries}")
+    if args.out:
+        out_dir = os.path.dirname(args.out) or "."
+        if not os.path.isdir(out_dir):
+            raise InputError(f"--out directory {out_dir} does not exist")
+        if os.path.isdir(args.out):
+            raise InputError(f"--out {args.out} is a directory")
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +165,7 @@ def cmd_roundtrip(args) -> int:
         except LRPairsError as exc:
             artifact["error"] = str(exc)
         path = os.path.join(art_dir, f"roundtrip-failure-{trial:04d}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(artifact, fh, indent=2, sort_keys=True)
+        _write(path, json.dumps(artifact, indent=2, sort_keys=True))
         artifacts.append(path)
     stats = genericity_stats()
     doc = {
@@ -244,6 +263,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_options(args)
         return args.func(args)
     except (InputError, NotInRingError, RankError) as exc:
         print(f"lrpairs: input error: {exc}", file=sys.stderr)

@@ -26,10 +26,10 @@ from .errors import (GenericityError, InputError, PrincipalMinorError,
 # det is unused here but stays importable as lrpairs.generic.det, an import
 # site that perfbench's tracer self-test checks
 from .matrix import (RMatrix, _between, _cleaning_unit, _comparable_pairs,
-                     _table_partition, det, diag_from_partition, has_unit_det,
-                     inverse, invariant_partition, is_mu_admissible,
-                     lu_decompose, mat_mul, minor_order, minor_order_table,
-                     smith_transforms)
+                     _intervals, _table_partition, det, diag_from_partition,
+                     has_unit_det, inverse, invariant_partition,
+                     is_mu_admissible, lu_decompose, mat_mul, minor_order,
+                     minor_order_table, smith_transforms)
 from .ring import INFINITY, ONE, ZERO, RingElem, random_unit
 from .tableaux import Partition, as_partition
 
@@ -362,10 +362,10 @@ def _pairs_to_check(r: int):
 def check_equation_first(tab_n: dict, tab_right: dict, r: int):
     """order(N*_IJ) == min over S >= I of order((Q_L N T^-1)_SJ), checked on
     every pair."""
+    up = _intervals(r)[0]
     for i_set, j_set in _pairs_to_check(r):
         want = tab_n[(i_set, j_set)]
-        top = tuple(range(r - len(i_set) + 1, r + 1))
-        got = min(tab_right[(s, j_set)] for s in _between(i_set, top))
+        got = min(tab_right[(s, j_set)] for s in up[i_set])
         if want != got:
             return f"I={i_set} J={j_set}: order {want} vs min {got}"
     return ""
@@ -376,11 +376,12 @@ def check_equation_second(tab_n: dict, tab_v: dict, mu: Partition, r: int):
     V = Q_hat_U N T^-1; checked on pairs with I <= J componentwise (the only
     pairs where the minimum is attained without cancellation; see notes).
     The empty pair holds trivially; tab_v is read only at pairs H <= J."""
+    down = _intervals(r)[1]
     for i_set, j_set in _comparable_pairs(r):
         want = tab_n[(i_set, j_set)]
         w_i = mu.sum_over(i_set)
         got = min(tab_v[(h, j_set)] + mu.sum_over(h) - w_i
-                  for h in _between((1,) * len(i_set), i_set))
+                  for h in down[i_set])
         if want != got:
             return f"I={i_set} J={j_set}: order {want} vs min {got}"
     return ""
@@ -389,13 +390,39 @@ def check_equation_second(tab_n: dict, tab_v: dict, mu: Partition, r: int):
 def check_equation_third(tab_n: dict, tab_left: dict, r: int):
     """order(N*_IJ) == min over H <= J of order((Q N T_L)_IH), checked on
     every pair."""
+    down = _intervals(r)[1]
     for i_set, j_set in _pairs_to_check(r):
         want = tab_n[(i_set, j_set)]
-        got = min(tab_left[(i_set, h)]
-                  for h in _between((1,) * len(j_set), j_set)) if j_set else 0
+        got = min(tab_left[(i_set, h)] for h in down[j_set])
         if want != got:
             return f"I={i_set} J={j_set}: order {want} vs min {got}"
     return ""
+
+
+def _equation_cap(tab_n: dict, cap: int, r: int) -> int:
+    """Precision for the three equation tables: the largest finite order of
+    N* (at most cap), the largest order any equation compares against.
+
+    A finite want of at most this cap is compared with a minimum of table
+    entries plus shifts >= 0.  A term at or below want is an entry of order
+    at most the cap, so it is exact; a larger term reads exact or infinite,
+    above want either way.  An infinite comparable entry of N* asks every
+    term to vanish, which only the full cap can tell, so it keeps the full
+    cap.  Off the comparable pairs every want and every term is an
+    identically vanishing minor of an upper triangular matrix, infinite at
+    any cap."""
+    if any(tab_n[p] == INFINITY for p in _comparable_pairs(r)):
+        return cap
+    return min(cap, max(v for v in tab_n.values() if v != INFINITY))
+
+
+def _equation_failures(tab_n, right, left, v, mu, r, cap):
+    """The three equations' failure strings ("" where one holds), on the
+    tables of U T_U, Q_U U and V computed modulo t^(cap+1)."""
+    tab_v = minor_order_table(v, cap=cap, comparable_only=True)
+    return (check_equation_first(tab_n, minor_order_table(right, cap=cap), r),
+            check_equation_second(tab_n, tab_v, mu, r),
+            check_equation_third(tab_n, minor_order_table(left, cap=cap), r))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +567,8 @@ def _attempt_reduction(d_mu, n_input, mu, nu, lam, rng, r) -> MuGenericCertifica
     t_lower, u, t_lower_inv = triangularize_right(mat_mul(q_lower, n_input))
     q_upper = _random_unit_upper(r, rng)
     t_upper = _random_unit_upper(r, rng)
-    n_star = mat_mul(q_upper, mat_mul(u, t_upper))
+    ut = mat_mul(u, t_upper)
+    n_star = mat_mul(q_upper, ut)
     q = mat_mul(q_upper, q_lower)
     t_inv = mat_mul(t_lower, t_upper)
     t_star = mat_mul(inverse(t_upper), t_lower_inv)
@@ -553,9 +581,10 @@ def _attempt_reduction(d_mu, n_input, mu, nu, lam, rng, r) -> MuGenericCertifica
     checks.append(CheckResult("u_upper_triangular", u.is_upper_triangular()))
     checks.append(CheckResult("n_star_over_ring", n_star.is_over_ring()))
 
-    # every order the checks read is at most |mu| + |nu| (diagonal minors pin
-    # the finite ones; structural zeros stay zero), so the tables may be
-    # computed modulo t^(cap+1) and remain authoritative
+    # every order read from tab_n is at most |mu| + |nu| (diagonal minors
+    # pin the finite ones; structural zeros stay zero), so it may be computed
+    # modulo t^(cap+1) and remain authoritative; the equation tables only
+    # need the orders they are compared against, see _equation_cap
     cap = mu.weight() + nu.weight() + 1
     tab_n = minor_order_table(n_star, cap=cap)
     nu_star = _table_partition(tab_n, r)
@@ -577,16 +606,11 @@ def _attempt_reduction(d_mu, n_input, mu, nu, lam, rng, r) -> MuGenericCertifica
     if q_hat_u is not None:
         consistent = mat_mul(q_hat_l, q_hat_u) == q
         checks.append(CheckResult("lu_product_consistent", consistent))
-        tab_right = minor_order_table(mat_mul(u, t_upper), cap=cap)
-        tab_left = minor_order_table(mat_mul(q_upper, u), cap=cap)
         v = mat_mul(q_hat_u, mat_mul(n_input, t_inv))
-        tab_v = minor_order_table(v, cap=cap, comparable_only=True)
-        eq1 = check_equation_first(tab_n, tab_right, r)
-        eq2 = check_equation_second(tab_n, tab_v, mu, r)
-        eq3 = check_equation_third(tab_n, tab_left, r)
-        checks.append(CheckResult("equation_first", not eq1, eq1))
-        checks.append(CheckResult("equation_second", not eq2, eq2))
-        checks.append(CheckResult("equation_third", not eq3, eq3))
+        failures = _equation_failures(tab_n, ut, mat_mul(q_upper, u), v, mu,
+                                      r, _equation_cap(tab_n, cap, r))
+        for name, fail in zip(("first", "second", "third"), failures):
+            checks.append(CheckResult("equation_" + name, not fail, fail))
 
     gap = verify_mu_generic(n_star, mu, table=tab_n)
     checks.extend(gap.checks)

@@ -341,6 +341,17 @@ def _comparable_plan(r: int):
     return tuple(plan), tuple(off)
 
 
+@lru_cache(maxsize=None)
+def _intervals(r: int):
+    """For every index set S in 1..r, the sets H >= S and the sets H <= S
+    of its size, as two dicts built once per size (the up-sets come from
+    the plan)."""
+    up = {I: js for rows in _comparable_plan(r)[0] for I, js in rows}
+    down = {J: tuple(_between((1,) * len(J), J)) for J in up}
+    up[()] = down[()] = ((),)
+    return up, down
+
+
 def _comparable_pairs(r: int):
     """Every nonempty pair I <= J of index sets in 1..r, by size, then I,
     then J, in lexicographic order."""

@@ -26,6 +26,7 @@ from lrpairs.tableaux import (Partition, count_fillings, enumerate_fillings,
                               iter_partitions, random_partition,
                               validate_filling)
 
+from capcheck import assert_equation_cap_exact
 from golden import FILLING, LAM, MU, NU, golden_mn, golden_n
 
 _CACHE = {}
@@ -197,6 +198,27 @@ def test_criterion_4_certificates_fully_verify():
                                      r) == ""
         assert check_equation_third(cert.minor_orders, tab_left,
                                     r) == ""
+
+
+def test_equation_tables_capped_at_the_largest_compared_order():
+    """The reduction builds the equation tables only up to the largest
+    finite order of N*; on every certificate of the shared run, the tables
+    at the full cap give the same entries up to there and the same
+    verdicts.  The gap inequalities bound every comparable order of a
+    mu-generic N* by |mu| + |nu|, so each certificate lowers the cap."""
+    run = _collected()
+    certs = run["roundtrip"][1] + run["orbit"][1]
+    lowered = 0
+    for cert in certs:
+        cap = cert.mu.weight() + cert.nu.weight() + 1
+        u = mat_mul(mat_mul(cert.q_lower, cert.n_input), cert.t_lower)
+        v = mat_mul(cert.q_hat_u, mat_mul(cert.n_input, cert.t_inv))
+        cap_eq, at_full = assert_equation_cap_exact(
+            cert.minor_orders, mat_mul(u, cert.t_upper),
+            mat_mul(cert.q_upper, u), v, cert.mu, cert.n_star.r, cap)
+        assert at_full == ("", "", "")
+        lowered += cap_eq < cap
+    assert lowered == len(certs)
 
 
 def _random_entry(rng):

@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import shutil
 
 import pytest
 
 import lrpairs.cli as cli
 import lrpairs.ring as ring_mod
 from lrpairs.cli import main
-from lrpairs.errors import VerificationError
+from lrpairs.errors import RankError, VerificationError
 from lrpairs.matrix import RMatrix
 from lrpairs.ring import RingElem
 from lrpairs.tableaux import MAX_SIZE, Filling
@@ -238,6 +239,17 @@ def test_extract_retries_exhausted_exits_4(tmp_path, capsys):
     assert "retries exhausted" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["extract", "roundtrip"])
+def test_negative_retries_exit_2_before_any_attempt(tmp_path, capsys,
+                                                    monkeypatch, command):
+    monkeypatch.setattr(cli, "extract_from_pair", _never("extraction"))
+    monkeypatch.setattr(cli, "random_filling", _never("sampling"))
+    infile = write_json(tmp_path / "in.json", GOLDEN_FILLING_DOC)
+    args = ["--in", infile] if command == "extract" else ["--trials", "2"]
+    assert main([command, "--retries", "-3", *args]) == 2
+    assert "--retries must be at least 0" in capsys.readouterr().err
+
+
 def test_extract_verification_error_exits_3(tmp_path, capsys, monkeypatch):
     def boom(pair, rng, max_retries=20):
         raise VerificationError("certificate rejected")
@@ -301,6 +313,71 @@ def test_roundtrip_injected_bug_exits_3_with_artifact(tmp_path, capsys,
     assert doc["artifacts"]
     artifact = json.loads(open(doc["artifacts"][0], encoding="utf-8").read())
     assert "error" in artifact and "trial" in artifact
+
+
+# ---------------------------------------------------------------------------
+# --out
+
+
+_WORK = {"extract": ["extract_from_pair"], "realize": ["realize"],
+         "roundtrip": ["random_filling"], "count": ["count_fillings"],
+         "counterexample": ["counterexample_demo"]}
+
+
+@pytest.mark.parametrize("command", sorted(_WORK))
+def test_out_into_missing_directory_exits_2_before_work(tmp_path, capsys,
+                                                        monkeypatch, command):
+    for name in _WORK[command]:
+        monkeypatch.setattr(cli, name, _never(name))
+    infile = write_json(tmp_path / "in.json", GOLDEN_FILLING_DOC)
+    args = {"extract": ["--in", infile], "realize": ["--in", infile],
+            "roundtrip": ["--trials", "2"], "count": ["1", "1", "1,1"],
+            "counterexample": []}[command]
+    out = tmp_path / "missing" / "out.json"
+    assert main([command, *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "does not exist" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
+
+
+def test_out_that_is_a_directory_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "counterexample_demo", _never("counterexample"))
+    assert main(["counterexample", "--out", str(tmp_path)]) == 2
+    assert "is a directory" in capsys.readouterr().err
+
+
+def test_out_directory_removed_during_work_exits_2(tmp_path, capsys,
+                                                   monkeypatch):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    real_demo = cli.counterexample_demo
+
+    def demo_then_remove():
+        doc = real_demo()
+        shutil.rmtree(out_dir)
+        return doc
+
+    monkeypatch.setattr(cli, "counterexample_demo", demo_then_remove)
+    assert main(["counterexample", "--out", str(out_dir / "ce.json")]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "Traceback" not in err
+
+
+def test_roundtrip_artifact_write_failure_exits_2(tmp_path, capsys,
+                                                  monkeypatch):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+
+    def remove_then_fail(pair, rng, max_retries=20):
+        shutil.rmtree(out_dir)
+        raise RankError("injected failure")
+
+    monkeypatch.setattr(cli, "extract_from_pair", remove_then_fail)
+    rc = main(["roundtrip", "--trials", "1", "--out", str(out_dir / "sum.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "roundtrip-failure-0001.json" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Group action, triangularization, and the mu-generic reduction pipeline."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,9 +18,10 @@ from lrpairs.matrix import (RMatrix, det, diag_from_partition,
                             invariant_partition, is_mu_admissible, mat_mul,
                             minor_order_table)
 from lrpairs.realize import random_filling, realize
-from lrpairs.ring import ONE, ZERO, RingElem
-from lrpairs.tableaux import Partition
+from lrpairs.ring import INFINITY, ONE, ZERO, RingElem
+from lrpairs.tableaux import Filling, Partition
 
+from capcheck import assert_equation_cap_exact
 from golden import FILLING, LAM, MU, NU, c, golden_m, golden_n, t
 
 
@@ -259,6 +261,65 @@ def test_certificate_equations_hold_on_all_pairs():
     assert mat_mul(cert.q_hat_l, cert.q_hat_u) == cert.q
     assert is_mu_admissible(cert.q_hat_l, cert.mu)
     assert det(cert.q_hat_u).is_unit()
+
+
+def test_equation_cap_is_the_largest_finite_order():
+    tab_n = {((), ()): 0, ((1,), (1,)): 3, ((1,), (2,)): 1,
+             ((2,), (1,)): INFINITY, ((2,), (2,)): 2, ((1, 2), (1, 2)): 5}
+    # ((2,), (1,)) is not comparable: an upper triangular matrix's minor
+    # there vanishes at any precision, so its infinity keeps no full cap
+    assert generic_mod._equation_cap(tab_n, 12, 2) == 5
+    assert generic_mod._equation_cap(tab_n, 4, 2) == 4
+    # an infinite comparable entry asks the terms to vanish: full cap
+    tab_n[((1,), (2,))] = INFINITY
+    assert generic_mod._equation_cap(tab_n, 12, 2) == 12
+
+
+def _staircase_pair(r):
+    mu = Partition(tuple(range(r, 0, -1)))
+    filling = Filling([[0] * (j - 1) + [r - j + 1] for j in range(1, r + 1)])
+    return realize(filling, mu).pair()
+
+
+@pytest.mark.parametrize("units", ["random", "plus_minus_one"])
+def test_equation_cap_keeps_every_verdict(monkeypatch, units):
+    """Every attempt's equation tables, rebuilt at the full cap, agree with
+    the lowered ones on the staircase r = 3..6 and on random fillings.
+    Units of +-1 cancel often, so many of those attempts fail a check and
+    some hit the full-cap fallback."""
+    calls = []
+    real = generic_mod._equation_failures
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(generic_mod, "_equation_failures", spy)
+    if units == "plus_minus_one":
+        monkeypatch.setattr(generic_mod, "random_unit",
+                            lambda rng: RingElem.const(rng.choice((1, -1))))
+    rng = random.Random(5)
+    pairs = [_staircase_pair(r) for r in range(3, 7)]
+    pairs += [realize(f, mu).pair()
+              for f, mu, _, _ in (random_filling(rng) for _ in range(30))]
+    seen = Counter()
+    for pair in pairs:
+        start = len(calls)
+        try:
+            to_mu_generic(pair, rng, max_retries=3)
+        except RetriesExhaustedError:
+            pass
+        mu, nu, _ = pair.invariants()
+        cap = mu.weight() + nu.weight() + 1
+        for tab_n, right, left, v, mu_n, r, cap_eq in calls[start:]:
+            got, at_full = assert_equation_cap_exact(tab_n, right, left, v,
+                                                     mu_n, r, cap)
+            assert cap_eq == got
+            seen["full cap" if cap_eq == cap else "lowered"] += 1
+            seen["failing" if any(at_full) else "passing"] += 1
+    assert seen["lowered"] and seen["passing"]
+    if units == "plus_minus_one":
+        assert seen["failing"] and seen["full cap"]
 
 
 def test_certificate_json_shape():
