@@ -14,11 +14,17 @@ then dresses the result with random-unit upper factors Q_U, T_U.  Every sample
 is verified; any failed check discards the whole attempt and resamples.  The
 verification is exhaustive at every size r: each check runs over every index
 pair, or every componentwise triple, of the full minor-order table of N*.
+
+The extraction and the CLI read only N* and its minor-order table.  The
+certificate's ``t_star`` = (T_L T_U)^-1 and ``group``, which only a replay
+``act(cert.group, pair)`` needs, are built on first read, so no reduction
+attempt inverts a matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import (GenericityError, InputError, PrincipalMinorError,
@@ -165,7 +171,10 @@ class VerificationReport:
 
 @dataclass
 class MuGenericCertificate:
-    """Everything produced by one successful reduction attempt."""
+    """Everything produced by one successful reduction attempt.
+
+    ``t_star`` and ``group`` are cached properties built on first read from
+    the stored factors; the extraction and the CLI never read them."""
 
     pair: MatrixPair            # (D_mu, N_star)
     n_star: RMatrix
@@ -179,14 +188,25 @@ class MuGenericCertificate:
     t_upper: RMatrix
     q: RMatrix                  # Q_U Q_L, mu-admissible
     t_inv: RMatrix              # T_L T_U
-    t_star: RMatrix             # (T_L T_U)^-1, accumulated from the factors
+    t_lower_inv: RMatrix        # T_L^-1, accumulated by triangularize_right
     q_hat_l: RMatrix            # unit lower factor of Q = Q_hat_L Q_hat_U
     q_hat_u: RMatrix
     n_input: RMatrix            # second component after diagonalization
-    group: GroupElement         # total transform from the original pair
+    g_diag: GroupElement        # original pair -> (D_mu, n_input)
     report: VerificationReport
     minor_orders: dict          # full (rows, cols) -> order table of N_star
     attempts: int
+
+    @cached_property
+    def t_star(self) -> RMatrix:
+        """(T_L T_U)^-1 = T_U^-1 T_L^-1, from the factors."""
+        return mat_mul(inverse(self.t_upper), self.t_lower_inv)
+
+    @cached_property
+    def group(self) -> GroupElement:
+        """Total transform from the original pair: act(group, pair) == self.pair."""
+        p = _conjugate_by_diagonal(self.q, self.mu, self.pair.r)
+        return GroupElement(p, self.q, self.t_star).compose(self.g_diag)
 
     def to_json(self):
         return {
@@ -371,16 +391,22 @@ def check_equation_first(tab_n: dict, tab_right: dict, r: int):
     return ""
 
 
+def _mu_weights(mu: Partition, r: int) -> dict:
+    """|mu_S| for every index set S in 1..r, the empty set included."""
+    return {s: mu.sum_over(s) for s in _intervals(r)[0]}
+
+
 def check_equation_second(tab_n: dict, tab_v: dict, mu: Partition, r: int):
     """order(N*_IJ) == min over H <= I of order(V_HJ) + |mu_H| - |mu_I|,
     V = Q_hat_U N T^-1; checked on pairs with I <= J componentwise (the only
     pairs where the minimum is attained without cancellation; see notes).
     The empty pair holds trivially; tab_v is read only at pairs H <= J."""
     down = _intervals(r)[1]
+    weight = _mu_weights(mu, r)
     for i_set, j_set in _comparable_pairs(r):
         want = tab_n[(i_set, j_set)]
-        w_i = mu.sum_over(i_set)
-        got = min(tab_v[(h, j_set)] + mu.sum_over(h) - w_i
+        w_i = weight[i_set]
+        got = min(tab_v[(h, j_set)] + weight[h] - w_i
                   for h in down[i_set])
         if want != got:
             return f"I={i_set} J={j_set}: order {want} vs min {got}"
@@ -445,20 +471,21 @@ def verify_mu_generic(n_star: RMatrix, mu, table=None) -> VerificationReport:
         table = minor_order_table(n_star)
 
     upper = CheckResult("upper_triangular", n_star.is_upper_triangular())
+    weight = _mu_weights(mu, r)
     row_fail = ""
     col_fail = ""
     for i_set, j_set in _comparable_pairs(r):
         base = table[(i_set, j_set)]
-        w_i = mu.sum_over(i_set)
+        w_i = weight[i_set]
         for h in _between(i_set, j_set):
             if not row_fail:
                 vh = table[(h, j_set)]
                 if not (base <= vh):
                     row_fail = f"I={i_set} H={h} J={j_set}: {base} > {vh}"
                 elif base is not INFINITY and \
-                        (vh is INFINITY or vh > base + w_i - mu.sum_over(h)):
+                        (vh is INFINITY or vh > base + w_i - weight[h]):
                     row_fail = (f"I={i_set} H={h} J={j_set}: gap {vh} - {base} exceeds "
-                                f"{w_i - mu.sum_over(h)}")
+                                f"{w_i - weight[h]}")
             if not col_fail:
                 vc = table[(i_set, h)]
                 if not (vc >= base):
@@ -524,25 +551,19 @@ def to_mu_generic(pair: MatrixPair, rng, max_retries: int = 20) -> MuGenericCert
     RetriesExhaustedError after max_retries failed attempts.
     """
     mu, nu, lam = pair.invariants()
-    r = pair.r
     diagonal_pair, g_diag = diagonalize_first(pair)
-    d_mu = diagonal_pair.first
-    n_input = diagonal_pair.second
 
     last_failure = ""
     for attempt in range(1, max_retries + 1):
         _STATS.attempts += 1
         try:
-            cert = _attempt_reduction(d_mu, n_input, mu, nu, lam, rng, r)
+            cert = _attempt_reduction(diagonal_pair, g_diag, mu, nu, lam,
+                                      rng, attempt)
         except GenericityError as exc:
             _STATS.resamples += 1
             last_failure = str(exc)
             continue
         _STATS.successes += 1
-        p2 = _conjugate_by_diagonal(cert.q, mu, r)
-        g_star = GroupElement(p2, cert.q, cert.t_star)
-        cert.group = g_star.compose(g_diag)
-        cert.attempts = attempt
         return cert
     raise RetriesExhaustedError(max_retries, last_failure)
 
@@ -562,7 +583,10 @@ def _conjugate_by_diagonal(q: RMatrix, mu: Partition, r: int) -> RMatrix:
     return RMatrix(rows)
 
 
-def _attempt_reduction(d_mu, n_input, mu, nu, lam, rng, r) -> MuGenericCertificate:
+def _attempt_reduction(diagonal_pair, g_diag, mu, nu, lam, rng,
+                       attempt) -> MuGenericCertificate:
+    d_mu, n_input = diagonal_pair.first, diagonal_pair.second
+    r = diagonal_pair.r
     q_l0, q_lower = _sample_lower_factors(mu, r, rng)
     t_lower, u, t_lower_inv = triangularize_right(mat_mul(q_lower, n_input))
     q_upper = _random_unit_upper(r, rng)
@@ -571,7 +595,6 @@ def _attempt_reduction(d_mu, n_input, mu, nu, lam, rng, r) -> MuGenericCertifica
     n_star = mat_mul(q_upper, ut)
     q = mat_mul(q_upper, q_lower)
     t_inv = mat_mul(t_lower, t_upper)
-    t_star = mat_mul(inverse(t_upper), t_lower_inv)
 
     checks = []
 
@@ -630,11 +653,11 @@ def _attempt_reduction(d_mu, n_input, mu, nu, lam, rng, r) -> MuGenericCertifica
         mu=mu, nu=nu, lam=lam,
         q_l0=q_l0, q_lower=q_lower, q_upper=q_upper,
         t_lower=t_lower, t_upper=t_upper,
-        q=q, t_inv=t_inv, t_star=t_star,
+        q=q, t_inv=t_inv, t_lower_inv=t_lower_inv,
         q_hat_l=q_hat_l, q_hat_u=q_hat_u,
         n_input=n_input,
-        group=GroupElement.identity(r),
+        g_diag=g_diag,
         report=report,
         minor_orders=tab_n,
-        attempts=0,
+        attempts=attempt,
     )

@@ -14,6 +14,7 @@ from lrpairs.generic import (GroupElement, MatrixPair, act,
                              reset_genericity_stats, to_mu_generic,
                              triangularize_right, verify_mu_generic)
 import lrpairs.generic as generic_mod
+from lrpairs.extract import extract_from_pair
 from lrpairs.matrix import (RMatrix, det, diag_from_partition,
                             invariant_partition, is_mu_admissible, mat_mul,
                             minor_order_table)
@@ -320,6 +321,33 @@ def test_equation_cap_keeps_every_verdict(monkeypatch, units):
     assert seen["lowered"] and seen["passing"]
     if units == "plus_minus_one":
         assert seen["failing"] and seen["full cap"]
+
+
+def test_reduction_inverts_nothing(monkeypatch):
+    """The reduction and the extraction never invert a matrix; the
+    certificate's group element is built on first read and then kept."""
+    def no_inverse(m):
+        raise AssertionError("inverse called during the reduction")
+
+    monkeypatch.setattr(generic_mod, "inverse", no_inverse)
+    pairs = [golden_pair(), _staircase_pair(4)]
+    certs = [to_mu_generic(pairs[0], random.Random(42)),
+             extract_from_pair(pairs[1], random.Random(1)).certificate]
+    monkeypatch.undo()
+    for pair, cert in zip(pairs, certs):
+        assert act(cert.group, pair) == cert.pair
+        assert cert.group is cert.group
+
+
+def test_lazy_t_star_inverts_t_inv():
+    rng = random.Random(11)
+    pairs = [_staircase_pair(r) for r in range(3, 6)]
+    pairs += [realize(f, mu).pair()
+              for f, mu, _, _ in (random_filling(rng) for _ in range(20))]
+    for pair in pairs:
+        cert = to_mu_generic(pair, rng)
+        assert mat_mul(cert.t_star, cert.t_inv) == RMatrix.identity(pair.r)
+        assert cert.group.t == cert.t_star
 
 
 def test_certificate_json_shape():
