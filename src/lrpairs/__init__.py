@@ -14,7 +14,7 @@ from .ring import INFINITY, ONE, T, ZERO, RingElem, random_unit, residue, valuat
 from .matrix import (RMatrix, det, diag_from_partition, invariant_partition,
                      invariant_partition_oracle, inverse, is_mu_admissible,
                      lu_decompose, mat_mul, minor, minor_order,
-                     minor_order_table, smith_transforms)
+                     minor_order_table, smith_transforms, times_inverse)
 from .tableaux import (Filling, FillingReport, LRSequence, Partition,
                        as_partition, count_fillings, enumerate_fillings,
                        iter_partitions, random_partition, render_skew,
@@ -39,7 +39,7 @@ __all__ = [
     "RMatrix", "det", "diag_from_partition", "invariant_partition",
     "invariant_partition_oracle", "inverse", "is_mu_admissible",
     "lu_decompose", "mat_mul", "minor", "minor_order", "minor_order_table",
-    "smith_transforms",
+    "smith_transforms", "times_inverse",
     "Filling", "FillingReport", "LRSequence", "Partition", "as_partition",
     "count_fillings", "enumerate_fillings", "iter_partitions",
     "random_partition", "render_skew", "sequence_from_filling",

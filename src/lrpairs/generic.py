@@ -18,7 +18,10 @@ pair, or every componentwise triple, of the full minor-order table of N*.
 The extraction and the CLI read only N* and its minor-order table.  The
 certificate's ``t_star`` = (T_L T_U)^-1 and ``group``, which only a replay
 ``act(cert.group, pair)`` needs, are built on first read, so no reduction
-attempt inverts a matrix.
+attempt inverts a matrix.  ``t_star`` is the adjugate inverse of the
+polynomial matrix T_L T_U and records it, so the replay's Q N T*^-1 is the
+exact product Q N T_L T_U; only P M Q^-1 divides, once per entry, in
+``matrix.times_inverse``.
 """
 
 from __future__ import annotations
@@ -32,10 +35,11 @@ from .errors import (GenericityError, InputError, PrincipalMinorError,
 # det is unused here but stays importable as lrpairs.generic.det, an import
 # site that perfbench's tracer self-test checks
 from .matrix import (RMatrix, _between, _cleaning_unit, _comparable_pairs,
-                     _intervals, _table_partition, det, diag_from_partition,
-                     has_unit_det, inverse, invariant_partition,
-                     is_mu_admissible, lu_decompose, mat_mul, minor_order,
-                     minor_order_table, smith_transforms)
+                     _intervals, _mu_weights, _table_partition, det,
+                     diag_from_partition, has_unit_det, inverse,
+                     invariant_partition, is_mu_admissible, lu_decompose,
+                     mat_mul, minor_order, minor_order_table, smith_transforms,
+                     times_inverse)
 from .ring import INFINITY, ONE, ZERO, RingElem, random_unit
 from .tableaux import Partition, as_partition
 
@@ -98,11 +102,6 @@ class GroupElement:
         self.q = q
         self.t = t
 
-    @staticmethod
-    def identity(r: int) -> "GroupElement":
-        eye = RMatrix.identity(r)
-        return GroupElement(eye, eye, eye)
-
     def compose(self, other: "GroupElement") -> "GroupElement":
         """self applied after other: act(self.compose(g), p) = act(self, act(g, p))."""
         return GroupElement(mat_mul(self.p, other.p),
@@ -117,14 +116,14 @@ class GroupElement:
 
 
 def act(g: GroupElement, pair: MatrixPair) -> MatrixPair:
-    """(P M Q^-1, Q N T^-1)."""
+    """(P M Q^-1, Q N T^-1), each as an exact product times an inverse."""
     if g.p.r != pair.r:
         raise InputError(f"group element size {g.p.r} does not match pair size {pair.r}")
     if not g.is_invertible_over_ring():
         raise InputError("group element components must be invertible over the ring")
     return MatrixPair(
-        mat_mul(mat_mul(g.p, pair.first), inverse(g.q)),
-        mat_mul(mat_mul(g.q, pair.second), inverse(g.t)),
+        times_inverse(mat_mul(g.p, pair.first), g.q),
+        times_inverse(mat_mul(g.q, pair.second), g.t),
     )
 
 
@@ -174,7 +173,9 @@ class MuGenericCertificate:
     """Everything produced by one successful reduction attempt.
 
     ``t_star`` and ``group`` are cached properties built on first read from
-    the stored factors; the extraction and the CLI never read them."""
+    the stored factors; the extraction and the CLI never read them.
+    ``t_star`` is ``inverse(t_inv)``, so it records T_L T_U and the replay's
+    Q N T*^-1 is the product Q N T_L T_U."""
 
     pair: MatrixPair            # (D_mu, N_star)
     n_star: RMatrix
@@ -188,7 +189,6 @@ class MuGenericCertificate:
     t_upper: RMatrix
     q: RMatrix                  # Q_U Q_L, mu-admissible
     t_inv: RMatrix              # T_L T_U
-    t_lower_inv: RMatrix        # T_L^-1, accumulated by triangularize_right
     q_hat_l: RMatrix            # unit lower factor of Q = Q_hat_L Q_hat_U
     q_hat_u: RMatrix
     n_input: RMatrix            # second component after diagonalization
@@ -199,14 +199,16 @@ class MuGenericCertificate:
 
     @cached_property
     def t_star(self) -> RMatrix:
-        """(T_L T_U)^-1 = T_U^-1 T_L^-1, from the factors."""
-        return mat_mul(inverse(self.t_upper), self.t_lower_inv)
+        """(T_L T_U)^-1, the adjugate inverse of a polynomial matrix."""
+        return inverse(self.t_inv)
 
     @cached_property
     def group(self) -> GroupElement:
         """Total transform from the original pair: act(group, pair) == self.pair."""
         p = _conjugate_by_diagonal(self.q, self.mu, self.pair.r)
-        return GroupElement(p, self.q, self.t_star).compose(self.g_diag)
+        # g_diag's T is the identity; T* is kept as is, with its record
+        g = self.g_diag
+        return GroupElement(mat_mul(p, g.p), mat_mul(self.q, g.q), self.t_star)
 
     def to_json(self):
         return {
@@ -276,27 +278,18 @@ def diagonalize_first(pair: MatrixPair):
 def triangularize_right(a: RMatrix):
     """Column operations T_L with A T_L upper triangular.
 
-    Returns (T_L, U, T_L^-1).  Rows are processed bottom-up; in each row the
-    pivot is the minimal-order entry among the still-available columns (ties
+    Returns (T_L, U).  Rows are processed bottom-up; in each row the pivot
+    is the minimal-order entry among the still-available columns (ties
     broken rightwards), swapped into place and used to clear the columns to
     its left.  Shears divide by the pivot, keeping entries in reduced form;
     afterwards every column is scaled by the unit clearing denominators and
     integer content, so T_L and U are small and polynomial whenever the input
-    is over the ring.  The inverse is accumulated alongside by replaying each
-    elementary step backwards, which costs far less than inverting the result.
-    T_L is a permutation times a lower triangular matrix, invertible over the
-    ring with unit determinant.
+    is over the ring.  T_L is a permutation times a lower triangular matrix,
+    invertible over the ring with unit determinant.
     """
     r = a.r
     work = [list(row) for row in a.entries]
     acc = [list(row) for row in RMatrix.identity(r).entries]
-    inv = [list(row) for row in RMatrix.identity(r).entries]
-
-    def col_swap(j1, j2):
-        for rows in (work, acc):
-            for row in rows:
-                row[j1 - 1], row[j2 - 1] = row[j2 - 1], row[j1 - 1]
-        inv[j1 - 1], inv[j2 - 1] = inv[j2 - 1], inv[j1 - 1]
 
     for i in range(r, 0, -1):
         best = None
@@ -311,7 +304,8 @@ def triangularize_right(a: RMatrix):
             raise RankError("matrix is rank deficient")
         _, bj = best
         if bj != i:
-            col_swap(bj, i)
+            for row in work + acc:
+                row[bj - 1], row[i - 1] = row[i - 1], row[bj - 1]
         piv = work[i - 1][i - 1]
         for j in range(1, i):
             e = work[i - 1][j - 1]
@@ -325,10 +319,9 @@ def triangularize_right(a: RMatrix):
             for row in acc:
                 row[j - 1] = row[j - 1] - w * row[i - 1]
             work[i - 1][j - 1] = ZERO
-            inv[i - 1] = [x + w * y for x, y in zip(inv[i - 1], inv[j - 1])]
 
     # denominators have valuation zero here, hence are units: scale each
-    # column clean (and content-free), mirrored as a row scaling on the inverse
+    # column clean (and content-free)
     for j in range(r):
         col = [row[j] for row in work if not row[j].is_zero()]
         col += [row[j] for row in acc if not row[j].is_zero()]
@@ -338,9 +331,7 @@ def triangularize_right(a: RMatrix):
                 for row in rows:
                     if not row[j].is_zero():
                         row[j] = row[j] * u
-            w = ONE / u
-            inv[j] = [x * w for x in inv[j]]
-    return RMatrix(acc), RMatrix(work), RMatrix(inv)
+    return RMatrix(acc), RMatrix(work)
 
 
 def _random_unit_upper(r: int, rng) -> RMatrix:
@@ -389,11 +380,6 @@ def check_equation_first(tab_n: dict, tab_right: dict, r: int):
         if want != got:
             return f"I={i_set} J={j_set}: order {want} vs min {got}"
     return ""
-
-
-def _mu_weights(mu: Partition, r: int) -> dict:
-    """|mu_S| for every index set S in 1..r, the empty set included."""
-    return {s: mu.sum_over(s) for s in _intervals(r)[0]}
 
 
 def check_equation_second(tab_n: dict, tab_v: dict, mu: Partition, r: int):
@@ -588,7 +574,7 @@ def _attempt_reduction(diagonal_pair, g_diag, mu, nu, lam, rng,
     d_mu, n_input = diagonal_pair.first, diagonal_pair.second
     r = diagonal_pair.r
     q_l0, q_lower = _sample_lower_factors(mu, r, rng)
-    t_lower, u, t_lower_inv = triangularize_right(mat_mul(q_lower, n_input))
+    t_lower, u = triangularize_right(mat_mul(q_lower, n_input))
     q_upper = _random_unit_upper(r, rng)
     t_upper = _random_unit_upper(r, rng)
     ut = mat_mul(u, t_upper)
@@ -653,7 +639,7 @@ def _attempt_reduction(diagonal_pair, g_diag, mu, nu, lam, rng,
         mu=mu, nu=nu, lam=lam,
         q_l0=q_l0, q_lower=q_lower, q_upper=q_upper,
         t_lower=t_lower, t_upper=t_upper,
-        q=q, t_inv=t_inv, t_lower_inv=t_lower_inv,
+        q=q, t_inv=t_inv,
         q_hat_l=q_hat_l, q_hat_u=q_hat_u,
         n_input=n_input,
         g_diag=g_diag,

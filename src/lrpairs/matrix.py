@@ -19,6 +19,12 @@ I <= J closed, so an upper triangular matrix, whose other minors vanish, and
 the reduction's V table, which is read only there, are expanded on those
 pairs alone.  Its minors are dense coefficient lists truncated at the
 requested precision.
+
+Products with an inverse go through one adjugate engine, ``times_inverse``:
+a b^-1 = (a adj(b)) / det(b) from memoized cofactor minors, one division per
+entry.  ``inverse`` is its identity case, and what it returns records the
+matrix it inverted, so multiplying by the inverse of an inverse is a plain
+product.
 """
 
 from __future__ import annotations
@@ -49,9 +55,12 @@ def _as_tuple(indices) -> tuple:
 
 
 class RMatrix:
-    """Immutable square matrix of exact field elements."""
+    """Immutable square matrix of exact field elements.
 
-    __slots__ = ("r", "entries")
+    ``_inverse_of`` is None, or the matrix this one is the inverse of; only
+    ``inverse`` sets it."""
+
+    __slots__ = ("r", "entries", "_inverse_of")
 
     def __init__(self, rows):
         rows = tuple(tuple(_coerce_entry(e) for e in row) for row in rows)
@@ -63,6 +72,7 @@ class RMatrix:
                 raise InputError(f"matrix must be square, got a row of length {len(row)} in size {r}")
         self.r = r
         self.entries = rows
+        self._inverse_of = None
 
     @staticmethod
     def identity(r: int) -> "RMatrix":
@@ -474,25 +484,46 @@ class _MinorValues:
         return acc
 
 
-def inverse(m: RMatrix) -> RMatrix:
-    """Exact inverse over the field (adjugate divided by the determinant)."""
-    r = m.r
-    mv = _MinorValues(m)
+def times_inverse(a: RMatrix, b: RMatrix) -> RMatrix:
+    """Exact a b^-1 over the field, as (a adj(b)) / det(b).
+
+    The adjugate's cofactors come from memoized minors of b; a adj(b) is
+    formed first and each of its entries is divided by det(b) once.  When b
+    was returned by ``inverse``, b^-1 is the matrix it inverted and the
+    product is a b^-1 = a times that matrix, with no division at all."""
+    if a.r != b.r:
+        raise InputError(f"size mismatch in product: {a.r} vs {b.r}")
+    if b._inverse_of is not None:
+        return mat_mul(a, b._inverse_of)
+    r = b.r
+    mv = _MinorValues(b)
     full = tuple(range(1, r + 1))
     d = mv.value(full, full)
     if d.is_zero():
         raise RankError("matrix is singular, no inverse")
-    rows = []
-    for i in range(1, r + 1):
-        out = []
-        for j in range(1, r + 1):
-            sub = mv.value(tuple(x for x in full if x != j), tuple(x for x in full if x != i))
-            c = sub / d
-            if (i + j) % 2:
-                c = -c
-            out.append(c)
-        rows.append(out)
-    return RMatrix(rows)
+    adj = []
+    for i in full:
+        row = []
+        for j in full:
+            c = mv.value(full[:j - 1] + full[j:], full[:i - 1] + full[i:])
+            row.append(-c if (i + j) % 2 else c)
+        adj.append(row)
+    return RMatrix([[e / d for e in row]
+                    for row in mat_mul(a, RMatrix(adj)).entries])
+
+
+def inverse(m: RMatrix) -> RMatrix:
+    """Exact inverse over the field: ``times_inverse`` of the identity.
+
+    The result records m, so inverting it again returns m itself and
+    ``times_inverse(a, inverse(m))`` is the product a m.  Only the result
+    points back, never m, so no reference cycle forms; both are immutable,
+    so the record stays true."""
+    if m._inverse_of is not None:
+        return m._inverse_of
+    out = times_inverse(RMatrix.identity(m.r), m)
+    out._inverse_of = m
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -555,15 +586,22 @@ def invariant_partition(m: RMatrix) -> Partition:
     return Partition(tuple(reversed(orders)))
 
 
+def _mu_weights(mu: Partition, r: int) -> dict:
+    """|mu_S| for every index set S in 1..r, the empty set included."""
+    return {s: mu.sum_over(s) for s in _intervals(r)[0]}
+
+
 def _table_partition(table: dict, r: int, shift_mu=None):
     """Invariant partition read off a minor-order table: the minimal order
     among k-by-k minors is the k-th partial sum of the increasing invariant
     orders.  With shift_mu, reads the table of D_mu times the matrix through
-    row-weight shifts.  None when some size k has no finite minor."""
+    row-weight shifts, |mu_I| read once per row set.  None when some size k
+    has no finite minor."""
     best = [0] + [INFINITY] * r
+    weight = None if shift_mu is None else _mu_weights(shift_mu, r)
     for (i_set, _), v in table.items():
-        if shift_mu is not None:
-            v = v + shift_mu.sum_over(i_set)
+        if weight is not None:
+            v = v + weight[i_set]
         if v < best[len(i_set)]:
             best[len(i_set)] = v
     if INFINITY in best:

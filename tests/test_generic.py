@@ -16,8 +16,8 @@ from lrpairs.generic import (GroupElement, MatrixPair, act,
 import lrpairs.generic as generic_mod
 from lrpairs.extract import extract_from_pair
 from lrpairs.matrix import (RMatrix, det, diag_from_partition,
-                            invariant_partition, is_mu_admissible, mat_mul,
-                            minor_order_table)
+                            invariant_partition, inverse, is_mu_admissible,
+                            mat_mul, minor_order_table, times_inverse)
 from lrpairs.realize import random_filling, realize
 from lrpairs.ring import INFINITY, ONE, ZERO, RingElem
 from lrpairs.tableaux import Filling, Partition
@@ -72,7 +72,8 @@ def test_matrix_pair_basics():
 
 def test_identity_action_fixes_pair():
     pair = golden_pair()
-    assert act(GroupElement.identity(4), pair) == pair
+    eye = RMatrix.identity(4)
+    assert act(GroupElement(eye, eye, eye), pair) == pair
 
 
 def test_action_composition_law():
@@ -95,8 +96,9 @@ def test_action_preserves_all_three_invariants():
 
 def test_action_rejects_bad_elements():
     pair = golden_pair()
+    eye = RMatrix.identity(3)
     with pytest.raises(InputError):
-        act(GroupElement.identity(3), pair)
+        act(GroupElement(eye, eye, eye), pair)
     not_invertible = GroupElement(
         RMatrix.identity(4),
         diag_from_partition(Partition((1,)), 4),  # det = t, not a unit
@@ -106,7 +108,8 @@ def test_action_rejects_bad_elements():
 
 
 def test_group_element_json_and_invertibility():
-    g = GroupElement.identity(2)
+    eye = RMatrix.identity(2)
+    g = GroupElement(eye, eye, eye)
     assert set(g.to_json()) == {"p", "q", "t"}
     assert g.is_invertible_over_ring()
     bad = GroupElement(RMatrix([[t(1)]]), RMatrix([[ONE]]), RMatrix([[ONE]]))
@@ -141,14 +144,14 @@ def test_diagonalize_first_random_replay():
 
 def test_triangularize_upper_input_is_fixed():
     n = golden_n()
-    t_l, u, t_l_inv = triangularize_right(n)
+    t_l, u = triangularize_right(n)
     assert t_l == RMatrix.identity(4)
     assert u == n
 
 
 def test_triangularize_antidiagonal_is_column_reversal():
     anti = RMatrix([[ZERO, ZERO, ONE], [ZERO, ONE, ZERO], [ONE, ZERO, ZERO]])
-    t_l, u, t_l_inv = triangularize_right(anti)
+    t_l, u = triangularize_right(anti)
     assert u == RMatrix.identity(3)
     assert t_l == anti  # the reversal permutation is its own inverse
 
@@ -158,12 +161,11 @@ def test_triangularize_random_contract():
     for _ in range(20):
         r = rng.randint(1, 4)
         m = random_invertible(rng, r)
-        t_l, u, t_l_inv = triangularize_right(m)
+        t_l, u = triangularize_right(m)
         assert mat_mul(m, t_l) == u
         assert u.is_upper_triangular()
         assert t_l.is_over_ring()
         assert det(t_l).is_unit()
-        assert mat_mul(t_l, t_l_inv) == RMatrix.identity(r)
         assert invariant_partition(u) == invariant_partition(m)
 
 
@@ -326,10 +328,11 @@ def test_equation_cap_keeps_every_verdict(monkeypatch, units):
 def test_reduction_inverts_nothing(monkeypatch):
     """The reduction and the extraction never invert a matrix; the
     certificate's group element is built on first read and then kept."""
-    def no_inverse(m):
+    def no_inverse(*matrices):
         raise AssertionError("inverse called during the reduction")
 
     monkeypatch.setattr(generic_mod, "inverse", no_inverse)
+    monkeypatch.setattr(generic_mod, "times_inverse", no_inverse)
     pairs = [golden_pair(), _staircase_pair(4)]
     certs = [to_mu_generic(pairs[0], random.Random(42)),
              extract_from_pair(pairs[1], random.Random(1)).certificate]
@@ -348,6 +351,42 @@ def test_lazy_t_star_inverts_t_inv():
         cert = to_mu_generic(pair, rng)
         assert mat_mul(cert.t_star, cert.t_inv) == RMatrix.identity(pair.r)
         assert cert.group.t == cert.t_star
+
+
+def _copy(m):
+    """The same entries in a fresh matrix, which records no inverse."""
+    return RMatrix(m.entries)
+
+
+def test_replay_matches_record_free_route():
+    """act(cert.group, pair) multiplies by T_L T_U where T* records it; the
+    same group rebuilt from record-free copies inverts every component by
+    the adjugate.  Both land on cert.pair."""
+    rng = random.Random(13)
+    pairs = [golden_pair()] + [_staircase_pair(r) for r in range(3, 6)]
+    pairs += [realize(f, mu).pair()
+              for f, mu, _, _ in (random_filling(rng) for _ in range(20))]
+    for pair in pairs:
+        cert = to_mu_generic(pair, rng)
+        g = cert.group
+        fresh = GroupElement(_copy(g.p), _copy(g.q), _copy(g.t))
+        assert fresh.t == g.t and fresh.t._inverse_of is None
+        assert act(g, pair) == act(fresh, pair) == cert.pair
+
+
+def test_times_inverse_on_certificate_group():
+    """times_inverse against the product with the inverse, and back, on the
+    components of a scrambled pair's certificate group; T* also against its
+    record-free copy."""
+    rng = random.Random(61)
+    pair = act(random_group_element(rng, 4), golden_pair())
+    g = to_mu_generic(pair, rng).group
+    for a in (pair.first, pair.second, random_invertible(rng, 4)):
+        for b in (g.p, g.q, g.t):
+            got = times_inverse(a, b)
+            assert got == mat_mul(a, inverse(b))
+            assert mat_mul(got, b) == a
+        assert times_inverse(a, g.t) == times_inverse(a, _copy(g.t))
 
 
 def test_certificate_json_shape():

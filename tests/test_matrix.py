@@ -14,7 +14,8 @@ from lrpairs.matrix import (RMatrix, _poly_det, det, diag_from_partition,
                             has_unit_det, invariant_partition,
                             invariant_partition_oracle, inverse,
                             is_mu_admissible, lu_decompose, mat_mul, minor,
-                            minor_order, minor_order_table, smith_transforms)
+                            minor_order, minor_order_table, smith_transforms,
+                            times_inverse)
 from lrpairs.ring import INFINITY, ONE, ZERO, RingElem
 from lrpairs.tableaux import MAX_SIZE, Partition
 
@@ -433,6 +434,38 @@ def test_inverse_golden_and_random():
         assert mat_mul(m, inverse(m)) == RMatrix.identity(m.r)
     with pytest.raises(RankError):
         inverse(RMatrix([[ONE, ONE], [ONE, ONE]]))
+
+
+def test_times_inverse_is_product_with_inverse():
+    rng = random.Random(35)
+    mats = [golden_m(), golden_n()]
+    mats += [random_full_rank(rng, r, frac=True) for r in range(1, 5)]
+    for b in mats:
+        for a in (b, b.transpose(), random_full_rank(rng, b.r, frac=True)):
+            got = times_inverse(a, b)
+            assert got == mat_mul(a, inverse(b))
+            assert mat_mul(got, b) == a
+
+
+def test_inverse_of_inverse_is_its_source():
+    rng = random.Random(37)
+    for m in (golden_n(), random_full_rank(rng, 3, frac=True)):
+        inv = inverse(m)
+        assert inverse(inv) is m
+        assert inverse(inv) == m
+        assert m._inverse_of is None  # the record points one way only
+        a = random_full_rank(rng, m.r, frac=True)
+        assert times_inverse(a, inv) == mat_mul(a, m)
+
+
+def test_times_inverse_rejects_singular_and_mismatched():
+    singular = RMatrix([[ONE, ONE], [ONE, ONE]])
+    with pytest.raises(RankError):
+        times_inverse(RMatrix.identity(2), singular)
+    with pytest.raises(InputError):
+        times_inverse(RMatrix.identity(3), RMatrix.identity(2))
+    with pytest.raises(InputError):
+        times_inverse(RMatrix.identity(3), inverse(RMatrix.identity(2)))
 
 
 # ---------------------------------------------------------------------------
