@@ -7,9 +7,19 @@ partial order I <= H compares componentwise (i_s <= h_s for every position).
 The order of a minor is the valuation of its exact determinant, +infinity
 when the minor vanishes.
 
+Products stay fraction-free as far as their operands allow: ``mat_mul``
+sums the numerator products of an entry's terms as integer polynomials, one
+sum per pair of denominators, and reduces each sum once, so a product of
+polynomial matrices takes no gcd at all.
+
 Determinants are computed exactly: rows are first scaled by their
 denominators so the work happens on polynomials, then fraction-free Bareiss
-elimination runs at every size.
+elimination runs at every size.  The same engine, ``_bareiss``, gives the
+invariant partition: with the pivot of minimal order in the whole trailing
+block, its trailing entries are the field elimination's Schur complement
+times the previous pivot, so it picks the field reduction's pivots and the
+differences of their orders are the invariant orders, with no division in
+the field.
 Whether a determinant is a unit is read in the residue field instead
 (``has_unit_det``), which needs only the constant terms.
 ``minor_order_table`` batches every (I, J) minor order of a matrix through a
@@ -41,7 +51,10 @@ from .tableaux import MAX_SIZE, Partition, as_partition
 
 
 def _as_tuple(indices) -> tuple:
-    t = tuple(int(i) for i in indices)
+    t = tuple(indices)
+    for i in t:
+        if type(i) is not int:
+            raise InputError(f"index sets hold integers, got {i!r} in {indices!r}")
     for a, b in zip(t, t[1:]):
         if a >= b:
             raise InputError(f"index set must be strictly increasing, got {t}")
@@ -148,24 +161,52 @@ def _coerce_entry(e) -> RingElem:
 
 
 def mat_mul(a: RMatrix, b: RMatrix) -> RMatrix:
+    """Exact product a b, fraction-free per entry.
+
+    The terms x_ik y_kj of an entry are grouped by their denominator pair
+    (den x, den y); a group's numerator products num x num y are summed as
+    integer polynomials and become one element, reduced once, or built raw
+    when both denominators are 1.  The groups are then added in the ring.
+    A polynomial product therefore costs one dict accumulation per entry;
+    a group of one term with a denominator keeps the cross-cancelling ring
+    product x * y."""
     if a.r != b.r:
         raise InputError(f"size mismatch in product: {a.r} vs {b.r}")
-    r = a.r
+    cols = list(zip(*b.entries))
     rows = []
-    for i in range(r):
-        arow = a.entries[i]
+    for arow in a.entries:
         out = []
-        for j in range(r):
-            acc = ZERO
-            for k in range(r):
-                x = arow[k]
-                if x.is_zero():
+        for bcol in cols:
+            groups = []  # [den x, den y, terms (x, y)]
+            for x, y in zip(arow, bcol):
+                if not x.num or not y.num:
                     continue
-                y = b.entries[k][j]
-                if y.is_zero():
-                    continue
-                acc = acc + x * y
-            out.append(acc)
+                xd, yd = x.den, y.den
+                for g in groups:
+                    if (g[0] is xd or g[0] == xd) and (g[1] is yd or g[1] == yd):
+                        g[2].append((x, y))
+                        break
+                else:
+                    groups.append([xd, yd, [(x, y)]])
+            total = ZERO
+            for xd, yd, terms in groups:
+                polynomial = xd is _PONE and yd is _PONE
+                if len(terms) == 1 and not polynomial:
+                    e = terms[0][0] * terms[0][1]
+                else:
+                    acc = {}
+                    for x, y in terms:
+                        for d1, c1 in x.num.items():
+                            for d2, c2 in y.num.items():
+                                d = d1 + d2
+                                acc[d] = acc.get(d, 0) + c1 * c2
+                    num = {d: c for d, c in acc.items() if c}
+                    if not num:
+                        continue
+                    e = (RingElem(num, _PONE, _raw=True) if polynomial
+                         else RingElem(num, _pmul(xd, yd)))
+                total = e if total is ZERO else total + e
+            out.append(total)
         rows.append(out)
     return RMatrix(rows)
 
@@ -232,32 +273,64 @@ def _row_to_int(polys):
     return [{d: c // g for d, c in p.items()} for p in polys]
 
 
-def _poly_det(sub):
-    """Fraction-free elimination; every division is exact over Z[t]."""
-    k = len(sub)
-    a = [list(row) for row in sub]
+def _bareiss(a, find):
+    """Fraction-free elimination of the square grid a of integer polynomials,
+    in place (Bareiss, Math. Comp. 1968).
+
+    find(a, k) names the step-k pivot as a position (i, j) in the trailing
+    block a[k:][k:], or None to stop; row i and column j are swapped to k.
+    After step k every trailing entry is the (k+1)-minor of a bordered by
+    its row and column, which is the field elimination's Schur-complement
+    entry times the step-k pivot, so each division by the previous pivot is
+    exact over Z[t].  Returns (pivots, sign): pivots[k] is the leading
+    (k+1)-minor of the permuted grid and sign the parity of the swaps;
+    pivots stops early where find does."""
+    k_max = len(a)
+    pivots = []
     prev = _PONE
     sign = 1
-    for col in range(k - 1):
-        piv_row = None
-        for i in range(col, k):
-            if a[i][col]:
-                piv_row = i
-                break
-        if piv_row is None:
-            return {}
-        if piv_row != col:
-            a[col], a[piv_row] = a[piv_row], a[col]
+    for k in range(k_max):
+        pos = find(a, k)
+        if pos is None:
+            break
+        i, j = pos
+        if i != k:
+            a[k], a[i] = a[i], a[k]
             sign = -sign
-        piv = a[col][col]
-        for i in range(col + 1, k):
-            for j in range(col + 1, k):
-                num = _padd(_pmul(piv, a[i][j]), _pmul(a[i][col], a[col][j]), -1)
-                a[i][j] = _pdivexact_int(num, prev) if num else {}
-            a[i][col] = {}
+        if j != k:
+            for row in a:
+                row[k], row[j] = row[j], row[k]
+            sign = -sign
+        piv = a[k][k]
+        pivots.append(piv)
+        top = a[k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, k_max):
+                num = _padd(_pmul(piv, row[j]), _pmul(f, top[j]), -1)
+                if num and prev is not _PONE:
+                    num = _pdivexact_int(num, prev)
+                row[j] = num
+            row[k] = {}
         prev = piv
+    return pivots, sign
+
+
+def _first_nonzero_in_column(a, k):
+    for i in range(k, len(a)):
+        if a[i][k]:
+            return i, k
+    return None
+
+
+def _poly_det(sub):
+    """Determinant of a grid of integer polynomials, by ``_bareiss`` with
+    the first nonzero entry of each column as its pivot."""
+    pivots, sign = _bareiss([list(row) for row in sub], _first_nonzero_in_column)
+    if len(pivots) < len(sub):
+        return {}
     # _pscale copies, so at k = 1 the caller's entry is not handed back
-    return _pscale(a[k - 1][k - 1], sign)
+    return _pscale(pivots[-1], sign)
 
 
 def _validated_minor_indices(m, rows, cols):
@@ -300,7 +373,11 @@ def has_unit_det(m: RMatrix) -> bool:
         lcm = 1
         for e in row:
             if 0 in e.num:
-                lcm = lcm * e.den[0] // igcd(lcm, e.den[0])
+                d0 = e.den.get(0)
+                if d0 is None:
+                    # a reduced fraction whose den vanishes at 0 has order < 0
+                    raise NotInRingError(f"entry {e} has negative order")
+                lcm = lcm * d0 // igcd(lcm, d0)
         grid.append([{0: e.num[0] * (lcm // e.den[0])} if 0 in e.num else {}
                      for e in row])
     return bool(_poly_det(grid))
@@ -535,21 +612,29 @@ def _require_over_ring(m: RMatrix, what: str):
         raise NotInRingError(f"{what} must have entries of non-negative order")
 
 
+def _min_order_entry(work, k, order):
+    """(order, row, column) of the first entry of minimal order in the
+    trailing block work[k:][k:], in row-major order; None when the block is
+    zero.  order maps a nonzero entry to its order: ``RingElem.valuation``,
+    or ``min`` on a polynomial dict."""
+    best = None
+    for i in range(k, len(work)):
+        row = work[i]
+        for j in range(k, len(row)):
+            e = row[j]
+            if e:
+                v = order(e)
+                if best is None or v < best[0]:
+                    best = (v, i, j)
+    return best
+
+
 def _place_pivot(work, k):
-    """Swap an entry of minimal order in the trailing block work[k:][k:] (the
-    first one in row-major order) to position (k, k).
+    """Swap the first entry of minimal order in the trailing block
+    work[k:][k:] to position (k, k).
 
     Returns (order, row, column) of the entry before the swap."""
-    r = len(work)
-    best = None
-    for i in range(k, r):
-        for j in range(k, r):
-            e = work[i][j]
-            if e.is_zero():
-                continue
-            v = e.valuation()
-            if best is None or v < best[0]:
-                best = (v, i, j)
+    best = _min_order_entry(work, k, RingElem.valuation)
     if best is None:
         raise RankError("matrix is rank deficient")
     _, bi, bj = best
@@ -560,30 +645,34 @@ def _place_pivot(work, k):
     return best
 
 
+def _min_order_pivot(a, k):
+    best = _min_order_entry(a, k, min)
+    return None if best is None else best[1:]
+
+
 def invariant_partition(m: RMatrix) -> Partition:
     """Decreasing orders of the diagonal form of m under unimodular row and
     column operations over the valuation ring.
 
-    The classic reduction: pick an entry of minimal order (first in row-major
-    order), it divides the rest of its row and column exactly, clear both and
-    recurse on the remaining block.  Requires full rank and entries of
-    non-negative order.
+    The classic reduction picks an entry of minimal order (first in
+    row-major order), clears its row and column, and recurses on the Schur
+    complement; the orders of its pivots are the invariant orders.  Here it
+    runs fraction-free, as ``_bareiss`` on the cleared integer grid (rows
+    scaled by their denominators, units over the ring, so no order moves).
+    There every trailing entry is the Schur-complement entry times the
+    previous pivot, one factor for the whole block, so the minimal-order
+    positions, and hence the pivots chosen, are the field reduction's; the
+    k-th invariant order is v_k - v_(k-1) for v_k the order of the k-th
+    Bareiss pivot.  No ring division happens.  Requires full rank and
+    entries of non-negative order.
     """
     _require_over_ring(m, "matrix")
-    r = m.r
-    work = [list(row) for row in m.entries]
-    orders = []
-    for k in range(r):
-        v, _, _ = _place_pivot(work, k)
-        piv = work[k][k]
-        # the pivot has minimal order, so these quotients stay in the ring;
-        # clearing the pivot row afterwards would not touch the trailing block
-        for i in range(k + 1, r):
-            f = work[i][k] / piv
-            if not f.is_zero():
-                work[i] = [a - f * b for a, b in zip(work[i], work[k])]
-        orders.append(v)
-    return Partition(tuple(reversed(orders)))
+    grid, _ = _cleared_grid(m)
+    pivots, _ = _bareiss(grid, _min_order_pivot)
+    if len(pivots) < m.r:
+        raise RankError("matrix is rank deficient")
+    orders = [min(p) for p in pivots]
+    return Partition(tuple(reversed([v - u for u, v in zip([0] + orders, orders)])))
 
 
 def _mu_weights(mu: Partition, r: int) -> dict:

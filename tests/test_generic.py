@@ -1,5 +1,7 @@
 """Group action, triangularization, and the mu-generic reduction pipeline."""
 
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -387,6 +389,44 @@ def test_times_inverse_on_certificate_group():
             assert got == mat_mul(a, inverse(b))
             assert mat_mul(got, b) == a
         assert times_inverse(a, g.t) == times_inverse(a, _copy(g.t))
+
+
+def _replay_certificates():
+    """The scrambled golden pair's certificate and the staircase ones at
+    r = 3..5, keyed by a label."""
+    rng = random.Random(61)
+    pair = act(random_group_element(rng, 4), golden_pair())
+    certs = {"scrambled_golden": to_mu_generic(pair, rng)}
+    for r in range(3, 6):
+        certs[f"staircase_r{r}"] = to_mu_generic(_staircase_pair(r), random.Random(r))
+    return certs
+
+
+def _json_sha256(doc):
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# sha256 of the replay group and of T*, as canonical JSON; the CLI digests
+# never see either, and every product in them goes through mat_mul
+REPLAY_SHA256 = {
+    "scrambled_golden.group": "6e2c2009d10686395d12f5e6dc81bc449d78e2598ffbea16f2a4107ff8b06eb0",
+    "scrambled_golden.t_star": "3bd60575f6991e6048fdfb2eadfa76cb3522fbbcd537f0347a6542ceaf880c3f",
+    "staircase_r3.group": "0edd3e6b771d824b0d3677c55e0e369792b2aa482bc5e3cf81c76e9b0006e3c7",
+    "staircase_r3.t_star": "5b0c22ca847ce4dad44a3cc6d0132c9d2aafb83da09f2087cb482a813e148326",
+    "staircase_r4.group": "19f8a15e078b7e95545782dedbcd5d47e594e6070e6a11626c2274be26ba5071",
+    "staircase_r4.t_star": "0568795d0b8860bf200cd23ea5ed4187bca286202b0c9af699625fbd91cbd002",
+    "staircase_r5.group": "5fcb5b3f3c203c779b36c53746b5c803c0d188c94db100577dc7e6398d797ff8",
+    "staircase_r5.t_star": "f6bc6157ec671aa7aa3305f60b973c4b3c38961276a2df23d3839f2d9f895f3e",
+}
+
+
+def test_replay_group_digests():
+    got = {}
+    for label, cert in _replay_certificates().items():
+        got[f"{label}.group"] = _json_sha256(cert.group.to_json())
+        got[f"{label}.t_star"] = _json_sha256(cert.t_star.to_json())
+    assert got == REPLAY_SHA256
 
 
 def test_certificate_json_shape():

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lrpairs.errors import (InputError, NotInRingError, PrincipalMinorError,
                             RankError)
@@ -95,6 +95,66 @@ def test_matmul_golden():
     assert n1 @ n2 @ n3 @ n4 == golden_n()
 
 
+def mat_mul_by_terms(a, b):
+    """Reference product: every entry the ring sum of its terms x * y."""
+    return RMatrix([[sum((x * y for x, y in zip(row, col)), ZERO)
+                     for col in zip(*b.entries)] for row in a.entries])
+
+
+@st.composite
+def product_operands(draw):
+    """(a, b) with no denominators, one shared denominator per row of a or
+    per column of b, or denominators drawn per entry; +-1 coefficients on
+    low degrees make terms cancel, and some rows of a and columns of b are
+    zero."""
+    r = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("none", "row", "column", "mixed")))
+    dens = [ONE + c(k) * t(1) for k in (1, -2, 3)] + [c(2), c(3) + t(2)]
+
+    def poly():
+        terms = draw(st.lists(st.tuples(st.sampled_from((1, -1, 2)),
+                                        st.integers(0, 2)), max_size=2))
+        return RingElem.from_terms(terms)
+
+    def grid(shared):
+        rows = [[poly() for _ in range(r)] for _ in range(r)]
+        if draw(st.booleans()):
+            rows[draw(st.integers(0, r - 1))] = [ZERO] * r
+        if shared:
+            for row in rows:
+                d = draw(st.sampled_from(dens))
+                row[:] = [e / d for e in row]
+        elif kind == "mixed":
+            rows = [[e / draw(st.sampled_from(dens + [ONE])) for e in row]
+                    for row in rows]
+        return RMatrix(rows)
+
+    a = grid(kind == "row")
+    b = grid(kind == "column").transpose()
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_operands())
+def test_mat_mul_agrees_with_termwise_sum(ab):
+    a, b = ab
+    assert mat_mul(a, b) == mat_mul_by_terms(a, b)
+
+
+def test_mat_mul_cancelling_terms():
+    """Terms that cancel inside a polynomial group, inside a group with a
+    denominator, and across two groups with the same product denominator."""
+    u = ONE + t(1)
+    a = RMatrix([[ONE, ONE, ZERO], [ONE / u, ONE / u, ONE], [ZERO] * 3])
+    b = RMatrix([[t(2), ONE, ONE / u], [-t(2), -ONE / t(1), ZERO],
+                 [ZERO, ZERO, -ONE / (u * u)]])
+    got = mat_mul(a, b)
+    assert got == mat_mul_by_terms(a, b)
+    assert got.entry(1, 1) == got.entry(2, 1) == got.entry(2, 3) == ZERO
+    assert got.entry(1, 2) == ONE - ONE / t(1)
+    assert got.entries[2] == (ZERO,) * 3
+
+
 def test_transpose_and_predicates():
     n = golden_n()
     assert n.is_upper_triangular()
@@ -167,6 +227,20 @@ def test_minor_golden_kept_orders():
         k = len(rows)
         cols = tuple(range(4 - k + 1, 5))
         assert minor_order(n, rows, cols) == want, rows
+
+
+@pytest.mark.parametrize("rows, cols", [
+    ((1.9,), (2.2,)),   # would read the (1, 2) minor after int()
+    ("12", "12"),       # would read the full 2x2 minor
+    ((True,), (1,)),    # would read row 1
+    ((1,), (2.0,)),
+])
+def test_minor_rejects_non_integer_indices(rows, cols):
+    m = golden_n()
+    with pytest.raises(InputError):
+        minor_order(m, rows, cols)
+    with pytest.raises(InputError):
+        minor(m, rows, cols)
 
 
 def test_minor_empty_and_full():
@@ -388,6 +462,55 @@ def test_invariant_partition_random_cross_validation():
         assert invariant_partition(m) == invariant_partition_oracle(m)
 
 
+@st.composite
+def unit_denominator_matrices(draw, max_r=5):
+    """Entries c t^a / u with u a unit (a constant or 1 + b t), orders 0..2
+    so that invariant orders repeat; full rank."""
+    r = draw(st.integers(1, max_r))
+    rows = []
+    for _ in range(r):
+        row = []
+        for _ in range(r):
+            if draw(st.integers(0, 4)) == 0:
+                row.append(ZERO)
+                continue
+            e = c(draw(st.integers(1, 5)) * draw(st.sampled_from((1, -1)))) \
+                * t(draw(st.integers(0, 2)))
+            u = draw(st.sampled_from((ONE, c(3), ONE + t(1), c(2) - c(5) * t(1))))
+            row.append(e / u)
+        rows.append(row)
+    m = RMatrix(rows)
+    assume(not det(m).is_zero())
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(unit_denominator_matrices())
+def test_invariant_partition_agrees_with_oracle(m):
+    assert invariant_partition(m) == invariant_partition_oracle(m)
+
+
+def test_invariant_partition_repeated_orders():
+    rng = random.Random(19)
+    for parts in ((2, 2, 1, 1, 0), (3, 3, 3), (1, 1, 1, 1, 1), (4, 2, 2, 0, 0)):
+        r = len(parts)
+        d = RMatrix.diagonal([t(k) for k in parts])
+        # constant full-rank P and Q are invertible over the ring
+        p, q = random_full_rank(rng, r, max_order=0), random_full_rank(rng, r, max_order=0)
+        m = mat_mul(mat_mul(p, d), q)
+        want = Partition(tuple(k for k in parts if k))
+        assert invariant_partition(m) == invariant_partition_oracle(m) == want
+
+
+def test_invariant_partition_divides_nothing(monkeypatch):
+    def no_division(self, other):
+        raise AssertionError("ring division in invariant_partition")
+
+    monkeypatch.setattr(RingElem, "__truediv__", no_division)
+    assert invariant_partition(golden_mn()) == LAM
+    assert invariant_partition(golden_n()) == NU
+
+
 # ---------------------------------------------------------------------------
 # smith transforms
 
@@ -589,3 +712,12 @@ def test_residue_unit_test_agrees_with_exact_determinant():
         assert has_unit_det(f) == det(f).is_unit()
     assert not has_unit_det(RMatrix.diagonal([ONE, t(1), ONE]))
     assert not has_unit_det(RMatrix([[ZERO, ZERO], [ONE, t(2)]]))
+
+
+@pytest.mark.parametrize("rows", [
+    [[ONE / t(1)]],
+    [[(ONE + t(1)) / t(1), ONE], [ZERO, ONE]],
+])
+def test_has_unit_det_rejects_negative_order(rows):
+    with pytest.raises(NotInRingError):
+        has_unit_det(RMatrix(rows))

@@ -1,18 +1,23 @@
-"""The ring arithmetic checked against sympy's rational-function cancel, and
-minor orders against sympy determinants.
+"""The ring arithmetic checked against sympy's rational-function cancel,
+minor orders against sympy determinants, and invariant partitions against
+sympy's invariant factors over Q[t].
 
 Skipped when sympy is not installed."""
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from lrpairs.matrix import minor_order_table  # noqa: E402
-from lrpairs.ring import INFINITY  # noqa: E402
+from lrpairs.matrix import (RMatrix, invariant_partition,  # noqa: E402
+                            minor_order_table)
+from lrpairs.ring import INFINITY, RingElem  # noqa: E402
+from lrpairs.tableaux import Partition  # noqa: E402
 from test_matrix import all_pairs, shifted_matrices  # noqa: E402
 from test_ring import planted_pairs  # noqa: E402
+
+from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 
 t = sympy.Symbol("t")
 
@@ -67,3 +72,24 @@ def test_minor_orders_agree_with_sympy_determinants(m):
             continue
         sub = grid.extract([i - 1 for i in rows], [j - 1 for j in cols])
         assert table[(rows, cols)] == sympy_order(sub.det()), (rows, cols)
+
+
+@st.composite
+def polynomial_matrices(draw, max_r=4):
+    """Integer polynomial entries of degree <= 3 with small coefficients."""
+    r = draw(st.integers(1, max_r))
+    terms = st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 3)), max_size=3)
+    return RMatrix([[RingElem.from_terms(draw(terms)) for _ in range(r)]
+                    for _ in range(r)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(polynomial_matrices())
+def test_invariant_partition_agrees_with_sympy_invariant_factors(m):
+    """Over Q[t] the Smith invariants d_1 | ... | d_r; over the valuation
+    ring each becomes t^(order of d_i at t = 0)."""
+    grid = sympy.Matrix([[to_sympy(e.num) for e in row] for row in m.entries])
+    assume(grid.det() != 0)
+    factors = invariant_factors(grid, domain=sympy.QQ[t])
+    orders = sorted((sympy_order(f) for f in factors), reverse=True)
+    assert invariant_partition(m) == Partition(tuple(orders))
