@@ -14,12 +14,13 @@ polynomial matrices takes no gcd at all.
 
 Determinants are computed exactly: rows are first scaled by their
 denominators so the work happens on polynomials, then fraction-free Bareiss
-elimination runs at every size.  The same engine, ``_bareiss``, gives the
-invariant partition: with the pivot of minimal order in the whole trailing
-block, its trailing entries are the field elimination's Schur complement
-times the previous pivot, so it picks the field reduction's pivots and the
-differences of their orders are the invariant orders, with no division in
-the field.
+elimination runs at every size.  Every exact minor comes from this one
+engine, ``_bareiss``.  It gives the LU factors, read off one pass without
+pivoting, and the invariant partition: with the pivot of minimal order in
+the whole trailing block, its trailing entries are the field elimination's
+Schur complement times the previous pivot, so it picks the field
+reduction's pivots and the differences of their orders are the invariant
+orders, with no division in the field.
 Whether a determinant is a unit is read in the residue field instead
 (``has_unit_det``), which needs only the constant terms.
 ``minor_order_table`` batches every (I, J) minor order of a matrix through a
@@ -31,7 +32,7 @@ pairs alone.  Its minors are dense coefficient lists truncated at the
 requested precision.
 
 Products with an inverse go through one adjugate engine, ``times_inverse``:
-a b^-1 = (a adj(b)) / det(b) from memoized cofactor minors, one division per
+a b^-1 = (a adj(b)) / det(b) with Bareiss cofactors, one division per
 entry.  ``inverse`` is its identity case, and what it returns records the
 matrix it inverted, so multiplying by the inverse of an inverse is a plain
 product.
@@ -223,14 +224,15 @@ def diag_from_partition(mu, r: int) -> RMatrix:
 # exact minors
 
 def _clear_row(row):
-    """Numerators of a row scaled by the product of its distinct denominators
-    (constant ones included), together with those denominators."""
+    """Numerators of a row scaled by the product c of its distinct
+    denominators (constant ones included), together with c (``_PONE`` when
+    the row has none)."""
     dens = []
     for e in row:
         if e.den is not _PONE and e.den not in dens:
             dens.append(e.den)
     if not dens:
-        return [e.num for e in row], dens
+        return [e.num for e in row], _PONE
     cleared = []
     for e in row:
         p = e.num
@@ -238,7 +240,10 @@ def _clear_row(row):
             if d != e.den:
                 p = _pmul(p, d)
         cleared.append(p)
-    return cleared, dens
+    c = dens[0]
+    for d in dens[1:]:
+        c = _pmul(c, d)
+    return cleared, c
 
 
 def _cleared_grid(m: RMatrix):
@@ -252,9 +257,9 @@ def _cleared_grid(m: RMatrix):
     grid = []
     shifts = []
     for row in m.entries:
-        cleared, dens = _clear_row(row)
+        cleared, c = _clear_row(row)
         grid.append(_row_to_int(cleared))
-        shifts.append(sum(min(d) for d in dens))
+        shifts.append(min(c))
     return grid, shifts
 
 
@@ -282,9 +287,11 @@ def _bareiss(a, find):
     After step k every trailing entry is the (k+1)-minor of a bordered by
     its row and column, which is the field elimination's Schur-complement
     entry times the step-k pivot, so each division by the previous pivot is
-    exact over Z[t].  Returns (pivots, sign): pivots[k] is the leading
-    (k+1)-minor of the permuted grid and sign the parity of the swaps;
-    pivots stops early where find does."""
+    exact over Z[t].  Column k below the pivot keeps the step's multipliers,
+    each the leading k-minor bordered by its row and column k; LU reads them.
+    Returns (pivots, sign): pivots[k] is the leading (k+1)-minor of the
+    permuted grid and sign the parity of the swaps; pivots stops early where
+    find does."""
     k_max = len(a)
     pivots = []
     prev = _PONE
@@ -311,7 +318,6 @@ def _bareiss(a, find):
                 if num and prev is not _PONE:
                     num = _pdivexact_int(num, prev)
                 row[j] = num
-            row[k] = {}
         prev = piv
     return pivots, sign
 
@@ -352,10 +358,9 @@ def minor(m: RMatrix, rows, cols) -> RingElem:
     correction = _PONE
     sub = []
     for i in rows:
-        cleared, dens = _clear_row([m.entries[i - 1][j - 1] for j in cols])
+        cleared, c = _clear_row([m.entries[i - 1][j - 1] for j in cols])
         sub.append(cleared)
-        for d in dens:
-            correction = _pmul(correction, d)
+        correction = _pmul(correction, c)
     det_poly = _poly_det(sub)
     if not det_poly:
         return ZERO
@@ -533,56 +538,27 @@ def minor_order_table(m: RMatrix, cap=None, *, comparable_only=False) -> dict:
     return orders
 
 
-class _MinorValues:
-    """Memoized exact minors of one matrix, for LU quotients and inverses."""
-
-    def __init__(self, m: RMatrix):
-        self.m = m
-        self.memo = {((), ()): ONE}
-
-    def value(self, rows: tuple, cols: tuple) -> RingElem:
-        key = (rows, cols)
-        got = self.memo.get(key)
-        if got is not None:
-            return got
-        i0 = rows[0]
-        rest = rows[1:]
-        acc = ZERO
-        sign = 1
-        for pos, j in enumerate(cols):
-            e = self.m.entries[i0 - 1][j - 1]
-            if not e.is_zero():
-                sub = self.value(rest, cols[:pos] + cols[pos + 1:])
-                if not sub.is_zero():
-                    term = e * sub
-                    acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-        self.memo[key] = acc
-        return acc
-
-
 def times_inverse(a: RMatrix, b: RMatrix) -> RMatrix:
     """Exact a b^-1 over the field, as (a adj(b)) / det(b).
 
-    The adjugate's cofactors come from memoized minors of b; a adj(b) is
-    formed first and each of its entries is divided by det(b) once.  When b
-    was returned by ``inverse``, b^-1 is the matrix it inverted and the
-    product is a b^-1 = a times that matrix, with no division at all."""
+    det(b) and the adjugate's cofactors are minors of b, from ``_bareiss``;
+    a adj(b) is formed first and each of its entries is divided by det(b)
+    once.  When b was returned by ``inverse``, b^-1 is the matrix it
+    inverted and the product is a b^-1 = a times that matrix, with no
+    division at all."""
     if a.r != b.r:
         raise InputError(f"size mismatch in product: {a.r} vs {b.r}")
     if b._inverse_of is not None:
         return mat_mul(a, b._inverse_of)
-    r = b.r
-    mv = _MinorValues(b)
-    full = tuple(range(1, r + 1))
-    d = mv.value(full, full)
+    d = det(b)
     if d.is_zero():
         raise RankError("matrix is singular, no inverse")
+    full = tuple(range(1, b.r + 1))
     adj = []
     for i in full:
         row = []
         for j in full:
-            c = mv.value(full[:j - 1] + full[j:], full[:i - 1] + full[i:])
+            c = minor(b, full[:j - 1] + full[j:], full[:i - 1] + full[i:])
             row.append(-c if (i + j) % 2 else c)
         adj.append(row)
     return RMatrix([[e / d for e in row]
@@ -819,34 +795,33 @@ def smith_transforms(m: RMatrix):
 # LU decomposition and admissibility
 
 
+def _leading_pivot(a, k):
+    return (k, k) if a[k][k] else None
+
+
 def lu_decompose(a: RMatrix):
     """A = B @ C with B unit lower triangular and C upper triangular.
 
-    Entries come from quotients of bordered leading minors, so every leading
-    principal minor must be nonzero; the first k where it vanishes is
-    reported.  The diagonal of B is normalized to 1.
+    Entries are quotients of bordered leading minors, read off one
+    ``_bareiss`` pass without pivoting on the rows cleared of their
+    denominators (Zhou and Jeffrey, 2008).  With c_g the scale of row g and
+    p_k the k-th pivot (p_0 = 1), the pass leaves a_gk below the diagonal and
+    a_kg on and above it, and B_gk = a_gk c_k / (p_k c_g), C_kg =
+    a_kg / (p_(k-1) c_k).  Every leading principal minor must be nonzero;
+    the first k where one vanishes is reported.
     """
     r = a.r
-    mv = _MinorValues(a)
-    lead = tuple(range(1, r + 1))
-    d = [ONE]
-    for k in range(1, r + 1):
-        v = mv.value(lead[:k], lead[:k])
-        if v.is_zero():
-            raise PrincipalMinorError(k)
-        d.append(v)
-    b_rows = []
-    c_rows = []
-    for g in range(1, r + 1):
-        b_rows.append([
-            (mv.value(lead[:k - 1] + (g,), lead[:k]) / d[k]) if g >= k else ZERO
-            for k in range(1, r + 1)
-        ])
-    for k in range(1, r + 1):
-        c_rows.append([
-            (mv.value(lead[:k], lead[:k - 1] + (g,)) / d[k - 1]) if g >= k else ZERO
-            for g in range(1, r + 1)
-        ])
+    grid, scales = zip(*(_clear_row(row) for row in a.entries))
+    pivots, _ = _bareiss(list(grid), _leading_pivot)
+    if len(pivots) < r:
+        raise PrincipalMinorError(len(pivots) + 1)
+    b_rows = [[RingElem(_pmul(grid[g][k], scales[k]), _pmul(pivots[k], scales[g]))
+               if k < g else ONE if k == g else ZERO for k in range(r)]
+              for g in range(r)]
+    prev = [_PONE] + pivots
+    c_rows = [[RingElem(grid[k][g], _pmul(prev[k], scales[k])) if g >= k else ZERO
+               for g in range(r)]
+              for k in range(r)]
     return RMatrix(b_rows), RMatrix(c_rows)
 
 

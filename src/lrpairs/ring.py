@@ -303,10 +303,7 @@ class RingElem:
         """Constant polynomial from an int, Fraction or fraction string."""
         if isinstance(c, RingElem):
             return c
-        if isinstance(c, str):
-            c = Fraction(c)
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError(f"cannot build a ring constant from {type(c).__name__}")
+        c = _coefficient(c)
         if c == 0:
             return _ZERO
         if isinstance(c, int):
@@ -323,12 +320,13 @@ class RingElem:
 
     @staticmethod
     def from_terms(terms) -> "RingElem":
-        """Polynomial from (coefficient, degree) pairs."""
+        """Polynomial from (coefficient, degree) pairs: an int, Fraction or
+        fraction string at a non-negative int degree."""
         num: dict = {}
         for c, d in terms:
-            if isinstance(c, str):
-                c = Fraction(c)
-            s = num.get(d, 0) + c
+            if type(d) is not int or d < 0:
+                raise InputError(f"degrees are non-negative integers, got {d!r}")
+            s = num.get(d, 0) + _coefficient(c)
             if s:
                 num[d] = s
             else:
@@ -492,6 +490,16 @@ class RingElem:
         if not den:
             raise InputError("ring element denominator is zero")
         return _from_rational(num, den)
+
+
+def _coefficient(c):
+    """An int or Fraction as given, a fraction string parsed; anything else,
+    bool included, raises TypeError."""
+    if isinstance(c, str):
+        c = Fraction(c)
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+        raise TypeError(f"cannot build a coefficient from {type(c).__name__}")
+    return c
 
 
 def _coerce(x):

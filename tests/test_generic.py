@@ -407,8 +407,9 @@ def _json_sha256(doc):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# sha256 of the replay group and of T*, as canonical JSON; the CLI digests
-# never see either, and every product in them goes through mat_mul
+# sha256 of the replay group, of T* and of the LU factors Q_hat_L, Q_hat_U,
+# as canonical JSON; the CLI digests never see any of them, and every
+# product in the group and in T* goes through mat_mul
 REPLAY_SHA256 = {
     "scrambled_golden.group": "6e2c2009d10686395d12f5e6dc81bc449d78e2598ffbea16f2a4107ff8b06eb0",
     "scrambled_golden.t_star": "3bd60575f6991e6048fdfb2eadfa76cb3522fbbcd537f0347a6542ceaf880c3f",
@@ -418,6 +419,14 @@ REPLAY_SHA256 = {
     "staircase_r4.t_star": "0568795d0b8860bf200cd23ea5ed4187bca286202b0c9af699625fbd91cbd002",
     "staircase_r5.group": "5fcb5b3f3c203c779b36c53746b5c803c0d188c94db100577dc7e6398d797ff8",
     "staircase_r5.t_star": "f6bc6157ec671aa7aa3305f60b973c4b3c38961276a2df23d3839f2d9f895f3e",
+    "scrambled_golden.q_hat_l": "a6b58b6f9e717c57150b44a5190a4123d7c762a2acf50fb77a8b58fe953c741d",
+    "scrambled_golden.q_hat_u": "e702793ea5d78f24943c82b5133c9b7ee274e98f75a9917f8cbcec4197e1d765",
+    "staircase_r3.q_hat_l": "022453ece27f091ac6d52954419c3c6ab53fdc7d056488a5680a639c9c25da3c",
+    "staircase_r3.q_hat_u": "1fad4b1444f3bc6076bd42fe20dc20ffb576076d7660266a7be29305a8a38a56",
+    "staircase_r4.q_hat_l": "386eef05512f0130010e8482f258789117658db419fcbb0bc2628e45088eb1ba",
+    "staircase_r4.q_hat_u": "c53686eeef1a5281e470a3c2c40f848b4763663696e78ae606a39690bd7728d0",
+    "staircase_r5.q_hat_l": "6fbd95d3ce053378dc149063c76dec92c5efb00c30cb5476b76af035de54aa2d",
+    "staircase_r5.q_hat_u": "63a101be8754189cf4d885b1ffd95affb81ac2b0893e11e1f488a2ccaf3943f5",
 }
 
 
@@ -426,6 +435,8 @@ def test_replay_group_digests():
     for label, cert in _replay_certificates().items():
         got[f"{label}.group"] = _json_sha256(cert.group.to_json())
         got[f"{label}.t_star"] = _json_sha256(cert.t_star.to_json())
+        got[f"{label}.q_hat_l"] = _json_sha256(cert.q_hat_l.to_json())
+        got[f"{label}.q_hat_u"] = _json_sha256(cert.q_hat_u.to_json())
     assert got == REPLAY_SHA256
 
 

@@ -619,11 +619,23 @@ def test_lu_of_upper_triangular_is_trivial():
     assert cmat == n
 
 
-def test_lu_vanishing_principal_minor():
-    m = RMatrix([[ZERO, ONE], [ONE, ZERO]])
+_A = ONE / (ONE + t(1))
+
+
+@pytest.mark.parametrize("rows, k", [
+    ([[ZERO, ONE], [ONE, ZERO]], 1),
+    # rows 1 and 2 agree on the first two columns
+    ([[t(1), ONE, ZERO], [t(1), ONE, t(1)], [ONE, ZERO, ONE]], 2),
+    # row 3 is row 1 plus row 2 on the first three columns; det = -t/(1+t)
+    ([[_A, ZERO, ONE, ZERO], [ZERO, t(1), ZERO, ZERO], [_A, t(1), ONE, ONE],
+      [ZERO, ZERO, ONE, ZERO]], 3),
+], ids=["k1", "k2", "k3-denominators"])
+def test_lu_vanishing_principal_minor(rows, k):
+    m = RMatrix(rows)
+    assert not det(m).is_zero()
     with pytest.raises(PrincipalMinorError) as exc:
         lu_decompose(m)
-    assert exc.value.k == 1
+    assert exc.value.k == k
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,37 @@ def test_const_rejects_junk():
         RingElem.const(1.5)
 
 
+def test_const_rejects_a_bool():
+    # True is an int to isinstance, and used to become the coefficient "True"
+    with pytest.raises(TypeError):
+        RingElem.const(True)
+
+
 def test_from_terms_merges_and_cancels():
     assert poly((1, 2), (2, 2)) == poly((3, 2))
     assert poly((1, 1), (-1, 1)).is_zero()
     assert poly(("1/2", 0), ("1/2", 0)) == ONE
+
+
+def test_from_terms_rejects_a_negative_degree():
+    with pytest.raises(InputError):
+        RingElem.from_terms([(1, -1)])
+
+
+def test_from_terms_rejects_a_non_integer_degree():
+    for d in (1.0, True, "2"):
+        with pytest.raises(InputError):
+            RingElem.from_terms([(1, d)])
+
+
+def test_from_terms_rejects_a_float_coefficient():
+    with pytest.raises(TypeError):
+        RingElem.from_terms([(1.5, 0)])
+
+
+def test_from_terms_rejects_a_bool_coefficient():
+    with pytest.raises(TypeError):
+        RingElem.from_terms([(True, 0)])
 
 
 def test_reduction_cancels_common_factors():
