@@ -20,8 +20,8 @@ certificate's ``t_star`` = (T_L T_U)^-1 and ``group``, which only a replay
 ``act(cert.group, pair)`` needs, are built on first read, so no reduction
 attempt inverts a matrix.  ``t_star`` is the adjugate inverse of the
 polynomial matrix T_L T_U and records it, so the replay's Q N T*^-1 is the
-exact product Q N T_L T_U; only P M Q^-1 divides, once per entry, in
-``matrix.times_inverse``.
+exact product Q N T_L T_U; only P M Q^-1 has a denominator to form, one
+factor per column, in ``matrix.times_inverse``.
 """
 
 from __future__ import annotations
@@ -34,13 +34,13 @@ from .errors import (GenericityError, InputError, PrincipalMinorError,
                      RankError, RetriesExhaustedError)
 # det is unused here but stays importable as lrpairs.generic.det, an import
 # site that perfbench's tracer self-test checks
-from .matrix import (RMatrix, _between, _cleaning_unit, _comparable_pairs,
-                     _intervals, _mu_weights, _table_partition, det,
-                     diag_from_partition, has_unit_det, inverse,
-                     invariant_partition, is_mu_admissible, lu_decompose,
-                     mat_mul, minor_order, minor_order_table, smith_transforms,
-                     times_inverse)
-from .ring import INFINITY, ONE, ZERO, RingElem, random_unit
+from .matrix import (RMatrix, _bareiss, _between, _clean, _clear_row,
+                     _comparable_pairs, _intervals, _mu_weights,
+                     _table_partition, det, diag_from_partition, has_unit_det,
+                     inverse, invariant_partition, is_mu_admissible,
+                     lu_decompose, mat_mul, minor_order, minor_order_table,
+                     smith_transforms, times_inverse)
+from .ring import _PONE, INFINITY, ONE, ZERO, RingElem, _pmul, random_unit
 from .tableaux import Partition, as_partition
 
 
@@ -262,9 +262,9 @@ def diagonalize_first(pair: MatrixPair):
     units = []
     rows = []
     for row in n_input.entries:
-        u = _cleaning_unit(row)
+        cleaned, u = _clean(*_clear_row(row))
         units.append(u)
-        rows.append([e * u for e in row] if u != ONE else list(row))
+        rows.append(cleaned)
     if any(u != ONE for u in units):
         du = RMatrix([[units[i] if i == j else ZERO for j in range(r)]
                       for i in range(r)])
@@ -281,57 +281,46 @@ def triangularize_right(a: RMatrix):
     Returns (T_L, U).  Rows are processed bottom-up; in each row the pivot
     is the minimal-order entry among the still-available columns (ties
     broken rightwards), swapped into place and used to clear the columns to
-    its left.  Shears divide by the pivot, keeping entries in reduced form;
-    afterwards every column is scaled by the unit clearing denominators and
-    integer content, so T_L and U are small and polynomial whenever the input
-    is over the ring.  T_L is a permutation times a lower triangular matrix,
-    invertible over the ring with unit determinant.
+    its left.  This is ``_bareiss`` on the stack [A; I] transposed and
+    reversed: grid row k is column r - k, and grid column k < r row r - k,
+    of A, each grid row cleared of its denominators by a scale c.  An entry
+    below the pivot is its field value times its row's c and the previous
+    pivot, so the first entry of least order net of c is the field pivot,
+    and a frozen grid row is its column of [U; T_L] times one such scale.
+    Each column is scaled by the unit that clears its denominators and
+    integer content (``_clean``), so T_L and U are small and polynomial
+    whenever the input is over the ring; no ring division happens.  T_L is
+    a permutation times a lower triangular matrix, invertible over the ring
+    with unit determinant.
     """
     r = a.r
-    work = [list(row) for row in a.entries]
-    acc = [list(row) for row in RMatrix.identity(r).entries]
+    grid, scales = [], []
+    for j in range(r - 1, -1, -1):
+        cleared, c = _clear_row([row[j] for row in reversed(a.entries)]
+                                + [ONE if i == j else ZERO for i in range(r)])
+        grid.append(cleared)
+        scales.append(c)
 
-    for i in range(r, 0, -1):
-        best = None
-        for j in range(1, i + 1):
-            e = work[i - 1][j - 1]
-            if e.is_zero():
-                continue
-            v = e.valuation()
-            if best is None or v < best[0] or (v == best[0] and j > best[1]):
-                best = (v, j)
+    def first_least_order(g, k):
+        best = min(((min(g[i][k]) - min(scales[i]), i) for i in range(k, r)
+                    if g[i][k]), default=None)
         if best is None:
-            raise RankError("matrix is rank deficient")
-        _, bj = best
-        if bj != i:
-            for row in work + acc:
-                row[bj - 1], row[i - 1] = row[i - 1], row[bj - 1]
-        piv = work[i - 1][i - 1]
-        for j in range(1, i):
-            e = work[i - 1][j - 1]
-            if e.is_zero():
-                continue
-            # col_j -= (e / piv) * col_i; the pivot has minimal order in the
-            # row, so the multiplier lies in the ring
-            w = e / piv
-            for row in work[:i]:
-                row[j - 1] = row[j - 1] - w * row[i - 1]
-            for row in acc:
-                row[j - 1] = row[j - 1] - w * row[i - 1]
-            work[i - 1][j - 1] = ZERO
+            return None
+        i = best[1]
+        scales[k], scales[i] = scales[i], scales[k]  # the scales follow their rows
+        return i, k
 
-    # denominators have valuation zero here, hence are units: scale each
-    # column clean (and content-free)
-    for j in range(r):
-        col = [row[j] for row in work if not row[j].is_zero()]
-        col += [row[j] for row in acc if not row[j].is_zero()]
-        u = _cleaning_unit(col)
-        if u != ONE:
-            for rows in (work, acc):
-                for row in rows:
-                    if not row[j].is_zero():
-                        row[j] = row[j] * u
-    return RMatrix(acc), RMatrix(work)
+    pivots, _ = _bareiss(grid, first_least_order)
+    if len(pivots) < r:
+        raise RankError("matrix is rank deficient")
+    cols = [None] * r  # column j: U_jj, U_(j-1)j, ..., U_1j, then T_L's column j
+    prev = _PONE
+    for k, (row, c) in enumerate(zip(grid, scales)):
+        scale = prev if c is _PONE else c if prev is _PONE else _pmul(prev, c)
+        cols[r - 1 - k] = _clean(row[k:], scale)[0]
+        prev = pivots[k]
+    u = [[cols[j][j - i] if i <= j else ZERO for j in range(r)] for i in range(r)]
+    return RMatrix([[cols[j][j + 1 + i] for j in range(r)] for i in range(r)]), RMatrix(u)
 
 
 def _random_unit_upper(r: int, rng) -> RMatrix:

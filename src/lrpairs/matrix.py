@@ -15,12 +15,15 @@ polynomial matrices takes no gcd at all.
 Determinants are computed exactly: rows are first scaled by their
 denominators so the work happens on polynomials, then fraction-free Bareiss
 elimination runs at every size.  Every exact minor comes from this one
-engine, ``_bareiss``.  It gives the LU factors, read off one pass without
-pivoting, and the invariant partition: with the pivot of minimal order in
-the whole trailing block, its trailing entries are the field elimination's
-Schur complement times the previous pivot, so it picks the field
-reduction's pivots and the differences of their orders are the invariant
-orders, with no division in the field.
+engine, ``_bareiss``, which also runs on rectangular grids.  It gives the LU
+factors, read off one pass without pivoting, the right triangularization of
+the reduction (``generic.triangularize_right``, on a transposed stack), and
+the invariant partition: with the pivot of minimal order in the whole
+trailing block, its trailing entries are the field elimination's Schur
+complement times the previous pivot, so it picks the field reduction's
+pivots and the differences of their orders are the invariant orders, with
+no division in the field.  ``_clean`` scales a vector given over one
+denominator clean by a unit, through gcds with that denominator.
 Whether a determinant is a unit is read in the residue field instead
 (``has_unit_det``), which needs only the constant terms.
 ``minor_order_table`` batches every (I, J) minor order of a matrix through a
@@ -32,22 +35,21 @@ pairs alone.  Its minors are dense coefficient lists truncated at the
 requested precision.
 
 Products with an inverse go through one adjugate engine, ``times_inverse``:
-a b^-1 = (a adj(b)) / det(b) with Bareiss cofactors, one division per
-entry.  ``inverse`` is its identity case, and what it returns records the
-matrix it inverted, so multiplying by the inverse of an inverse is a plain
-product.
+with b's rows cleared once into G, a b^-1 = (a adj(G)) diag(c) / det(G)
+with Bareiss cofactors and one product per entry.  ``inverse`` is its
+identity case, and what it returns records the matrix it inverted, so
+multiplying by the inverse of an inverse is a plain product.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, count
 from math import gcd as igcd
 
 from .errors import InputError, NotInRingError, PrincipalMinorError, RankError
 from .ring import (_PONE, INFINITY, ONE, ZERO, RingElem, _padd, _pcontent,
-                   _pdivexact_int, _pmul, _pscale)
+                   _pdivexact_int, _pgcd_cof, _pmul, _pscale)
 from .tableaux import MAX_SIZE, Partition, as_partition
 
 
@@ -278,9 +280,43 @@ def _row_to_int(polys):
     return [{d: c // g for d, c in p.items()} for p in polys]
 
 
+def _clean(nums, den):
+    """(entries, unit): the n / den for integer polynomials n in nums,
+    scaled clean by a unit of the ring, and that unit.
+
+    h = gcd(den, nums) is folded with ``_pgcd_cof`` until it is 1; k is the
+    content of the n / h, signed as the leading coefficient of den / h.  The
+    entries are the integer polynomials n / (h k), over t^v if den / h has
+    the factor t^v (only an entry of negative order gives v > 0), and the
+    unit is den / (h k t^v)."""
+    h = den
+    for n in nums:
+        if h is _PONE:
+            break
+        if n:
+            h = _pgcd_cof(h, n)[0]
+    if h is not _PONE:
+        nums = [_pdivexact_int(n, h) if n else n for n in nums]
+        den = _pdivexact_int(den, h)
+    g = 0
+    for n in nums:
+        g = _pcontent(n, g)
+    if den[max(den)] < 0:
+        g = -g
+    if g not in (0, 1):
+        nums = [{d: c // g for d, c in n.items()} for n in nums]
+    v = min(den)
+    if v:
+        entries = [RingElem(n, {v: 1}) for n in nums]
+    else:
+        entries = [RingElem(n, _PONE, _raw=True) if n else ZERO for n in nums]
+    return entries, RingElem(den, {v: g or 1})
+
+
 def _bareiss(a, find):
-    """Fraction-free elimination of the square grid a of integer polynomials,
-    in place (Bareiss, Math. Comp. 1968).
+    """Fraction-free elimination of the grid a of integer polynomials, in
+    place (Bareiss, Math. Comp. 1968): k rows of n >= k entries each, so a
+    square matrix or a rectangular stack such as [A^T | I].
 
     find(a, k) names the step-k pivot as a position (i, j) in the trailing
     block a[k:][k:], or None to stop; row i and column j are swapped to k.
@@ -292,11 +328,10 @@ def _bareiss(a, find):
     Returns (pivots, sign): pivots[k] is the leading (k+1)-minor of the
     permuted grid and sign the parity of the swaps; pivots stops early where
     find does."""
-    k_max = len(a)
     pivots = []
     prev = _PONE
     sign = 1
-    for k in range(k_max):
+    for k in range(len(a)):
         pos = find(a, k)
         if pos is None:
             break
@@ -313,7 +348,7 @@ def _bareiss(a, find):
         top = a[k]
         for row in a[k + 1:]:
             f = row[k]
-            for j in range(k + 1, k_max):
+            for j in range(k + 1, len(top)):
                 num = _padd(_pmul(piv, row[j]), _pmul(f, top[j]), -1)
                 if num and prev is not _PONE:
                     num = _pdivexact_int(num, prev)
@@ -539,30 +574,37 @@ def minor_order_table(m: RMatrix, cap=None, *, comparable_only=False) -> dict:
 
 
 def times_inverse(a: RMatrix, b: RMatrix) -> RMatrix:
-    """Exact a b^-1 over the field, as (a adj(b)) / det(b).
+    """Exact a b^-1 over the field, from one clearing of b's rows.
 
-    det(b) and the adjugate's cofactors are minors of b, from ``_bareiss``;
-    a adj(b) is formed first and each of its entries is divided by det(b)
-    once.  When b was returned by ``inverse``, b^-1 is the matrix it
-    inverted and the product is a b^-1 = a times that matrix, with no
-    division at all."""
+    With c_i the scale of row i, b = diag(c)^-1 G for G over Z[t], so
+    a b^-1 = (a adj(G)) diag(c) / det(G).  The cofactors are ``_bareiss``
+    minors of G, and det(G) is their Laplace sum along the first row, with
+    no second elimination.  a adj(G) is formed first, and each of its
+    entries is multiplied once by its column's factor c_j / det(G).  When b
+    was returned by ``inverse``, b^-1 is the matrix it inverted and the
+    product is a b^-1 = a times that matrix, with no division at all."""
     if a.r != b.r:
         raise InputError(f"size mismatch in product: {a.r} vs {b.r}")
     if b._inverse_of is not None:
         return mat_mul(a, b._inverse_of)
-    d = det(b)
-    if d.is_zero():
+    r = b.r
+    grid, scales = zip(*(_clear_row(row) for row in b.entries))
+
+    def cofactor(i, j):
+        sub = [row[:j] + row[j + 1:] for row in grid[:i] + grid[i + 1:]]
+        c = _poly_det(sub) if sub else _PONE
+        return _pscale(c, -1) if (i + j) % 2 else c
+
+    adj = [[cofactor(j, i) for j in range(r)] for i in range(r)]
+    d = {}
+    for j in range(r):
+        d = _padd(d, _pmul(grid[0][j], adj[j][0]))
+    if not d:
         raise RankError("matrix is singular, no inverse")
-    full = tuple(range(1, b.r + 1))
-    adj = []
-    for i in full:
-        row = []
-        for j in full:
-            c = minor(b, full[:j - 1] + full[j:], full[:i - 1] + full[i:])
-            row.append(-c if (i + j) % 2 else c)
-        adj.append(row)
-    return RMatrix([[e / d for e in row]
-                    for row in mat_mul(a, RMatrix(adj)).entries])
+    factors = [RingElem(c, d) for c in scales]
+    prod = mat_mul(a, RMatrix([[RingElem(e, _PONE, _raw=True) if e else ZERO
+                                for e in row] for row in adj]))
+    return RMatrix([[e * f for e, f in zip(row, factors)] for row in prod.entries])
 
 
 def inverse(m: RMatrix) -> RMatrix:
@@ -699,39 +741,6 @@ def _is_exact_power_diagonal_decreasing(m: RMatrix) -> bool:
             return False
         prev = v
     return True
-
-
-def _cleaning_unit(elems) -> RingElem:
-    """The unit u of the ring that scales elems clean, so that scaling a row
-    or column by it is an admissible transformation.
-
-    u is a valuation-zero polynomial that leaves no e * u with a polynomial
-    denominator, times 1/g for the rational content g of the numerators of
-    those products, each read over a monic denominator.  All coefficients
-    then become integers with no common factor, which keeps fraction-free
-    eliminations from blowing up coefficient sizes."""
-    u = ONE
-    for e in elems:
-        if e.is_zero():
-            continue
-        den = (e * u).den
-        if max(den) == 0:
-            continue
-        u = u * RingElem(dict(den), {0: den[max(den)]})
-    v = u.valuation()
-    if v:
-        u = u / RingElem.t_pow(v)
-    g_num = 0
-    g_den = 1
-    for e in ([e * u for e in elems] if u != ONE else elems):
-        lc = e.den[max(e.den)]
-        for coeff in e.num.values():
-            f = Fraction(coeff, lc)
-            g_num = igcd(g_num, f.numerator)
-            g_den = g_den * f.denominator // igcd(g_den, f.denominator)
-    if g_num == 0 or (g_num == 1 and g_den == 1):
-        return u
-    return u * RingElem.const(Fraction(g_den, g_num))
 
 
 def smith_transforms(m: RMatrix):

@@ -6,6 +6,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lrpairs.errors import (GenericityError, InputError, RankError,
                             RetriesExhaustedError)
@@ -25,7 +26,9 @@ from lrpairs.ring import INFINITY, ONE, ZERO, RingElem
 from lrpairs.tableaux import Filling, Partition
 
 from capcheck import assert_equation_cap_exact
-from golden import FILLING, LAM, MU, NU, c, golden_m, golden_n, t
+from golden import (FILLING, LAM, MU, NU, c, golden_m, golden_mn, golden_n,
+                    t)
+from test_matrix import cleaning_unit_by_fractions
 
 
 def golden_pair():
@@ -169,6 +172,106 @@ def test_triangularize_random_contract():
         assert t_l.is_over_ring()
         assert det(t_l).is_unit()
         assert invariant_partition(u) == invariant_partition(m)
+
+
+def triangularize_by_field_elimination(a):
+    """Reference for ``triangularize_right``: the field elimination it
+    replaced.  Shears divide by the pivot, then each column is scaled by the
+    unit that cleans its nonzero entries."""
+    r = a.r
+    work = [list(row) for row in a.entries]
+    acc = [list(row) for row in RMatrix.identity(r).entries]
+    for i in range(r, 0, -1):
+        best = None
+        for j in range(1, i + 1):
+            e = work[i - 1][j - 1]
+            if e.is_zero():
+                continue
+            v = e.valuation()
+            if best is None or v < best[0] or (v == best[0] and j > best[1]):
+                best = (v, j)
+        if best is None:
+            raise RankError("matrix is rank deficient")
+        _, bj = best
+        if bj != i:
+            for row in work + acc:
+                row[bj - 1], row[i - 1] = row[i - 1], row[bj - 1]
+        piv = work[i - 1][i - 1]
+        for j in range(1, i):
+            e = work[i - 1][j - 1]
+            if e.is_zero():
+                continue
+            w = e / piv
+            for row in work[:i]:
+                row[j - 1] = row[j - 1] - w * row[i - 1]
+            for row in acc:
+                row[j - 1] = row[j - 1] - w * row[i - 1]
+            work[i - 1][j - 1] = ZERO
+    for j in range(r):
+        col = [row[j] for row in work if not row[j].is_zero()]
+        col += [row[j] for row in acc if not row[j].is_zero()]
+        u = cleaning_unit_by_fractions(col)
+        if u != ONE:
+            for rows in (work, acc):
+                for row in rows:
+                    if not row[j].is_zero():
+                        row[j] = row[j] * u
+    return RMatrix(acc), RMatrix(work)
+
+
+ROW_DENOMINATORS = (ONE, c(3), ONE + t(1), c(2) - c(5) * t(1))
+
+
+@st.composite
+def triangularize_inputs(draw):
+    """r <= 5 with polynomial entries; or each row over a denominator of
+    order 0; or entries of negative order; sometimes a zero column."""
+    r = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("polynomial", "row_denominators", "negative_order")))
+    terms = st.lists(st.tuples(st.sampled_from((-3, -2, -1, 1, 2, 3)),
+                               st.integers(0, 2)), min_size=1, max_size=3)
+    rows = [[RingElem.from_terms(draw(terms)) for _ in range(r)] for _ in range(r)]
+    if kind == "row_denominators":
+        rows = [[e / d for e in row]
+                for row, d in zip(rows, draw(st.lists(st.sampled_from(ROW_DENOMINATORS),
+                                                      min_size=r, max_size=r)))]
+    elif kind == "negative_order":
+        rows = [[e / t(draw(st.integers(0, 2))) for e in row] for row in rows]
+    if draw(st.integers(0, 5)) == 0:
+        zero = draw(st.integers(0, r - 1))
+        rows = [[ZERO if j == zero else e for j, e in enumerate(row)] for row in rows]
+    return RMatrix(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(triangularize_inputs())
+def test_triangularize_agrees_with_field_elimination(a):
+    try:
+        want = triangularize_by_field_elimination(a)
+    except RankError:
+        with pytest.raises(RankError):
+            triangularize_right(a)
+        return
+    assert triangularize_right(a) == want
+
+
+def test_triangularize_divides_nothing(monkeypatch):
+    rng = random.Random(67)
+    fractions = RMatrix([[e / (ONE + t(1)) for e in row]
+                         for row in random_invertible(rng, 3).entries])
+    negative = mat_mul(random_invertible(rng, 3),
+                       RMatrix.diagonal([ONE / t(2), ONE, t(1)]))
+    inputs = [golden_n(), golden_mn(), mat_mul(golden_mn(), random_invertible(rng, 4)),
+              fractions, negative]
+    want = [triangularize_by_field_elimination(a) for a in inputs]
+
+    def no_division(self, other):
+        raise AssertionError("ring division in triangularize_right")
+
+    monkeypatch.setattr(RingElem, "__truediv__", no_division)
+    got = [triangularize_right(a) for a in inputs]
+    monkeypatch.undo()
+    assert got == want
 
 
 def test_triangularize_singular_raises():

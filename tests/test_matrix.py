@@ -3,14 +3,15 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lrpairs.errors import (InputError, NotInRingError, PrincipalMinorError,
                             RankError)
-from lrpairs.matrix import (RMatrix, _poly_det, det, diag_from_partition,
+from lrpairs.matrix import (RMatrix, _bareiss, _clean, _clear_row, _poly_det,
+                            det, diag_from_partition,
                             has_unit_det, invariant_partition,
                             invariant_partition_oracle, inverse,
                             is_mu_admissible, lu_decompose, mat_mul, minor,
@@ -219,6 +220,24 @@ def test_poly_det_of_size_one_is_a_copy():
     p = {0: 3, 2: -1}
     got = _poly_det([[p]])
     assert got == p and got is not p
+
+
+def test_bareiss_on_a_rectangular_grid():
+    """On a k x n grid with k < n the pass runs to the end of each row: row
+    i holds, from column i on, the leading i-minor bordered by row i and
+    that column, and the pivots are the leading minors."""
+    rng = random.Random(71)
+    for k, n in ((1, 3), (2, 5), (3, 4), (3, 6)):
+        grid = [[{d: rng.choice((-3, -2, -1, 1, 2, 3)) for d in rng.sample(range(3), 2)}
+                 for _ in range(n)] for _ in range(k)]
+        work = [list(row) for row in grid]
+        pivots, sign = _bareiss(work, lambda a, i: (i, i) if a[i][i] else None)
+        assert len(pivots) == k and sign == 1
+        for i in range(k):
+            assert pivots[i] == _poly_det([row[:i + 1] for row in grid[:i + 1]])
+            for j in range(i, n):
+                bordered = [row[:i] + [row[j]] for row in grid[:i + 1]]
+                assert work[i][j] == _poly_det(bordered), (k, n, i, j)
 
 
 def test_minor_golden_kept_orders():
@@ -509,6 +528,93 @@ def test_invariant_partition_divides_nothing(monkeypatch):
     monkeypatch.setattr(RingElem, "__truediv__", no_division)
     assert invariant_partition(golden_mn()) == LAM
     assert invariant_partition(golden_n()) == NU
+
+
+# ---------------------------------------------------------------------------
+# cleaning a vector by a unit
+
+
+def cleaning_unit_by_fractions(elems):
+    """Reference for ``_clean``'s unit, by the field route it replaced:
+    multiply in each denominator left over (made monic) until none is left,
+    take off the power of t, then scale by g_den / g_num for the rational
+    content g_num / g_den of the numerators read over monic denominators."""
+    u = ONE
+    for e in elems:
+        if e.is_zero():
+            continue
+        den = (e * u).den
+        if max(den) == 0:
+            continue
+        u = u * RingElem(dict(den), {0: den[max(den)]})
+    v = u.valuation()
+    if v:
+        u = u / RingElem.t_pow(v)
+    g_num = 0
+    g_den = 1
+    for e in ([e * u for e in elems] if u != ONE else elems):
+        lc = e.den[max(e.den)]
+        for coeff in e.num.values():
+            f = Fraction(coeff, lc)
+            g_num = gcd(g_num, f.numerator)
+            g_den = g_den * f.denominator // gcd(g_den, f.denominator)
+    if g_num == 0 or (g_num == 1 and g_den == 1):
+        return u
+    return u * RingElem.const(Fraction(g_den, g_num))
+
+
+CLEAN_DENOMINATORS = (c(3), c(6), ONE + t(1), c(2) - c(3) * t(1), t(1), t(2),
+                      t(1) + c(4) * t(2), (ONE + t(1)) * (ONE + t(1)))
+
+
+@st.composite
+def clean_vectors(draw):
+    """Vectors of 1..5 entries: all zero, constants, polynomials, or
+    polynomials over denominators of order 0 and of positive order (entries
+    of negative order); coefficients of either sign, some entries zero."""
+    kind = draw(st.sampled_from(("zero", "constant", "polynomial", "fraction")))
+    top = 0 if kind == "constant" else 3
+    terms = st.lists(st.tuples(st.integers(-6, 6), st.integers(0, top)),
+                     min_size=1, max_size=3)
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        e = ZERO if kind == "zero" or draw(st.integers(0, 3)) == 0 \
+            else RingElem.from_terms(draw(terms))
+        if e and kind == "constant" and draw(st.booleans()):
+            e = e / c(draw(st.sampled_from((2, 3, 4))))
+        elif e and kind == "fraction":
+            e = e / draw(st.sampled_from(CLEAN_DENOMINATORS))
+        out.append(e)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(clean_vectors())
+def test_clean_agrees_with_cleaning_unit(elems):
+    u = cleaning_unit_by_fractions(elems)
+    entries, unit = _clean(*_clear_row(elems))
+    assert unit == u
+    assert entries == [e * u for e in elems]
+
+
+@pytest.mark.parametrize("nums, den", [
+    ([{}, {}], {0: 1, 1: 2}),
+    ([{0: 4}, {}, {0: -6}], {0: 10}),
+    ([{0: 2, 1: 1}, {2: -3}], {2: 1}),
+    ([{1: -2}, {0: 4, 2: -6}], {0: 3, 1: -1}),
+    ([{0: -2, 1: -2}, {1: 4, 2: 4}], {0: 2, 1: -1, 2: -3}),
+    ([{0: 3, 1: 3}, {1: -6}], {1: -2, 2: -2}),
+], ids=["zero", "constant", "t-power", "negative-lead", "shared-factor",
+        "negative-order"])
+def test_clean_over_a_raw_denominator(nums, den):
+    """Denominators as the triangularization passes them: unreduced, maybe
+    with a negative leading coefficient or a factor t."""
+    elems = [RingElem(n, den) for n in nums]
+    u = cleaning_unit_by_fractions(elems)
+    entries, unit = _clean(nums, den)
+    assert unit == u
+    assert entries == [e * u for e in elems]
+    assert unit.is_unit()
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+import lrpairs.matrix as matrix_mod  # noqa: E402
 from lrpairs.errors import PrincipalMinorError, RankError  # noqa: E402
-from lrpairs.matrix import (RMatrix, invariant_partition,  # noqa: E402
+from lrpairs.matrix import (RMatrix, invariant_partition, inverse,  # noqa: E402
                             lu_decompose, minor_order_table, times_inverse)
 from lrpairs.ring import INFINITY, RingElem  # noqa: E402
 from lrpairs.tableaux import Partition  # noqa: E402
@@ -160,3 +161,27 @@ def test_times_inverse_agrees_with_sympy_inverse(pair):
             times_inverse(a, b)
         return
     check_matrix_against_cancel(times_inverse(a, b), to_domain(a).matmul(db.inv()))
+
+
+def _no_determinant(*args):
+    raise AssertionError("the adjugate took a determinant")
+
+
+@settings(max_examples=40, deadline=None)
+@given(quotient_pairs())
+def test_adjugate_reads_det_off_its_cofactors(pair):
+    """With ``det`` and ``minor`` patched to raise, inverse and times_inverse
+    still agree with sympy: det(G) is the Laplace sum of the cofactors."""
+    a, b = pair
+    db = to_domain(b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix_mod, "det", _no_determinant)
+        mp.setattr(matrix_mod, "minor", _no_determinant)
+        if not db.det():
+            for call in (lambda: times_inverse(a, b), lambda: inverse(b)):
+                with pytest.raises(RankError):
+                    call()
+            return
+        got, inv = times_inverse(a, b), inverse(b)
+    check_matrix_against_cancel(got, to_domain(a).matmul(db.inv()))
+    check_matrix_against_cancel(inv, db.inv())
