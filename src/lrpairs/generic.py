@@ -17,8 +17,10 @@ pair, or every componentwise triple, of the full minor-order table of N*.
 
 The extraction and the CLI read only N* and its minor-order table.  The
 certificate's ``t_star`` = (T_L T_U)^-1 and ``group``, which only a replay
-``act(cert.group, pair)`` needs, are built on first read, so no reduction
-attempt inverts a matrix.  ``t_star`` is the adjugate inverse of the
+``act(cert.group, pair)`` needs, and Q's LU factors are built on first read,
+so no reduction attempt inverts a matrix or forms Q_hat_L, Q_hat_U: it checks
+them, their product and V's table on the Bareiss grid of ``matrix._lu_grid``,
+with no fraction reduced.  ``t_star`` is the adjugate inverse of the
 polynomial matrix T_L T_U and records it, so the replay's Q N T*^-1 is the
 exact product Q N T_L T_U; only P M Q^-1 has a denominator to form, one
 factor per column, in ``matrix.times_inverse``.
@@ -35,12 +37,13 @@ from .errors import (GenericityError, InputError, PrincipalMinorError,
 # det is unused here but stays importable as lrpairs.generic.det, an import
 # site that perfbench's tracer self-test checks
 from .matrix import (RMatrix, _bareiss, _between, _clean, _clear_row,
-                     _comparable_pairs, _intervals, _mu_weights,
+                     _comparable_pairs, _intervals, _lu_grid, _mu_weights,
                      _table_partition, det, diag_from_partition, has_unit_det,
                      inverse, invariant_partition, is_mu_admissible,
                      lu_decompose, mat_mul, minor_order, minor_order_table,
                      smith_transforms, times_inverse)
-from .ring import _PONE, INFINITY, ONE, ZERO, RingElem, _pmul, random_unit
+from .ring import (_PONE, INFINITY, ONE, ZERO, RingElem, _padd, _pmul, _pshift,
+                   random_unit)
 from .tableaux import Partition, as_partition
 
 
@@ -172,8 +175,8 @@ class VerificationReport:
 class MuGenericCertificate:
     """Everything produced by one successful reduction attempt.
 
-    ``t_star`` and ``group`` are cached properties built on first read from
-    the stored factors; the extraction and the CLI never read them.
+    ``t_star``, ``group`` and Q's LU factors (one ``lu_decompose(q)``) are
+    built on first read; the extraction and the CLI never read them.
     ``t_star`` is ``inverse(t_inv)``, so it records T_L T_U and the replay's
     Q N T*^-1 is the product Q N T_L T_U."""
 
@@ -189,13 +192,18 @@ class MuGenericCertificate:
     t_upper: RMatrix
     q: RMatrix                  # Q_U Q_L, mu-admissible
     t_inv: RMatrix              # T_L T_U
-    q_hat_l: RMatrix            # unit lower factor of Q = Q_hat_L Q_hat_U
-    q_hat_u: RMatrix
     n_input: RMatrix            # second component after diagonalization
     g_diag: GroupElement        # original pair -> (D_mu, n_input)
     report: VerificationReport
     minor_orders: dict          # full (rows, cols) -> order table of N_star
     attempts: int
+
+    @cached_property
+    def _q_hat(self):
+        return lu_decompose(self.q)
+
+    q_hat_l = property(lambda self: self._q_hat[0])  # unit lower factor of Q
+    q_hat_u = property(lambda self: self._q_hat[1])  # Q = Q_hat_L Q_hat_U
 
     @cached_property
     def t_star(self) -> RMatrix:
@@ -419,7 +427,8 @@ def _equation_cap(tab_n: dict, cap: int, r: int) -> int:
 
 def _equation_failures(tab_n, right, left, v, mu, r, cap):
     """The three equations' failure strings ("" where one holds), on the
-    tables of U T_U, Q_U U and V computed modulo t^(cap+1)."""
+    tables of U T_U, Q_U U and V computed modulo t^(cap+1); v may be V's
+    rows times units, which moves no minor order."""
     tab_v = minor_order_table(v, cap=cap, comparable_only=True)
     return (check_equation_first(tab_n, minor_order_table(right, cap=cap), r),
             check_equation_second(tab_n, tab_v, mu, r),
@@ -558,6 +567,67 @@ def _conjugate_by_diagonal(q: RMatrix, mu: Partition, r: int) -> RMatrix:
     return RMatrix(rows)
 
 
+def _lu_factors_in_ring(grid, scales, pivots, mu) -> bool:
+    """Q_hat_U over R with a unit determinant, and Q_hat_L over R and
+    mu-admissible, from orders alone: Q_hat_U's row k is a_kh / (p_(k-1) c_k)
+    with a diagonal of order 0, and Q_hat_L's entry (g, k) a_gk c_k / (p_k c_g)
+    has order at least max(0, mu_k - mu_g); det Q_hat_L = 1."""
+    c = [min(x) for x in scales]
+    p = [min(x) for x in pivots]
+    prev = 0
+    for k, row in enumerate(grid):
+        s = prev + c[k]
+        if p[k] != s or any(e and min(e) < s for e in row[k + 1:]):
+            return False
+        for g in range(k + 1, len(grid)):
+            e = grid[g][k]
+            if e and min(e) + c[k] - p[k] - c[g] < max(0, mu.part(k + 1) - mu.part(g + 1)):
+                return False
+        prev = p[k]
+    return len(mu) <= len(grid)
+
+
+def _lu_product_consistent(q, grid, pivots) -> bool:
+    """Q == Q_hat_L Q_hat_U over Z[t], with no gcd: for m = min(g - 1, h) and
+    D = p_1 ... p_m (1-based), c_g q_gh D is the sum over k <= m of
+    a_gk a_kh D / (p_(k-1) p_k), in Horner form, plus a_gh D / p_(g-1) when
+    g <= h.  c_g q_gh is taken from ``_clear_row``, since the pass overwrote
+    the grid's copy."""
+    prefix = [_PONE, _PONE]  # prefix[j] = p_1 ... p_(j-1)
+    for p in pivots[:-1]:
+        prefix.append(_pmul(prefix[-1], p))
+    for g, row in enumerate(q.entries):  # 0-based: g is the 1-based g - 1
+        for h, qgh in enumerate(_clear_row(row)[0]):
+            m = min(g, h + 1)
+            acc = {}
+            for k in range(m):
+                acc = _padd(_pmul(acc, pivots[k]),
+                            _pmul(_pmul(grid[g][k], grid[k][h]), prefix[k]))
+            if g <= h:
+                acc = _padd(acc, _pmul(grid[g][h], prefix[g]))
+            if _pmul(qgh, prefix[m + 1]) != acc:
+                return False
+    return True
+
+
+def _v_rows_times_units(grid, scales, pivots, w) -> RMatrix:
+    """diag(units) V for V = Q_hat_U W, with no Q_hat_U: the grid's upper
+    triangle times W, row k over t^(s_k) for s_k = ord(p_(k-1) c_k).  Row k
+    of Q_hat_U is that row over p_(k-1) c_k, t^(s_k) times a unit, so every
+    minor has V's order.  Only a power of t cancels, so no gcd is taken."""
+    u = RMatrix([[RingElem(e, _PONE, _raw=True) if e and h >= k else ZERO
+                  for h, e in enumerate(row)] for k, row in enumerate(grid)])
+    rows = []
+    prev = 0
+    for row, c, p in zip(mat_mul(u, w).entries, scales, pivots):
+        s = prev + min(c)
+        prev = min(p)
+        # e / t^s = (e.num / t^k) / (e.den t^(s - k)), k = min(ord e.num, s)
+        rows.append([RingElem(_pshift(e.num, -k), e.den if k == s else _pmul(e.den, {s - k: 1}),
+                              _raw=True) for e in row for k in (min(min(e.num, default=s), s),)])
+    return RMatrix(rows)
+
+
 def _attempt_reduction(diagonal_pair, g_diag, mu, nu, lam, rng,
                        attempt) -> MuGenericCertificate:
     d_mu, n_input = diagonal_pair.first, diagonal_pair.second
@@ -592,19 +662,16 @@ def _attempt_reduction(diagonal_pair, g_diag, mu, nu, lam, rng,
     checks.append(CheckResult("lambda_preserved", lam_star == lam,
                               "" if lam_star == lam else f"{lam_star} vs {lam}"))
 
-    q_hat_l = q_hat_u = None
     try:
-        q_hat_l, q_hat_u = lu_decompose(q)
-        lu_ok = (q_hat_l.is_over_ring() and q_hat_u.is_over_ring()
-                 and has_unit_det(q_hat_u) and is_mu_admissible(q_hat_l, mu))
-        checks.append(CheckResult("lu_factors_in_ring", lu_ok))
+        grid, scales, pivots = _lu_grid(q)
     except PrincipalMinorError as exc:
         checks.append(CheckResult("lu_factors_in_ring", False, str(exc)))
-
-    if q_hat_u is not None:
-        consistent = mat_mul(q_hat_l, q_hat_u) == q
-        checks.append(CheckResult("lu_product_consistent", consistent))
-        v = mat_mul(q_hat_u, mat_mul(n_input, t_inv))
+    else:
+        checks.append(CheckResult("lu_factors_in_ring",
+                                  _lu_factors_in_ring(grid, scales, pivots, mu)))
+        checks.append(CheckResult("lu_product_consistent",
+                                  _lu_product_consistent(q, grid, pivots)))
+        v = _v_rows_times_units(grid, scales, pivots, mat_mul(n_input, t_inv))
         failures = _equation_failures(tab_n, ut, mat_mul(q_upper, u), v, mu,
                                       r, _equation_cap(tab_n, cap, r))
         for name, fail in zip(("first", "second", "third"), failures):
@@ -629,7 +696,6 @@ def _attempt_reduction(diagonal_pair, g_diag, mu, nu, lam, rng,
         q_l0=q_l0, q_lower=q_lower, q_upper=q_upper,
         t_lower=t_lower, t_upper=t_upper,
         q=q, t_inv=t_inv,
-        q_hat_l=q_hat_l, q_hat_u=q_hat_u,
         n_input=n_input,
         g_diag=g_diag,
         report=report,

@@ -16,7 +16,8 @@ Determinants are computed exactly: rows are first scaled by their
 denominators so the work happens on polynomials, then fraction-free Bareiss
 elimination runs at every size.  Every exact minor comes from this one
 engine, ``_bareiss``, which also runs on rectangular grids.  It gives the LU
-factors, read off one pass without pivoting, the right triangularization of
+grid, one pass without pivoting (``_lu_grid``), which the reduction reads as
+it is and ``lu_decompose`` turns into factors, the right triangularization of
 the reduction (``generic.triangularize_right``, on a transposed stack), and
 the invariant partition: with the pivot of minimal order in the whole
 trailing block, its trailing entries are the field elimination's Schur
@@ -808,22 +809,28 @@ def _leading_pivot(a, k):
     return (k, k) if a[k][k] else None
 
 
+def _lu_grid(a: RMatrix):
+    """(grid, scales, pivots): one ``_bareiss`` pass without pivoting on a's
+    rows cleared by the scales c_g (Zhou and Jeffrey, 2008).  The grid keeps
+    the bordered leading minors, a_gk below the diagonal and a_kh on and
+    above it, and the pivots p_k are the leading minors; the first that
+    vanishes raises ``PrincipalMinorError``."""
+    grid, scales = map(list, zip(*(_clear_row(row) for row in a.entries)))
+    pivots, _ = _bareiss(grid, _leading_pivot)
+    if len(pivots) < a.r:
+        raise PrincipalMinorError(len(pivots) + 1)
+    return grid, scales, pivots
+
+
 def lu_decompose(a: RMatrix):
     """A = B @ C with B unit lower triangular and C upper triangular.
 
-    Entries are quotients of bordered leading minors, read off one
-    ``_bareiss`` pass without pivoting on the rows cleared of their
-    denominators (Zhou and Jeffrey, 2008).  With c_g the scale of row g and
-    p_k the k-th pivot (p_0 = 1), the pass leaves a_gk below the diagonal and
-    a_kg on and above it, and B_gk = a_gk c_k / (p_k c_g), C_kg =
-    a_kg / (p_(k-1) c_k).  Every leading principal minor must be nonzero;
-    the first k where one vanishes is reported.
+    Read off ``_lu_grid`` (p_0 = 1): B_gk = a_gk c_k / (p_k c_g) and
+    C_kg = a_kg / (p_(k-1) c_k), each reduced once.  Every leading principal
+    minor must be nonzero; the first k where one vanishes is reported.
     """
     r = a.r
-    grid, scales = zip(*(_clear_row(row) for row in a.entries))
-    pivots, _ = _bareiss(list(grid), _leading_pivot)
-    if len(pivots) < r:
-        raise PrincipalMinorError(len(pivots) + 1)
+    grid, scales, pivots = _lu_grid(a)
     b_rows = [[RingElem(_pmul(grid[g][k], scales[k]), _pmul(pivots[k], scales[g]))
                if k < g else ONE if k == g else ZERO for k in range(r)]
               for g in range(r)]

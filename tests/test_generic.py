@@ -6,10 +6,10 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from lrpairs.errors import (GenericityError, InputError, RankError,
-                            RetriesExhaustedError)
+from lrpairs.errors import (GenericityError, InputError, PrincipalMinorError,
+                            RankError, RetriesExhaustedError)
 from lrpairs.generic import (GroupElement, MatrixPair, act,
                              check_equation_first, check_equation_second,
                              check_equation_third, corner_invariant_check,
@@ -17,12 +17,15 @@ from lrpairs.generic import (GroupElement, MatrixPair, act,
                              reset_genericity_stats, to_mu_generic,
                              triangularize_right, verify_mu_generic)
 import lrpairs.generic as generic_mod
+import lrpairs.matrix as matrix_mod
+import lrpairs.ring as ring_mod
 from lrpairs.extract import extract_from_pair
 from lrpairs.matrix import (RMatrix, det, diag_from_partition,
-                            invariant_partition, inverse, is_mu_admissible,
-                            mat_mul, minor_order_table, times_inverse)
+                            has_unit_det, invariant_partition, inverse,
+                            is_mu_admissible, lu_decompose, mat_mul,
+                            minor_order_table, times_inverse)
 from lrpairs.realize import random_filling, realize
-from lrpairs.ring import INFINITY, ONE, ZERO, RingElem
+from lrpairs.ring import INFINITY, ONE, ZERO, RingElem, _padd
 from lrpairs.tableaux import Filling, Partition
 
 from capcheck import assert_equation_cap_exact
@@ -587,3 +590,204 @@ def test_to_mu_generic_deterministic_per_seed():
     assert a.q == b.q and a.t_inv == b.t_inv
     c2 = to_mu_generic(golden_pair(), random.Random(8))
     assert c2.report.ok  # different seed still verifies
+
+
+def _roundtrip_certificates():
+    """40 random_filling draws (r <= 4), realized and reduced from one rng."""
+    rng = random.Random(40)
+    for _ in range(40):
+        f, mu, _, _ = random_filling(rng)
+        yield to_mu_generic(realize(f, mu).pair(), rng)
+
+
+# sha256 of the canonical JSON of the 40 certificates' to_json() (the
+# verification reports included) and of their LU factors, as three lists
+ROUNDTRIP_SHA256 = {
+    "to_json": "a7e3a21bda5248be08f4776a0d5e80ed462c4e5d409ab40e6d56b586c40086e2",
+    "q_hat_l": "1146359390996caed0ae9683d9447cac552839540d15aea70a5ebfd5e207ff21",
+    "q_hat_u": "cc9619892dd3246b4ade40407a1c8a48f8490f5ffaec4db6c0a4d371bed27857",
+}
+
+
+def test_roundtrip_certificate_digests():
+    docs = {"to_json": [], "q_hat_l": [], "q_hat_u": []}
+    for cert in _roundtrip_certificates():
+        docs["to_json"].append(cert.to_json())
+        docs["q_hat_l"].append(cert.q_hat_l.to_json())
+        docs["q_hat_u"].append(cert.q_hat_u.to_json())
+    assert {k: _json_sha256(v) for k, v in docs.items()} == ROUNDTRIP_SHA256
+
+
+# ---------------------------------------------------------------------------
+# Q's LU stage on the Bareiss grid
+
+
+def lu_stage_by_fractions(q, mu, w):
+    """The reduction's LU stage through the reduced-fraction factors, as it
+    was before it moved onto the grid: (the four factor predicates, the
+    product check, V = Q_hat_U W).  Raises PrincipalMinorError as
+    lu_decompose does."""
+    q_hat_l, q_hat_u = lu_decompose(q)
+    lu_ok = (q_hat_l.is_over_ring() and q_hat_u.is_over_ring()
+             and has_unit_det(q_hat_u) and is_mu_admissible(q_hat_l, mu))
+    return lu_ok, mat_mul(q_hat_l, q_hat_u) == q, mat_mul(q_hat_u, w)
+
+
+def lu_stage_on_grid(q, mu, w):
+    grid, scales, pivots = matrix_mod._lu_grid(q)
+    return (generic_mod._lu_factors_in_ring(grid, scales, pivots, mu),
+            generic_mod._lu_product_consistent(q, grid, pivots),
+            generic_mod._v_rows_times_units(grid, scales, pivots, w))
+
+
+LU_KINDS = ("random", "plus_minus_one", "low_order", "lower_first",
+            "vanishing_minor", "row_denominators", "row_orders")
+
+
+@st.composite
+def lu_stage_inputs(draw):
+    """(Q, mu, W) with Q = Q_U Q_L for mu = (parts <= 4) in size r <= 4:
+    random units; units of +-1, so pivots may vanish mod t; entries of Q_L
+    of too low an order, even negative, so Q need not be admissible; the
+    same with Q = Q_L Q_U, whose Q_hat_L is Q_L's; a vanishing leading
+    minor; rows over denominators of order 0; rows times t^j, |j| <= 2.
+    W is a random polynomial matrix."""
+    r = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(LU_KINDS))
+    mu = Partition(tuple(sorted(draw(st.lists(st.integers(1, 4), max_size=r)),
+                                reverse=True)))
+    unit = (st.sampled_from((1, -1)) if kind == "plus_minus_one"
+            else st.integers(-50, 50).filter(bool))
+
+    def exponent(i, j):  # mu_j - mu_i when admissible
+        gap = mu.part(j) - mu.part(i)
+        if j == i or kind not in ("low_order", "lower_first"):
+            return gap
+        low = -1 if kind == "lower_first" else gap - 4
+        return draw(st.integers(low, gap))
+
+    q_lower = RMatrix([[c(draw(unit)) * t(exponent(i, j)) if j <= i else ZERO
+                        for j in range(1, r + 1)] for i in range(1, r + 1)])
+    q_upper = RMatrix([[c(draw(unit)) if j >= i else ZERO for j in range(r)]
+                       for i in range(r)])
+    q = mat_mul(q_lower, q_upper) if kind == "lower_first" else mat_mul(q_upper, q_lower)
+    rows = [list(row) for row in q.entries]
+    if kind == "vanishing_minor":
+        k = draw(st.integers(1, r))  # rows 1..k-1 summed into row k's first k entries
+        rows[k - 1][:k] = [sum((row[j] for row in rows[:k - 1]), ZERO) for j in range(k)]
+    elif kind == "row_denominators":
+        rows = [[e / d for e in row]
+                for row, d in zip(rows, draw(st.lists(st.sampled_from(ROW_DENOMINATORS),
+                                                      min_size=r, max_size=r)))]
+    elif kind == "row_orders":
+        rows = [[e * t(j) for e in row]
+                for row, j in zip(rows, draw(st.lists(st.integers(-2, 2),
+                                                      min_size=r, max_size=r)))]
+    terms = st.lists(st.tuples(st.sampled_from((-3, -2, -1, 1, 2, 3)),
+                               st.integers(0, 4)), max_size=3)
+    w = RMatrix([[RingElem.from_terms(draw(terms)) for _ in range(r)] for _ in range(r)])
+    return RMatrix(rows), mu, w
+
+
+def _bumped(p):
+    """p plus a monomial above its degree: a different nonzero polynomial."""
+    return _padd(p, {max(p, default=0) + 1: 1})
+
+
+@settings(max_examples=300, deadline=None)
+@given(lu_stage_inputs())
+def test_lu_stage_on_grid_agrees_with_fractions(args):
+    q, mu, w = args
+    try:
+        lu_ok, consistent, v = lu_stage_by_fractions(q, mu, w)
+    except PrincipalMinorError as exc:
+        with pytest.raises(PrincipalMinorError) as got:
+            matrix_mod._lu_grid(q)
+        assert str(got.value) == str(exc)
+        return
+    got_ok, got_consistent, got_v = lu_stage_on_grid(q, mu, w)
+    assert got_ok == lu_ok
+    assert got_consistent and consistent
+    for cap in (5, 12, 40):
+        got = minor_order_table(got_v, cap, comparable_only=True)
+        want = minor_order_table(v, cap, comparable_only=True)
+        if v.is_over_ring():
+            assert got == want
+        else:
+            # rows off the ring carry denominator products of different
+            # orders on the two routes, and those set how far past the cap
+            # a reading stays exact; up to the cap every reading agrees
+            assert got.keys() == want.keys()
+            for key, order in want.items():
+                assert got[key] == order or min(got[key], order) > cap, key
+
+
+@settings(max_examples=150, deadline=None)
+@given(lu_stage_inputs(), st.data())
+def test_lu_product_check_catches_one_changed_entry(args, data):
+    q, _, _ = args
+    assume(q.r >= 2)
+    try:
+        grid, _, pivots = matrix_mod._lu_grid(q)
+    except PrincipalMinorError:
+        return
+    check = generic_mod._lu_product_consistent
+    r = q.r
+    g = data.draw(st.integers(1, r - 1))
+    k = data.draw(st.integers(0, g - 1))
+    bent = [list(row) for row in grid]
+    bent[g][k] = _bumped(bent[g][k])
+    assert not check(q, bent, pivots)
+    j = data.draw(st.integers(0, r - 2))  # p_r itself is in no D
+    assert not check(q, grid, pivots[:j] + [_bumped(pivots[j])] + pivots[j + 1:])
+    i, h = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, r - 1))
+    rows = [list(row) for row in q.entries]
+    rows[i][h] = rows[i][h] + t(9)
+    assert not check(RMatrix(rows), grid, pivots)
+
+
+@pytest.mark.parametrize("units", ["random", "plus_minus_one"])
+def test_lu_stage_divides_nothing(monkeypatch, units):
+    """A reduction's LU stage calls no lu_decompose and takes no gcd: both
+    raise inside its helpers, and every reduction ends as before.  Units of
+    +-1 give pivots that vanish mod t, so rows of V are divided by t."""
+    if units == "plus_minus_one":
+        monkeypatch.setattr(generic_mod, "random_unit",
+                            lambda rng: RingElem.const(rng.choice((1, -1))))
+    rng = random.Random(23)
+    pairs = [golden_pair(), _staircase_pair(4)]
+    pairs += [realize(f, mu).pair() for f, mu, _, _ in (random_filling(rng) for _ in range(8))]
+
+    def outcomes():
+        out = []
+        for i, pair in enumerate(pairs):
+            try:
+                out.append(_json_sha256(to_mu_generic(pair, random.Random(i)).to_json()))
+            except RetriesExhaustedError as exc:
+                out.append(str(exc))
+        return out
+
+    want = outcomes()
+
+    def forbidden(*args):
+        raise AssertionError("lu_decompose or a gcd in the LU stage")
+
+    monkeypatch.setattr(generic_mod, "lu_decompose", forbidden)
+    for name in ("_lu_grid", "_lu_factors_in_ring", "_lu_product_consistent",
+                 "_v_rows_times_units"):
+        def guarded(*args, _real=getattr(generic_mod, name)):
+            with monkeypatch.context() as m:
+                m.setattr(ring_mod, "_pgcd_cof", forbidden)
+                m.setattr(matrix_mod, "_pgcd_cof", forbidden)
+                return _real(*args)
+
+        monkeypatch.setattr(generic_mod, name, guarded)
+    assert outcomes() == want
+
+
+def test_lu_factors_built_on_first_read():
+    cert = to_mu_generic(golden_pair(), random.Random(42))
+    assert "_q_hat" not in vars(cert)
+    b, c_hat = lu_decompose(cert.q)
+    assert cert.q_hat_l == b and cert.q_hat_u == c_hat
+    assert cert.q_hat_l is cert.q_hat_l and cert.q_hat_u is cert.q_hat_u
