@@ -20,10 +20,12 @@ certificate's ``t_star`` = (T_L T_U)^-1 and ``group``, which only a replay
 ``act(cert.group, pair)`` needs, and Q's LU factors are built on first read,
 so no reduction attempt inverts a matrix or forms Q_hat_L, Q_hat_U: it checks
 them, their product and V's table on the Bareiss grid of ``matrix._lu_grid``,
-with no fraction reduced.  ``t_star`` is the adjugate inverse of the
-polynomial matrix T_L T_U and records it, so the replay's Q N T*^-1 is the
-exact product Q N T_L T_U; only P M Q^-1 has a denominator to form, one
-factor per column, in ``matrix.times_inverse``.
+with no fraction reduced.  ``t_star`` is ``inverse(T_L T_U)``: it records
+the polynomial matrix T_L T_U and forms its own entries only when read.
+The replay never reads them: Q N T*^-1 is the exact product Q N T_L T_U,
+and T* is tested for GL_r(R) through T_L T_U, so the replay's one adjugate
+is P M Q^-1, with one denominator factor per column, in
+``matrix.times_inverse``.
 """
 
 from __future__ import annotations
@@ -112,14 +114,21 @@ class GroupElement:
                             mat_mul(self.t, other.t))
 
     def is_invertible_over_ring(self) -> bool:
-        return all(m.is_over_ring() and has_unit_det(m) for m in (self.p, self.q, self.t))
+        """Each component is in GL_r(R): over the ring with a unit
+        determinant.  A component that records its inverse (``inverse``)
+        is tested through the record, since A is in GL_r(R) exactly when
+        A^-1 is, so its own entries are never formed."""
+        return all(m.is_over_ring() and has_unit_det(m)
+                   for m in (x if x._inverse_of is None else x._inverse_of
+                             for x in (self.p, self.q, self.t)))
 
     def to_json(self):
         return {"p": self.p.to_json(), "q": self.q.to_json(), "t": self.t.to_json()}
 
 
 def act(g: GroupElement, pair: MatrixPair) -> MatrixPair:
-    """(P M Q^-1, Q N T^-1), each as an exact product times an inverse."""
+    """(P M Q^-1, Q N T^-1), each as an exact product times an inverse; a
+    component that records its inverse is multiplied by the record."""
     if g.p.r != pair.r:
         raise InputError(f"group element size {g.p.r} does not match pair size {pair.r}")
     if not g.is_invertible_over_ring():
@@ -177,8 +186,9 @@ class MuGenericCertificate:
 
     ``t_star``, ``group`` and Q's LU factors (one ``lu_decompose(q)``) are
     built on first read; the extraction and the CLI never read them.
-    ``t_star`` is ``inverse(t_inv)``, so it records T_L T_U and the replay's
-    Q N T*^-1 is the product Q N T_L T_U."""
+    ``t_star`` is ``inverse(t_inv)``: it records T_L T_U, so the replay's
+    Q N T*^-1 is the product Q N T_L T_U and its group test reads T_L T_U,
+    and T*'s own entries, the adjugate inverse, are formed only if read."""
 
     pair: MatrixPair            # (D_mu, N_star)
     n_star: RMatrix
@@ -207,7 +217,8 @@ class MuGenericCertificate:
 
     @cached_property
     def t_star(self) -> RMatrix:
-        """(T_L T_U)^-1, the adjugate inverse of a polynomial matrix."""
+        """(T_L T_U)^-1, recording T_L T_U; its entries are the adjugate
+        inverse of that polynomial matrix, formed on first read."""
         return inverse(self.t_inv)
 
     @cached_property
@@ -649,12 +660,15 @@ def _attempt_reduction(diagonal_pair, g_diag, mu, nu, lam, rng,
     checks.append(CheckResult("u_upper_triangular", u.is_upper_triangular()))
     checks.append(CheckResult("n_star_over_ring", n_star.is_over_ring()))
 
-    # every order read from tab_n is at most |mu| + |nu| (diagonal minors
-    # pin the finite ones; structural zeros stay zero), so it may be computed
-    # modulo t^(cap+1) and remain authoritative; the equation tables only
-    # need the orders they are compared against, see _equation_cap
+    # tab_n is exact at precision |nu| whenever the attempt can pass: N* is
+    # then upper triangular over R with ord det N* = |nu|, so each principal
+    # minor has order at most |nu|, and det_gap_columns (H = I) bounds every
+    # comparable ord N*_IJ by ord N*_II; a larger entry fails that check at
+    # either precision, and the other minors vanish identically.  The
+    # equation tables only need the orders they are compared against, and
+    # fall back to the full cap |mu| + |nu| + 1, see _equation_cap
     cap = mu.weight() + nu.weight() + 1
-    tab_n = minor_order_table(n_star, cap=cap)
+    tab_n = minor_order_table(n_star, cap=nu.weight())
     nu_star = _table_partition(tab_n, r)
     checks.append(CheckResult("nu_preserved", nu_star == nu,
                               "" if nu_star == nu else f"{nu_star} vs {nu}"))

@@ -39,7 +39,8 @@ Products with an inverse go through one adjugate engine, ``times_inverse``:
 with b's rows cleared once into G, a b^-1 = (a adj(G)) diag(c) / det(G)
 with Bareiss cofactors and one product per entry.  ``inverse`` is its
 identity case, and what it returns records the matrix it inverted, so
-multiplying by the inverse of an inverse is a plain product.
+multiplying by the inverse of an inverse is a plain product; its entries
+are formed only when read.
 """
 
 from __future__ import annotations
@@ -75,7 +76,10 @@ class RMatrix:
     """Immutable square matrix of exact field elements.
 
     ``_inverse_of`` is None, or the matrix this one is the inverse of; only
-    ``inverse`` sets it."""
+    ``inverse`` sets it.  A matrix from ``inverse`` starts with its
+    ``entries`` slot unset, and ``__getattr__``, which Python calls only
+    for an unset slot, fills it on first read; a set slot reads at full
+    speed."""
 
     __slots__ = ("r", "entries", "_inverse_of")
 
@@ -90,6 +94,13 @@ class RMatrix:
         self.r = r
         self.entries = rows
         self._inverse_of = None
+
+    def __getattr__(self, name):
+        if name != "entries":
+            raise AttributeError(name)
+        # a matrix from inverse: the adjugate inverse of its record, formed once
+        self.entries = times_inverse(RMatrix.identity(self.r), self._inverse_of).entries
+        return self.entries
 
     @staticmethod
     def identity(r: int) -> "RMatrix":
@@ -609,15 +620,25 @@ def times_inverse(a: RMatrix, b: RMatrix) -> RMatrix:
 
 
 def inverse(m: RMatrix) -> RMatrix:
-    """Exact inverse over the field: ``times_inverse`` of the identity.
+    """Exact inverse over the field: ``times_inverse`` of the identity,
+    formed when its entries are first read.
 
     The result records m, so inverting it again returns m itself and
-    ``times_inverse(a, inverse(m))`` is the product a m.  Only the result
+    ``times_inverse(a, inverse(m))`` is the product a m; a caller that only
+    multiplies by the inverse's inverse, or tests the record (as group
+    membership does), never forms the adjugate.  m is proved nonsingular
+    before the result is returned: a unit determinant read in the residue
+    field for m over the ring, else a nonzero Bareiss determinant of m's
+    cleared rows; a singular m raises ``RankError`` here.  Only the result
     points back, never m, so no reference cycle forms; both are immutable,
     so the record stays true."""
     if m._inverse_of is not None:
         return m._inverse_of
-    out = times_inverse(RMatrix.identity(m.r), m)
+    if not ((m.is_over_ring() and has_unit_det(m))
+            or _poly_det([_clear_row(row)[0] for row in m.entries])):
+        raise RankError("matrix is singular, no inverse")
+    out = object.__new__(RMatrix)
+    out.r = m.r
     out._inverse_of = m
     return out
 

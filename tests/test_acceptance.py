@@ -200,6 +200,14 @@ def test_criterion_4_certificates_fully_verify():
                                     r) == ""
 
 
+def test_n_star_tables_exact_at_precision_nu():
+    """Every certificate of the shared run carries N*'s table built at
+    precision |nu|, equal to the uncapped table of its N*."""
+    run = _collected()
+    for cert in run["roundtrip"][1] + run["orbit"][1]:
+        assert cert.minor_orders == minor_order_table(cert.n_star)
+
+
 def test_equation_tables_capped_at_the_largest_compared_order():
     """The reduction builds the equation tables only up to the largest
     finite order of N*; on every certificate of the shared run, the tables

@@ -6,7 +6,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lrpairs.errors import (GenericityError, InputError, PrincipalMinorError,
                             RankError, RetriesExhaustedError)
@@ -122,6 +122,54 @@ def test_group_element_json_and_invertibility():
     assert g.is_invertible_over_ring()
     bad = GroupElement(RMatrix([[t(1)]]), RMatrix([[ONE]]), RMatrix([[ONE]]))
     assert not bad.is_invertible_over_ring()
+
+
+# entries for the membership test: units, non-units, negative orders and
+# fractions whose denominators are units or not
+_MEMBERSHIP_ENTRIES = [ZERO, ONE, c(-1), c(2), t(1), t(2), c(3) + t(1),
+                       ONE / t(1), (ONE + t(1)) / (c(2) - t(1)),
+                       t(1) / (ONE + t(1)), c(3) / (t(1) + t(2))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda r: st.lists(
+    st.lists(st.sampled_from(_MEMBERSHIP_ENTRIES), min_size=r, max_size=r),
+    min_size=r, max_size=r)))
+@example([[c(3) + t(1), c(2)], [t(1), ONE]])              # det 3 - t, a unit
+@example([[t(1), ZERO], [ZERO, ONE]])                     # diag(t, 1)
+@example([[ONE, ONE / t(1)], [ZERO, ONE]])                # negative order
+@example([[ONE / (ONE + t(1)), t(1)],
+          [ZERO, (c(2) + t(1)) / (ONE - t(1))]])          # fractions, unit det
+def test_membership_through_the_record_matches_record_free_copies(rows):
+    """A component that records its inverse is tested through the record;
+    the verdict is the one the component's own entries give."""
+    try:
+        x = inverse(RMatrix(rows))
+    except RankError:
+        assume(False)
+    eye = RMatrix.identity(x.r)
+    for g, fresh in ((GroupElement(x, x, x), GroupElement(*[_copy(x)] * 3)),
+                     (GroupElement(eye, eye, x), GroupElement(eye, eye, _copy(x)))):
+        assert g.is_invertible_over_ring() == fresh.is_invertible_over_ring()
+
+
+@pytest.mark.parametrize("rows", [
+    [[ONE, ONE / t(1)], [ZERO, ONE]],   # the record has negative order
+    [[t(1), ZERO], [ZERO, ONE]],        # over the ring, det t; x has order -1
+])
+def test_act_refuses_a_record_outside_the_group(monkeypatch, rows):
+    """act refuses a component whose record is not in GL_r(R), in every
+    position, without forming the component's entries."""
+    def no_adjugate(a, b):
+        raise AssertionError("times_inverse called")
+
+    x = inverse(RMatrix(rows))
+    eye = RMatrix.identity(2)
+    monkeypatch.setattr(matrix_mod, "times_inverse", no_adjugate)
+    monkeypatch.setattr(generic_mod, "times_inverse", no_adjugate)
+    for parts in ((x, eye, eye), (eye, x, eye), (eye, eye, x)):
+        with pytest.raises(InputError):
+            act(GroupElement(*parts), MatrixPair(eye, eye))
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +481,14 @@ def test_equation_cap_keeps_every_verdict(monkeypatch, units):
         assert seen["failing"] and seen["full cap"]
 
 
+def test_n_star_table_exact_at_precision_nu():
+    """The reduction builds N*'s table modulo t^(|nu|+1); on the staircase
+    at r = 3..7 each certificate's table equals the uncapped one."""
+    for r in range(3, 8):
+        cert = to_mu_generic(_staircase_pair(r), random.Random(r))
+        assert cert.minor_orders == minor_order_table(cert.n_star)
+
+
 def test_reduction_inverts_nothing(monkeypatch):
     """The reduction and the extraction never invert a matrix; the
     certificate's group element is built on first read and then kept."""
@@ -464,6 +520,46 @@ def test_lazy_t_star_inverts_t_inv():
 def _copy(m):
     """The same entries in a fresh matrix, which records no inverse."""
     return RMatrix(m.entries)
+
+
+def test_t_star_is_the_adjugate_of_a_record_free_copy():
+    """cert.t_star, formed on first read, is the adjugate inverse that
+    times_inverse gives for a copy of T_L T_U without a record."""
+    rng = random.Random(17)
+    pairs = [golden_pair(), _staircase_pair(4)]
+    pairs += [realize(f, mu).pair()
+              for f, mu, _, _ in (random_filling(rng, r_max=3) for _ in range(6))]
+    pairs[2:] = [act(random_group_element(rng, p.r), p) for p in pairs[2:]]
+    for pair in pairs:
+        cert = to_mu_generic(pair, rng)
+        want = times_inverse(RMatrix.identity(pair.r), _copy(cert.t_inv))
+        assert cert.t_star == want
+        assert cert.t_star._inverse_of is cert.t_inv
+
+
+def test_replay_runs_one_adjugate(monkeypatch):
+    """The replay act(cert.group, pair) on scrambled pairs runs the adjugate
+    for P M Q^-1 and for nothing else: T* is never formed, since its record
+    gives both Q N T*^-1 = Q N T_L T_U and its group membership."""
+    adjugates = []
+    real = matrix_mod.times_inverse
+
+    def spy(a, b):
+        if b._inverse_of is None:
+            adjugates.append(b)
+        return real(a, b)
+
+    monkeypatch.setattr(matrix_mod, "times_inverse", spy)
+    monkeypatch.setattr(generic_mod, "times_inverse", spy)
+    rng = random.Random(19)
+    for _ in range(12):
+        f, mu, _, _ = random_filling(rng, r_max=3)
+        pair = realize(f, mu).pair()
+        pair = act(random_group_element(rng, pair.r), pair)
+        cert = extract_from_pair(pair, rng).certificate
+        adjugates.clear()
+        assert act(cert.group, pair) == cert.pair
+        assert len(adjugates) == 1 and adjugates[0] is cert.group.q
 
 
 def test_replay_matches_record_free_route():

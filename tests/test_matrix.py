@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lrpairs.errors import (InputError, NotInRingError, PrincipalMinorError,
                             RankError)
+import lrpairs.matrix as matrix_mod
 from lrpairs.matrix import (RMatrix, _bareiss, _clean, _clear_row, _poly_det,
                             det, diag_from_partition,
                             has_unit_det, invariant_partition,
@@ -687,6 +688,50 @@ def test_inverse_of_inverse_is_its_source():
         assert times_inverse(a, inv) == mat_mul(a, m)
 
 
+def _no_determinant(*args):
+    raise AssertionError("det or minor called")
+
+
+@pytest.mark.parametrize("rows", [
+    # rank 1 with fraction entries, a row and three times it
+    [[ONE / (ONE + t(1)), t(1) / (c(2) - t(1))],
+     [c(3) / (ONE + t(1)), c(3) * t(1) / (c(2) - t(1))]],
+    # over the ring with a vanishing residue determinant: the Bareiss route
+    [[t(1), t(2)], [ONE, t(1)]],
+    # an entry of negative order: the residue route is never asked
+    [[ONE / t(1), ONE], [ONE, t(1)]],
+])
+def test_inverse_raises_rank_error_before_returning(monkeypatch, rows):
+    """The entries of inverse(m) are formed on first read, but a singular m
+    is refused by inverse itself, with det and minor patched to raise."""
+    monkeypatch.setattr(matrix_mod, "det", _no_determinant)
+    monkeypatch.setattr(matrix_mod, "minor", _no_determinant)
+    with pytest.raises(RankError):
+        inverse(RMatrix(rows))
+
+
+def test_inverse_forms_its_entries_on_first_read(monkeypatch):
+    """inverse runs no adjugate; the first read of the entries runs one, and
+    later reads none."""
+    calls = []
+    real = matrix_mod.times_inverse
+
+    def spy(a, b):
+        calls.append(b)
+        return real(a, b)
+
+    monkeypatch.setattr(matrix_mod, "times_inverse", spy)
+    m = random_full_rank(random.Random(39), 3, frac=True)
+    inv = inverse(m)
+    assert inv.r == 3 and calls == []
+    assert mat_mul(inv, m) == RMatrix.identity(3)
+    assert calls == [m]
+    assert inv.entry(1, 1) == inv.entries[0][0]
+    assert inverse(m).entries == inv.entries and calls == [m, m]
+    with pytest.raises(AttributeError):
+        inv.no_such_attribute
+
+
 def test_times_inverse_rejects_singular_and_mismatched():
     singular = RMatrix([[ONE, ONE], [ONE, ONE]])
     with pytest.raises(RankError):
@@ -832,10 +877,28 @@ def test_residue_unit_test_agrees_with_exact_determinant():
     assert not has_unit_det(RMatrix([[ZERO, ZERO], [ONE, t(2)]]))
 
 
-@pytest.mark.parametrize("rows", [
+_NEGATIVE_ORDER = [
     [[ONE / t(1)]],
     [[(ONE + t(1)) / t(1), ONE], [ZERO, ONE]],
-])
+    # a full-rank diagonal beside one entry over t (1 + t)
+    [[t(2), ZERO, c(3) / (t(1) + t(2))], [ZERO, ONE, ZERO], [ZERO, ZERO, t(1)]],
+]
+
+
+@pytest.mark.parametrize("rows", _NEGATIVE_ORDER)
 def test_has_unit_det_rejects_negative_order(rows):
     with pytest.raises(NotInRingError):
         has_unit_det(RMatrix(rows))
+
+
+@pytest.mark.parametrize("rows", _NEGATIVE_ORDER)
+def test_ring_only_kernels_reject_negative_order(rows):
+    """invariant_partition and smith_transforms need a matrix over the ring
+    and raise; is_mu_admissible answers no, for every mu that fits."""
+    m = RMatrix(rows)
+    with pytest.raises(NotInRingError):
+        invariant_partition(m)
+    with pytest.raises(NotInRingError):
+        smith_transforms(m)
+    for mu in ((), (1,), (2, 1)):
+        assert not is_mu_admissible(m, Partition(mu[:m.r]))
