@@ -625,13 +625,13 @@ def inverse(m: RMatrix) -> RMatrix:
 
     The result records m, so inverting it again returns m itself and
     ``times_inverse(a, inverse(m))`` is the product a m; a caller that only
-    multiplies by the inverse's inverse, or tests the record (as group
-    membership does), never forms the adjugate.  m is proved nonsingular
-    before the result is returned: a unit determinant read in the residue
-    field for m over the ring, else a nonzero Bareiss determinant of m's
-    cleared rows; a singular m raises ``RankError`` here.  Only the result
-    points back, never m, so no reference cycle forms; both are immutable,
-    so the record stays true."""
+    divides by the result or tests the record (as group membership does)
+    never forms the adjugate.  m is proved nonsingular before the result is
+    returned, by a unit determinant read in the residue field when m is
+    over the ring, else by a nonzero Bareiss determinant of m's cleared
+    rows; a singular m raises ``RankError`` here.  Only the result points
+    back, never m, so no reference cycle forms; both are immutable, so the
+    record stays true."""
     if m._inverse_of is not None:
         return m._inverse_of
     if not ((m.is_over_ring() and has_unit_det(m))

@@ -506,35 +506,25 @@ def test_reduction_inverts_nothing(monkeypatch):
         assert cert.group is cert.group
 
 
+def _copy(m):
+    """The same entries in a fresh matrix, which records no inverse."""
+    return RMatrix(m.entries)
+
+
 def test_lazy_t_star_inverts_t_inv():
+    """cert.t_star records T_L T_U, and its entries, formed on first read,
+    are the adjugate inverse of a copy of T_L T_U without a record."""
     rng = random.Random(11)
     pairs = [_staircase_pair(r) for r in range(3, 6)]
     pairs += [realize(f, mu).pair()
               for f, mu, _, _ in (random_filling(rng) for _ in range(20))]
     for pair in pairs:
         cert = to_mu_generic(pair, rng)
+        assert cert.t_star._inverse_of is cert.t_inv
+        assert cert.t_star == times_inverse(RMatrix.identity(pair.r),
+                                            _copy(cert.t_inv))
         assert mat_mul(cert.t_star, cert.t_inv) == RMatrix.identity(pair.r)
         assert cert.group.t == cert.t_star
-
-
-def _copy(m):
-    """The same entries in a fresh matrix, which records no inverse."""
-    return RMatrix(m.entries)
-
-
-def test_t_star_is_the_adjugate_of_a_record_free_copy():
-    """cert.t_star, formed on first read, is the adjugate inverse that
-    times_inverse gives for a copy of T_L T_U without a record."""
-    rng = random.Random(17)
-    pairs = [golden_pair(), _staircase_pair(4)]
-    pairs += [realize(f, mu).pair()
-              for f, mu, _, _ in (random_filling(rng, r_max=3) for _ in range(6))]
-    pairs[2:] = [act(random_group_element(rng, p.r), p) for p in pairs[2:]]
-    for pair in pairs:
-        cert = to_mu_generic(pair, rng)
-        want = times_inverse(RMatrix.identity(pair.r), _copy(cert.t_inv))
-        assert cert.t_star == want
-        assert cert.t_star._inverse_of is cert.t_inv
 
 
 def test_replay_runs_one_adjugate(monkeypatch):
