@@ -14,6 +14,12 @@ then dresses the result with random-unit upper factors Q_U, T_U.  Every sample
 is verified; any failed check discards the whole attempt and resamples.  The
 verification is exhaustive at every size r: each check runs over every index
 pair, or every componentwise triple, of the full minor-order table of N*.
+Each table is computed only to the precision its checks need, set per row
+set: N*'s from its diagonal orders (``_n_star_row_caps``), and the three
+equation tables from N*'s orders in their rows once the gap checks, which
+read only N*'s table, hold (``_equation_row_caps``).  Both docstrings prove
+that a passing attempt's tables and every attempt's verdict are those of
+the full precision.
 
 The extraction and the CLI read only N* and its minor-order table.  The
 certificate's ``t_star`` = (T_L T_U)^-1 and ``group``, which only a replay
@@ -39,11 +45,11 @@ from .errors import (GenericityError, InputError, PrincipalMinorError,
 # det is unused here but stays importable as lrpairs.generic.det, an import
 # site that perfbench's tracer self-test checks
 from .matrix import (RMatrix, _bareiss, _between, _clean, _clear_row,
-                     _comparable_pairs, _intervals, _lu_grid, _mu_weights,
-                     _table_partition, det, diag_from_partition, has_unit_det,
-                     inverse, invariant_partition, is_mu_admissible,
-                     lu_decompose, mat_mul, minor_order, minor_order_table,
-                     smith_transforms, times_inverse)
+                     _closed_row_caps, _comparable_pairs, _intervals, _lu_grid,
+                     _mu_weights, _table_partition, det, diag_from_partition,
+                     has_unit_det, inverse, invariant_partition,
+                     is_mu_admissible, lu_decompose, mat_mul, minor_order,
+                     minor_order_table, smith_transforms, times_inverse)
 from .ring import (_PONE, INFINITY, ONE, ZERO, RingElem, _padd, _pmul, _pshift,
                    random_unit)
 from .tableaux import Partition, as_partition
@@ -420,8 +426,9 @@ def check_equation_third(tab_n: dict, tab_left: dict, r: int):
 
 
 def _equation_cap(tab_n: dict, cap: int, r: int) -> int:
-    """Precision for the three equation tables: the largest finite order of
-    N* (at most cap), the largest order any equation compares against.
+    """Uniform precision for the three equation tables, the fallback of
+    ``_equation_row_caps``: the largest finite order of N* (at most cap),
+    the largest order any equation compares against.
 
     A finite want of at most this cap is compared with a minimum of table
     entries plus shifts >= 0.  A term at or below want is an entry of order
@@ -436,10 +443,64 @@ def _equation_cap(tab_n: dict, cap: int, r: int) -> int:
     return min(cap, max(v for v in tab_n.values() if v != INFINITY))
 
 
+def _n_star_row_caps(n_star: RMatrix, nu_weight: int, over_ring: bool):
+    """Precision for N*'s table: cap(I) = min(|nu|, sum over i in I of
+    ord N*_ii), closed downward, or the int |nu| when N* is not over R or
+    has a zero diagonal entry.
+
+    N* is upper triangular, so ord N*_II is the sum over I, and an attempt
+    that can pass has a table equal to the uncapped one, whichever it is
+    built with.  If the attempt passes uncapped, ord det N* = |nu| (the
+    nu check) and every diagonal order is >= 0, so ord N*_II <= |nu| and
+    ord N*_II <= cap(I); det_gap_columns with H = I bounds every comparable
+    ord N*_IJ by ord N*_II, so each is at most its cap and exact, and the
+    other minors vanish identically.  If it passes at the caps, the nu check
+    read a finite, hence exact, order |nu| for the whole row set, so again
+    ord N*_II <= cap(I) is exact, and det_gap_columns read every comparable
+    entry at most that: finite, hence exact.  So the two tables differ only
+    in attempts that fail at both precisions, where an entry above its cap
+    fails det_gap_columns."""
+    r = n_star.r
+    diag = [n_star.entry(i, i).valuation() for i in range(1, r + 1)]
+    if not over_ring or INFINITY in diag:
+        return nu_weight
+    return _closed_row_caps({rows: min(nu_weight, sum(diag[i - 1] for i in rows))
+                             for rows in _intervals(r)[0] if rows})
+
+
+def _equation_row_caps(tab_n: dict, gaps_hold: bool, cap: int, r: int):
+    """Precision for the three equation tables: cap(S) = the largest order
+    of N* in rows S, closed downward, when N* is upper triangular with
+    det_gap_rows and det_gap_columns holding (``gaps_hold``) and no
+    comparable entry of ``tab_n`` is infinite; ``_equation_cap`` otherwise.
+
+    Then every entry of ``tab_n`` is exact: a finite reading always is, and
+    the other minors vanish identically.  Each equation compares a want
+    w = ord N*_IJ with a minimum of terms t + s, t an entry in rows S of a
+    table built to cap(S) and s >= 0 a shift.  Where w <= cap(S) - s, a term
+    at or below w has t <= cap(S) and is exact, and a term above it reads
+    exact or infinite, above w either way; so the minimum equals w at the
+    caps exactly when it does at full precision.
+      * first, terms (S, J) for S >= I, s = 0: for S <= J, det_gap_rows
+        gives w <= ord N*_SJ <= cap(S); for S not <= J the minor of U T_U
+        vanishes identically, infinite at any cap.  When I is not <= J every
+        S is such, and w is infinite.
+      * second, terms (H, J) for H <= I <= J, s = |mu_H| - |mu_I|:
+        det_gap_rows on H <= I <= J gives w + |mu_I| - |mu_H| <= ord N*_HJ
+        <= cap(H).
+      * third, terms (I, H) for H <= J, s = 0: reads row set I itself, and
+        w <= cap(I) by definition; when I is not <= J, w is infinite and so
+        is every (I, H) of the upper triangular Q_U U."""
+    if not gaps_hold or any(tab_n[p] == INFINITY for p in _comparable_pairs(r)):
+        return _equation_cap(tab_n, cap, r)
+    return _closed_row_caps({rows: max(tab_n[(rows, cols)] for cols in up)
+                             for rows, up in _intervals(r)[0].items() if rows})
+
+
 def _equation_failures(tab_n, right, left, v, mu, r, cap):
     """The three equations' failure strings ("" where one holds), on the
-    tables of U T_U, Q_U U and V computed modulo t^(cap+1); v may be V's
-    rows times units, which moves no minor order."""
+    tables of U T_U, Q_U U and V built at precision cap, an int or a row-cap
+    mapping; v may be V's rows times units, which moves no minor order."""
     tab_v = minor_order_table(v, cap=cap, comparable_only=True)
     return (check_equation_first(tab_n, minor_order_table(right, cap=cap), r),
             check_equation_second(tab_n, tab_v, mu, r),
@@ -658,23 +719,25 @@ def _attempt_reduction(diagonal_pair, g_diag, mu, nu, lam, rng,
     t_ok = t_inv.is_over_ring() and has_unit_det(t_inv)
     checks.append(CheckResult("t_inverse_in_group", t_ok))
     checks.append(CheckResult("u_upper_triangular", u.is_upper_triangular()))
-    checks.append(CheckResult("n_star_over_ring", n_star.is_over_ring()))
+    over_ring = n_star.is_over_ring()
+    checks.append(CheckResult("n_star_over_ring", over_ring))
 
-    # tab_n is exact at precision |nu| whenever the attempt can pass: N* is
-    # then upper triangular over R with ord det N* = |nu|, so each principal
-    # minor has order at most |nu|, and det_gap_columns (H = I) bounds every
-    # comparable ord N*_IJ by ord N*_II; a larger entry fails that check at
-    # either precision, and the other minors vanish identically.  The
-    # equation tables only need the orders they are compared against, and
-    # fall back to the full cap |mu| + |nu| + 1, see _equation_cap
+    # tab_n is exact whenever the attempt can pass, at precision
+    # min(|nu|, ord N*_II) in rows I, see _n_star_row_caps; the gap checks
+    # read only tab_n and run first, since the equation tables are built
+    # only up to the orders of N* in their rows when the gaps hold, see
+    # _equation_row_caps, and otherwise up to the full cap |mu| + |nu| + 1
+    # or less, see _equation_cap
     cap = mu.weight() + nu.weight() + 1
-    tab_n = minor_order_table(n_star, cap=nu.weight())
+    tab_n = minor_order_table(n_star,
+                              cap=_n_star_row_caps(n_star, nu.weight(), over_ring))
     nu_star = _table_partition(tab_n, r)
     checks.append(CheckResult("nu_preserved", nu_star == nu,
                               "" if nu_star == nu else f"{nu_star} vs {nu}"))
     lam_star = _table_partition(tab_n, r, shift_mu=mu)
     checks.append(CheckResult("lambda_preserved", lam_star == lam,
                               "" if lam_star == lam else f"{lam_star} vs {lam}"))
+    gap = verify_mu_generic(n_star, mu, table=tab_n)
 
     try:
         grid, scales, pivots = _lu_grid(q)
@@ -686,12 +749,11 @@ def _attempt_reduction(diagonal_pair, g_diag, mu, nu, lam, rng,
         checks.append(CheckResult("lu_product_consistent",
                                   _lu_product_consistent(q, grid, pivots)))
         v = _v_rows_times_units(grid, scales, pivots, mat_mul(n_input, t_inv))
-        failures = _equation_failures(tab_n, ut, mat_mul(q_upper, u), v, mu,
-                                      r, _equation_cap(tab_n, cap, r))
+        failures = _equation_failures(tab_n, ut, mat_mul(q_upper, u), v, mu, r,
+                                      _equation_row_caps(tab_n, gap.ok, cap, r))
         for name, fail in zip(("first", "second", "third"), failures):
             checks.append(CheckResult("equation_" + name, not fail, fail))
 
-    gap = verify_mu_generic(n_star, mu, table=tab_n)
     checks.extend(gap.checks)
 
     # corners against the input pair's nu and lam, straight from the table

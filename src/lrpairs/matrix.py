@@ -33,7 +33,8 @@ extraction code paths rely on.  That expansion keeps the comparable pairs
 I <= J closed, so an upper triangular matrix, whose other minors vanish, and
 the reduction's V table, which is read only there, are expanded on those
 pairs alone.  Its minors are dense coefficient lists truncated at the
-requested precision.
+requested precision, one for the whole table or one per row set, closed
+downward because each row set's minors expand into those of its prefix.
 
 Products with an inverse go through one adjugate engine, ``times_inverse``:
 with b's rows cleared once into G, a b^-1 = (a adj(G)) diag(c) / det(G)
@@ -513,21 +514,33 @@ def minor_order_table(m: RMatrix, cap=None, *, comparable_only=False) -> dict:
     infinity.  With ``comparable_only`` the table holds the comparable pairs
     and nothing else, whatever m is.
 
-    With ``cap`` set, everything is computed modulo t^(cap+1): orders at most
-    cap are exact, a larger one is exact or infinity.  Minors that vanish
-    identically still report infinity either way, so a cap of at least the
-    largest finite order that matters makes the truncated table authoritative.
-    Minors are dense coefficient lists truncated at that precision, or with
-    no cap at the sum of the rows' largest degrees, which no product passes;
-    the product loop stops there instead of forming terms it would discard.
+    With an int ``cap``, everything is computed modulo t^(cap+1): orders at
+    most cap are exact, a larger one is exact or infinity.  A finite reading
+    is always exact; only infinity may stand for an order above the cap.
+    Minors that vanish identically still report infinity either way, so a cap
+    of at least the largest finite order that matters makes the truncated
+    table authoritative.  ``cap`` may instead map every nonempty row set I to
+    its own precision cap[I]; the minors in rows I are then computed modulo
+    t^(cap[I]+1), with the same guarantee against cap[I].  The mapping must be
+    closed downward, cap[I[:-1]] >= cap[I] (``_closed_row_caps``): a minor in
+    rows I is a sum of row I[-1]'s entries, of order >= 0 once the rows are
+    cleared, times minors in rows I[:-1], so those are needed to cap[I] at
+    least.  Minors are dense coefficient lists truncated at that precision,
+    or with no cap at the sum of the rows' largest degrees, which no product
+    passes; the product loop stops there instead of forming terms it would
+    discard.
     """
     r = m.r
     grid, shifts = _cleared_grid(m)
-    acc_cap = INFINITY
-    if cap is not None:
-        # row clearing multiplies minors by the denominator products, whose
-        # orders are the recorded shifts; keep enough terms to see past them
-        acc_cap = cap + sum(shifts)
+    # row clearing multiplies minors by the denominator products, whose
+    # orders are the recorded shifts; keep enough terms to see past them
+    extra = sum(shifts)
+    if isinstance(cap, dict):
+        acc_cap = max(cap.values()) + extra
+        row_cap = lambda rows: cap[rows] + extra
+    else:
+        acc_cap = INFINITY if cap is None else cap + extra
+        row_cap = lambda rows: acc_cap
     # each entry as its ascending (degree, coefficient) terms up to acc_cap
     terms = [[sorted(dc for dc in e.items() if dc[0] <= acc_cap) for e in row]
              for row in grid]
@@ -549,7 +562,7 @@ def minor_order_table(m: RMatrix, cap=None, *, comparable_only=False) -> dict:
         for I, js in rows:
             row = terms[I[-1] - 1]
             subs = prev[I[:-1]]
-            lim = min(acc_cap, sum(row_deg[i - 1] for i in I))
+            lim = min(row_cap(I), sum(row_deg[i - 1] for i in I))
             shift_i = sum(shifts[i - 1] for i in I)
             found = cur[I] = {}
             for J in js:
@@ -583,6 +596,18 @@ def minor_order_table(m: RMatrix, cap=None, *, comparable_only=False) -> dict:
     if comparable and not comparable_only:
         orders.update(dict.fromkeys(off, INFINITY))
     return orders
+
+
+def _closed_row_caps(need: dict) -> dict:
+    """The least row-cap mapping at or above ``need`` that is closed
+    downward, caps[I[:-1]] >= caps[I], as ``minor_order_table`` requires.
+    ``need`` maps every nonempty row set to a precision; each row set's cap
+    becomes the largest need among the row sets it begins."""
+    caps = dict(need)
+    for rows in sorted(need, key=len, reverse=True):
+        if len(rows) > 1:
+            caps[rows[:-1]] = max(caps[rows[:-1]], caps[rows])
+    return caps
 
 
 def times_inverse(a: RMatrix, b: RMatrix) -> RMatrix:

@@ -11,8 +11,8 @@ import time
 
 from lrpairs.extract import (counterexample_demo, extract_filling,
                              extract_from_pair)
-from lrpairs.generic import (GroupElement, MatrixPair, act,
-                             check_equation_first, check_equation_second,
+from lrpairs.generic import (GroupElement, MatrixPair, _equation_row_caps,
+                             act, check_equation_first, check_equation_second,
                              check_equation_third, corner_invariant_check,
                              genericity_stats, reset_genericity_stats,
                              verify_mu_generic)
@@ -202,7 +202,8 @@ def test_criterion_4_certificates_fully_verify():
 
 def test_n_star_tables_exact_at_precision_nu():
     """Every certificate of the shared run carries N*'s table built at
-    precision |nu|, equal to the uncapped table of its N*."""
+    precision min(|nu|, ord N*_II) in rows I, closed downward, equal to the
+    uncapped table of its N*."""
     run = _collected()
     for cert in run["roundtrip"][1] + run["orbit"][1]:
         assert cert.minor_orders == minor_order_table(cert.n_star)
@@ -210,20 +211,24 @@ def test_n_star_tables_exact_at_precision_nu():
 
 def test_equation_tables_capped_at_the_largest_compared_order():
     """The reduction builds the equation tables only up to the largest
-    finite order of N*; on every certificate of the shared run, the tables
-    at the full cap give the same entries up to there and the same
-    verdicts.  The gap inequalities bound every comparable order of a
-    mu-generic N* by |mu| + |nu|, so each certificate lowers the cap."""
+    finite order of N* in each row set; on every certificate of the shared
+    run, the tables at the full cap give the same entries up to there and
+    the same verdicts, as do the tables at the uniform equation cap.  The
+    gap inequalities bound every comparable order of a mu-generic N* by
+    |mu| + |nu|, so each certificate lowers the cap."""
     run = _collected()
     certs = run["roundtrip"][1] + run["orbit"][1]
     lowered = 0
     for cert in certs:
         cap = cert.mu.weight() + cert.nu.weight() + 1
+        r = cert.n_star.r
         u = mat_mul(mat_mul(cert.q_lower, cert.n_input), cert.t_lower)
         v = mat_mul(cert.q_hat_u, mat_mul(cert.n_input, cert.t_inv))
+        row_caps = _equation_row_caps(cert.minor_orders, True, cap, r)
+        assert isinstance(row_caps, dict)
         cap_eq, at_full = assert_equation_cap_exact(
             cert.minor_orders, mat_mul(u, cert.t_upper),
-            mat_mul(cert.q_upper, u), v, cert.mu, cert.n_star.r, cap)
+            mat_mul(cert.q_upper, u), v, cert.mu, r, cap, row_caps)
         assert at_full == ("", "", "")
         lowered += cap_eq < cap
     assert lowered == len(certs)

@@ -429,9 +429,15 @@ def test_equation_cap_is_the_largest_finite_order():
     # there vanishes at any precision, so its infinity keeps no full cap
     assert generic_mod._equation_cap(tab_n, 12, 2) == 5
     assert generic_mod._equation_cap(tab_n, 4, 2) == 4
+    # once the gaps hold, each row set's largest order, closed downward:
+    # row set (1,) needs 3 itself and 5 for the minors of (1, 2)
+    row_caps = generic_mod._equation_row_caps
+    assert row_caps(tab_n, True, 12, 2) == {(1,): 5, (2,): 2, (1, 2): 5}
+    assert row_caps(tab_n, False, 12, 2) == 5
     # an infinite comparable entry asks the terms to vanish: full cap
     tab_n[((1,), (2,))] = INFINITY
     assert generic_mod._equation_cap(tab_n, 12, 2) == 12
+    assert row_caps(tab_n, True, 12, 2) == 12
 
 
 def _staircase_pair(r):
@@ -444,8 +450,10 @@ def _staircase_pair(r):
 def test_equation_cap_keeps_every_verdict(monkeypatch, units):
     """Every attempt's equation tables, rebuilt at the full cap, agree with
     the lowered ones on the staircase r = 3..6 and on random fillings.
-    Units of +-1 cancel often, so many of those attempts fail a check and
-    some hit the full-cap fallback."""
+    The lowered precision is either the int equation cap or the row caps,
+    and the attempt that passes always gets the row caps.  Units of +-1
+    cancel often, so many of those attempts fail a check and some hit the
+    int fallbacks, the full cap among them."""
     calls = []
     real = generic_mod._equation_failures
 
@@ -467,26 +475,58 @@ def test_equation_cap_keeps_every_verdict(monkeypatch, units):
         try:
             to_mu_generic(pair, rng, max_retries=3)
         except RetriesExhaustedError:
-            pass
+            passed = False
+        else:
+            passed = True
+            assert isinstance(calls[-1][-1], dict)
         mu, nu, _ = pair.invariants()
         cap = mu.weight() + nu.weight() + 1
         for tab_n, right, left, v, mu_n, r, cap_eq in calls[start:]:
+            row_caps = None if isinstance(cap_eq, int) else cap_eq
             got, at_full = assert_equation_cap_exact(tab_n, right, left, v,
-                                                     mu_n, r, cap)
-            assert cap_eq == got
-            seen["full cap" if cap_eq == cap else "lowered"] += 1
+                                                     mu_n, r, cap, row_caps)
+            if row_caps is None:
+                assert cap_eq == got
+                seen["full cap" if cap_eq == cap else "lowered"] += 1
+            else:
+                assert row_caps == generic_mod._equation_row_caps(tab_n, True,
+                                                                  cap, r)
+                seen["row caps"] += 1
             seen["failing" if any(at_full) else "passing"] += 1
-    assert seen["lowered"] and seen["passing"]
+        seen["passed attempt"] += passed
+    assert seen["row caps"] >= seen["passed attempt"] > 0 and seen["passing"]
     if units == "plus_minus_one":
-        assert seen["failing"] and seen["full cap"]
+        assert seen["failing"] and seen["lowered"] and seen["full cap"]
 
 
 def test_n_star_table_exact_at_precision_nu():
-    """The reduction builds N*'s table modulo t^(|nu|+1); on the staircase
-    at r = 3..7 each certificate's table equals the uncapped one."""
+    """The reduction builds N*'s table in rows I modulo t^(c+1), with
+    c = min(|nu|, ord N*_II) closed downward; on the staircase at r = 3..7
+    each certificate's table equals the uncapped one."""
     for r in range(3, 8):
         cert = to_mu_generic(_staircase_pair(r), random.Random(r))
         assert cert.minor_orders == minor_order_table(cert.n_star)
+
+
+def test_passing_attempt_tables_get_row_caps(monkeypatch):
+    """On the staircase at r = 5 and 6, all four tables of the passing
+    attempt, N*'s and the three equation tables, are built at a row-cap
+    mapping that is not one uniform precision."""
+    caps = []
+    real = generic_mod.minor_order_table
+
+    def spy(m, cap=None, **kw):
+        caps.append(cap)
+        return real(m, cap=cap, **kw)
+
+    monkeypatch.setattr(generic_mod, "minor_order_table", spy)
+    for r in (5, 6):
+        del caps[:]
+        cert = to_mu_generic(_staircase_pair(r), random.Random(1))
+        assert cert.report.ok and len(caps) >= 4
+        for cap in caps[-4:]:
+            assert isinstance(cap, dict) and len(set(cap.values())) > 1, cap
+        assert cert.minor_orders == minor_order_table(cert.n_star)  # not the spy
 
 
 def test_reduction_inverts_nothing(monkeypatch):

@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 from lrpairs.errors import (InputError, NotInRingError, PrincipalMinorError,
                             RankError)
 import lrpairs.matrix as matrix_mod
-from lrpairs.matrix import (RMatrix, _bareiss, _clean, _clear_row, _poly_det,
+from lrpairs.matrix import (RMatrix, _bareiss, _clean, _clear_row,
+                            _closed_row_caps, _poly_det,
                             det, diag_from_partition,
                             has_unit_det, invariant_partition,
                             invariant_partition_oracle, inverse,
@@ -354,13 +355,14 @@ def shifted_matrices(draw, triangular=False, max_r=4):
 
 
 def assert_agrees_under_cap(table, m, cap, keys):
-    """Every key carries minor_order's value; with a cap, an order above it
-    may read infinity instead."""
+    """Every key carries minor_order's value; with a cap, an int or one per
+    row set, an order above the cap of its rows may read infinity instead."""
     assert table.keys() == set(keys)
     for rows, cols in keys:
         want = minor_order(m, rows, cols)
         got = table[(rows, cols)]
-        if cap is None or want <= cap:
+        row_cap = cap.get(rows) if isinstance(cap, dict) else cap
+        if row_cap is None or want <= row_cap:
             assert got == want, (rows, cols, cap)
         else:
             assert got is INFINITY or got == want, (rows, cols, cap)
@@ -380,6 +382,27 @@ def test_minor_order_table_agrees_with_minor_order(m, cap, comparable_only):
 def test_minor_order_table_agrees_on_triangular_input(m, cap):
     assert m.is_upper_triangular()
     assert_agrees_under_cap(minor_order_table(m, cap=cap), m, cap, all_pairs(m.r))
+
+
+@st.composite
+def row_cap_mappings(draw, r):
+    """A random precision for every nonempty row set in 1..r, negative ones
+    included, closed downward as minor_order_table requires."""
+    return _closed_row_caps({rows: draw(st.integers(-2, 8))
+                             for k in range(1, r + 1)
+                             for rows in itertools.combinations(range(1, r + 1), k)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(("plain", "triangular", "comparable_only")))
+def test_minor_order_table_agrees_under_row_caps(data, kind):
+    m = data.draw(shifted_matrices(triangular=kind == "triangular"))
+    caps = data.draw(row_cap_mappings(m.r))
+    comparable_only = kind == "comparable_only"
+    table = minor_order_table(m, cap=caps, comparable_only=comparable_only)
+    keys = [key for key in all_pairs(m.r)
+            if not comparable_only or comparable(*key)]
+    assert_agrees_under_cap(table, m, caps, keys)
 
 
 def catalan(n):
