@@ -17,7 +17,7 @@ from .matrix import (RMatrix, det, diag_from_partition, invariant_partition,
                      minor_order_table, smith_transforms, times_inverse)
 from .tableaux import (Filling, FillingReport, LRSequence, Partition,
                        as_partition, count_fillings, enumerate_fillings,
-                       iter_partitions, random_partition, render_skew,
+                       iter_partitions, random_partition,
                        sequence_from_filling, validate_filling)
 from .realize import FactoredRealization, build_factor, random_filling, realize
 from .generic import (GroupElement, MatrixPair, MuGenericCertificate,
@@ -42,8 +42,7 @@ __all__ = [
     "smith_transforms", "times_inverse",
     "Filling", "FillingReport", "LRSequence", "Partition", "as_partition",
     "count_fillings", "enumerate_fillings", "iter_partitions",
-    "random_partition", "render_skew", "sequence_from_filling",
-    "validate_filling",
+    "random_partition", "sequence_from_filling", "validate_filling",
     "FactoredRealization", "build_factor", "random_filling", "realize",
     "GroupElement", "MatrixPair", "MuGenericCertificate", "VerificationReport",
     "act", "corner_invariant_check", "diagonalize_first", "genericity_stats",

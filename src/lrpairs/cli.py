@@ -33,6 +33,8 @@ from .tableaux import MAX_SIZE, Filling, Partition, count_fillings
 
 def _parse_partition(text: str) -> Partition:
     parts = [p.strip() for p in text.split(",") if p.strip()]
+    if len(parts) > MAX_SIZE:
+        raise InputError(f"partition of {len(parts)} parts exceeds the limit {MAX_SIZE}")
     try:
         return Partition(tuple(int(p) for p in parts))
     except ValueError as exc:

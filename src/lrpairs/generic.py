@@ -11,15 +11,18 @@ extraction module needs.
 Randomness enters only through the caller's rng: the reduction samples a
 lower factor Q_L = D_mu^-1 Q_L0 D_mu with random-unit entries, triangularizes,
 then dresses the result with random-unit upper factors Q_U, T_U.  Every sample
-is verified; any failed check discards the whole attempt and resamples.  The
-verification is exhaustive at every size r: each check runs over every index
-pair, or every componentwise triple, of the full minor-order table of N*.
-Each table is computed only to the precision its checks need, set per row
-set: N*'s from its diagonal orders (``_n_star_row_caps``), and the three
-equation tables from N*'s orders in their rows once the gap checks, which
-read only N*'s table, hold (``_equation_row_caps``).  Both docstrings prove
-that a passing attempt's tables and every attempt's verdict are those of
-the full precision.
+is verified in three stages, each run only once the earlier ones pass: the
+cheap checks on the factors, the checks that read N*'s minor-order table,
+then Q's LU stage and the three equation tables.  A stage with a failed
+check ends the attempt, naming that stage's failures, and the reduction
+resamples; every random draw of an attempt comes before its first check.
+The verification is exhaustive at every size r: each check runs over every
+index pair, or every componentwise triple, of the full minor-order table of
+N*.  Each table is computed only to the precision its checks need, set per
+row set: N*'s from its diagonal orders (``_n_star_row_caps``), and the three
+equation tables from N*'s orders in their rows (``_equation_row_caps``).
+Both docstrings prove that a passing attempt's tables and every attempt's
+verdict are those of the full precision.
 
 The extraction and the CLI read only N* and its minor-order table.  The
 certificate's ``t_star`` = (T_L T_U)^-1 and ``group``, which only a replay
@@ -425,33 +428,17 @@ def check_equation_third(tab_n: dict, tab_left: dict, r: int):
     return ""
 
 
-def _equation_cap(tab_n: dict, cap: int, r: int) -> int:
-    """Uniform precision for the three equation tables, the fallback of
-    ``_equation_row_caps``: the largest finite order of N* (at most cap),
-    the largest order any equation compares against.
-
-    A finite want of at most this cap is compared with a minimum of table
-    entries plus shifts >= 0.  A term at or below want is an entry of order
-    at most the cap, so it is exact; a larger term reads exact or infinite,
-    above want either way.  An infinite comparable entry of N* asks every
-    term to vanish, which only the full cap can tell, so it keeps the full
-    cap.  Off the comparable pairs every want and every term is an
-    identically vanishing minor of an upper triangular matrix, infinite at
-    any cap."""
-    if any(tab_n[p] == INFINITY for p in _comparable_pairs(r)):
-        return cap
-    return min(cap, max(v for v in tab_n.values() if v != INFINITY))
-
-
-def _n_star_row_caps(n_star: RMatrix, nu_weight: int, over_ring: bool):
+def _n_star_row_caps(n_star: RMatrix, nu_weight: int):
     """Precision for N*'s table: cap(I) = min(|nu|, sum over i in I of
-    ord N*_ii), closed downward, or the int |nu| when N* is not over R or
-    has a zero diagonal entry.
+    ord N*_ii), closed downward.
 
-    N* is upper triangular, so ord N*_II is the sum over I, and an attempt
-    that can pass has a table equal to the uncapped one, whichever it is
-    built with.  If the attempt passes uncapped, ord det N* = |nu| (the
-    nu check) and every diagonal order is >= 0, so ord N*_II <= |nu| and
+    Called once an attempt's cheap checks pass, so N* = Q_U U T_U is over R
+    and upper triangular, and ord N*_II is the sum over I.  Its diagonal
+    entries are U's pivots times units, nonzero since ``triangularize_right``
+    raises RankError otherwise, so every diagonal order is finite and >= 0.
+    An attempt that can pass has a table equal to the uncapped one,
+    whichever it is built with.  If the attempt passes uncapped,
+    ord det N* = |nu| (the nu check), so ord N*_II <= |nu| and
     ord N*_II <= cap(I); det_gap_columns with H = I bounds every comparable
     ord N*_IJ by ord N*_II, so each is at most its cap and exact, and the
     other minors vanish identically.  If it passes at the caps, the nu check
@@ -462,25 +449,26 @@ def _n_star_row_caps(n_star: RMatrix, nu_weight: int, over_ring: bool):
     fails det_gap_columns."""
     r = n_star.r
     diag = [n_star.entry(i, i).valuation() for i in range(1, r + 1)]
-    if not over_ring or INFINITY in diag:
-        return nu_weight
     return _closed_row_caps({rows: min(nu_weight, sum(diag[i - 1] for i in rows))
                              for rows in _intervals(r)[0] if rows})
 
 
-def _equation_row_caps(tab_n: dict, gaps_hold: bool, cap: int, r: int):
+def _equation_row_caps(tab_n: dict, r: int):
     """Precision for the three equation tables: cap(S) = the largest order
-    of N* in rows S, closed downward, when N* is upper triangular with
-    det_gap_rows and det_gap_columns holding (``gaps_hold``) and no
-    comparable entry of ``tab_n`` is infinite; ``_equation_cap`` otherwise.
+    of N* in rows S, closed downward.
 
-    Then every entry of ``tab_n`` is exact: a finite reading always is, and
-    the other minors vanish identically.  Each equation compares a want
-    w = ord N*_IJ with a minimum of terms t + s, t an entry in rows S of a
-    table built to cap(S) and s >= 0 a shift.  Where w <= cap(S) - s, a term
-    at or below w has t <= cap(S) and is exact, and a term above it reads
-    exact or infinite, above w either way; so the minimum equals w at the
-    caps exactly when it does at full precision.
+    Called once the checks on ``tab_n`` pass, so N* is upper triangular with
+    det_gap_rows and det_gap_columns holding, and ord N*_II is finite: the
+    diagonal has no zero (``_n_star_row_caps``) and the nu check read
+    ord det N* = |nu|, so ord N*_II <= cap(I) in ``tab_n``.  det_gap_columns
+    with H = I bounds every comparable entry by ord N*_II, so none is
+    infinite.  Every entry of ``tab_n`` is exact: a finite reading always
+    is, and the other minors vanish identically.  Each equation compares a
+    want w = ord N*_IJ with a minimum of terms t + s, t an entry in rows S
+    of a table built to cap(S) and s >= 0 a shift.  Where w <= cap(S) - s, a
+    term at or below w has t <= cap(S) and is exact, and a term above it
+    reads exact or infinite, above w either way; so the minimum equals w at
+    the caps exactly when it does at full precision.
       * first, terms (S, J) for S >= I, s = 0: for S <= J, det_gap_rows
         gives w <= ord N*_SJ <= cap(S); for S not <= J the minor of U T_U
         vanishes identically, infinite at any cap.  When I is not <= J every
@@ -491,8 +479,6 @@ def _equation_row_caps(tab_n: dict, gaps_hold: bool, cap: int, r: int):
       * third, terms (I, H) for H <= J, s = 0: reads row set I itself, and
         w <= cap(I) by definition; when I is not <= J, w is infinite and so
         is every (I, H) of the upper triangular Q_U U."""
-    if not gaps_hold or any(tab_n[p] == INFINITY for p in _comparable_pairs(r)):
-        return _equation_cap(tab_n, cap, r)
     return _closed_row_caps({rows: max(tab_n[(rows, cols)] for cols in up)
                              for rows, up in _intervals(r)[0].items() if rows})
 
@@ -604,7 +590,8 @@ def to_mu_generic(pair: MatrixPair, rng, max_retries: int = 20) -> MuGenericCert
 
     Samples random admissible transformations until the whole verification
     battery passes (almost always the first attempt); raises
-    RetriesExhaustedError after max_retries failed attempts.
+    RetriesExhaustedError after max_retries failed attempts, with the last
+    attempt's failed checks, those of the first stage that failed.
     """
     mu, nu, lam = pair.invariants()
     diagonal_pair, g_diag = diagonalize_first(pair)
@@ -700,6 +687,14 @@ def _v_rows_times_units(grid, scales, pivots, w) -> RMatrix:
     return RMatrix(rows)
 
 
+def _fail_on(checks):
+    """End the attempt with a GenericityError naming the failed checks, if
+    any."""
+    failed = [c.name for c in checks if not c.passed]
+    if failed:
+        raise GenericityError("failed checks: " + ", ".join(failed))
+
+
 def _attempt_reduction(diagonal_pair, g_diag, mu, nu, lam, rng,
                        attempt) -> MuGenericCertificate:
     d_mu, n_input = diagonal_pair.first, diagonal_pair.second
@@ -713,58 +708,46 @@ def _attempt_reduction(diagonal_pair, g_diag, mu, nu, lam, rng,
     q = mat_mul(q_upper, q_lower)
     t_inv = mat_mul(t_lower, t_upper)
 
-    checks = []
+    # stage 1: the cheap checks
+    cheap = (CheckResult("q_admissible", is_mu_admissible(q, mu)),
+             CheckResult("t_inverse_in_group",
+                         t_inv.is_over_ring() and has_unit_det(t_inv)),
+             CheckResult("u_upper_triangular", u.is_upper_triangular()),
+             CheckResult("n_star_over_ring", n_star.is_over_ring()))
+    _fail_on(cheap)
 
-    checks.append(CheckResult("q_admissible", is_mu_admissible(q, mu)))
-    t_ok = t_inv.is_over_ring() and has_unit_det(t_inv)
-    checks.append(CheckResult("t_inverse_in_group", t_ok))
-    checks.append(CheckResult("u_upper_triangular", u.is_upper_triangular()))
-    over_ring = n_star.is_over_ring()
-    checks.append(CheckResult("n_star_over_ring", over_ring))
-
-    # tab_n is exact whenever the attempt can pass, at precision
-    # min(|nu|, ord N*_II) in rows I, see _n_star_row_caps; the gap checks
-    # read only tab_n and run first, since the equation tables are built
-    # only up to the orders of N* in their rows when the gaps hold, see
-    # _equation_row_caps, and otherwise up to the full cap |mu| + |nu| + 1
-    # or less, see _equation_cap
-    cap = mu.weight() + nu.weight() + 1
-    tab_n = minor_order_table(n_star,
-                              cap=_n_star_row_caps(n_star, nu.weight(), over_ring))
+    # stage 2: the checks that read tab_n, exact whenever the attempt can
+    # pass at precision min(|nu|, ord N*_II) in rows I, see _n_star_row_caps
+    tab_n = minor_order_table(n_star, cap=_n_star_row_caps(n_star, nu.weight()))
     nu_star = _table_partition(tab_n, r)
-    checks.append(CheckResult("nu_preserved", nu_star == nu,
-                              "" if nu_star == nu else f"{nu_star} vs {nu}"))
     lam_star = _table_partition(tab_n, r, shift_mu=mu)
-    checks.append(CheckResult("lambda_preserved", lam_star == lam,
+    invariants = (CheckResult("nu_preserved", nu_star == nu,
+                              "" if nu_star == nu else f"{nu_star} vs {nu}"),
+                  CheckResult("lambda_preserved", lam_star == lam,
                               "" if lam_star == lam else f"{lam_star} vs {lam}"))
-    gap = verify_mu_generic(n_star, mu, table=tab_n)
+    # corners against the input pair's nu and lam, straight from the table
+    gaps = (verify_mu_generic(n_star, mu, table=tab_n).checks
+            + _corner_checks(lambda rows, cols: tab_n[(rows, cols)], mu, nu, lam, r))
+    _fail_on(invariants + gaps)
 
+    # stage 3: Q's LU stage, then the equation tables up to the orders of
+    # N* in their rows, see _equation_row_caps
     try:
         grid, scales, pivots = _lu_grid(q)
-    except PrincipalMinorError as exc:
-        checks.append(CheckResult("lu_factors_in_ring", False, str(exc)))
-    else:
-        checks.append(CheckResult("lu_factors_in_ring",
-                                  _lu_factors_in_ring(grid, scales, pivots, mu)))
-        checks.append(CheckResult("lu_product_consistent",
-                                  _lu_product_consistent(q, grid, pivots)))
-        v = _v_rows_times_units(grid, scales, pivots, mat_mul(n_input, t_inv))
-        failures = _equation_failures(tab_n, ut, mat_mul(q_upper, u), v, mu, r,
-                                      _equation_row_caps(tab_n, gap.ok, cap, r))
-        for name, fail in zip(("first", "second", "third"), failures):
-            checks.append(CheckResult("equation_" + name, not fail, fail))
+    except PrincipalMinorError as exc:  # the detail stays on the chain
+        raise GenericityError("failed checks: lu_factors_in_ring") from exc
+    lu_checks = (
+        CheckResult("lu_factors_in_ring", _lu_factors_in_ring(grid, scales, pivots, mu)),
+        CheckResult("lu_product_consistent", _lu_product_consistent(q, grid, pivots)))
+    v = _v_rows_times_units(grid, scales, pivots, mat_mul(n_input, t_inv))
+    failures = _equation_failures(tab_n, ut, mat_mul(q_upper, u), v, mu, r,
+                                  _equation_row_caps(tab_n, r))
+    lu_and_equations = lu_checks + tuple(
+        CheckResult("equation_" + name, not fail, fail)
+        for name, fail in zip(("first", "second", "third"), failures))
+    _fail_on(lu_and_equations)
 
-    checks.extend(gap.checks)
-
-    # corners against the input pair's nu and lam, straight from the table
-    checks.extend(_corner_checks(lambda rows, cols: tab_n[(rows, cols)],
-                                 mu, nu, lam, r))
-
-    report = VerificationReport(tuple(checks))
-    if not report.ok:
-        raise GenericityError(
-            "failed checks: " + ", ".join(c.name for c in report.failures()))
-
+    report = VerificationReport(cheap + invariants + lu_and_equations + gaps)
     return MuGenericCertificate(
         pair=MatrixPair(d_mu, n_star),
         n_star=n_star,

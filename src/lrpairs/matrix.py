@@ -127,9 +127,6 @@ class RMatrix:
     def __hash__(self):
         return hash(self.entries)
 
-    def __matmul__(self, other):
-        return mat_mul(self, other)
-
     def __repr__(self):
         rows = "\n ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)
         return f"RMatrix(\n {rows}\n)"

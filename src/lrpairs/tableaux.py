@@ -380,27 +380,6 @@ def count_fillings(mu, nu, lam) -> int:
     return len(enumerate_fillings(mu, nu, lam))
 
 
-def render_skew(filling: Filling, mu, lam) -> str:
-    """Fixed-width text diagram: row j shows mu_j blank cells then the labels
-    of row j in weakly increasing order."""
-    mu, lam = as_partition(mu), as_partition(lam)
-    r = filling.r
-    width = len(str(r)) if r else 1
-    blank = "." * width
-    lines = []
-    for j in range(1, r + 1):
-        cells = [blank] * mu.part(j)
-        for i in range(1, j + 1):
-            cells.extend([str(i).rjust(width)] * filling.entry(i, j))
-        expected = lam.part(j)
-        if expected and len(cells) != expected:
-            raise InputError(
-                f"row {j} renders {len(cells)} cells but the outer shape has {expected}"
-            )
-        lines.append(" ".join(cells))
-    return "\n".join(lines)
-
-
 def iter_partitions(weight: int, max_len: int, max_part: int):
     """All partitions of the given weight with bounded length and part size."""
     def rec(remaining, slots, cap, prefix):

@@ -213,9 +213,8 @@ def test_equation_tables_capped_at_the_largest_compared_order():
     """The reduction builds the equation tables only up to the largest
     finite order of N* in each row set; on every certificate of the shared
     run, the tables at the full cap give the same entries up to there and
-    the same verdicts, as do the tables at the uniform equation cap.  The
-    gap inequalities bound every comparable order of a mu-generic N* by
-    |mu| + |nu|, so each certificate lowers the cap."""
+    the same verdicts.  The gap inequalities bound every comparable order
+    of a mu-generic N* by |mu| + |nu|, so each certificate lowers the cap."""
     run = _collected()
     certs = run["roundtrip"][1] + run["orbit"][1]
     lowered = 0
@@ -224,13 +223,12 @@ def test_equation_tables_capped_at_the_largest_compared_order():
         r = cert.n_star.r
         u = mat_mul(mat_mul(cert.q_lower, cert.n_input), cert.t_lower)
         v = mat_mul(cert.q_hat_u, mat_mul(cert.n_input, cert.t_inv))
-        row_caps = _equation_row_caps(cert.minor_orders, True, cap, r)
-        assert isinstance(row_caps, dict)
-        cap_eq, at_full = assert_equation_cap_exact(
+        row_caps = _equation_row_caps(cert.minor_orders, r)
+        at_full = assert_equation_cap_exact(
             cert.minor_orders, mat_mul(u, cert.t_upper),
             mat_mul(cert.q_upper, u), v, cert.mu, r, cap, row_caps)
         assert at_full == ("", "", "")
-        lowered += cap_eq < cap
+        lowered += max(row_caps.values()) < cap
     assert lowered == len(certs)
 
 

@@ -414,6 +414,16 @@ def test_count_increasing_parts_exit_2(capsys):
     assert main(["count", "1,2", "1", "3,1"]) == 2
 
 
+def test_count_rejects_long_partition_before_counting(capsys, monkeypatch):
+    """A partition of more parts than a filling may have rows exits 2,
+    without a traceback and before any counting."""
+    monkeypatch.setattr(cli, "count_fillings", _never("counting"))
+    ones = ",".join(["1"] * 50)
+    assert main(["count", "0", ones, ones]) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+    assert main(["count", ",".join(["1"] * (MAX_SIZE + 1)), "1", "1"]) == 2
+
+
 # ---------------------------------------------------------------------------
 # counterexample
 

@@ -1,10 +1,13 @@
-"""Hostile JSON input: the loaders and ``main`` on small generated documents.
+"""Hostile input: the loaders and ``main`` on small generated documents and
+arguments.
 
-Only ``LRPairsError`` subclasses may escape a loader, and ``lrpairs extract``
-exits only with 0, 2, 3 or 4.  Each document is a well-formed one (r <= 3,
-degrees <= 4), as it is or with one node replaced by an arbitrary small JSON
-value, or removed; so every example stays small and starts no unbounded
-work.
+Only ``LRPairsError`` subclasses may escape a loader, and ``lrpairs
+extract``, ``realize``, ``roundtrip`` and ``count`` exit only with 0, 2, 3 or
+4.  Each document is a well-formed one (r <= 3 for pairs, r <= 4 for
+fillings, degrees and entries <= 4), as it is or with one node replaced by an
+arbitrary small JSON value, or removed.  The int flags stay small and the
+partition strings have single-digit parts, so every example starts no
+unbounded work.
 """
 
 import contextlib
@@ -109,12 +112,55 @@ def test_loaders_raise_only_package_errors(load, docs, data):
         pass
 
 
+def _exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 3, 4), (rc, err.getvalue())
+    return rc
+
+
 @settings(max_examples=120, deadline=None)
 @given(hostile(pairs))
 def test_extract_exits_only_with_known_codes(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "fuzz_pair.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(["extract", "--in", str(path)])
-    assert rc in (0, 2, 3, 4), (rc, err.getvalue())
+    _exit_code(["extract", "--in", str(path)])
+
+
+realize_docs = st.fixed_dictionaries(
+    {"filling": fillings | fillings.map(lambda doc: doc["rows"]), "mu": partitions})
+
+
+@settings(max_examples=120, deadline=None)
+@given(hostile(realize_docs))
+def test_realize_exits_only_with_known_codes(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzz_filling.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    _exit_code(["realize", "--in", str(path)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-1, 2), st.integers(-1, 3), st.integers(-1, 4),
+       st.integers(-1, 3), st.integers(0, 9))
+def test_roundtrip_exits_only_with_known_codes(tmp_path_factory, trials, rmax,
+                                               pmax, retries, seed):
+    # failure artifacts land beside --out, in the test's own directory
+    out = tmp_path_factory.getbasetemp() / "fuzz_roundtrip.json"
+    _exit_code(["roundtrip", "--trials", str(trials), "--rmax", str(rmax),
+                "--pmax", str(pmax), "--retries", str(retries),
+                "--seed", str(seed), "--out", str(out)])
+
+
+# comma strings of small parts, signs, blanks, junk and non-ASCII digits,
+# and sometimes more parts than a filling may have rows
+partition_strings = st.lists(
+    st.integers(-2, 4).map(str) | st.sampled_from(["", " ", "x", "1.5", "1e1",
+                                                   "+1", " 2", "\u0663"]),
+    max_size=12).map(",".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(partition_strings, partition_strings, partition_strings)
+def test_count_exits_only_with_known_codes(mu, nu, lam):
+    _exit_code(["count", mu, nu, lam])

@@ -423,21 +423,15 @@ def test_certificate_equations_hold_on_all_pairs():
 
 
 def test_equation_cap_is_the_largest_finite_order():
+    """Each row set's largest order of N* over its comparable columns,
+    closed downward.  The reduction asks for the caps only once the gaps
+    hold, when no comparable entry is infinite (``_equation_row_caps``)."""
     tab_n = {((), ()): 0, ((1,), (1,)): 3, ((1,), (2,)): 1,
              ((2,), (1,)): INFINITY, ((2,), (2,)): 2, ((1, 2), (1, 2)): 5}
     # ((2,), (1,)) is not comparable: an upper triangular matrix's minor
-    # there vanishes at any precision, so its infinity keeps no full cap
-    assert generic_mod._equation_cap(tab_n, 12, 2) == 5
-    assert generic_mod._equation_cap(tab_n, 4, 2) == 4
-    # once the gaps hold, each row set's largest order, closed downward:
-    # row set (1,) needs 3 itself and 5 for the minors of (1, 2)
-    row_caps = generic_mod._equation_row_caps
-    assert row_caps(tab_n, True, 12, 2) == {(1,): 5, (2,): 2, (1, 2): 5}
-    assert row_caps(tab_n, False, 12, 2) == 5
-    # an infinite comparable entry asks the terms to vanish: full cap
-    tab_n[((1,), (2,))] = INFINITY
-    assert generic_mod._equation_cap(tab_n, 12, 2) == 12
-    assert row_caps(tab_n, True, 12, 2) == 12
+    # there vanishes at any precision, and no cap reads it; row set (1,)
+    # needs 3 itself and 5 for the minors of (1, 2)
+    assert generic_mod._equation_row_caps(tab_n, 2) == {(1,): 5, (2,): 2, (1, 2): 5}
 
 
 def _staircase_pair(r):
@@ -449,11 +443,10 @@ def _staircase_pair(r):
 @pytest.mark.parametrize("units", ["random", "plus_minus_one"])
 def test_equation_cap_keeps_every_verdict(monkeypatch, units):
     """Every attempt's equation tables, rebuilt at the full cap, agree with
-    the lowered ones on the staircase r = 3..6 and on random fillings.
-    The lowered precision is either the int equation cap or the row caps,
-    and the attempt that passes always gets the row caps.  Units of +-1
-    cancel often, so many of those attempts fail a check and some hit the
-    int fallbacks, the full cap among them."""
+    the ones at the row caps on the staircase r = 3..6 and on random
+    fillings.  Every attempt that builds them, passing or failing, gets the
+    row caps.  Units of +-1 cancel often, so some of those attempts fail an
+    equation, at both precisions."""
     calls = []
     real = generic_mod._equation_failures
 
@@ -478,25 +471,153 @@ def test_equation_cap_keeps_every_verdict(monkeypatch, units):
             passed = False
         else:
             passed = True
-            assert isinstance(calls[-1][-1], dict)
         mu, nu, _ = pair.invariants()
         cap = mu.weight() + nu.weight() + 1
-        for tab_n, right, left, v, mu_n, r, cap_eq in calls[start:]:
-            row_caps = None if isinstance(cap_eq, int) else cap_eq
-            got, at_full = assert_equation_cap_exact(tab_n, right, left, v,
-                                                     mu_n, r, cap, row_caps)
-            if row_caps is None:
-                assert cap_eq == got
-                seen["full cap" if cap_eq == cap else "lowered"] += 1
-            else:
-                assert row_caps == generic_mod._equation_row_caps(tab_n, True,
-                                                                  cap, r)
-                seen["row caps"] += 1
+        for tab_n, right, left, v, mu_n, r, row_caps in calls[start:]:
+            assert isinstance(row_caps, dict)
+            assert row_caps == generic_mod._equation_row_caps(tab_n, r)
+            at_full = assert_equation_cap_exact(tab_n, right, left, v,
+                                                mu_n, r, cap, row_caps)
             seen["failing" if any(at_full) else "passing"] += 1
         seen["passed attempt"] += passed
-    assert seen["row caps"] >= seen["passed attempt"] > 0 and seen["passing"]
+    assert seen["passing"] >= seen["passed attempt"] > 0
     if units == "plus_minus_one":
-        assert seen["failing"] and seen["lowered"] and seen["full cap"]
+        assert seen["failing"]
+
+
+def attempt_running_every_check(diagonal_pair, mu, nu, lam, rng):
+    """Reference for ``_attempt_reduction``: the attempt body that ran every
+    check, so that its report named every failure, on uncapped tables.
+    Draws from rng as the attempt does; returns (report, N*'s table)."""
+    g = generic_mod
+    n_input, r = diagonal_pair.second, diagonal_pair.r
+    _, q_lower = g._sample_lower_factors(mu, r, rng)
+    t_lower, u = triangularize_right(mat_mul(q_lower, n_input))
+    q_upper = g._random_unit_upper(r, rng)
+    t_upper = g._random_unit_upper(r, rng)
+    ut = mat_mul(u, t_upper)
+    n_star = mat_mul(q_upper, ut)
+    q = mat_mul(q_upper, q_lower)
+    t_inv = mat_mul(t_lower, t_upper)
+    checks = [g.CheckResult("q_admissible", is_mu_admissible(q, mu)),
+              g.CheckResult("t_inverse_in_group",
+                            t_inv.is_over_ring() and has_unit_det(t_inv)),
+              g.CheckResult("u_upper_triangular", u.is_upper_triangular()),
+              g.CheckResult("n_star_over_ring", n_star.is_over_ring())]
+    tab_n = minor_order_table(n_star)
+    for name, got, want in (("nu_preserved", matrix_mod._table_partition(tab_n, r), nu),
+                            ("lambda_preserved",
+                             matrix_mod._table_partition(tab_n, r, shift_mu=mu), lam)):
+        checks.append(g.CheckResult(name, got == want, "" if got == want else f"{got} vs {want}"))
+    try:
+        grid, scales, pivots = matrix_mod._lu_grid(q)
+    except PrincipalMinorError as exc:
+        checks.append(g.CheckResult("lu_factors_in_ring", False, str(exc)))
+    else:
+        checks.append(g.CheckResult("lu_factors_in_ring",
+                                    g._lu_factors_in_ring(grid, scales, pivots, mu)))
+        checks.append(g.CheckResult("lu_product_consistent",
+                                    g._lu_product_consistent(q, grid, pivots)))
+        v = g._v_rows_times_units(grid, scales, pivots, mat_mul(n_input, t_inv))
+        for name, fail in (
+                ("first", check_equation_first(tab_n, minor_order_table(ut), r)),
+                ("second", check_equation_second(
+                    tab_n, minor_order_table(v, comparable_only=True), mu, r)),
+                ("third", check_equation_third(
+                    tab_n, minor_order_table(mat_mul(q_upper, u)), r))):
+            checks.append(g.CheckResult("equation_" + name, not fail, fail))
+    checks.extend(verify_mu_generic(n_star, mu, table=tab_n).checks)
+    checks.extend(g._corner_checks(lambda rows, cols: tab_n[(rows, cols)],
+                                   mu, nu, lam, r))
+    return g.VerificationReport(tuple(checks)), tab_n
+
+
+# the reduction's three verification stages, by check name
+STAGES = ({"q_admissible", "t_inverse_in_group", "u_upper_triangular",
+           "n_star_over_ring"},
+          {"nu_preserved", "lambda_preserved", "upper_triangular", "det_gap_rows",
+           "det_gap_columns", "nu_corner_minors", "lambda_corner_minors"},
+          {"lu_factors_in_ring", "lu_product_consistent", "equation_first",
+           "equation_second", "equation_third"})
+
+
+@pytest.mark.parametrize("units", ["random", "plus_minus_one"])
+def test_attempt_verdicts_match_running_every_check(monkeypatch, units):
+    """Every attempt against the run-every-check body on a copy of its rng,
+    on the staircase r = 3..6 and 30 random fillings at rng seeds 5, 6, 7.
+    Pass or fail matches, and a passing attempt's report and N*'s table are
+    the reference's.  A failing attempt names failed checks of the
+    reference's first failed stage only: the same ones, except at the
+    checks on N*'s table, whose capped readings may fail others of that
+    stage.  An attempt that fails there builds that one table."""
+    tables = []
+    real_table = generic_mod.minor_order_table
+
+    def table_spy(*args, **kw):
+        tables.append(args[0])
+        return real_table(*args, **kw)
+
+    seen = Counter()
+    real_attempt = generic_mod._attempt_reduction
+
+    def compared(diagonal_pair, g_diag, mu, nu, lam, rng, attempt):
+        clone = random.Random()
+        clone.setstate(rng.getstate())
+        want, want_table = attempt_running_every_check(diagonal_pair, mu, nu, lam, clone)
+        del tables[:]
+        try:
+            cert = real_attempt(diagonal_pair, g_diag, mu, nu, lam, rng, attempt)
+        except GenericityError as exc:
+            assert not want.ok
+            failed = set(str(exc).split(": ", 1)[1].split(", "))
+            stage = next(k for k, names in enumerate(STAGES)
+                         if any(c.name in names for c in want.failures()))
+            want_failed = {c.name for c in want.failures()} & STAGES[stage]
+            assert failed and failed <= STAGES[stage]
+            if stage != 1:  # N*'s capped table may fail other checks there
+                assert failed == want_failed, (failed, want_failed)
+            if stage < 2:  # no table, or N*'s alone
+                assert len(tables) == stage, (failed, len(tables))
+            seen[f"failed stage {stage + 1}"] += 1
+            raise
+        assert want.ok
+        assert cert.report.to_json() == want.to_json()
+        assert cert.minor_orders == want_table
+        assert rng.getstate() == clone.getstate()
+        seen["passed"] += 1
+        return cert
+
+    monkeypatch.setattr(generic_mod, "minor_order_table", table_spy)
+    monkeypatch.setattr(generic_mod, "_attempt_reduction", compared)
+    if units == "plus_minus_one":
+        monkeypatch.setattr(generic_mod, "random_unit",
+                            lambda rng: RingElem.const(rng.choice((1, -1))))
+    for seed in (5, 6, 7):
+        rng = random.Random(seed)
+        pairs = [_staircase_pair(r) for r in range(3, 7)]
+        pairs += [realize(f, mu).pair()
+                  for f, mu, _, _ in (random_filling(rng) for _ in range(30))]
+        for pair in pairs:
+            try:
+                to_mu_generic(pair, rng, max_retries=3)
+            except RetriesExhaustedError:
+                pass
+    assert seen["passed"] == 102 if units == "random" else seen["passed"] > 0
+    if units == "plus_minus_one":
+        assert seen["failed stage 2"] and seen["failed stage 3"]
+
+
+def test_attempt_failing_cheap_checks_builds_no_table(monkeypatch):
+    """An attempt whose cheap checks fail builds no minor-order table, and
+    the reduction's error names only those checks."""
+    def no_table(*args, **kw):
+        raise AssertionError("minor-order table built")
+
+    monkeypatch.setattr(generic_mod, "minor_order_table", no_table)
+    monkeypatch.setattr(generic_mod, "is_mu_admissible", lambda q, mu: False)
+    with pytest.raises(RetriesExhaustedError) as exc:
+        to_mu_generic(golden_pair(), random.Random(42), max_retries=2)
+    assert exc.value.last_failure == "failed checks: q_admissible"
 
 
 def test_n_star_table_exact_at_precision_nu():

@@ -95,7 +95,7 @@ def test_matmul_golden():
     prod = mat_mul(mat_mul(n1, n2), mat_mul(n3, n4))
     assert prod == golden_n()
     assert mat_mul(golden_m(), golden_n()) == golden_mn()
-    assert n1 @ n2 @ n3 @ n4 == golden_n()
+    assert mat_mul(mat_mul(mat_mul(n1, n2), n3), n4) == golden_n()
 
 
 def mat_mul_by_terms(a, b):

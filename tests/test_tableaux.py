@@ -8,7 +8,7 @@ from lrpairs.errors import InputError
 from lrpairs.tableaux import (MAX_SIZE, Filling, Partition, as_partition,
                               count_fillings,
                               enumerate_fillings, iter_partitions,
-                              random_partition, render_skew,
+                              random_partition,
                               sequence_from_filling, validate_filling)
 
 from golden import FILLING, LAM, MU, NU
@@ -248,12 +248,3 @@ def test_random_partition_bounds_and_determinism():
     rng2 = random.Random(4)
     assert [random_partition(rng2, 4, 6) for _ in range(50)] == draws
 
-
-def test_render_skew_golden():
-    out = render_skew(FILLING, MU, LAM)
-    assert out.splitlines() == [
-        ". . . . . . . 1 1 1 1",
-        ". . . . 1 1 2 2 2 2",
-        ". . 1 2 3 3 3",
-        ". 1 3 4 4",
-    ]
