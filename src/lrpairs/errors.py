@@ -45,5 +45,5 @@ class RetriesExhaustedError(LRPairsError):
         self.last_failure = last_failure
         msg = f"no generic sample found after {attempts} attempts"
         if last_failure:
-            msg += f" (last failed check: {last_failure})"
+            msg += f" ({last_failure})"
         super().__init__(msg)

@@ -22,8 +22,10 @@ the reduction (``generic.triangularize_right``, on a transposed stack), and
 the invariant partition: with the pivot of minimal order in the whole
 trailing block, its trailing entries are the field elimination's Schur
 complement times the previous pivot, so it picks the field reduction's
-pivots and the differences of their orders are the invariant orders, with
-no division in the field.  ``_clean`` scales a vector given over one
+pivots and the differences of their orders are the invariant orders.  The
+same pass on [m | I] gives the Smith transforms (``smith_transforms``).
+One pivot search, ``_min_order_pivot``, serves both, and no elimination
+divides in the field.  ``_clean`` scales a vector given over one
 denominator clean by a unit, through gcds with that denominator.
 Whether a determinant is a unit is read in the residue field instead
 (``has_unit_det``), which needs only the constant terms.
@@ -52,7 +54,7 @@ from math import gcd as igcd
 
 from .errors import InputError, NotInRingError, PrincipalMinorError, RankError
 from .ring import (_PONE, INFINITY, ONE, ZERO, RingElem, _padd, _pcontent,
-                   _pdivexact_int, _pgcd_cof, _pmul, _pscale)
+                   _pdivexact_int, _pgcd_cof, _pmul, _pscale, _pshift)
 from .tableaux import MAX_SIZE, Partition, as_partition
 
 
@@ -674,41 +676,20 @@ def _require_over_ring(m: RMatrix, what: str):
         raise NotInRingError(f"{what} must have entries of non-negative order")
 
 
-def _min_order_entry(work, k, order):
-    """(order, row, column) of the first entry of minimal order in the
-    trailing block work[k:][k:], in row-major order; None when the block is
-    zero.  order maps a nonzero entry to its order: ``RingElem.valuation``,
-    or ``min`` on a polynomial dict."""
+def _min_order_pivot(a, k):
+    """(row, column) of the first entry of least order in the square
+    trailing block a[k:][k:] of the grid a of polynomials, columns bounded
+    by its len(a) rows, in row-major order; None when that block is zero."""
     best = None
-    for i in range(k, len(work)):
-        row = work[i]
-        for j in range(k, len(row)):
+    n = len(a)
+    for i in range(k, n):
+        row = a[i]
+        for j in range(k, n):
             e = row[j]
             if e:
-                v = order(e)
+                v = min(e)
                 if best is None or v < best[0]:
                     best = (v, i, j)
-    return best
-
-
-def _place_pivot(work, k):
-    """Swap the first entry of minimal order in the trailing block
-    work[k:][k:] to position (k, k).
-
-    Returns (order, row, column) of the entry before the swap."""
-    best = _min_order_entry(work, k, RingElem.valuation)
-    if best is None:
-        raise RankError("matrix is rank deficient")
-    _, bi, bj = best
-    work[k], work[bi] = work[bi], work[k]
-    if bj != k:
-        for row in work:
-            row[k], row[bj] = row[bj], row[k]
-    return best
-
-
-def _min_order_pivot(a, k):
-    best = _min_order_entry(a, k, min)
     return None if best is None else best[1:]
 
 
@@ -793,55 +774,55 @@ def smith_transforms(m: RMatrix):
 
     Returns (P, Q, D) with D = diag_from_partition(invariant_partition(m)).
     A matrix that is already such a diagonal returns identity transforms.
-    Shears divide by the pivot, whose unit part is invertible, so entries stay
-    in reduced form and never grow past ratios of minors of the input.
+    Otherwise this is one ``_bareiss`` pass on the rows of [m | I], each
+    cleared by a scale c_k of order 0 (m is over the ring), with
+    ``invariant_partition``'s pivot; the scales follow their rows and the
+    column swaps are recorded.  With p_(-1) = 1 and a_k = ord p_k -
+    ord p_(k-1), row k of P is the grid's right block over p_(k-1) c_k,
+    which is L^-1 Pi of the field elimination with that pivot, and row k of
+    Q is the left block over p_(k-1) c_k t^(a_k), its columns >= k moved
+    back to their places and the rest 0; D = diag(t^(a_k)), and all three
+    are then reversed to decreasing order.  Q is the field reduction's,
+    which divides row k by its pivot's unit part and shears the other
+    columns off it: those column operations touch only row k, so the
+    trailing block is plain elimination and Q = D^-1 P m is fixed by P.
+    Entries are reduced once, and no ring division happens.
     """
     _require_over_ring(m, "matrix")
     r = m.r
     if _is_exact_power_diagonal_decreasing(m):
         eye = RMatrix.identity(r)
         return eye, eye, m
+    grid, scales = map(list, zip(*(
+        _clear_row(row + tuple(ONE if i == j else ZERO for j in range(r)))
+        for i, row in enumerate(m.entries))))
+    cols = list(range(r))
 
-    work = [list(row) for row in m.entries]
-    p = [list(row) for row in RMatrix.identity(r).entries]
-    q = [list(row) for row in RMatrix.identity(r).entries]
+    def pivot(a, k):
+        pos = _min_order_pivot(a, k)
+        if pos is not None:
+            i, j = pos
+            scales[k], scales[i] = scales[i], scales[k]  # the scales follow their rows
+            cols[k], cols[j] = cols[j], cols[k]
+        return pos
 
-    for k in range(r):
-        a_val, bi, bj = _place_pivot(work, k)
-        p[k], p[bi] = p[bi], p[k]
-        q[k], q[bj] = q[bj], q[k]
-        piv = work[k][k]
-        t_a = RingElem.t_pow(a_val)
-        p0 = piv / t_a  # valuation-zero part of the pivot, a unit
-        for i in range(k + 1, r):
-            e = work[i][k]
-            if not e.is_zero():
-                # row_i -= (e / piv) * row_k; the pivot has minimal valuation
-                # in the submatrix, so the multiplier lies in the ring
-                w = e / piv
-                work[i] = [x - w * y for x, y in zip(work[i], work[k])]
-                work[i][k] = ZERO
-                p[i] = [x - w * y for x, y in zip(p[i], p[k])]
-        if p0 != ONE:
-            # col_k is zero outside the pivot now, so dividing it by the unit
-            # p0 just normalizes the pivot to t^a; on q this is row_k *= p0
-            work[k][k] = t_a
-            q[k] = [p0 * x for x in q[k]]
-        for j in range(k + 1, r):
-            e = work[k][j]
-            if not e.is_zero():
-                # col_j -= (e / t^a) * col_k only changes row k; the inverse
-                # op on q is the shear row_k += (e / t^a) * row_j
-                f = e / t_a
-                work[k][j] = ZERO
-                q[k] = [x + f * y for x, y in zip(q[k], q[j])]
-
-    # reverse to decreasing order: conjugate by the reversal permutation
-    work = [row[::-1] for row in work[::-1]]
-    p = p[::-1]
-    q = q[::-1]
-
-    return RMatrix(p), RMatrix(q), RMatrix(work)
+    pivots, _ = _bareiss(grid, pivot)
+    if len(pivots) < r:
+        raise RankError("matrix is rank deficient")
+    p, q, d = [], [], []
+    prev = _PONE
+    for k, (row, c, piv) in enumerate(zip(grid, scales, pivots)):
+        a = min(piv) - min(prev)
+        den = _pmul(prev, c)
+        p.append([RingElem(e, den) for e in row[r:]])
+        den = _pshift(den, a)
+        q_row = [ZERO] * r
+        for j in range(k, r):
+            q_row[cols[j]] = RingElem(row[j], den)
+        q.append(q_row)
+        d.append(RingElem.t_pow(a))
+        prev = piv
+    return RMatrix(p[::-1]), RMatrix(q[::-1]), RMatrix.diagonal(d[::-1])
 
 
 # ---------------------------------------------------------------------------

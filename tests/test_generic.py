@@ -31,7 +31,7 @@ from lrpairs.tableaux import Filling, Partition
 from capcheck import assert_equation_cap_exact
 from golden import (FILLING, LAM, MU, NU, c, golden_m, golden_mn, golden_n,
                     t)
-from test_matrix import cleaning_unit_by_fractions
+from test_matrix import ROW_DENOMINATORS, cleaning_unit_by_fractions
 
 
 def golden_pair():
@@ -268,9 +268,6 @@ def triangularize_by_field_elimination(a):
                     if not row[j].is_zero():
                         row[j] = row[j] * u
     return RMatrix(acc), RMatrix(work)
-
-
-ROW_DENOMINATORS = (ONE, c(3), ONE + t(1), c(2) - c(5) * t(1))
 
 
 @st.composite
@@ -618,6 +615,8 @@ def test_attempt_failing_cheap_checks_builds_no_table(monkeypatch):
     with pytest.raises(RetriesExhaustedError) as exc:
         to_mu_generic(golden_pair(), random.Random(42), max_retries=2)
     assert exc.value.last_failure == "failed checks: q_admissible"
+    assert str(exc.value) == ("no generic sample found after 2 attempts "
+                              "(failed checks: q_admissible)")
 
 
 def test_n_star_table_exact_at_precision_nu():

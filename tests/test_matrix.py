@@ -505,6 +505,9 @@ def test_invariant_partition_random_cross_validation():
         assert invariant_partition(m) == invariant_partition_oracle(m)
 
 
+ROW_DENOMINATORS = (ONE, c(3), ONE + t(1), c(2) - c(5) * t(1))
+
+
 @st.composite
 def unit_denominator_matrices(draw, max_r=5):
     """Entries c t^a / u with u a unit (a constant or 1 + b t), orders 0..2
@@ -519,7 +522,7 @@ def unit_denominator_matrices(draw, max_r=5):
                 continue
             e = c(draw(st.integers(1, 5)) * draw(st.sampled_from((1, -1)))) \
                 * t(draw(st.integers(0, 2)))
-            u = draw(st.sampled_from((ONE, c(3), ONE + t(1), c(2) - c(5) * t(1))))
+            u = draw(st.sampled_from(ROW_DENOMINATORS))
             row.append(e / u)
         rows.append(row)
     m = RMatrix(rows)
@@ -546,12 +549,26 @@ def test_invariant_partition_repeated_orders():
 
 
 def test_invariant_partition_divides_nothing(monkeypatch):
+    """Neither Bareiss user of the minimal-order pivot divides in the field:
+    invariant_partition, and smith_transforms, whose (P, Q, D) equal the
+    field oracle's, computed before division is patched away."""
+    rng = random.Random(71)
+    fractions = mat_mul(mat_mul(random_full_rank(rng, 4, max_order=1, frac=True),
+                                RMatrix.diagonal([t(2), t(1), t(1), ONE])),
+                        random_full_rank(rng, 4, max_order=0))
+    inputs = [golden_n(), golden_mn(), fractions]
+    assert any(e.den != ONE.den for row in fractions.entries for e in row)
+    want = [smith_by_field_elimination(m) for m in inputs]
+
     def no_division(self, other):
-        raise AssertionError("ring division in invariant_partition")
+        raise AssertionError("ring division in a matrix elimination")
 
     monkeypatch.setattr(RingElem, "__truediv__", no_division)
     assert invariant_partition(golden_mn()) == LAM
     assert invariant_partition(golden_n()) == NU
+    got = [smith_transforms(m) for m in inputs]
+    monkeypatch.undo()
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +660,108 @@ def test_clean_over_a_raw_denominator(nums, den):
 
 # ---------------------------------------------------------------------------
 # smith transforms
+
+
+def smith_by_field_elimination(m):
+    """Reference for ``smith_transforms``: the field elimination it
+    replaced.  The first entry of least order in the trailing block is
+    swapped to the pivot, the rows below are cleared by shears that divide
+    by it, and the pivot's unit part and the rest of its row go onto Q as
+    column operations that touch only the pivot row."""
+    r = m.r
+    if matrix_mod._is_exact_power_diagonal_decreasing(m):
+        eye = RMatrix.identity(r)
+        return eye, eye, m
+    work = [list(row) for row in m.entries]
+    p = [list(row) for row in RMatrix.identity(r).entries]
+    q = [list(row) for row in RMatrix.identity(r).entries]
+    for k in range(r):
+        best = None
+        for i in range(k, r):
+            for j in range(k, r):
+                e = work[i][j]
+                if not e.is_zero() and (best is None or e.valuation() < best[0]):
+                    best = (e.valuation(), i, j)
+        if best is None:
+            raise RankError("matrix is rank deficient")
+        a_val, bi, bj = best
+        work[k], work[bi] = work[bi], work[k]
+        for row in work:
+            row[k], row[bj] = row[bj], row[k]
+        p[k], p[bi] = p[bi], p[k]
+        q[k], q[bj] = q[bj], q[k]
+        piv = work[k][k]
+        t_a = RingElem.t_pow(a_val)
+        p0 = piv / t_a  # the pivot's unit part
+        for i in range(k + 1, r):
+            e = work[i][k]
+            if not e.is_zero():
+                w = e / piv
+                work[i] = [x - w * y for x, y in zip(work[i], work[k])]
+                work[i][k] = ZERO
+                p[i] = [x - w * y for x, y in zip(p[i], p[k])]
+        if p0 != ONE:
+            work[k][k] = t_a
+            q[k] = [p0 * x for x in q[k]]
+        for j in range(k + 1, r):
+            e = work[k][j]
+            if not e.is_zero():
+                f = e / t_a
+                work[k][j] = ZERO
+                q[k] = [x + f * y for x, y in zip(q[k], q[j])]
+    work = [row[::-1] for row in work[::-1]]
+    return RMatrix(p[::-1]), RMatrix(q[::-1]), RMatrix(work)
+
+
+@st.composite
+def smith_inputs(draw):
+    """(kind, m), r <= 5 over the ring: rows of polynomials; rows over
+    order-0 denominators; a diagonal of tied orders between two constant
+    unit matrices; an exact power diagonal, in decreasing order or not; or a
+    singular matrix, one row a multiple of another or a zero column."""
+    r = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("polynomial", "row_denominators", "tied_diagonal",
+                                 "power_diagonal", "singular")))
+    terms = st.lists(st.tuples(st.sampled_from((-3, -2, -1, 1, 2, 3)),
+                               st.integers(0, 2)), min_size=1, max_size=3)
+    rows = [[RingElem.from_terms(draw(terms)) for _ in range(r)] for _ in range(r)]
+    if kind == "row_denominators":
+        rows = [[e / d for e in row]
+                for row, d in zip(rows, draw(st.lists(st.sampled_from(ROW_DENOMINATORS),
+                                                      min_size=r, max_size=r)))]
+    elif kind in ("tied_diagonal", "power_diagonal"):
+        parts = draw(st.lists(st.integers(0, 2), min_size=r, max_size=r))
+        if draw(st.booleans()):
+            parts.sort(reverse=True)
+        rows = RMatrix.diagonal([t(k) for k in parts]).entries
+        if kind == "tied_diagonal":
+            consts = st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r),
+                              min_size=r, max_size=r)
+            left, right = RMatrix(draw(consts)), RMatrix(draw(consts))
+            assume(not det(left).is_zero() and not det(right).is_zero())
+            rows = mat_mul(mat_mul(left, RMatrix(rows)), right).entries
+    elif kind == "singular":
+        i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+        if i == j:  # a zero column
+            rows = [[ZERO if k == i else e for k, e in enumerate(row)] for row in rows]
+        else:  # row j a multiple of row i
+            a = RingElem.from_terms(draw(terms))
+            rows[j] = [a * e for e in rows[i]]
+    return kind, RMatrix(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(smith_inputs())
+def test_smith_agrees_with_field_elimination(kind_m):
+    kind, m = kind_m
+    try:
+        want = smith_by_field_elimination(m)
+    except RankError:
+        with pytest.raises(RankError):
+            smith_transforms(m)
+        return
+    assert kind != "singular"
+    assert smith_transforms(m) == want
 
 
 def test_smith_contract_golden():
