@@ -19,10 +19,10 @@ resamples; every random draw of an attempt comes before its first check.
 The verification is exhaustive at every size r: each check runs over every
 index pair, or every componentwise triple, of the full minor-order table of
 N*.  Each table is computed only to the precision its checks need, set per
-row set: N*'s from its diagonal orders (``_n_star_row_caps``), and the three
-equation tables from N*'s orders in their rows (``_equation_row_caps``).
-Both docstrings prove that a passing attempt's tables and every attempt's
-verdict are those of the full precision.
+pair (I, J): N*'s from its diagonal orders in rows I (``_n_star_caps``), and
+each equation table's entry to N*'s own order at that pair
+(``_equation_failures``).  Both docstrings prove that a passing attempt's
+tables and every attempt's verdict are those of the full precision.
 
 The extraction and the CLI read only N* and its minor-order table.  The
 certificate's ``t_star`` = (T_L T_U)^-1 and ``group``, which only a replay
@@ -48,11 +48,11 @@ from .errors import (GenericityError, InputError, PrincipalMinorError,
 # det is unused here but stays importable as lrpairs.generic.det, an import
 # site that perfbench's tracer self-test checks
 from .matrix import (RMatrix, _bareiss, _between, _clean, _clear_row,
-                     _closed_row_caps, _comparable_pairs, _intervals, _lu_grid,
-                     _mu_weights, _table_partition, det, diag_from_partition,
-                     has_unit_det, inverse, invariant_partition,
-                     is_mu_admissible, lu_decompose, mat_mul, minor_order,
-                     minor_order_table, smith_transforms, times_inverse)
+                     _comparable_pairs, _intervals, _lu_grid, _mu_weights,
+                     _table_partition, det, diag_from_partition, has_unit_det,
+                     inverse, invariant_partition, is_mu_admissible,
+                     lu_decompose, mat_mul, minor_order, minor_order_table,
+                     smith_transforms, times_inverse)
 from .ring import (_PONE, INFINITY, ONE, ZERO, RingElem, _padd, _pmul, _pshift,
                    random_unit)
 from .tableaux import Partition, as_partition
@@ -428,9 +428,9 @@ def check_equation_third(tab_n: dict, tab_left: dict, r: int):
     return ""
 
 
-def _n_star_row_caps(n_star: RMatrix, nu_weight: int):
-    """Precision for N*'s table: cap(I) = min(|nu|, sum over i in I of
-    ord N*_ii), closed downward.
+def _n_star_caps(n_star: RMatrix, nu_weight: int):
+    """Precision for N*'s table: cap(I, J) = min(|nu|, sum over i in I of
+    ord N*_ii) at every comparable pair I <= J.
 
     Called once an attempt's cheap checks pass, so N* = Q_U U T_U is over R
     and upper triangular, and ord N*_II is the sum over I.  Its diagonal
@@ -439,54 +439,51 @@ def _n_star_row_caps(n_star: RMatrix, nu_weight: int):
     An attempt that can pass has a table equal to the uncapped one,
     whichever it is built with.  If the attempt passes uncapped,
     ord det N* = |nu| (the nu check), so ord N*_II <= |nu| and
-    ord N*_II <= cap(I); det_gap_columns with H = I bounds every comparable
-    ord N*_IJ by ord N*_II, so each is at most its cap and exact, and the
-    other minors vanish identically.  If it passes at the caps, the nu check
-    read a finite, hence exact, order |nu| for the whole row set, so again
-    ord N*_II <= cap(I) is exact, and det_gap_columns read every comparable
-    entry at most that: finite, hence exact.  So the two tables differ only
-    in attempts that fail at both precisions, where an entry above its cap
-    fails det_gap_columns."""
+    ord N*_II <= cap(I, J); det_gap_columns with H = I bounds every
+    comparable ord N*_IJ by ord N*_II, so each is at most its cap and exact,
+    and the other minors vanish identically.  If it passes at the caps, the
+    nu check read a finite, hence exact, order |nu| for the whole row set,
+    so again ord N*_II <= cap(I, I) is exact, and det_gap_columns read every
+    comparable entry at most that: finite, hence exact.  So the two tables
+    differ only in attempts that fail at both precisions, where an entry
+    above its cap fails det_gap_columns."""
     r = n_star.r
     diag = [n_star.entry(i, i).valuation() for i in range(1, r + 1)]
-    return _closed_row_caps({rows: min(nu_weight, sum(diag[i - 1] for i in rows))
-                             for rows in _intervals(r)[0] if rows})
-
-
-def _equation_row_caps(tab_n: dict, r: int):
-    """Precision for the three equation tables: cap(S) = the largest order
-    of N* in rows S, closed downward.
-
-    Called once the checks on ``tab_n`` pass, so N* is upper triangular with
-    det_gap_rows and det_gap_columns holding, and ord N*_II is finite: the
-    diagonal has no zero (``_n_star_row_caps``) and the nu check read
-    ord det N* = |nu|, so ord N*_II <= cap(I) in ``tab_n``.  det_gap_columns
-    with H = I bounds every comparable entry by ord N*_II, so none is
-    infinite.  Every entry of ``tab_n`` is exact: a finite reading always
-    is, and the other minors vanish identically.  Each equation compares a
-    want w = ord N*_IJ with a minimum of terms t + s, t an entry in rows S
-    of a table built to cap(S) and s >= 0 a shift.  Where w <= cap(S) - s, a
-    term at or below w has t <= cap(S) and is exact, and a term above it
-    reads exact or infinite, above w either way; so the minimum equals w at
-    the caps exactly when it does at full precision.
-      * first, terms (S, J) for S >= I, s = 0: for S <= J, det_gap_rows
-        gives w <= ord N*_SJ <= cap(S); for S not <= J the minor of U T_U
-        vanishes identically, infinite at any cap.  When I is not <= J every
-        S is such, and w is infinite.
-      * second, terms (H, J) for H <= I <= J, s = |mu_H| - |mu_I|:
-        det_gap_rows on H <= I <= J gives w + |mu_I| - |mu_H| <= ord N*_HJ
-        <= cap(H).
-      * third, terms (I, H) for H <= J, s = 0: reads row set I itself, and
-        w <= cap(I) by definition; when I is not <= J, w is infinite and so
-        is every (I, H) of the upper triangular Q_U U."""
-    return _closed_row_caps({rows: max(tab_n[(rows, cols)] for cols in up)
-                             for rows, up in _intervals(r)[0].items() if rows})
+    caps = {}
+    for rows, up in _intervals(r)[0].items():
+        cap = min(nu_weight, sum(diag[i - 1] for i in rows))
+        caps.update(((rows, cols), cap) for cols in up)
+    return caps
 
 
 def _equation_failures(tab_n, right, left, v, mu, r, cap):
     """The three equations' failure strings ("" where one holds), on the
-    tables of U T_U, Q_U U and V built at precision cap, an int or a row-cap
-    mapping; v may be V's rows times units, which moves no minor order."""
+    tables of U T_U, Q_U U and V built at precision cap, an int or a
+    per-pair mapping; v may be V's rows times units, which moves no minor
+    order.
+
+    The reduction passes ``tab_n`` itself as the mapping: each equation
+    table's entry is needed exactly to N*'s order at the same pair.  It
+    does so once the checks on ``tab_n`` pass, so N* is upper triangular,
+    det_gap_rows and det_gap_columns hold, and every entry of ``tab_n`` is
+    exact (``_n_star_caps``): the comparable ones are finite, at most
+    ord N*_II by det_gap_columns with H = I, and the others vanish
+    identically.  Each equation compares a want w = ord N*_IJ with a
+    minimum of terms t + s, t an entry of a table at a pair P built to
+    cap(P) and s >= 0 a shift.  Where w - s <= cap(P), a term at or below w
+    has t <= cap(P) and is exact, and a term above it reads exact or
+    infinite, above w either way; so the minimum equals w at the caps
+    exactly when it does at full precision.
+      * first, terms tab_right (S, J) for S >= I, s = 0: for S <= J,
+        det_gap_rows on I <= S <= J gives w <= ord N*_SJ = cap(S, J); for S
+        not <= J the minor of U T_U vanishes identically, infinite at any
+        cap.  When I is not <= J every S is such, and w is infinite.
+      * second, terms tab_v (H, J) for H <= I <= J, s = |mu_H| - |mu_I|:
+        det_gap_rows on H <= I <= J gives w - s <= ord N*_HJ = cap(H, J).
+      * third, terms tab_left (I, H) for H <= J, s = 0: for I <= H,
+        det_gap_columns on I <= H <= J gives w <= ord N*_IH = cap(I, H); for
+        I not <= H the minor of Q_U U vanishes identically.  When I is not
+        <= J every H is such, and w is infinite."""
     tab_v = minor_order_table(v, cap=cap, comparable_only=True)
     return (check_equation_first(tab_n, minor_order_table(right, cap=cap), r),
             check_equation_second(tab_n, tab_v, mu, r),
@@ -620,7 +617,7 @@ def _conjugate_by_diagonal(q: RMatrix, mu: Partition, r: int) -> RMatrix:
             e = q.entry(i, j)
             shift = mu.part(i) - mu.part(j)
             if not e.is_zero() and shift:
-                e = e * (RingElem.t_pow(shift) if shift > 0 else ONE / RingElem.t_pow(-shift))
+                e = e * RingElem.t_pow(shift)
             row.append(e)
         rows.append(row)
     return RMatrix(rows)
@@ -717,8 +714,9 @@ def _attempt_reduction(diagonal_pair, g_diag, mu, nu, lam, rng,
     _fail_on(cheap)
 
     # stage 2: the checks that read tab_n, exact whenever the attempt can
-    # pass at precision min(|nu|, ord N*_II) in rows I, see _n_star_row_caps
-    tab_n = minor_order_table(n_star, cap=_n_star_row_caps(n_star, nu.weight()))
+    # pass at precision min(|nu|, ord N*_II) at pairs in rows I, see
+    # _n_star_caps
+    tab_n = minor_order_table(n_star, cap=_n_star_caps(n_star, nu.weight()))
     nu_star = _table_partition(tab_n, r)
     lam_star = _table_partition(tab_n, r, shift_mu=mu)
     invariants = (CheckResult("nu_preserved", nu_star == nu,
@@ -730,8 +728,8 @@ def _attempt_reduction(diagonal_pair, g_diag, mu, nu, lam, rng,
             + _corner_checks(lambda rows, cols: tab_n[(rows, cols)], mu, nu, lam, r))
     _fail_on(invariants + gaps)
 
-    # stage 3: Q's LU stage, then the equation tables up to the orders of
-    # N* in their rows, see _equation_row_caps
+    # stage 3: Q's LU stage, then the equation tables, each entry up to N*'s
+    # order at its pair, see _equation_failures
     try:
         grid, scales, pivots = _lu_grid(q)
     except PrincipalMinorError as exc:  # the detail stays on the chain
@@ -741,7 +739,7 @@ def _attempt_reduction(diagonal_pair, g_diag, mu, nu, lam, rng,
         CheckResult("lu_product_consistent", _lu_product_consistent(q, grid, pivots)))
     v = _v_rows_times_units(grid, scales, pivots, mat_mul(n_input, t_inv))
     failures = _equation_failures(tab_n, ut, mat_mul(q_upper, u), v, mu, r,
-                                  _equation_row_caps(tab_n, r))
+                                  tab_n)
     lu_and_equations = lu_checks + tuple(
         CheckResult("equation_" + name, not fail, fail)
         for name, fail in zip(("first", "second", "third"), failures))

@@ -35,8 +35,9 @@ extraction code paths rely on.  That expansion keeps the comparable pairs
 I <= J closed, so an upper triangular matrix, whose other minors vanish, and
 the reduction's V table, which is read only there, are expanded on those
 pairs alone.  Its minors are dense coefficient lists truncated at the
-requested precision, one for the whole table or one per row set, closed
-downward because each row set's minors expand into those of its prefix.
+requested precision, one for the whole table or one per pair.  A pair's
+precision is raised to what the larger minors that expand into it need, each
+less the order of the entry that multiplies it (``_closed_pair_lims``).
 
 Products with an inverse go through one adjugate engine, ``times_inverse``:
 with b's rows cleared once into G, a b^-1 = (a adj(G)) diag(c) / det(G)
@@ -500,6 +501,16 @@ def _comparable_pairs(r: int):
                 yield I, J
 
 
+@lru_cache(maxsize=None)
+def _drops(r: int):
+    """For every nonempty index set J in 1..r, one pair per position p: the
+    0-based column J[p] - 1 and the set J without J[p], the columns of the
+    minor that a minor in columns J expands into there.  Built once per
+    size."""
+    return {J: tuple((J[p] - 1, J[:p] + J[p + 1:]) for p in range(k))
+            for k in range(1, r + 1) for J in combinations(range(1, r + 1), k)}
+
+
 def minor_order_table(m: RMatrix, cap=None, *, comparable_only=False) -> dict:
     """Orders of every square minor, keyed by (row tuple, column tuple).
 
@@ -518,42 +529,39 @@ def minor_order_table(m: RMatrix, cap=None, *, comparable_only=False) -> dict:
     is always exact; only infinity may stand for an order above the cap.
     Minors that vanish identically still report infinity either way, so a cap
     of at least the largest finite order that matters makes the truncated
-    table authoritative.  ``cap`` may instead map every nonempty row set I to
-    its own precision cap[I]; the minors in rows I are then computed modulo
-    t^(cap[I]+1), with the same guarantee against cap[I].  The mapping must be
-    closed downward, cap[I[:-1]] >= cap[I] (``_closed_row_caps``): a minor in
-    rows I is a sum of row I[-1]'s entries, of order >= 0 once the rows are
-    cleared, times minors in rows I[:-1], so those are needed to cap[I] at
-    least.  Minors are dense coefficient lists truncated at that precision,
-    or with no cap at the sum of the rows' largest degrees, which no product
-    passes; the product loop stops there instead of forming terms it would
-    discard.
+    table authoritative.  ``cap`` may instead map every pair (I, J) that the
+    table computes to its own precision cap[(I, J)] (other keys are not
+    read), with the same guarantee against cap[(I, J)].  The table closes
+    the mapping itself (``_closed_pair_lims``), so any mapping will do.
+    Minors are dense coefficient lists truncated at their precision, or with
+    no cap at the sum of the rows' largest degrees, which no product passes;
+    the product loop stops there instead of forming terms it would discard.
     """
     r = m.r
+    drops = _drops(r)
     grid, shifts = _cleared_grid(m)
-    # row clearing multiplies minors by the denominator products, whose
-    # orders are the recorded shifts; keep enough terms to see past them
-    extra = sum(shifts)
-    if isinstance(cap, dict):
-        acc_cap = max(cap.values()) + extra
-        row_cap = lambda rows: cap[rows] + extra
-    else:
-        acc_cap = INFINITY if cap is None else cap + extra
-        row_cap = lambda rows: acc_cap
-    # each entry as its ascending (degree, coefficient) terms up to acc_cap
-    terms = [[sorted(dc for dc in e.items() if dc[0] <= acc_cap) for e in row]
-             for row in grid]
-    row_deg = [max((e[-1][0] for e in row if e), default=0) for row in terms]
-    triangular = all(not terms[i][j] for i in range(r) for j in range(i))
+    triangular = all(not grid[i][j] for i in range(r) for j in range(i))
     comparable = comparable_only or triangular
     if comparable:
         plan, off = _comparable_plan(r)
     else:
         sets = [list(combinations(range(1, r + 1), k)) for k in range(1, r + 1)]
         plan = [[(I, js) for I in js] for js in sets]
+    if isinstance(cap, dict):
+        lims = _closed_pair_lims(plan, drops, grid, shifts, cap)
+        acc_cap = max(max(js.values()) for js in lims.values())
+    else:
+        lims = None
+        # row clearing multiplies minors by the denominator products, whose
+        # orders are the recorded shifts; keep enough terms to see past them
+        acc_cap = INFINITY if cap is None else cap + sum(shifts)
+    # each entry as its ascending (degree, coefficient) terms up to acc_cap
+    terms = [[sorted(dc for dc in e.items() if dc[0] <= acc_cap) for e in row]
+             for row in grid]
+    row_deg = [max((e[-1][0] for e in row if e), default=0) for row in terms]
     orders = {((), ()): 0}
     # prev[I'][J'] is a (k-1)-minor as (its order d, its dense coefficients
-    # of t^d and up), or None when it vanishes
+    # of t^d and up), or None when it vanishes (or is not needed)
     prev = {(): {(): (0, [1])}}
     for k, rows in enumerate(plan, 1):
         cur = {}
@@ -561,16 +569,18 @@ def minor_order_table(m: RMatrix, cap=None, *, comparable_only=False) -> dict:
         for I, js in rows:
             row = terms[I[-1] - 1]
             subs = prev[I[:-1]]
-            lim = min(row_cap(I), sum(row_deg[i - 1] for i in I))
+            deg = min(acc_cap, sum(row_deg[i - 1] for i in I))
+            pair_lims = lims[I] if lims else None
             shift_i = sum(shifts[i - 1] for i in I)
             found = cur[I] = {}
             for J in js:
+                lim = min(pair_lims[J], deg) if pair_lims else deg
                 acc = [0] * (lim + 1)
                 sign = first_sign
-                for p in range(k):
-                    e = row[J[p] - 1]
+                for j, sub_cols in drops[J]:
+                    e = row[j]
                     if e:
-                        sub = subs[J[:p] + J[p + 1:]]
+                        sub = subs[sub_cols]
                         if sub is not None:
                             v2, coeffs = sub
                             for d1, c1 in e:
@@ -597,16 +607,38 @@ def minor_order_table(m: RMatrix, cap=None, *, comparable_only=False) -> dict:
     return orders
 
 
-def _closed_row_caps(need: dict) -> dict:
-    """The least row-cap mapping at or above ``need`` that is closed
-    downward, caps[I[:-1]] >= caps[I], as ``minor_order_table`` requires.
-    ``need`` maps every nonempty row set to a precision; each row set's cap
-    becomes the largest need among the row sets it begins."""
-    caps = dict(need)
-    for rows in sorted(need, key=len, reverse=True):
-        if len(rows) > 1:
-            caps[rows[:-1]] = max(caps[rows[:-1]], caps[rows])
-    return caps
+def _closed_pair_lims(plan, drops, grid, shifts, cap: dict) -> dict:
+    """For every pair (I, J) of the plan, the degree to which its minor in
+    the cleared grid is computed, as lims[I][J]: cap[(I, J)] plus the shift
+    of rows I, raised to what the larger minors that expand into it need.
+
+    A minor (I, J) is the signed sum over p of row I[-1]'s cleared entry
+    e_p in column J[p] times the minor (I[:-1], J minus J[p]), so its
+    terms up to degree lim need that minor only up to lim - ord e_p, and
+    not at all where ord e_p > lim or e_p = 0.  Cleared entries are
+    polynomials, so these needs never exceed lim, and a pair left below 0
+    needs no term: it reads infinity, and no larger minor reads it."""
+    ords = [[min(e, default=None) for e in row] for row in grid]
+    lims = {}
+    for rows in reversed(plan):
+        for I, js in rows:
+            shift = sum(shifts[i - 1] for i in I)
+            row = ords[I[-1] - 1]
+            own = lims.setdefault(I, {})
+            below = lims.setdefault(I[:-1], {}) if len(I) > 1 else None
+            for J in js:
+                lim = cap[(I, J)] + shift
+                pushed = own.get(J, -1)
+                if pushed > lim:
+                    lim = pushed
+                own[J] = lim
+                if below is None:
+                    continue
+                for j, sub_cols in drops[J]:
+                    d = row[j]
+                    if d is not None and d <= lim and below.get(sub_cols, -1) < lim - d:
+                        below[sub_cols] = lim - d
+    return lims
 
 
 def times_inverse(a: RMatrix, b: RMatrix) -> RMatrix:

@@ -11,15 +11,15 @@ import time
 
 from lrpairs.extract import (counterexample_demo, extract_filling,
                              extract_from_pair)
-from lrpairs.generic import (GroupElement, MatrixPair, _equation_row_caps,
-                             act, check_equation_first, check_equation_second,
+from lrpairs.generic import (GroupElement, MatrixPair, act,
+                             check_equation_first, check_equation_second,
                              check_equation_third, corner_invariant_check,
                              genericity_stats, reset_genericity_stats,
                              verify_mu_generic)
-from lrpairs.matrix import (RMatrix, det, diag_from_partition,
-                            invariant_partition, invariant_partition_oracle,
-                            inverse, is_mu_admissible, mat_mul,
-                            minor_order_table)
+from lrpairs.matrix import (RMatrix, _comparable_pairs, det,
+                            diag_from_partition, invariant_partition,
+                            invariant_partition_oracle, inverse,
+                            is_mu_admissible, mat_mul, minor_order_table)
 from lrpairs.realize import random_filling, realize
 from lrpairs.ring import ZERO, RingElem
 from lrpairs.tableaux import (Partition, count_fillings, enumerate_fillings,
@@ -202,7 +202,7 @@ def test_criterion_4_certificates_fully_verify():
 
 def test_n_star_tables_exact_at_precision_nu():
     """Every certificate of the shared run carries N*'s table built at
-    precision min(|nu|, ord N*_II) in rows I, closed downward, equal to the
+    precision min(|nu|, ord N*_II) at each pair in rows I, equal to the
     uncapped table of its N*."""
     run = _collected()
     for cert in run["roundtrip"][1] + run["orbit"][1]:
@@ -210,11 +210,12 @@ def test_n_star_tables_exact_at_precision_nu():
 
 
 def test_equation_tables_capped_at_the_largest_compared_order():
-    """The reduction builds the equation tables only up to the largest
-    finite order of N* in each row set; on every certificate of the shared
-    run, the tables at the full cap give the same entries up to there and
-    the same verdicts.  The gap inequalities bound every comparable order
-    of a mu-generic N* by |mu| + |nu|, so each certificate lowers the cap."""
+    """The reduction builds each equation table's entry only up to N*'s
+    order at the same pair, the largest order compared with it; on every
+    certificate of the shared run, the tables at the full cap give the same
+    entries up to there and the same verdicts.  The gap inequalities bound
+    every comparable order of a mu-generic N* by |mu| + |nu|, so each
+    certificate lowers the cap."""
     run = _collected()
     certs = run["roundtrip"][1] + run["orbit"][1]
     lowered = 0
@@ -223,12 +224,11 @@ def test_equation_tables_capped_at_the_largest_compared_order():
         r = cert.n_star.r
         u = mat_mul(mat_mul(cert.q_lower, cert.n_input), cert.t_lower)
         v = mat_mul(cert.q_hat_u, mat_mul(cert.n_input, cert.t_inv))
-        row_caps = _equation_row_caps(cert.minor_orders, r)
         at_full = assert_equation_cap_exact(
             cert.minor_orders, mat_mul(u, cert.t_upper),
-            mat_mul(cert.q_upper, u), v, cert.mu, r, cap, row_caps)
+            mat_mul(cert.q_upper, u), v, cert.mu, r, cap, cert.minor_orders)
         assert at_full == ("", "", "")
-        lowered += max(row_caps.values()) < cap
+        lowered += max(cert.minor_orders[key] for key in _comparable_pairs(r)) < cap
     assert lowered == len(certs)
 
 

@@ -31,7 +31,7 @@ from lrpairs.tableaux import Filling, Partition
 from capcheck import assert_equation_cap_exact
 from golden import (FILLING, LAM, MU, NU, c, golden_m, golden_mn, golden_n,
                     t)
-from test_matrix import ROW_DENOMINATORS, cleaning_unit_by_fractions
+from test_matrix import ROW_DENOMINATORS, cleaning_unit_by_fractions, comparable
 
 
 def golden_pair():
@@ -420,15 +420,35 @@ def test_certificate_equations_hold_on_all_pairs():
 
 
 def test_equation_cap_is_the_largest_finite_order():
-    """Each row set's largest order of N* over its comparable columns,
-    closed downward.  The reduction asks for the caps only once the gaps
-    hold, when no comparable entry is infinite (``_equation_row_caps``)."""
-    tab_n = {((), ()): 0, ((1,), (1,)): 3, ((1,), (2,)): 1,
-             ((2,), (1,)): INFINITY, ((2,), (2,)): 2, ((1, 2), (1, 2)): 5}
-    # ((2,), (1,)) is not comparable: an upper triangular matrix's minor
-    # there vanishes at any precision, and no cap reads it; row set (1,)
-    # needs 3 itself and 5 for the minors of (1, 2)
-    assert generic_mod._equation_row_caps(tab_n, 2) == {(1,): 5, (2,): 2, (1, 2): 5}
+    """The reduction builds each equation table's entry at a pair to N*'s
+    order at that pair.  On certificates, where the gaps hold, that is the
+    largest want (less its shift) that any of the three equations compares
+    with the entry: the bounds of ``_equation_failures``, tight at every
+    comparable pair, on the golden certificate and the staircase at
+    r = 3..5."""
+    certs = [to_mu_generic(golden_pair(), random.Random(42))]
+    certs += [to_mu_generic(_staircase_pair(r), random.Random(r)) for r in range(3, 6)]
+    for cert in certs:
+        tab_n, r = cert.minor_orders, cert.n_star.r
+        weight = matrix_mod._mu_weights(cert.mu, r)
+        up, down = matrix_mod._intervals(r)
+        right, v, left = {}, {}, {}
+
+        def need(table, key, want):
+            table[key] = max(table.get(key, -INFINITY), want)
+
+        for i_set, j_set in matrix_mod._comparable_pairs(r):
+            w = tab_n[(i_set, j_set)]
+            for s in up[i_set]:  # first: (S, J) for S >= I
+                if comparable(s, j_set):
+                    need(right, (s, j_set), w)
+            for h in down[i_set]:  # second: (H, J) for H <= I, shift |mu_H| - |mu_I|
+                need(v, (h, j_set), w + weight[i_set] - weight[h])
+            for h in down[j_set]:  # third: (I, H) for H <= J
+                if comparable(i_set, h):
+                    need(left, (i_set, h), w)
+        caps = {key: tab_n[key] for key in matrix_mod._comparable_pairs(r)}
+        assert right == v == left == caps
 
 
 def _staircase_pair(r):
@@ -440,10 +460,10 @@ def _staircase_pair(r):
 @pytest.mark.parametrize("units", ["random", "plus_minus_one"])
 def test_equation_cap_keeps_every_verdict(monkeypatch, units):
     """Every attempt's equation tables, rebuilt at the full cap, agree with
-    the ones at the row caps on the staircase r = 3..6 and on random
-    fillings.  Every attempt that builds them, passing or failing, gets the
-    row caps.  Units of +-1 cancel often, so some of those attempts fail an
-    equation, at both precisions."""
+    the ones at the per-pair caps on the staircase r = 3..6 and on random
+    fillings.  Every attempt that builds them, passing or failing, gets
+    N*'s own table as the caps.  Units of +-1 cancel often, so some of those
+    attempts fail an equation, at both precisions."""
     calls = []
     real = generic_mod._equation_failures
 
@@ -470,11 +490,10 @@ def test_equation_cap_keeps_every_verdict(monkeypatch, units):
             passed = True
         mu, nu, _ = pair.invariants()
         cap = mu.weight() + nu.weight() + 1
-        for tab_n, right, left, v, mu_n, r, row_caps in calls[start:]:
-            assert isinstance(row_caps, dict)
-            assert row_caps == generic_mod._equation_row_caps(tab_n, r)
+        for tab_n, right, left, v, mu_n, r, pair_caps in calls[start:]:
+            assert pair_caps is tab_n
             at_full = assert_equation_cap_exact(tab_n, right, left, v,
-                                                mu_n, r, cap, row_caps)
+                                                mu_n, r, cap, pair_caps)
             seen["failing" if any(at_full) else "passing"] += 1
         seen["passed attempt"] += passed
     assert seen["passing"] >= seen["passed attempt"] > 0
@@ -620,18 +639,20 @@ def test_attempt_failing_cheap_checks_builds_no_table(monkeypatch):
 
 
 def test_n_star_table_exact_at_precision_nu():
-    """The reduction builds N*'s table in rows I modulo t^(c+1), with
-    c = min(|nu|, ord N*_II) closed downward; on the staircase at r = 3..7
+    """The reduction builds N*'s table at each pair in rows I modulo
+    t^(c+1), with c = min(|nu|, ord N*_II); on the staircase at r = 3..7
     each certificate's table equals the uncapped one."""
     for r in range(3, 8):
         cert = to_mu_generic(_staircase_pair(r), random.Random(r))
         assert cert.minor_orders == minor_order_table(cert.n_star)
 
 
-def test_passing_attempt_tables_get_row_caps(monkeypatch):
+def test_passing_attempt_tables_get_pair_caps(monkeypatch):
     """On the staircase at r = 5 and 6, all four tables of the passing
-    attempt, N*'s and the three equation tables, are built at a row-cap
-    mapping that is not one uniform precision."""
+    attempt are built at a per-pair mapping that is not one uniform
+    precision: N*'s at min(|nu|, ord N*_II) on every comparable pair, and
+    the three equation tables at N*'s own table, which varies within a row
+    set."""
     caps = []
     real = generic_mod.minor_order_table
 
@@ -644,8 +665,16 @@ def test_passing_attempt_tables_get_row_caps(monkeypatch):
         del caps[:]
         cert = to_mu_generic(_staircase_pair(r), random.Random(1))
         assert cert.report.ok and len(caps) >= 4
-        for cap in caps[-4:]:
-            assert isinstance(cap, dict) and len(set(cap.values())) > 1, cap
+        n_caps, *equation_caps = caps[-4:]
+        diag = [cert.n_star.entry(i, i).valuation() for i in range(1, r + 1)]
+        assert n_caps == {(rows, cols): min(cert.nu.weight(), sum(diag[i - 1] for i in rows))
+                          for rows, cols in matrix_mod._comparable_pairs(r)} | {((), ()): 0}
+        assert len(set(n_caps.values())) > 1
+        up = matrix_mod._intervals(r)[0]
+        for cap in equation_caps:
+            assert cap is cert.minor_orders
+            assert any(len({cap[(rows, cols)] for cols in js}) > 1
+                       for rows, js in up.items())
         assert cert.minor_orders == minor_order_table(cert.n_star)  # not the spy
 
 

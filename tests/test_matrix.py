@@ -11,14 +11,14 @@ from hypothesis import assume, given, settings, strategies as st
 from lrpairs.errors import (InputError, NotInRingError, PrincipalMinorError,
                             RankError)
 import lrpairs.matrix as matrix_mod
-from lrpairs.matrix import (RMatrix, _bareiss, _clean, _clear_row,
-                            _closed_row_caps, _poly_det,
+from lrpairs.matrix import (RMatrix, _bareiss, _clean, _clear_row, _poly_det,
                             det, diag_from_partition,
                             has_unit_det, invariant_partition,
                             invariant_partition_oracle, inverse,
                             is_mu_admissible, lu_decompose, mat_mul, minor,
                             minor_order, minor_order_table, smith_transforms,
                             times_inverse)
+from lrpairs.generic import GroupElement, MatrixPair, act, to_mu_generic
 from lrpairs.ring import INFINITY, ONE, ZERO, RingElem
 from lrpairs.tableaux import MAX_SIZE, Partition
 
@@ -356,13 +356,13 @@ def shifted_matrices(draw, triangular=False, max_r=4):
 
 def assert_agrees_under_cap(table, m, cap, keys):
     """Every key carries minor_order's value; with a cap, an int or one per
-    row set, an order above the cap of its rows may read infinity instead."""
+    pair, an order above the cap of its pair may read infinity instead."""
     assert table.keys() == set(keys)
     for rows, cols in keys:
         want = minor_order(m, rows, cols)
         got = table[(rows, cols)]
-        row_cap = cap.get(rows) if isinstance(cap, dict) else cap
-        if row_cap is None or want <= row_cap:
+        pair_cap = cap.get((rows, cols)) if isinstance(cap, dict) else cap
+        if pair_cap is None or want <= pair_cap:
             assert got == want, (rows, cols, cap)
         else:
             assert got is INFINITY or got == want, (rows, cols, cap)
@@ -385,19 +385,20 @@ def test_minor_order_table_agrees_on_triangular_input(m, cap):
 
 
 @st.composite
-def row_cap_mappings(draw, r):
-    """A random precision for every nonempty row set in 1..r, negative ones
-    included, closed downward as minor_order_table requires."""
-    return _closed_row_caps({rows: draw(st.integers(-2, 8))
-                             for k in range(1, r + 1)
-                             for rows in itertools.combinations(range(1, r + 1), k)})
+def pair_cap_mappings(draw, r):
+    """A random precision for every nonempty pair in 1..r, negative ones
+    included, and not closed: minor_order_table closes the mapping itself."""
+    return {(rows, cols): draw(st.integers(-2, 8))
+            for k in range(1, r + 1)
+            for rows in itertools.combinations(range(1, r + 1), k)
+            for cols in itertools.combinations(range(1, r + 1), k)}
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data(), st.sampled_from(("plain", "triangular", "comparable_only")))
-def test_minor_order_table_agrees_under_row_caps(data, kind):
+def test_minor_order_table_agrees_under_pair_caps(data, kind):
     m = data.draw(shifted_matrices(triangular=kind == "triangular"))
-    caps = data.draw(row_cap_mappings(m.r))
+    caps = data.draw(pair_cap_mappings(m.r))
     comparable_only = kind == "comparable_only"
     table = minor_order_table(m, cap=caps, comparable_only=comparable_only)
     keys = [key for key in all_pairs(m.r)
@@ -551,7 +552,10 @@ def test_invariant_partition_repeated_orders():
 def test_invariant_partition_divides_nothing(monkeypatch):
     """Neither Bareiss user of the minimal-order pivot divides in the field:
     invariant_partition, and smith_transforms, whose (P, Q, D) equal the
-    field oracle's, computed before division is patched away."""
+    field oracle's, computed before division is patched away.  Nor does a
+    certificate's group element for a scrambled pair, whose P conjugates Q
+    by D_mu, with entries below the diagonal moved by negative powers of t;
+    it still replays the reduction."""
     rng = random.Random(71)
     fractions = mat_mul(mat_mul(random_full_rank(rng, 4, max_order=1, frac=True),
                                 RMatrix.diagonal([t(2), t(1), t(1), ONE])),
@@ -559,6 +563,11 @@ def test_invariant_partition_divides_nothing(monkeypatch):
     inputs = [golden_n(), golden_mn(), fractions]
     assert any(e.den != ONE.den for row in fractions.entries for e in row)
     want = [smith_by_field_elimination(m) for m in inputs]
+    p, q, _ = want[2]
+    pair = act(GroupElement(p, q, want[0][0]), MatrixPair(golden_m(), golden_n()))
+    cert = to_mu_generic(pair, rng)
+    assert any(not cert.q.entry(i, j).is_zero() and MU.part(i) < MU.part(j)
+               for i in range(1, 5) for j in range(1, 5))
 
     def no_division(self, other):
         raise AssertionError("ring division in a matrix elimination")
@@ -567,8 +576,10 @@ def test_invariant_partition_divides_nothing(monkeypatch):
     assert invariant_partition(golden_mn()) == LAM
     assert invariant_partition(golden_n()) == NU
     got = [smith_transforms(m) for m in inputs]
+    group = cert.group
     monkeypatch.undo()
     assert got == want
+    assert act(group, pair) == cert.pair
 
 
 # ---------------------------------------------------------------------------
