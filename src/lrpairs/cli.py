@@ -112,7 +112,7 @@ def cmd_realize(args) -> int:
         raise InputError("realize input must be an object with 'filling' and 'mu'")
     filling = _load_filling(data["filling"])
     mu = Partition.from_json(data["mu"])
-    real = realize(filling, mu, verify=True)
+    real = realize(filling, mu)
     doc = real.to_json()
     doc["seed"] = args.seed
     doc["verified"] = True

@@ -52,18 +52,12 @@ class _BlockOrders:
             self.memo[kept] = got
         return got
 
-    def to_json(self):
-        """The distinct kept-row queries made so far, with their orders."""
-        return {",".join(str(i) for i in kept) or "-":
-                (v if v is not INFINITY else "inf")
-                for kept, v in sorted(self.memo.items())}
 
-
-def extract_filling(n_star: RMatrix, mu, table=None, with_orders=False):
+def extract_filling(n_star: RMatrix, mu, table=None):
     """The filling encoded in a mu-generic matrix, validated before return.
 
     A precomputed minor-order table of n_star (keyed (rows, cols)) is reused
-    when given.  with_orders additionally returns the O(p, q) query cache.
+    when given.
     """
     mu = as_partition(mu)
     r = n_star.r
@@ -95,8 +89,6 @@ def extract_filling(n_star: RMatrix, mu, table=None, with_orders=False):
     if not report.valid:
         raise GenericityError(
             f"extracted array fails validation: {report.failure_summary()}")
-    if with_orders:
-        return filling, orders
     return filling
 
 

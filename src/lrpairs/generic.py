@@ -22,7 +22,9 @@ N*.  Each table is computed only to the precision its checks need, set per
 pair (I, J): N*'s from its diagonal orders in rows I (``_n_star_caps``), and
 each equation table's entry to N*'s own order at that pair
 (``_equation_failures``).  Both docstrings prove that a passing attempt's
-tables and every attempt's verdict are those of the full precision.
+tables and every attempt's verdict are those of the full precision; an
+attempt that fails the checks on N*'s table names its failures from the
+uncapped table.
 
 The extraction and the CLI read only N* and its minor-order table.  The
 certificate's ``t_star`` = (T_L T_U)^-1 and ``group``, which only a replay
@@ -41,14 +43,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 from .errors import (GenericityError, InputError, PrincipalMinorError,
                      RankError, RetriesExhaustedError)
 # det is unused here but stays importable as lrpairs.generic.det, an import
 # site that perfbench's tracer self-test checks
 from .matrix import (RMatrix, _bareiss, _between, _clean, _clear_row,
-                     _comparable_pairs, _intervals, _lu_grid, _mu_weights,
+                     _comparable_pairs, _lattice, _lu_grid, _mu_weights,
                      _table_partition, det, diag_from_partition, has_unit_det,
                      inverse, invariant_partition, is_mu_admissible,
                      lu_decompose, mat_mul, minor_order, minor_order_table,
@@ -380,17 +381,18 @@ def _sample_lower_factors(mu: Partition, r: int, rng):
 
 
 def _pairs_to_check(r: int):
-    """Every (rows, cols) pair of equal size, including the empty pair."""
-    for k in range(0, r + 1):
-        for i_set in combinations(range(1, r + 1), k):
-            for j_set in combinations(range(1, r + 1), k):
+    """Every (rows, cols) pair of equal size, including the empty pair, by
+    size, then rows, then columns, in lexicographic order."""
+    for sets in _lattice(r).sets:
+        for i_set in sets:
+            for j_set in sets:
                 yield i_set, j_set
 
 
 def check_equation_first(tab_n: dict, tab_right: dict, r: int):
     """order(N*_IJ) == min over S >= I of order((Q_L N T^-1)_SJ), checked on
     every pair."""
-    up = _intervals(r)[0]
+    up = _lattice(r).up
     for i_set, j_set in _pairs_to_check(r):
         want = tab_n[(i_set, j_set)]
         got = min(tab_right[(s, j_set)] for s in up[i_set])
@@ -404,7 +406,7 @@ def check_equation_second(tab_n: dict, tab_v: dict, mu: Partition, r: int):
     V = Q_hat_U N T^-1; checked on pairs with I <= J componentwise (the only
     pairs where the minimum is attained without cancellation; see notes).
     The empty pair holds trivially; tab_v is read only at pairs H <= J."""
-    down = _intervals(r)[1]
+    down = _lattice(r).down
     weight = _mu_weights(mu, r)
     for i_set, j_set in _comparable_pairs(r):
         want = tab_n[(i_set, j_set)]
@@ -419,7 +421,7 @@ def check_equation_second(tab_n: dict, tab_v: dict, mu: Partition, r: int):
 def check_equation_third(tab_n: dict, tab_left: dict, r: int):
     """order(N*_IJ) == min over H <= J of order((Q N T_L)_IH), checked on
     every pair."""
-    down = _intervals(r)[1]
+    down = _lattice(r).down
     for i_set, j_set in _pairs_to_check(r):
         want = tab_n[(i_set, j_set)]
         got = min(tab_left[(i_set, h)] for h in down[j_set])
@@ -446,11 +448,12 @@ def _n_star_caps(n_star: RMatrix, nu_weight: int):
     so again ord N*_II <= cap(I, I) is exact, and det_gap_columns read every
     comparable entry at most that: finite, hence exact.  So the two tables
     differ only in attempts that fail at both precisions, where an entry
-    above its cap fails det_gap_columns."""
+    above its cap fails det_gap_columns; such an attempt names its failures
+    from the uncapped table, whose checks may fail otherwise."""
     r = n_star.r
     diag = [n_star.entry(i, i).valuation() for i in range(1, r + 1)]
     caps = {}
-    for rows, up in _intervals(r)[0].items():
+    for rows, up in _lattice(r).up.items():
         cap = min(nu_weight, sum(diag[i - 1] for i in rows))
         caps.update(((rows, cols), cap) for cols in up)
     return caps
@@ -458,9 +461,9 @@ def _n_star_caps(n_star: RMatrix, nu_weight: int):
 
 def _equation_failures(tab_n, right, left, v, mu, r, cap):
     """The three equations' failure strings ("" where one holds), on the
-    tables of U T_U, Q_U U and V built at precision cap, an int or a
-    per-pair mapping; v may be V's rows times units, which moves no minor
-    order.
+    tables of U T_U, Q_U U and V built at precision cap, a per-pair mapping
+    (``minor_order_table``'s) or None for full precision; v may be V's rows
+    times units, which moves no minor order.
 
     The reduction passes ``tab_n`` itself as the mapping: each equation
     table's entry is needed exactly to N*'s order at the same pair.  It
@@ -715,17 +718,21 @@ def _attempt_reduction(diagonal_pair, g_diag, mu, nu, lam, rng,
 
     # stage 2: the checks that read tab_n, exact whenever the attempt can
     # pass at precision min(|nu|, ord N*_II) at pairs in rows I, see
-    # _n_star_caps
-    tab_n = minor_order_table(n_star, cap=_n_star_caps(n_star, nu.weight()))
-    nu_star = _table_partition(tab_n, r)
-    lam_star = _table_partition(tab_n, r, shift_mu=mu)
-    invariants = (CheckResult("nu_preserved", nu_star == nu,
-                              "" if nu_star == nu else f"{nu_star} vs {nu}"),
-                  CheckResult("lambda_preserved", lam_star == lam,
-                              "" if lam_star == lam else f"{lam_star} vs {lam}"))
-    # corners against the input pair's nu and lam, straight from the table
-    gaps = (verify_mu_generic(n_star, mu, table=tab_n).checks
-            + _corner_checks(lambda rows, cols: tab_n[(rows, cols)], mu, nu, lam, r))
+    # _n_star_caps.  A failure is named from the uncapped table, where the
+    # stage fails too: the capped one may fail other checks of it.
+    for cap in (_n_star_caps(n_star, nu.weight()), None):
+        tab_n = minor_order_table(n_star, cap=cap)
+        nu_star = _table_partition(tab_n, r)
+        lam_star = _table_partition(tab_n, r, shift_mu=mu)
+        invariants = (CheckResult("nu_preserved", nu_star == nu,
+                                  "" if nu_star == nu else f"{nu_star} vs {nu}"),
+                      CheckResult("lambda_preserved", lam_star == lam,
+                                  "" if lam_star == lam else f"{lam_star} vs {lam}"))
+        # corners against the input pair's nu and lam, straight from the table
+        gaps = (verify_mu_generic(n_star, mu, table=tab_n).checks
+                + _corner_checks(lambda rows, cols: tab_n[(rows, cols)], mu, nu, lam, r))
+        if all(c.passed for c in invariants + gaps):
+            break
     _fail_on(invariants + gaps)
 
     # stage 3: Q's LU stage, then the equation tables, each entry up to N*'s

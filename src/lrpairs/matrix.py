@@ -35,9 +35,12 @@ extraction code paths rely on.  That expansion keeps the comparable pairs
 I <= J closed, so an upper triangular matrix, whose other minors vanish, and
 the reduction's V table, which is read only there, are expanded on those
 pairs alone.  Its minors are dense coefficient lists truncated at the
-requested precision, one for the whole table or one per pair.  A pair's
-precision is raised to what the larger minors that expand into it need, each
-less the order of the entry that multiplies it (``_closed_pair_lims``).
+requested precision, one per pair.  A pair's precision is raised to what the
+larger minors that expand into it need, each less the order of the entry
+that multiplies it (``_closed_pair_lims``).  Every table and every check
+walks the index sets through one lattice per size, ``_lattice``, built once
+from ``_between``: the sets by size, each set's up- and down-set and drops,
+and the table plans.
 
 Products with an inverse go through one adjugate engine, ``times_inverse``:
 with b's rows cleared once into G, a b^-1 = (a adj(G)) diag(c) / det(G)
@@ -50,8 +53,9 @@ are formed only when read.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, compress, count
+from itertools import compress, count
 from math import gcd as igcd
+from typing import NamedTuple
 
 from .errors import InputError, NotInRingError, PrincipalMinorError, RankError
 from .ring import (_PONE, INFINITY, ONE, ZERO, RingElem, _padd, _pcontent,
@@ -463,52 +467,46 @@ def _between(lo: tuple, hi: tuple):
     return out
 
 
+class _Lattice(NamedTuple):
+    """The index sets of 1..r under the componentwise order, and what every
+    minor table and every check walks over them."""
+
+    sets: tuple             # sets[k]: the k-subsets in lexicographic order
+    up: dict                # S -> the sets H >= S of its size, in order
+    down: dict              # S -> the sets H <= S of its size, in order
+    drops: dict             # J -> (J[p] - 1, J without J[p]) for each position p
+    comparable_plan: tuple  # per k >= 1: each row set I with its sets J >= I
+    full_plan: tuple        # per k >= 1: each row set I with every k-set
+    off: tuple              # every pair (I, J) with I not <= J, in plan order
+
+
 @lru_cache(maxsize=None)
-def _comparable_plan(r: int):
-    """The index sets of a size-r table, built once per size: for each k >= 1
-    the row sets I of size k, each with its column sets J >= I; and every
-    pair (I, J) that is not comparable."""
-    plan = []
+def _lattice(r: int) -> _Lattice:
+    """The index-set lattice of size r, built once per size from
+    ``_between`` alone: the k-sets are those between (1, ..., k) and
+    (r - k + 1, ..., r), the empty set the one at k = 0."""
+    sets = tuple(tuple(_between(tuple(range(1, k + 1)), tuple(range(r - k + 1, r + 1))))
+                 for k in range(r + 1))
+    up = {S: tuple(_between(S, ks[-1])) for ks in sets for S in ks}
+    down = {S: tuple(_between(ks[0], S)) for ks in sets for S in ks}
+    drops = {J: tuple((J[p] - 1, J[:p] + J[p + 1:]) for p in range(len(J))) for J in up}
     off = []
-    for k in range(1, r + 1):
-        hi = tuple(range(r - k + 1, r + 1))
-        sets = list(combinations(range(1, r + 1), k))
-        rows = tuple((I, tuple(_between(I, hi))) for I in sets)
-        plan.append(rows)
-        for I, js in rows:
-            js = set(js)
-            off.extend((I, J) for J in sets if J not in js)
-    return tuple(plan), tuple(off)
-
-
-@lru_cache(maxsize=None)
-def _intervals(r: int):
-    """For every index set S in 1..r, the sets H >= S and the sets H <= S
-    of its size, as two dicts built once per size (the up-sets come from
-    the plan)."""
-    up = {I: js for rows in _comparable_plan(r)[0] for I, js in rows}
-    down = {J: tuple(_between((1,) * len(J), J)) for J in up}
-    up[()] = down[()] = ((),)
-    return up, down
+    for ks in sets[1:]:
+        for I in ks:
+            above = set(up[I])
+            off.extend((I, J) for J in ks if J not in above)
+    return _Lattice(sets, up, down, drops,
+                    tuple(tuple((I, up[I]) for I in ks) for ks in sets[1:]),
+                    tuple(tuple((I, ks) for I in ks) for ks in sets[1:]), tuple(off))
 
 
 def _comparable_pairs(r: int):
     """Every nonempty pair I <= J of index sets in 1..r, by size, then I,
     then J, in lexicographic order."""
-    for rows in _comparable_plan(r)[0]:
+    for rows in _lattice(r).comparable_plan:
         for I, js in rows:
             for J in js:
                 yield I, J
-
-
-@lru_cache(maxsize=None)
-def _drops(r: int):
-    """For every nonempty index set J in 1..r, one pair per position p: the
-    0-based column J[p] - 1 and the set J without J[p], the columns of the
-    minor that a minor in columns J expands into there.  Built once per
-    size."""
-    return {J: tuple((J[p] - 1, J[:p] + J[p + 1:]) for p in range(k))
-            for k in range(1, r + 1) for J in combinations(range(1, r + 1), k)}
 
 
 def minor_order_table(m: RMatrix, cap=None, *, comparable_only=False) -> dict:
@@ -524,37 +522,32 @@ def minor_order_table(m: RMatrix, cap=None, *, comparable_only=False) -> dict:
     infinity.  With ``comparable_only`` the table holds the comparable pairs
     and nothing else, whatever m is.
 
-    With an int ``cap``, everything is computed modulo t^(cap+1): orders at
-    most cap are exact, a larger one is exact or infinity.  A finite reading
-    is always exact; only infinity may stand for an order above the cap.
-    Minors that vanish identically still report infinity either way, so a cap
-    of at least the largest finite order that matters makes the truncated
-    table authoritative.  ``cap`` may instead map every pair (I, J) that the
-    table computes to its own precision cap[(I, J)] (other keys are not
-    read), with the same guarantee against cap[(I, J)].  The table closes
-    the mapping itself (``_closed_pair_lims``), so any mapping will do.
-    Minors are dense coefficient lists truncated at their precision, or with
-    no cap at the sum of the rows' largest degrees, which no product passes;
-    the product loop stops there instead of forming terms it would discard.
+    ``cap``, when given, maps every pair (I, J) that the table computes to
+    its own precision cap[(I, J)] (other keys are not read), and minor
+    (I, J) is computed modulo t^(cap[(I, J)] + 1): an order at most its cap
+    is exact, a larger one is exact or infinity.  A finite reading is always
+    exact; only infinity may stand for an order above the cap.  Minors that
+    vanish identically still report infinity either way, so caps of at least
+    the largest finite orders that matter make the truncated table
+    authoritative.  The table closes the mapping itself
+    (``_closed_pair_lims``), so any mapping will do.  Minors are dense
+    coefficient lists truncated at their precision, or with no cap at the
+    sum of the rows' largest degrees, which no product passes; the product
+    loop stops there instead of forming terms it would discard.
     """
     r = m.r
-    drops = _drops(r)
+    lattice = _lattice(r)
+    drops = lattice.drops
     grid, shifts = _cleared_grid(m)
     triangular = all(not grid[i][j] for i in range(r) for j in range(i))
     comparable = comparable_only or triangular
-    if comparable:
-        plan, off = _comparable_plan(r)
+    plan = lattice.comparable_plan if comparable else lattice.full_plan
+    if cap is None:
+        lims = None
+        acc_cap = INFINITY
     else:
-        sets = [list(combinations(range(1, r + 1), k)) for k in range(1, r + 1)]
-        plan = [[(I, js) for I in js] for js in sets]
-    if isinstance(cap, dict):
         lims = _closed_pair_lims(plan, drops, grid, shifts, cap)
         acc_cap = max(max(js.values()) for js in lims.values())
-    else:
-        lims = None
-        # row clearing multiplies minors by the denominator products, whose
-        # orders are the recorded shifts; keep enough terms to see past them
-        acc_cap = INFINITY if cap is None else cap + sum(shifts)
     # each entry as its ascending (degree, coefficient) terms up to acc_cap
     terms = [[sorted(dc for dc in e.items() if dc[0] <= acc_cap) for e in row]
              for row in grid]
@@ -603,7 +596,7 @@ def minor_order_table(m: RMatrix, cap=None, *, comparable_only=False) -> dict:
                     orders[(I, J)] = v - shift_i
         prev = cur
     if comparable and not comparable_only:
-        orders.update(dict.fromkeys(off, INFINITY))
+        orders.update(dict.fromkeys(lattice.off, INFINITY))
     return orders
 
 
@@ -752,7 +745,7 @@ def invariant_partition(m: RMatrix) -> Partition:
 
 def _mu_weights(mu: Partition, r: int) -> dict:
     """|mu_S| for every index set S in 1..r, the empty set included."""
-    return {s: mu.sum_over(s) for s in _intervals(r)[0]}
+    return {s: mu.sum_over(s) for s in _lattice(r).up}
 
 
 def _table_partition(table: dict, r: int, shift_mu=None):

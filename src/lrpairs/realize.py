@@ -83,12 +83,12 @@ def build_factor(filling: Filling, i: int, r: int) -> RMatrix:
     return RMatrix(rows)
 
 
-def realize(filling: Filling, mu, verify: bool = True) -> FactoredRealization:
+def realize(filling: Filling, mu) -> FactoredRealization:
     """Build (M, N_1..N_r) for the filling over the base shape mu.
 
-    With verify on (the default), every partial-product invariant partition
-    is recomputed exactly; a mismatch raises VerificationError, since it can
-    only come from an arithmetic bug, not from valid input.
+    Every partial-product invariant partition is recomputed exactly; a
+    mismatch raises VerificationError, since it can only come from an
+    arithmetic bug, not from valid input.
     """
     mu = as_partition(mu)
     r = filling.r
@@ -115,21 +115,20 @@ def realize(filling: Filling, mu, verify: bool = True) -> FactoredRealization:
         n = mat_mul(n, f)
         prefixes.append(n)
 
-    if verify:
-        if invariant_partition(m) != mu:
-            raise VerificationError("diagonal first component lost its invariant partition")
-        content = nu.padded(r)
-        for i in range(1, r + 1):
-            got_n = invariant_partition(prefixes[i - 1])
-            want_n = Partition(content[:i])
-            if got_n != want_n:
-                raise VerificationError(
-                    f"partial product {i}: invariant partition {got_n} != {want_n}")
-            got_mn = invariant_partition(mat_mul(m, prefixes[i - 1]))
-            if got_mn != seq.stage(i):
-                raise VerificationError(
-                    f"partial product {i} with M: invariant partition {got_mn} "
-                    f"!= stage {seq.stage(i)}")
+    if invariant_partition(m) != mu:
+        raise VerificationError("diagonal first component lost its invariant partition")
+    content = nu.padded(r)
+    for i in range(1, r + 1):
+        got_n = invariant_partition(prefixes[i - 1])
+        want_n = Partition(content[:i])
+        if got_n != want_n:
+            raise VerificationError(
+                f"partial product {i}: invariant partition {got_n} != {want_n}")
+        got_mn = invariant_partition(mat_mul(m, prefixes[i - 1]))
+        if got_mn != seq.stage(i):
+            raise VerificationError(
+                f"partial product {i} with M: invariant partition {got_mn} "
+                f"!= stage {seq.stage(i)}")
 
     return FactoredRealization(m, factors, n, mu, nu, lam, filling,
                                [seq.stage(i) for i in range(0, r + 1)])

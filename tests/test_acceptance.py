@@ -186,12 +186,11 @@ def test_criterion_4_certificates_fully_verify():
         assert verify_mu_generic(cert.n_star, cert.mu,
                                  table=cert.minor_orders).ok
         assert corner_invariant_check(cert.n_star, cert.mu).ok
-        cap = cert.mu.weight() + cert.nu.weight() + 1
         u = mat_mul(mat_mul(cert.q_lower, cert.n_input), cert.t_lower)
-        tab_right = minor_order_table(mat_mul(u, cert.t_upper), cap=cap)
-        tab_left = minor_order_table(mat_mul(cert.q_upper, u), cap=cap)
+        tab_right = minor_order_table(mat_mul(u, cert.t_upper))
+        tab_left = minor_order_table(mat_mul(cert.q_upper, u))
         v = mat_mul(cert.q_hat_u, mat_mul(cert.n_input, cert.t_inv))
-        tab_v = minor_order_table(v, cap=cap)
+        tab_v = minor_order_table(v)
         assert check_equation_first(cert.minor_orders, tab_right,
                                     r) == ""
         assert check_equation_second(cert.minor_orders, tab_v, cert.mu,
@@ -212,10 +211,10 @@ def test_n_star_tables_exact_at_precision_nu():
 def test_equation_tables_capped_at_the_largest_compared_order():
     """The reduction builds each equation table's entry only up to N*'s
     order at the same pair, the largest order compared with it; on every
-    certificate of the shared run, the tables at the full cap give the same
+    certificate of the shared run, the uncapped tables give the same
     entries up to there and the same verdicts.  The gap inequalities bound
     every comparable order of a mu-generic N* by |mu| + |nu|, so each
-    certificate lowers the cap."""
+    certificate's caps lie below |mu| + |nu| + 1."""
     run = _collected()
     certs = run["roundtrip"][1] + run["orbit"][1]
     lowered = 0
@@ -226,7 +225,7 @@ def test_equation_tables_capped_at_the_largest_compared_order():
         v = mat_mul(cert.q_hat_u, mat_mul(cert.n_input, cert.t_inv))
         at_full = assert_equation_cap_exact(
             cert.minor_orders, mat_mul(u, cert.t_upper),
-            mat_mul(cert.q_upper, u), v, cert.mu, r, cap, cert.minor_orders)
+            mat_mul(cert.q_upper, u), v, cert.mu, r, cert.minor_orders)
         assert at_full == ("", "", "")
         lowered += max(cert.minor_orders[key] for key in _comparable_pairs(r)) < cap
     assert lowered == len(certs)

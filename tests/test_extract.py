@@ -74,18 +74,6 @@ def test_extract_filling_reuses_supplied_table():
     assert extract_filling(n, MU, table=table) == FILLING
 
 
-def test_extract_with_orders_cache():
-    f, orders = extract_filling(golden_n(), MU, with_orders=True)
-    assert f == FILLING
-    doc = orders.to_json()
-    # the full-determinant query and the single-row tail query both appear
-    assert doc["1,2,3,4"] == 19
-    assert doc["-"] == 0
-    for key, value in doc.items():
-        kept = () if key == "-" else tuple(int(s) for s in key.split(","))
-        assert KEPT_ORDERS[kept] == value
-
-
 def test_extract_filling_single_entry():
     n = RMatrix([[t(3)]])
     assert extract_filling(n, Partition(())) == Filling(((3,),))

@@ -31,7 +31,8 @@ from lrpairs.tableaux import Filling, Partition
 from capcheck import assert_equation_cap_exact
 from golden import (FILLING, LAM, MU, NU, c, golden_m, golden_mn, golden_n,
                     t)
-from test_matrix import ROW_DENOMINATORS, cleaning_unit_by_fractions, comparable
+from test_matrix import (ROW_DENOMINATORS, cleaning_unit_by_fractions, comparable,
+                         uniform_caps)
 
 
 def golden_pair():
@@ -431,7 +432,8 @@ def test_equation_cap_is_the_largest_finite_order():
     for cert in certs:
         tab_n, r = cert.minor_orders, cert.n_star.r
         weight = matrix_mod._mu_weights(cert.mu, r)
-        up, down = matrix_mod._intervals(r)
+        lattice = matrix_mod._lattice(r)
+        up, down = lattice.up, lattice.down
         right, v, left = {}, {}, {}
 
         def need(table, key, want):
@@ -459,7 +461,7 @@ def _staircase_pair(r):
 
 @pytest.mark.parametrize("units", ["random", "plus_minus_one"])
 def test_equation_cap_keeps_every_verdict(monkeypatch, units):
-    """Every attempt's equation tables, rebuilt at the full cap, agree with
+    """Every attempt's equation tables, rebuilt uncapped, agree with
     the ones at the per-pair caps on the staircase r = 3..6 and on random
     fillings.  Every attempt that builds them, passing or failing, gets
     N*'s own table as the caps.  Units of +-1 cancel often, so some of those
@@ -488,12 +490,10 @@ def test_equation_cap_keeps_every_verdict(monkeypatch, units):
             passed = False
         else:
             passed = True
-        mu, nu, _ = pair.invariants()
-        cap = mu.weight() + nu.weight() + 1
         for tab_n, right, left, v, mu_n, r, pair_caps in calls[start:]:
             assert pair_caps is tab_n
             at_full = assert_equation_cap_exact(tab_n, right, left, v,
-                                                mu_n, r, cap, pair_caps)
+                                                mu_n, r, pair_caps)
             seen["failing" if any(at_full) else "passing"] += 1
         seen["passed attempt"] += passed
     assert seen["passing"] >= seen["passed attempt"] > 0
@@ -562,10 +562,10 @@ def test_attempt_verdicts_match_running_every_check(monkeypatch, units):
     """Every attempt against the run-every-check body on a copy of its rng,
     on the staircase r = 3..6 and 30 random fillings at rng seeds 5, 6, 7.
     Pass or fail matches, and a passing attempt's report and N*'s table are
-    the reference's.  A failing attempt names failed checks of the
-    reference's first failed stage only: the same ones, except at the
-    checks on N*'s table, whose capped readings may fail others of that
-    stage.  An attempt that fails there builds that one table."""
+    the reference's.  A failing attempt names exactly the failed checks of
+    the reference's first failed stage.  An attempt that fails at the checks
+    on N*'s table builds that table twice: at its caps, then uncapped, to
+    name the failures."""
     tables = []
     real_table = generic_mod.minor_order_table
 
@@ -589,11 +589,9 @@ def test_attempt_verdicts_match_running_every_check(monkeypatch, units):
             stage = next(k for k, names in enumerate(STAGES)
                          if any(c.name in names for c in want.failures()))
             want_failed = {c.name for c in want.failures()} & STAGES[stage]
-            assert failed and failed <= STAGES[stage]
-            if stage != 1:  # N*'s capped table may fail other checks there
-                assert failed == want_failed, (failed, want_failed)
-            if stage < 2:  # no table, or N*'s alone
-                assert len(tables) == stage, (failed, len(tables))
+            assert failed == want_failed, (failed, want_failed)
+            if stage < 2:  # no table, or N*'s at its caps and then uncapped
+                assert len(tables) == 2 * stage, (failed, len(tables))
             seen[f"failed stage {stage + 1}"] += 1
             raise
         assert want.ok
@@ -670,7 +668,7 @@ def test_passing_attempt_tables_get_pair_caps(monkeypatch):
         assert n_caps == {(rows, cols): min(cert.nu.weight(), sum(diag[i - 1] for i in rows))
                           for rows, cols in matrix_mod._comparable_pairs(r)} | {((), ()): 0}
         assert len(set(n_caps.values())) > 1
-        up = matrix_mod._intervals(r)[0]
+        up = matrix_mod._lattice(r).up
         for cap in equation_caps:
             assert cap is cert.minor_orders
             assert any(len({cap[(rows, cols)] for cols in js}) > 1
@@ -984,8 +982,8 @@ def test_lu_stage_on_grid_agrees_with_fractions(args):
     assert got_ok == lu_ok
     assert got_consistent and consistent
     for cap in (5, 12, 40):
-        got = minor_order_table(got_v, cap, comparable_only=True)
-        want = minor_order_table(v, cap, comparable_only=True)
+        got = minor_order_table(got_v, uniform_caps(q.r, cap), comparable_only=True)
+        want = minor_order_table(v, uniform_caps(q.r, cap), comparable_only=True)
         if v.is_over_ring():
             assert got == want
         else:

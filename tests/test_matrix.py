@@ -18,7 +18,8 @@ from lrpairs.matrix import (RMatrix, _bareiss, _clean, _clear_row, _poly_det,
                             is_mu_admissible, lu_decompose, mat_mul, minor,
                             minor_order, minor_order_table, smith_transforms,
                             times_inverse)
-from lrpairs.generic import GroupElement, MatrixPair, act, to_mu_generic
+from lrpairs.generic import (GroupElement, MatrixPair, _pairs_to_check, act,
+                             to_mu_generic)
 from lrpairs.ring import INFINITY, ONE, ZERO, RingElem
 from lrpairs.tableaux import MAX_SIZE, Partition
 
@@ -311,7 +312,7 @@ def test_minor_order_table_cap_is_a_precision_cut():
             shifted += any(not e.in_ring() for row in m.entries for e in row)
             exact = minor_order_table(m)
             for cap in (0, 1, 3, 6, 10):
-                capped = minor_order_table(m, cap=cap)
+                capped = minor_order_table(m, cap=uniform_caps(r, cap))
                 assert capped.keys() == exact.keys()
                 for key, want in exact.items():
                     got = capped[key]
@@ -331,6 +332,38 @@ def all_pairs(r):
         for rows in itertools.combinations(range(1, r + 1), k):
             for cols in itertools.combinations(range(1, r + 1), k):
                 yield rows, cols
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_index_set_lattice_against_combinations(r):
+    """``_lattice`` against the k-subsets from itertools and componentwise
+    comparison: the sets in order, each set's up- and down-set and drops,
+    the two table plans and the off-comparable pairs, and the walks of
+    ``_comparable_pairs`` and ``_pairs_to_check`` in their order."""
+    lattice = matrix_mod._lattice(r)
+    sets = [tuple(itertools.combinations(range(1, r + 1), k)) for k in range(r + 1)]
+    assert lattice.sets == tuple(sets)
+    every = [s for ks in sets for s in ks]
+    assert list(lattice.up) == list(lattice.down) == list(lattice.drops) == every
+    for ks in sets:
+        for s in ks:
+            assert lattice.up[s] == tuple(h for h in ks if comparable(s, h)), s
+            assert lattice.down[s] == tuple(h for h in ks if comparable(h, s)), s
+            assert lattice.drops[s] == tuple(
+                (j - 1, tuple(i for i in s if i != j)) for j in s), s
+    assert lattice.comparable_plan == tuple(
+        tuple((i, tuple(j for j in ks if comparable(i, j))) for i in ks) for ks in sets[1:])
+    assert lattice.full_plan == tuple(tuple((i, ks) for i in ks) for ks in sets[1:])
+    assert lattice.off == tuple((i, j) for ks in sets[1:] for i in ks for j in ks
+                                if not comparable(i, j))
+    assert list(matrix_mod._comparable_pairs(r)) == [
+        (i, j) for ks in sets[1:] for i in ks for j in ks if comparable(i, j)]
+    assert list(_pairs_to_check(r)) == list(all_pairs(r))
+
+
+def uniform_caps(r, cap):
+    """The one precision cap at every pair in 1..r, or None for no cap."""
+    return None if cap is None else dict.fromkeys(all_pairs(r), cap)
 
 
 @st.composite
@@ -355,13 +388,13 @@ def shifted_matrices(draw, triangular=False, max_r=4):
 
 
 def assert_agrees_under_cap(table, m, cap, keys):
-    """Every key carries minor_order's value; with a cap, an int or one per
-    pair, an order above the cap of its pair may read infinity instead."""
+    """Every key carries minor_order's value; with a cap, one per pair, an
+    order above the cap of its pair may read infinity instead."""
     assert table.keys() == set(keys)
     for rows, cols in keys:
         want = minor_order(m, rows, cols)
         got = table[(rows, cols)]
-        pair_cap = cap.get((rows, cols)) if isinstance(cap, dict) else cap
+        pair_cap = None if cap is None else cap.get((rows, cols))
         if pair_cap is None or want <= pair_cap:
             assert got == want, (rows, cols, cap)
         else:
@@ -371,6 +404,7 @@ def assert_agrees_under_cap(table, m, cap, keys):
 @settings(max_examples=60, deadline=None)
 @given(shifted_matrices(), st.sampled_from((None, 0, 1, 3, 6, 10)), st.booleans())
 def test_minor_order_table_agrees_with_minor_order(m, cap, comparable_only):
+    cap = uniform_caps(m.r, cap)
     table = minor_order_table(m, cap=cap, comparable_only=comparable_only)
     keys = [key for key in all_pairs(m.r)
             if not comparable_only or comparable(*key)]
@@ -381,6 +415,7 @@ def test_minor_order_table_agrees_with_minor_order(m, cap, comparable_only):
 @given(shifted_matrices(triangular=True), st.sampled_from((None, 0, 1, 3, 6, 10)))
 def test_minor_order_table_agrees_on_triangular_input(m, cap):
     assert m.is_upper_triangular()
+    cap = uniform_caps(m.r, cap)
     assert_agrees_under_cap(minor_order_table(m, cap=cap), m, cap, all_pairs(m.r))
 
 
@@ -414,8 +449,8 @@ def test_comparable_only_table_has_catalan_many_keys():
     rng = random.Random(23)
     for r in range(1, 6):
         m = random_shifted_matrix(rng, r)
-        full = minor_order_table(m, cap=6)
-        table = minor_order_table(m, cap=6, comparable_only=True)
+        full = minor_order_table(m, cap=uniform_caps(r, 6))
+        table = minor_order_table(m, cap=uniform_caps(r, 6), comparable_only=True)
         assert len(table) == catalan(r + 1)
         assert all(comparable(*key) for key in table)
         assert all(table[key] == full[key] for key in table)
@@ -454,7 +489,7 @@ def test_minor_order_table_sees_cancellation(cap):
                          (lowest, ((1, 2), (1, 2)), 1),
                          (upper, ((1, 2), (2, 3)), INFINITY),
                          (upper, ((1, 3), (2, 3)), 1)):
-        table = minor_order_table(m, cap=cap)
+        table = minor_order_table(m, cap=uniform_caps(m.r, cap))
         assert table[key] == want == minor_order(m, *key), (key, cap)
 
 
@@ -463,7 +498,7 @@ def test_minor_order_table_cap_truncates_products():
     t^cap is never formed and reads infinity, while its factors are kept."""
     m = RMatrix([[t(2), ZERO], [ZERO, t(2)]])
     assert minor_order_table(m)[((1, 2), (1, 2))] == 4
-    capped = minor_order_table(m, cap=3)
+    capped = minor_order_table(m, cap=uniform_caps(2, 3))
     assert capped[((1,), (1,))] == 2
     assert capped[((1, 2), (1, 2))] is INFINITY
 
