@@ -31,6 +31,16 @@ from .ring import INFINITY
 from .tableaux import MAX_SIZE, Filling, Partition, count_fillings
 
 
+# Largest --rmax x --pmax box that roundtrip draws mu and nu from.
+# random_filling lists every candidate outer shape of a draw, and that list
+# grows like (rmax * pmax) ** (rmax - 1); a bound on --pmax alone would not
+# bound it at --rmax 10.  With nu the full box and mu a rectangle, the lists
+# at the limit reach 2.4 M shapes at 10 x 6 (the default --pmax at the
+# largest --rmax), 452 k at 8 x 7 and 99 k at 6 x 10; at 10 x 20 they pass
+# 10 ** 9.
+MAX_BOX = MAX_SIZE * 6
+
+
 def _parse_partition(text: str) -> Partition:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if len(parts) > MAX_SIZE:
@@ -143,6 +153,9 @@ def cmd_roundtrip(args) -> int:
     if args.rmax < 1 or args.pmax < 1:
         raise InputError(f"--rmax and --pmax must be at least 1, got "
                          f"{args.rmax} and {args.pmax}")
+    if args.rmax * args.pmax > MAX_BOX:
+        raise InputError(f"--rmax {args.rmax} times --pmax {args.pmax} exceeds "
+                         f"the limit {MAX_BOX}")
     if args.trials < 0:
         raise InputError(f"--trials must be at least 0, got {args.trials}")
     rng = random.Random(args.seed)

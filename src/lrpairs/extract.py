@@ -28,29 +28,28 @@ from .tableaux import (Filling, Partition, as_partition,
                        sequence_from_filling, validate_filling)
 
 
-class _BlockOrders:
-    """Memoized O(p, q): omit the consecutive rows max(1,p)..q.
+def _block_orders(n_star: RMatrix, table=None) -> dict:
+    """The order of each right-justified minor the readers ask for, keyed
+    by its omitted block of rows (lo, q), 1 <= lo <= q <= r, and by None
+    for the whole determinant; ``_omitting`` reads it.
 
     Orders are read off the minor-order table of n_star, which is built
     when none is given."""
+    r = n_star.r
+    if table is None:
+        table = minor_order_table(n_star)
+    rows = tuple(range(1, r + 1))
+    orders = {None: table[rows, rows]}
+    for q in rows:
+        for lo in range(1, q + 1):
+            kept = rows[:lo - 1] + rows[q:]
+            orders[lo, q] = table[kept, rows[q - lo + 1:]]
+    return orders
 
-    def __init__(self, n_star: RMatrix, table=None):
-        self.r = n_star.r
-        self.table = minor_order_table(n_star) if table is None else table
-        self.memo = {}
 
-    def __call__(self, p: int, q: int):
-        if q < 1 or p > q:
-            kept = tuple(range(1, self.r + 1))
-        else:
-            lo = max(1, p)
-            kept = tuple(i for i in range(1, self.r + 1) if not lo <= i <= q)
-        got = self.memo.get(kept)
-        if got is None:
-            cols = tuple(range(self.r - len(kept) + 1, self.r + 1))
-            got = self.table[(kept, cols)]
-            self.memo[kept] = got
-        return got
+def _omitting(orders: dict, p: int, q: int):
+    """O(p, q): omit the consecutive rows max(1, p)..q, none when p > q."""
+    return orders.get((max(1, p), q), orders[None])
 
 
 def extract_filling(n_star: RMatrix, mu, table=None):
@@ -61,10 +60,10 @@ def extract_filling(n_star: RMatrix, mu, table=None):
     """
     mu = as_partition(mu)
     r = n_star.r
-    orders = _BlockOrders(n_star, table)
+    orders = _block_orders(n_star, table)
 
     def o(p, q):
-        v = orders(p, q)
+        v = _omitting(orders, p, q)
         if v is INFINITY:
             raise GenericityError(
                 f"right-justified minor omitting rows {max(1, p)}..{q} vanishes; "
@@ -101,20 +100,20 @@ def row_sum_check(filling: Filling, n_star: RMatrix, table=None) -> Verification
     r = filling.r
     if n_star.r != r:
         raise InputError(f"filling size {r} does not match matrix size {n_star.r}")
-    o = _BlockOrders(n_star, table)
+    orders = _block_orders(n_star, table)
     block_fail = ""
     prefix_fail = ""
     for i in range(1, r + 1):
         for j in range(i, r + 1):
             want = sum(filling.entry(i, b) for b in range(i, j + 1))
-            got = o(j - i + 2, j) - o(j - i + 1, j)
+            got = _omitting(orders, j - i + 2, j) - _omitting(orders, j - i + 1, j)
             if want != got and not prefix_fail:
                 prefix_fail = f"i={i} j={j}: {want} vs {got}"
             for lcol in range(j, r + 1):
                 want = sum(filling.entry(s, b)
                            for b in range(j, lcol + 1)
                            for s in range(1, min(i, b) + 1))
-                got = o(j - i, j - 1) - o(lcol - i + 1, lcol)
+                got = _omitting(orders, j - i, j - 1) - _omitting(orders, lcol - i + 1, lcol)
                 if want != got and not block_fail:
                     block_fail = f"i={i} j={j} l={lcol}: {want} vs {got}"
     checks = (

@@ -145,8 +145,8 @@ def random_filling(rng, r_max: int = 4, part_max: int = 6):
         w = mu.weight() + nu.weight()
         if w == 0:
             continue
-        candidates = [lam for lam in iter_partitions(w, r_max, w)
-                      if lam.contains(mu) and len(lam) >= len(nu)]
+        candidates = [lam for lam in iter_partitions(w, r_max, mu)
+                      if len(lam) >= len(nu)]
         rng.shuffle(candidates)
         for lam in candidates:
             fillings = enumerate_fillings(mu, nu, lam)

@@ -19,6 +19,7 @@ to lam; row j of the skew diagram receives its entries in rows i <= j only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import InputError
 
@@ -223,12 +224,6 @@ class FillingReport:
                 parts.append(f"{name} at {c.first_violation}")
         return "; ".join(parts)
 
-    def to_json(self):
-        def cj(c):
-            return {"ok": c.ok, "first_violation": list(c.first_violation) if c.first_violation else None}
-        return {"valid": self.valid, "lr1": cj(self.lr1), "lr2": cj(self.lr2),
-                "lr3": cj(self.lr3), "lr4": cj(self.lr4)}
-
 
 def validate_filling(filling: Filling, mu, nu, lam) -> FillingReport:
     """Check LR1-LR4 for the triple (mu, nu, lam); reports the first
@@ -292,108 +287,97 @@ def validate_filling(filling: Filling, mu, nu, lam) -> FillingReport:
     return FillingReport(mk(lr1), mk(lr2), mk(lr3), mk(lr4))
 
 
+def _walk_fillings(mu, nu, lam):
+    """Yield the rows of each valid filling for (mu, nu, lam) in turn.
+
+    Rows are filled top to bottom and each row left to right, every entry
+    running upward from 0 to its cap: LR2 and the content left of its label,
+    LR3 (the stage profile stays under the row above after one label less)
+    and LR4 (label i >= 2 in row j is at most label i-1's lead over label i
+    in rows 1..j-1).  The last entry of a row takes what the row has left.
+    The yielded list is the walk's own state: read it before the next one.
+    """
+    mu, nu, lam = as_partition(mu), as_partition(nu), as_partition(lam)
+    r = len(lam)
+    if (mu.weight() + nu.weight() != lam.weight() or not lam.contains(mu)
+            or len(nu) > r):
+        return
+    mu_p, nu_p, lam_p = mu.padded(r), nu.padded(r), lam.padded(r)
+    # the weights agree and no entry exceeds what is left of its label, so
+    # every label is used up when the last row is full
+    left = list(nu_p)
+    rows = []
+
+    def walk_rows(j):
+        if j == r:
+            yield rows
+            return
+        # above[i] = lam^(i)_{j-1}; the first row has no row above it
+        above = list(accumulate(rows[j - 1], initial=mu_p[j - 1])) if j else [lam_p[0]]
+        caps = [left[0]] + [min(left[i], (nu_p[i - 1] - left[i - 1]) - (nu_p[i] - left[i]))
+                            for i in range(1, j + 1)]
+        row = [0] * (j + 1)
+        rows.append(row)
+
+        def walk_entries(i, room, profile):
+            # profile = mu_j + the entries placed in row j so far
+            if i == j:
+                if room <= caps[i] and profile + room <= above[i]:
+                    row[i] = room
+                    left[i] -= room
+                    yield from walk_rows(j + 1)
+                    left[i] += room
+                return
+            for v in range(min(room, caps[i], above[i] - profile) + 1):
+                row[i] = v
+                left[i] -= v
+                yield from walk_entries(i + 1, room - v, profile + v)
+                left[i] += v
+
+        yield from walk_entries(0, lam_p[j] - mu_p[j], mu_p[j])
+        rows.pop()
+
+    yield from walk_rows(0)
+
+
 def enumerate_fillings(mu, nu, lam) -> list:
     """All valid fillings for (mu, nu, lam), by row-wise backtracking.
 
     The filling size is the number of parts of lam.  Returns [] whenever the
     weights disagree or mu does not fit inside lam.
     """
-    mu, nu, lam = as_partition(mu), as_partition(nu), as_partition(lam)
-    r = len(lam)
-    if mu.weight() + nu.weight() != lam.weight():
-        return []
-    if not lam.contains(mu):
-        return []
-    if len(nu) > r:
-        return []
-
-    mu_p = mu.padded(r)
-    lam_p = lam.padded(r)
-    nu_p = nu.padded(r)
-    row_budget = [lam_p[j] - mu_p[j] for j in range(r)]
-
-    rows: list[list[int]] = []
-    content_left = list(nu_p)
-    results: list[Filling] = []
-
-    def _lr4_row_ok(j):
-        # completing row j settles the word condition at column index j-1:
-        # sum_{s=i+1..j} k_{i+1,s} <= sum_{s=i..j-1} k_{i,s}
-        if j < 2:
-            return True
-        for i in range(1, j):
-            upper = sum(rows[s - 1][i - 1] for s in range(i, j))
-            lower = sum(rows[s - 1][i] for s in range(i + 1, j + 1))
-            if lower > upper:
-                return False
-        return True
-
-    def backtrack(j):
-        if j > r:
-            if all(v == 0 for v in content_left):
-                results.append(Filling([tuple(row) for row in rows]))
-            return
-        budget = row_budget[j - 1]
-        # stage profile of the previous row: prev_prefix[i] = lam^(i)_{j-1}
-        prev_prefix = None
-        if j >= 2:
-            prev_prefix = [mu_p[j - 2]]
-            for s, v in enumerate(rows[j - 2], start=1):
-                prev_prefix.append(prev_prefix[s - 1] + v)
-        row = [0] * j
-        rows.append(row)
-
-        def place(i, left, profile):
-            # profile = mu_j + entries placed so far = lam^(i-1)_j
-            if i == j:
-                v = left
-                ok = 0 <= v <= content_left[i - 1]
-                if ok and prev_prefix is not None and profile + v > prev_prefix[i - 1]:
-                    ok = False
-                if ok:
-                    row[i - 1] = v
-                    content_left[i - 1] -= v
-                    if _lr4_row_ok(j):
-                        backtrack(j + 1)
-                    content_left[i - 1] += v
-                    row[i - 1] = 0
-                return
-            cap = min(left, content_left[i - 1])
-            if prev_prefix is not None:
-                cap = min(cap, prev_prefix[i - 1] - profile)
-            for v in range(cap + 1):
-                row[i - 1] = v
-                content_left[i - 1] -= v
-                place(i + 1, left - v, profile + v)
-                content_left[i - 1] += v
-                row[i - 1] = 0
-
-        if budget >= 0:
-            place(1, budget, mu_p[j - 1])
-        rows.pop()
-
-    backtrack(1)
-    return results
+    return [Filling(rows) for rows in _walk_fillings(mu, nu, lam)]
 
 
 def count_fillings(mu, nu, lam) -> int:
-    return len(enumerate_fillings(mu, nu, lam))
+    """The number of valid fillings for (mu, nu, lam), none of them built."""
+    return sum(1 for _ in _walk_fillings(mu, nu, lam))
 
 
-def iter_partitions(weight: int, max_len: int, max_part: int):
-    """All partitions of the given weight with bounded length and part size."""
-    def rec(remaining, slots, cap, prefix):
+def iter_partitions(weight: int, max_len: int, mu=()):
+    """The partitions of weight with at most max_len parts that contain mu,
+    largest first part first (decreasing lexicographic order).
+
+    Part k runs down from the largest value that leaves the rest of the
+    weight enough to reach mu's later parts, to the larger of mu_k and the
+    least value that lets the slots still free hold the rest.  So every
+    prefix the walk builds ends in a partition it yields.
+    """
+    mu = as_partition(mu)
+    if len(mu) > max_len or weight < mu.weight() or (weight and not max_len):
+        return
+    floors = mu.padded(max_len) + (0,)
+    tails = [sum(floors[k:]) for k in range(len(floors))]  # 0-based k
+
+    def rec(remaining, k, cap, prefix):
         if remaining == 0:
             yield Partition(prefix)
             return
-        if slots == 0:
-            return
-        top = min(cap, remaining)
-        for p in range(top, 0, -1):
-            yield from rec(remaining - p, slots - 1, p, prefix + (p,))
-    if weight < 0:
-        return
-    yield from rec(weight, max_len, max_part, ())
+        low = max(floors[k], -(-remaining // (max_len - k)), 1)
+        for p in range(min(cap, remaining - tails[k + 1]), low - 1, -1):
+            yield from rec(remaining - p, k + 1, p, prefix + (p,))
+
+    yield from rec(weight, 0, weight, ())
 
 
 def random_partition(rng, max_len: int, max_part: int) -> Partition:

@@ -175,6 +175,22 @@ def test_roundtrip_rejects_oversized_rmax(tmp_path, capsys, monkeypatch):
     assert "exceeds the limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rmax,pmax", [(4, cli.MAX_BOX // 4 + 1), (1, cli.MAX_BOX + 1),
+                                       (MAX_SIZE, 7)])
+def test_roundtrip_rejects_oversized_pmax(tmp_path, capsys, monkeypatch, rmax, pmax):
+    monkeypatch.setattr(cli, "random_filling", _never("sampling"))
+    assert main(["roundtrip", "--rmax", str(rmax), "--pmax", str(pmax),
+                 "--trials", "1"]) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rmax,pmax", [(MAX_SIZE, 6), (4, 15), (1, cli.MAX_BOX)])
+def test_roundtrip_accepts_boxes_at_the_limit(tmp_path, monkeypatch, rmax, pmax):
+    monkeypatch.setattr(cli, "random_filling", _never("sampling"))
+    assert main(["roundtrip", "--rmax", str(rmax), "--pmax", str(pmax), "--trials", "0",
+                 "--out", str(tmp_path / "sum.json")]) == 0
+
+
 @pytest.mark.parametrize("bound", ["--rmax", "--pmax"])
 def test_roundtrip_rejects_zero_bound_before_sampling(tmp_path, capsys,
                                                      monkeypatch, bound):

@@ -1,9 +1,12 @@
 """Partitions, fillings, LR conditions and the enumeration engine."""
 
 import random
+from itertools import accumulate
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from lrpairs import tableaux
 from lrpairs.errors import InputError
 from lrpairs.tableaux import (MAX_SIZE, Filling, Partition, as_partition,
                               count_fillings,
@@ -140,7 +143,6 @@ def test_validate_golden_filling():
     rep = validate_filling(FILLING, MU, NU, LAM)
     assert rep.valid
     assert rep.failure_summary() == ""
-    assert rep.to_json()["valid"] is True
 
 
 def test_lr1_row_sum_violation():
@@ -217,7 +219,7 @@ def test_count_symmetry_random_triples():
         mu = random_partition(rng, 3, 4)
         nu = random_partition(rng, 3, 4)
         w = mu.weight() + nu.weight()
-        lams = [p for p in iter_partitions(w, 3, w)] or [Partition(())]
+        lams = list(iter_partitions(w, 3)) or [Partition(())]
         lam = rng.choice(lams)
         a = count_fillings(mu, nu, lam)
         b = count_fillings(nu, mu, lam)
@@ -226,17 +228,157 @@ def test_count_symmetry_random_triples():
     assert seen_nonzero > 0
 
 
+def test_count_builds_no_filling(monkeypatch):
+    def no_filling(*args):
+        raise AssertionError("count_fillings built a Filling")
+    monkeypatch.setattr(tableaux, "Filling", no_filling)
+    assert count_fillings(MU, NU, LAM) == 7
+
+
+# ---------------------------------------------------------------------------
+# reference walks: every partition filtered by containment, and every row
+# checked for the word condition LR4 only once it is complete
+
+
+def partitions_reference(weight, max_len, mu):
+    def rec(remaining, slots, cap, prefix):
+        if remaining == 0:
+            yield Partition(prefix)
+            return
+        if slots == 0:
+            return
+        for p in range(min(cap, remaining), 0, -1):
+            yield from rec(remaining - p, slots - 1, p, prefix + (p,))
+    if weight < 0:
+        return []
+    return [lam for lam in rec(weight, max_len, weight, ()) if lam.contains(mu)]
+
+
+def fillings_reference(mu, nu, lam):
+    r = len(lam)
+    if mu.weight() + nu.weight() != lam.weight() or not lam.contains(mu) or len(nu) > r:
+        return []
+    mu_p, lam_p, nu_p = mu.padded(r), lam.padded(r), nu.padded(r)
+    rows, content_left, results = [], list(nu_p), []
+
+    def lr4_row_ok(j):
+        for i in range(1, j):
+            upper = sum(rows[s - 1][i - 1] for s in range(i, j))
+            lower = sum(rows[s - 1][i] for s in range(i + 1, j + 1))
+            if lower > upper:
+                return False
+        return True
+
+    def backtrack(j):
+        if j > r:
+            if all(v == 0 for v in content_left):
+                results.append(Filling([tuple(row) for row in rows]))
+            return
+        prev_prefix = None
+        if j >= 2:
+            prev_prefix = [mu_p[j - 2]]
+            for s, v in enumerate(rows[j - 2], start=1):
+                prev_prefix.append(prev_prefix[s - 1] + v)
+        row = [0] * j
+        rows.append(row)
+
+        def place(i, left, profile):
+            if i == j:
+                ok = 0 <= left <= content_left[i - 1]
+                if ok and prev_prefix is not None and profile + left > prev_prefix[i - 1]:
+                    ok = False
+                if ok:
+                    row[i - 1] = left
+                    content_left[i - 1] -= left
+                    if lr4_row_ok(j):
+                        backtrack(j + 1)
+                    content_left[i - 1] += left
+                    row[i - 1] = 0
+                return
+            cap = min(left, content_left[i - 1])
+            if prev_prefix is not None:
+                cap = min(cap, prev_prefix[i - 1] - profile)
+            for v in range(cap + 1):
+                row[i - 1] = v
+                content_left[i - 1] -= v
+                place(i + 1, left - v, profile + v)
+                content_left[i - 1] += v
+                row[i - 1] = 0
+
+        place(1, lam_p[j - 1] - mu_p[j - 1], mu_p[j - 1])
+        rows.pop()
+
+    backtrack(1)
+    return results
+
+
+def partitions(max_len, max_part):
+    return st.lists(st.integers(0, max_part), max_size=max_len).map(
+        lambda parts: Partition(sorted(parts, reverse=True)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weight=st.integers(-1, 16), max_len=st.integers(0, 6), mu=partitions(6, 6))
+@example(weight=6, max_len=2, mu=Partition((2, 1, 1)))   # mu longer than max_len
+@example(weight=3, max_len=3, mu=Partition((3, 1)))      # weight below |mu|
+@example(weight=9, max_len=3, mu=Partition((3, 3, 3)))   # mu itself, no slack
+def test_iter_partitions_matches_filtered_reference(weight, max_len, mu):
+    assert list(iter_partitions(weight, max_len, mu)) == partitions_reference(weight, max_len, mu)
+
+
+def dominated(a, b, r):
+    return all(x <= y for x, y in zip(accumulate(a.padded(r)), accumulate(b.padded(r))))
+
+
+@st.composite
+def triples(draw):
+    """Mostly lam of the right weight that contains mu and is dominated by
+    mu + nu, as every lam with a filling is; otherwise any lam."""
+    mu, nu = draw(partitions(5, 4)), draw(partitions(5, 4))
+    top = Partition([a + b for a, b in zip(mu.padded(5), nu.padded(5))])
+    lams = [lam for lam in partitions_reference(mu.weight() + nu.weight(), 5, mu)
+            if dominated(lam, top, 5)]
+    if lams and draw(st.integers(0, 3)):
+        return mu, nu, draw(st.sampled_from(lams))
+    return mu, nu, draw(partitions(5, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(triples())
+@example((Partition((3,)), Partition((1,)), Partition((2, 2))))        # lam does not contain mu
+@example((Partition((2,)), Partition((1,)), Partition((2, 2))))        # weights disagree
+@example((Partition((1,)), Partition((1, 1, 1)), Partition((2, 2))))   # nu longer than lam
+@example((Partition((3, 3, 2, 1)), Partition((3, 2, 1)), Partition((5, 4, 3, 2, 1))))  # 6 fillings
+@example((MU, NU, LAM))
+def test_fillings_match_row_checked_reference(triple):
+    mu, nu, lam = triple
+    want = fillings_reference(mu, nu, lam)
+    assert enumerate_fillings(mu, nu, lam) == want
+    assert count_fillings(mu, nu, lam) == len(want)
+
+
 # ---------------------------------------------------------------------------
 # helpers
 
 
 def test_iter_partitions():
-    assert list(iter_partitions(6, 3, 4)) == [
-        Partition((4, 2)), Partition((4, 1, 1)), Partition((3, 3)),
-        Partition((3, 2, 1)), Partition((2, 2, 2)),
+    # decreasing lexicographic order, at most max_len parts, each containing mu
+    assert list(iter_partitions(6, 3)) == [
+        Partition((6,)), Partition((5, 1)), Partition((4, 2)),
+        Partition((4, 1, 1)), Partition((3, 3)), Partition((3, 2, 1)),
+        Partition((2, 2, 2)),
     ]
-    assert list(iter_partitions(0, 2, 5)) == [Partition(())]
-    assert list(iter_partitions(5, 1, 4)) == []
+    assert list(iter_partitions(6, 3, (3, 1))) == [
+        Partition((5, 1)), Partition((4, 2)), Partition((4, 1, 1)),
+        Partition((3, 3)), Partition((3, 2, 1)),
+    ]
+    assert list(iter_partitions(6, 3, Partition((2, 2, 2)))) == [Partition((2, 2, 2))]
+    assert list(iter_partitions(0, 2)) == [Partition(())]
+    assert list(iter_partitions(0, 0)) == [Partition(())]
+    assert list(iter_partitions(5, 0)) == []
+    assert list(iter_partitions(5, 1, (6,))) == []     # weight below |mu|
+    assert list(iter_partitions(3, 1, (2, 1))) == []   # mu longer than max_len
+    assert list(iter_partitions(-1, 3)) == []
 
 
 def test_random_partition_bounds_and_determinism():
