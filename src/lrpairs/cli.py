@@ -20,6 +20,8 @@ import json
 import os
 import random
 import sys
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (InputError, LRPairsError, NotInRingError, RankError,
                      RetriesExhaustedError, VerificationError)
@@ -39,6 +41,8 @@ from .tableaux import MAX_SIZE, Filling, Partition, count_fillings
 # largest --rmax), 452 k at 8 x 7 and 99 k at 6 x 10; at 10 x 20 they pass
 # 10 ** 9.
 MAX_BOX = MAX_SIZE * 6
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _parse_partition(text: str) -> Partition:
@@ -76,11 +80,67 @@ def _load_pair(obj) -> MatrixPair:
 
 
 def _orders_to_json(table) -> dict:
-    out = {}
-    for (rows, cols), v in sorted(table.items()):
-        key = ",".join(map(str, rows)) + "|" + ",".join(map(str, cols))
-        out[key] = "inf" if v is INFINITY else v
-    return out
+    """The table keyed "rows|cols", each index set's text built once; the
+    writer sorts the keys."""
+    text = {s: ",".join(map(str, s)) for s in {s for key in table for s in key}}
+    return {text[rows] + "|" + text[cols]: "inf" if v is INFINITY else v
+            for (rows, cols), v in table.items()}
+
+
+def _float_text(x: float) -> str:
+    """A finite float as ``json`` writes it."""
+    if x != x or x in (INFINITY, -INFINITY):
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
+    return float.__repr__(x)
+
+
+def _key_text(k) -> str:
+    """A dict key as ``json`` writes it: str as it is, float, True, False,
+    None and int as their JSON text, each then quoted."""
+    if isinstance(k, str):
+        return _quote(k)
+    if isinstance(k, float):
+        return _quote(_float_text(k))
+    if k is True or k is False or k is None:
+        return _quote(_CONSTANTS[k])
+    if isinstance(k, int):
+        return _quote(int.__repr__(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _dumps(o, nl: str = "\n") -> str:
+    """The text of json.dumps(o, indent=2, sort_keys=True, allow_nan=False),
+    written directly (at an indent ``json`` always runs its pure-Python
+    encoder); nl is the line break and indent of o's own level.  The types
+    are tried in ``json``'s order, with the same text for each: strings
+    through ``json``'s own ASCII escaper, ints through ``int.__repr__``,
+    floats through ``float.__repr__``, str and int members of a container
+    written in place; NaN and infinities raise ValueError, other types
+    TypeError.  Documents are trees: a cycle is not detected."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None or o is True or o is False:
+        return _CONSTANTS[o]
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    inner = nl + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        items = [_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
+                 else _dumps(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [(_quote(k) if type(k) is str else _key_text(k)) + ": "
+                 + (_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
+                    else _dumps(v, inner))
+                 for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def _write(path, text):
@@ -92,7 +152,7 @@ def _write(path, text):
 
 
 def _emit(doc, out_path):
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    text = _dumps(doc)
     if out_path:
         _write(out_path, text + "\n")
     else:
@@ -180,7 +240,7 @@ def cmd_roundtrip(args) -> int:
         except LRPairsError as exc:
             artifact["error"] = str(exc)
         path = os.path.join(art_dir, f"roundtrip-failure-{trial:04d}.json")
-        _write(path, json.dumps(artifact, indent=2, sort_keys=True))
+        _write(path, _dumps(artifact))
         artifacts.append(path)
     stats = genericity_stats()
     doc = {
@@ -271,10 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

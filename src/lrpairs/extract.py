@@ -59,8 +59,11 @@ def extract_filling(n_star: RMatrix, mu, table=None):
     when given.
     """
     mu = as_partition(mu)
-    r = n_star.r
-    orders = _block_orders(n_star, table)
+    return _read_filling(_block_orders(n_star, table), mu, n_star.r)
+
+
+def _read_filling(orders: dict, mu: Partition, r: int) -> Filling:
+    """``extract_filling`` on the block-order map of n_star."""
 
     def o(p, q):
         v = _omitting(orders, p, q)
@@ -97,10 +100,14 @@ def row_sum_check(filling: Filling, n_star: RMatrix, table=None) -> Verification
       sum over columns j..l of (k_1b + ... + k_ib) = O(j-i, j-1) - O(l-i+1, l)
       k_ii + ... + k_ij = O(j-i+2, j) - O(j-i+1, j)
     """
+    if n_star.r != filling.r:
+        raise InputError(f"filling size {filling.r} does not match matrix size {n_star.r}")
+    return _row_sums(filling, _block_orders(n_star, table))
+
+
+def _row_sums(filling: Filling, orders: dict) -> VerificationReport:
+    """``row_sum_check`` on the block-order map of n_star."""
     r = filling.r
-    if n_star.r != r:
-        raise InputError(f"filling size {r} does not match matrix size {n_star.r}")
-    orders = _block_orders(n_star, table)
     block_fail = ""
     prefix_fail = ""
     for i in range(1, r + 1):
@@ -134,14 +141,15 @@ class ExtractionResult(NamedTuple):
 def extract_from_pair(pair: MatrixPair, rng, max_retries: int = 20) -> ExtractionResult:
     """Reduce to mu-generic form, extract, and cross-check the result."""
     cert = to_mu_generic(pair, rng, max_retries=max_retries)
-    filling = extract_filling(cert.n_star, cert.mu, table=cert.minor_orders)
+    orders = _block_orders(cert.n_star, cert.minor_orders)
+    filling = _read_filling(orders, cert.mu, cert.n_star.r)
     nu = Partition(filling.content())
     if nu != cert.nu:
         raise GenericityError(f"extracted content {nu} does not match nu {cert.nu}")
     lam = sequence_from_filling(filling, cert.mu).stage(filling.r)
     if lam != cert.lam:
         raise GenericityError(f"extracted shape {lam} does not match lambda {cert.lam}")
-    sums = row_sum_check(filling, cert.n_star, table=cert.minor_orders)
+    sums = _row_sums(filling, orders)
     if not sums.ok:
         raise GenericityError(
             "row-sum identities failed: "

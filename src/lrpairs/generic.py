@@ -16,15 +16,16 @@ cheap checks on the factors, the checks that read N*'s minor-order table,
 then Q's LU stage and the three equation tables.  A stage with a failed
 check ends the attempt, naming that stage's failures, and the reduction
 resamples; every random draw of an attempt comes before its first check.
-The verification is exhaustive at every size r: each check runs over every
+The verification is exhaustive at every size r: each check covers every
 index pair, or every componentwise triple, of the full minor-order table of
-N*.  Each table is computed only to the precision its checks need, set per
-pair (I, J): N*'s from its diagonal orders in rows I (``_n_star_caps``), and
-each equation table's entry to N*'s own order at that pair
-(``_equation_failures``).  Both docstrings prove that a passing attempt's
-tables and every attempt's verdict are those of the full precision; an
-attempt that fails the checks on N*'s table names its failures from the
-uncapped table.
+N*, and takes the minima and interval extrema it compares in one pass over
+the covers of ``matrix._lattice``.  Each table is computed only to the
+precision its checks need, set per pair (I, J): N*'s from its diagonal
+orders in rows I (``_n_star_caps``), and each equation table's entry to
+N*'s own order at that pair (``_equation_failures``).  Both docstrings
+prove that a passing attempt's tables and every attempt's verdict are those
+of the full precision; an attempt that fails the checks on N*'s table names
+its failures from the uncapped table.
 
 The extraction and the CLI read only N* and its minor-order table.  The
 certificate's ``t_star`` = (T_L T_U)^-1 and ``group``, which only a replay
@@ -49,7 +50,7 @@ from .errors import (GenericityError, InputError, PrincipalMinorError,
 # det is unused here but stays importable as lrpairs.generic.det, an import
 # site that perfbench's tracer self-test checks
 from .matrix import (RMatrix, _bareiss, _between, _clean, _clear_row,
-                     _comparable_pairs, _lattice, _lu_grid, _mu_weights,
+                     _lattice, _lu_grid, _mu_weights,
                      _table_partition, det, diag_from_partition, has_unit_det,
                      inverse, invariant_partition, is_mu_admissible,
                      lu_decompose, mat_mul, minor_order, minor_order_table,
@@ -377,56 +378,92 @@ def _sample_lower_factors(mu: Partition, r: int, rng):
 
 
 # ---------------------------------------------------------------------------
-# index-pair enumeration for the verification equations
+# the verification equations, as minima over the cover lattice
 
 
-def _pairs_to_check(r: int):
-    """Every (rows, cols) pair of equal size, including the empty pair, by
-    size, then rows, then columns, in lexicographic order."""
-    for sets in _lattice(r).sets:
-        for i_set in sets:
-            for j_set in sets:
-                yield i_set, j_set
+def _cover_minima(values, covers, order):
+    """m[i] = min(values[i], m[c] for the covers c of i), taken over the
+    positions in ``order``, each after its covers; the other positions keep
+    values[i].  With up-covers and decreasing positions m[i] is the minimum
+    over the up-set of i, with down-covers and increasing ones over its
+    down-set (``matrix._lattice``)."""
+    m = list(values)
+    for i in order:
+        low = m[i]
+        for c in covers[i]:
+            if m[c] < low:
+                low = m[c]
+        m[i] = low
+    return m
 
 
 def check_equation_first(tab_n: dict, tab_right: dict, r: int):
     """order(N*_IJ) == min over S >= I of order((Q_L N T^-1)_SJ), checked on
-    every pair."""
-    up = _lattice(r).up
-    for i_set, j_set in _pairs_to_check(r):
-        want = tab_n[(i_set, j_set)]
-        got = min(tab_right[(s, j_set)] for s in up[i_set])
-        if want != got:
-            return f"I={i_set} J={j_set}: order {want} vs min {got}"
+    every pair, by size, then I, then J, in lexicographic order; the first
+    pair that fails is named with its minimum.
+
+    The minima of each column set J are one pass over the up-covers
+    (``_cover_minima``), so each size costs about k lookups per pair
+    instead of one per pair and set S >= I."""
+    lattice = _lattice(r)
+    for ks, covers in zip(lattice.sets, lattice.up_covers):
+        down_order = range(len(ks) - 1, -1, -1)
+        cols = [_cover_minima([tab_right[(s, j_set)] for s in ks], covers, down_order)
+                for j_set in ks]
+        for i, i_set in enumerate(ks):
+            for j_set, col in zip(ks, cols):
+                want = tab_n[(i_set, j_set)]
+                if want != col[i]:
+                    return f"I={i_set} J={j_set}: order {want} vs min {col[i]}"
     return ""
 
 
 def check_equation_second(tab_n: dict, tab_v: dict, mu: Partition, r: int):
     """order(N*_IJ) == min over H <= I of order(V_HJ) + |mu_H| - |mu_I|,
     V = Q_hat_U N T^-1; checked on pairs with I <= J componentwise (the only
-    pairs where the minimum is attained without cancellation; see notes).
-    The empty pair holds trivially; tab_v is read only at pairs H <= J."""
-    down = _lattice(r).down
+    pairs where the minimum is attained without cancellation; see notes),
+    in ``_comparable_pairs`` order, the first that fails named with its
+    minimum.  The empty pair holds trivially; tab_v is read only at pairs
+    H <= J.
+
+    For each J the down-set minima of order(V_HJ) + |mu_H| over the sets
+    H <= J are one pass over the down-covers, which stay <= J; |mu_I| is
+    subtracted after it."""
+    lattice = _lattice(r)
+    index = lattice.index
     weight = _mu_weights(mu, r)
-    for i_set, j_set in _comparable_pairs(r):
-        want = tab_n[(i_set, j_set)]
-        w_i = weight[i_set]
-        got = min(tab_v[(h, j_set)] + weight[h] - w_i
-                  for h in down[i_set])
-        if want != got:
-            return f"I={i_set} J={j_set}: order {want} vs min {got}"
+    for ks, covers in zip(lattice.sets[1:], lattice.down_covers[1:]):
+        cols = {}
+        for j_set in ks:
+            below = lattice.down[j_set]
+            values = [INFINITY] * len(ks)
+            for h in below:
+                values[index[h]] = tab_v[(h, j_set)] + weight[h]
+            cols[j_set] = _cover_minima(values, covers, [index[h] for h in below])
+        for i, i_set in enumerate(ks):
+            w_i = weight[i_set]
+            for j_set in lattice.up[i_set]:
+                want = tab_n[(i_set, j_set)]
+                got = cols[j_set][i] - w_i
+                if want != got:
+                    return f"I={i_set} J={j_set}: order {want} vs min {got}"
     return ""
 
 
 def check_equation_third(tab_n: dict, tab_left: dict, r: int):
     """order(N*_IJ) == min over H <= J of order((Q N T_L)_IH), checked on
-    every pair."""
-    down = _lattice(r).down
-    for i_set, j_set in _pairs_to_check(r):
-        want = tab_n[(i_set, j_set)]
-        got = min(tab_left[(i_set, h)] for h in down[j_set])
-        if want != got:
-            return f"I={i_set} J={j_set}: order {want} vs min {got}"
+    every pair, in the order of ``check_equation_first``; the first pair
+    that fails is named with its minimum.  The minima of each row set I are
+    one pass over the down-covers."""
+    lattice = _lattice(r)
+    for ks, covers in zip(lattice.sets, lattice.down_covers):
+        up_order = range(len(ks))
+        for i_set in ks:
+            row = _cover_minima([tab_left[(i_set, h)] for h in ks], covers, up_order)
+            for j_set, got in zip(ks, row):
+                want = tab_n[(i_set, j_set)]
+                if want != got:
+                    return f"I={i_set} J={j_set}: order {want} vs min {got}"
     return ""
 
 
@@ -497,15 +534,47 @@ def _equation_failures(tab_n, right, left, v, mu, r, cap):
 # verification
 
 
+def _first_gap(table, weight, i_set, j_set, rows: bool) -> str:
+    """The first H in [I, J], in lexicographic order, at which the row (or,
+    with ``rows`` false, the column) inequality of ``verify_mu_generic``
+    fails, named as that check reports it; "" if none does."""
+    base = table[(i_set, j_set)]
+    w_i = weight[i_set]
+    for h in _between(i_set, j_set):
+        if rows:
+            vh = table[(h, j_set)]
+            if not (base <= vh):
+                return f"I={i_set} H={h} J={j_set}: {base} > {vh}"
+            if base is not INFINITY and (vh is INFINITY or vh > base + w_i - weight[h]):
+                return (f"I={i_set} H={h} J={j_set}: gap {vh} - {base} exceeds "
+                        f"{w_i - weight[h]}")
+        elif not (table[(i_set, h)] >= base):
+            return f"I={i_set} H={h} J={j_set}: {table[(i_set, h)]} < {base}"
+    return ""
+
+
 def verify_mu_generic(n_star: RMatrix, mu, table=None) -> VerificationReport:
     """Determinant-gap inequalities defining mu-genericity.
 
     For every componentwise triple I <= H <= J of equal-size index sets:
       order(N*_IJ) <= order(N*_HJ) <= order(N*_IJ) + |mu_I| - |mu_H|   (rows)
       order(N*_IH) >= order(N*_IJ)                                     (columns)
-    Every triple is enumerated, at every size r (the empty one holds
+    Every triple is covered, at every size r (the empty one holds
     trivially).  A precomputed minor-order table of n_star is reused when
     given.
+
+    Each pair I <= J, in ``_comparable_pairs`` order, is compared with
+    extrema over the interval [I, J]: the rows hold there exactly when the
+    minimum of order(N*_HJ) is at least order(N*_IJ) and the maximum of
+    order(N*_HJ) + |mu_H| at most order(N*_IJ) + |mu_I| (which holds
+    whenever order(N*_IJ) is infinite); the columns when the minimum of
+    order(N*_IH) is.  [I, J] is I together with [I', J] over the up-covers
+    I' <= J, and also J together with [I, J''] over the down-covers
+    J'' >= I, so one pass per column set J over the sets below it, and one
+    per row set I over the sets above it, gives every extremum; a cover
+    outside the interval holds the neutral value.  The first failing pair
+    of each kind is walked H by H (``_first_gap``) to name its first
+    failing triple.
     """
     mu = as_partition(mu)
     r = n_star.r
@@ -513,27 +582,43 @@ def verify_mu_generic(n_star: RMatrix, mu, table=None) -> VerificationReport:
         table = minor_order_table(n_star)
 
     upper = CheckResult("upper_triangular", n_star.is_upper_triangular())
+    lattice = _lattice(r)
+    index = lattice.index
     weight = _mu_weights(mu, r)
     row_fail = ""
     col_fail = ""
-    for i_set, j_set in _comparable_pairs(r):
-        base = table[(i_set, j_set)]
-        w_i = weight[i_set]
-        for h in _between(i_set, j_set):
-            if not row_fail:
-                vh = table[(h, j_set)]
-                if not (base <= vh):
-                    row_fail = f"I={i_set} H={h} J={j_set}: {base} > {vh}"
-                elif base is not INFINITY and \
-                        (vh is INFINITY or vh > base + w_i - weight[h]):
-                    row_fail = (f"I={i_set} H={h} J={j_set}: gap {vh} - {base} exceeds "
-                                f"{w_i - weight[h]}")
-            if not col_fail:
-                vc = table[(i_set, h)]
-                if not (vc >= base):
-                    col_fail = f"I={i_set} H={h} J={j_set}: {vc} < {base}"
+    for ks, up_covers, down_covers in zip(lattice.sets[1:], lattice.up_covers[1:],
+                                          lattice.down_covers[1:]):
+        n = len(ks)
+        if not row_fail:
+            # per column set J, over [I, J] for every I <= J: the minima of
+            # order(N*_HJ), and the maxima of order(N*_HJ) + |mu_H| negated
+            row_lo, row_hi = {}, {}
+            for j_set in ks:
+                below = [index[h] for h in reversed(lattice.down[j_set])]
+                low = [INFINITY] * n
+                high = [INFINITY] * n
+                for i in below:
+                    low[i] = table[(ks[i], j_set)]
+                    high[i] = -low[i] - weight[ks[i]]
+                row_lo[j_set] = _cover_minima(low, up_covers, below)
+                row_hi[j_set] = _cover_minima(high, up_covers, below)
+        for i, i_set in enumerate(ks):
             if row_fail and col_fail:
                 break
+            # the minima of order(N*_IH) over [I, J] for every J >= I
+            above = [index[h] for h in lattice.up[i_set]]
+            bases = [INFINITY] * n
+            for j in above:
+                bases[j] = table[(i_set, ks[j])]
+            col_lo = _cover_minima(bases, down_covers, above)
+            for j in above:
+                j_set, base = ks[j], bases[j]
+                if not col_fail and col_lo[j] < base:
+                    col_fail = _first_gap(table, weight, i_set, j_set, False)
+                if not row_fail and (row_lo[j_set][i] < base
+                                     or -row_hi[j_set][i] > base + weight[i_set]):
+                    row_fail = _first_gap(table, weight, i_set, j_set, True)
     checks = (
         upper,
         CheckResult("det_gap_rows", not row_fail, row_fail),

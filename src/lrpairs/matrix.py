@@ -39,8 +39,8 @@ requested precision, one per pair.  A pair's precision is raised to what the
 larger minors that expand into it need, each less the order of the entry
 that multiplies it (``_closed_pair_lims``).  Every table and every check
 walks the index sets through one lattice per size, ``_lattice``, built once
-from ``_between``: the sets by size, each set's up- and down-set and drops,
-and the table plans.
+from ``_between``: the sets by size, each set's up- and down-set, drops and
+up- and down-covers, and the table plans.
 
 Products with an inverse go through one adjugate engine, ``times_inverse``:
 with b's rows cleared once into G, a b^-1 = (a adj(G)) diag(c) / det(G)
@@ -478,13 +478,25 @@ class _Lattice(NamedTuple):
     comparable_plan: tuple  # per k >= 1: each row set I with its sets J >= I
     full_plan: tuple        # per k >= 1: each row set I with every k-set
     off: tuple              # every pair (I, J) with I not <= J, in plan order
+    index: dict             # S -> its position in sets[len(S)]
+    up_covers: tuple        # up_covers[k][i]: positions of sets[k][i]'s up-covers
+    down_covers: tuple      # down_covers[k][i]: positions of its down-covers
 
 
 @lru_cache(maxsize=None)
 def _lattice(r: int) -> _Lattice:
-    """The index-set lattice of size r, built once per size from
+    """The index-set lattice of size r, built once per size, its sets from
     ``_between`` alone: the k-sets are those between (1, ..., k) and
-    (r - k + 1, ..., r), the empty set the one at k = 0."""
+    (r - k + 1, ..., r), the empty set the one at k = 0.
+
+    The k-sets form Young's lattice of the partitions in a k x (r - k) box.
+    An up-cover of S raises one element by 1, a down-cover lowers one, each
+    listed by the position it moves; S has at most k of either.  Every set
+    of S's up-set other than S lies above one of its up-covers, and every
+    set of its down-set other than S below one of its down-covers, so a
+    minimum over up-sets (down-sets) is one pass over the sets in
+    decreasing (increasing) lexicographic order, which puts every cover of
+    S before S; the checks of ``generic`` take their minima so."""
     sets = tuple(tuple(_between(tuple(range(1, k + 1)), tuple(range(r - k + 1, r + 1))))
                  for k in range(r + 1))
     up = {S: tuple(_between(S, ks[-1])) for ks in sets for S in ks}
@@ -495,9 +507,19 @@ def _lattice(r: int) -> _Lattice:
         for I in ks:
             above = set(up[I])
             off.extend((I, J) for J in ks if J not in above)
+    index = {S: i for ks in sets for i, S in enumerate(ks)}
+
+    def covers(step):
+        return tuple(tuple(tuple(index[H] for H in (S[:p] + (S[p] + step,) + S[p + 1:]
+                                                     for p in range(len(S)))
+                                 if H in index)
+                           for S in ks)
+                     for ks in sets)
+
     return _Lattice(sets, up, down, drops,
                     tuple(tuple((I, up[I]) for I in ks) for ks in sets[1:]),
-                    tuple(tuple((I, ks) for I in ks) for ks in sets[1:]), tuple(off))
+                    tuple(tuple((I, ks) for I in ks) for ks in sets[1:]), tuple(off),
+                    index, covers(1), covers(-1))
 
 
 def _comparable_pairs(r: int):

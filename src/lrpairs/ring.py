@@ -566,12 +566,13 @@ def _poly_from_json(items, label):
             raise InputError(f"coefficient in '{label}' must be an integer or a "
                              f"string p or p/q, got {cs!r}")
         try:
-            c = Fraction(cs)
+            # "p" as an int; only "p/q" needs a Fraction
+            c = Fraction(cs) if type(cs) is str and "/" in cs else int(cs)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad coefficient {cs!r} in '{label}'") from exc
         if c == 0:
             raise InputError(f"zero coefficient not allowed in '{label}'")
-        poly[d] = c.numerator if c.denominator == 1 else c
+        poly[d] = c if type(c) is int or c.denominator != 1 else c.numerator
     return poly
 
 

@@ -5,6 +5,7 @@ import json
 import shutil
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import lrpairs.cli as cli
 import lrpairs.ring as ring_mod
@@ -327,8 +328,10 @@ def test_roundtrip_injected_bug_exits_3_with_artifact(tmp_path, capsys,
     doc = json.loads(outfile.read_text(encoding="utf-8"))
     assert doc["failures"] >= 1
     assert doc["artifacts"]
-    artifact = json.loads(open(doc["artifacts"][0], encoding="utf-8").read())
+    text = open(doc["artifacts"][0], encoding="utf-8").read()
+    artifact = json.loads(text)
     assert "error" in artifact and "trial" in artifact
+    assert text == json.dumps(artifact, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +478,28 @@ def test_unknown_command_exits_nonzero(capsys):
     assert main(["frobnicate"]) != 0
 
 
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    real_build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real_build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        assert main(["count", "1", "1", "1,1"]) == 0
+        assert main(["count", "2", "1", "2,1", "--seed", "3"]) == 0
+        assert main(["frobnicate"]) != 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    first, second = capsys.readouterr().out.split("}\n{")
+    assert json.loads(first + "}")["count"] == 1
+    assert json.loads("{" + second)["seed"] == 3
+
+
 def test_seed_echoed_everywhere(tmp_path, capsys):
     infile = write_json(tmp_path / "in.json", GOLDEN_FILLING_DOC)
     rc, out = run(capsys, "realize", "--in", infile, "--seed", "42")
@@ -535,3 +560,58 @@ def test_golden_output_digests(tmp_path, capsys):
     got = {label: hashlib.sha256(out.encode("utf-8")).hexdigest()
            for label, out in outputs.items()}
     assert got == GOLDEN_SHA256
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+
+def _json_text(doc):
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
+_leaves = (st.text() | st.integers() | st.integers(-10 ** 400, 10 ** 400) | st.booleans()
+           | st.none() | st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", '"\\/\n\t']))
+_trees = st.recursive(
+    _leaves,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_trees)
+@example(doc={})
+@example(doc=[])
+@example(doc={"": [[], {}, ()], "\u00ff": {"a": [None, True, False, 0, -1]}})
+@example(doc=[2 ** 4000, -(2 ** 4000)])
+def test_writer_matches_json_dumps(doc):
+    assert cli._dumps(doc) == _json_text(doc)
+
+
+@pytest.mark.parametrize("doc", [{2: "a", 2.5: "b", False: "c", True: [1.0]},
+                                 {None: "d"}, {-3: {}, 10 ** 30: []}])
+def test_writer_matches_json_dumps_on_non_str_keys(doc):
+    assert cli._dumps(doc) == _json_text(doc)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("where", [lambda x: x, lambda x: [1, {"a": x}],
+                                   lambda x: {x: 1}])
+def test_writer_rejects_non_finite_floats_like_json(bad, where):
+    doc = where(bad)
+    with pytest.raises(ValueError) as want:
+        _json_text(doc)
+    with pytest.raises(ValueError) as got:
+        cli._dumps(doc)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("doc", [object(), [1, {"a": {1, 2}}], {(1, 2): 3},
+                                 {"a": 1, 2: "mixed keys do not sort"}])
+def test_writer_raises_type_error_like_json(doc):
+    with pytest.raises(TypeError):
+        _json_text(doc)
+    with pytest.raises(TypeError):
+        cli._dumps(doc)

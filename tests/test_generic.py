@@ -28,6 +28,7 @@ from lrpairs.realize import random_filling, realize
 from lrpairs.ring import INFINITY, ONE, ZERO, RingElem, _padd
 from lrpairs.tableaux import Filling, Partition
 
+import checkoracle
 from capcheck import assert_equation_cap_exact
 from golden import (FILLING, LAM, MU, NU, c, golden_m, golden_mn, golden_n,
                     t)
@@ -1064,3 +1065,68 @@ def test_lu_factors_built_on_first_read():
     b, c_hat = lu_decompose(cert.q)
     assert cert.q_hat_l == b and cert.q_hat_u == c_hat
     assert cert.q_hat_l is cert.q_hat_l and cert.q_hat_u is cert.q_hat_u
+
+
+# ---------------------------------------------------------------------------
+# the four checks against their enumerating oracles
+
+
+@st.composite
+def check_inputs(draw):
+    """r <= 6, a partition mu, and tables with random orders, infinity at
+    random pairs, zero or infinity off the comparable pairs when
+    triangular, and per check a want table that passes it before up to
+    three random entries change."""
+    r = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    triangular = draw(st.booleans())
+    inf_rate = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    edits = draw(st.integers(0, 3))
+    mu = Partition(tuple(sorted((rng.randint(1, 4) for _ in range(rng.randint(0, r))),
+                                reverse=True)))
+    lattice = matrix_mod._lattice(r)
+    pairs = list(checkoracle.pairs_to_check(r))
+    weight = matrix_mod._mu_weights(mu, r)
+
+    def table(keys=pairs):
+        return {(i, j): 0 if not i else
+                INFINITY if (triangular and not comparable(i, j)) or rng.random() < inf_rate
+                else rng.randint(0, 6) for i, j in keys}
+
+    def edited(tab):
+        # an order is an int or the one INFINITY object, as in every table
+        tab = dict(tab)
+        for _ in range(edits):
+            key = rng.choice(pairs)
+            old = tab[key]
+            tab[key] = rng.choice([0, 1, 2, 7, INFINITY, old if old is INFINITY else old + 1])
+        return tab
+
+    right, left = table(), table()
+    v = table([(i, j) for i, j in pairs if comparable(i, j)])
+    want_first = {(i, j): min(right[(s, j)] for s in lattice.up[i]) for i, j in pairs}
+    want_third = {(i, j): min(left[(i, h)] for h in lattice.down[j]) for i, j in pairs}
+    want_second = {(i, j): min(v[(h, j)] + weight[h] - weight[i] for h in lattice.down[i])
+                   if comparable(i, j) else rng.randint(0, 3) for i, j in pairs}
+    # rows and columns hold with equality: order(I, J) = c(J) - |mu_I|, c
+    # falling in J; off the comparable pairs anything
+    gaps = {(i, j): 40 - 3 * sum(j) - weight[i] if comparable(i, j) else rng.randint(0, 9)
+            for i, j in pairs}
+    return (r, mu, right, left, v, edited(want_first), edited(want_second),
+            edited(want_third), edited(gaps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(check_inputs())
+def test_checks_match_enumerating_oracles(inputs):
+    r, mu, right, left, v, tab_first, tab_second, tab_third, tab_gaps = inputs
+    assert check_equation_first(tab_first, right, r) == \
+        checkoracle.equation_first(tab_first, right, r)
+    assert check_equation_second(tab_second, v, mu, r) == \
+        checkoracle.equation_second(tab_second, v, mu, r)
+    assert check_equation_third(tab_third, left, r) == \
+        checkoracle.equation_third(tab_third, left, r)
+    for tab in (tab_gaps, tab_first, right):
+        report = verify_mu_generic(RMatrix.identity(r), mu, table=tab)
+        assert tuple(c.detail for c in report.checks[1:]) == \
+            checkoracle.gap_failures(tab, mu, r)

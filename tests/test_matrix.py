@@ -18,8 +18,7 @@ from lrpairs.matrix import (RMatrix, _bareiss, _clean, _clear_row, _poly_det,
                             is_mu_admissible, lu_decompose, mat_mul, minor,
                             minor_order, minor_order_table, smith_transforms,
                             times_inverse)
-from lrpairs.generic import (GroupElement, MatrixPair, _pairs_to_check, act,
-                             to_mu_generic)
+from lrpairs.generic import GroupElement, MatrixPair, act, to_mu_generic
 from lrpairs.ring import INFINITY, ONE, ZERO, RingElem
 from lrpairs.tableaux import MAX_SIZE, Partition
 
@@ -337,20 +336,41 @@ def all_pairs(r):
 @pytest.mark.parametrize("r", range(1, 8))
 def test_index_set_lattice_against_combinations(r):
     """``_lattice`` against the k-subsets from itertools and componentwise
-    comparison: the sets in order, each set's up- and down-set and drops,
-    the two table plans and the off-comparable pairs, and the walks of
-    ``_comparable_pairs`` and ``_pairs_to_check`` in their order."""
+    comparison: the sets in order, each set's position, up- and down-set,
+    drops, up- and down-covers, the two table plans and the off-comparable
+    pairs, and the walk of ``_comparable_pairs`` in its order.  A cover is a
+    comparable set whose sum differs by one; the covers, followed from S,
+    reach exactly S's up- or down-set."""
     lattice = matrix_mod._lattice(r)
     sets = [tuple(itertools.combinations(range(1, r + 1), k)) for k in range(r + 1)]
     assert lattice.sets == tuple(sets)
     every = [s for ks in sets for s in ks]
-    assert list(lattice.up) == list(lattice.down) == list(lattice.drops) == every
+    assert list(lattice.up) == list(lattice.down) == list(lattice.drops) \
+        == list(lattice.index) == every
     for ks in sets:
         for s in ks:
             assert lattice.up[s] == tuple(h for h in ks if comparable(s, h)), s
             assert lattice.down[s] == tuple(h for h in ks if comparable(h, s)), s
             assert lattice.drops[s] == tuple(
                 (j - 1, tuple(i for i in s if i != j)) for j in s), s
+            i = lattice.index[s]
+            assert ks[i] == s
+            # by the position moved: up-covers fall, down-covers rise in order
+            assert lattice.up_covers[len(s)][i] == tuple(
+                lattice.index[h] for h in reversed(ks)
+                if comparable(s, h) and sum(h) == sum(s) + 1), s
+            assert lattice.down_covers[len(s)][i] == tuple(
+                lattice.index[h] for h in ks
+                if comparable(h, s) and sum(h) == sum(s) - 1), s
+            for covers, closed in ((lattice.up_covers[len(s)], lattice.up[s]),
+                                   (lattice.down_covers[len(s)], lattice.down[s])):
+                seen, todo = {i}, [i]
+                while todo:
+                    for c in covers[todo.pop()]:
+                        if c not in seen:
+                            seen.add(c)
+                            todo.append(c)
+                assert sorted(seen) == [lattice.index[h] for h in closed], s
     assert lattice.comparable_plan == tuple(
         tuple((i, tuple(j for j in ks if comparable(i, j))) for i in ks) for ks in sets[1:])
     assert lattice.full_plan == tuple(tuple((i, ks) for i in ks) for ks in sets[1:])
@@ -358,7 +378,8 @@ def test_index_set_lattice_against_combinations(r):
                                 if not comparable(i, j))
     assert list(matrix_mod._comparable_pairs(r)) == [
         (i, j) for ks in sets[1:] for i in ks for j in ks if comparable(i, j)]
-    assert list(_pairs_to_check(r)) == list(all_pairs(r))
+    assert tuple(map(len, lattice.up_covers)) == tuple(map(len, lattice.down_covers)) \
+        == tuple(map(len, sets))
 
 
 def uniform_caps(r, cap):
