@@ -12,21 +12,20 @@ from .errors import (GenericityError, InputError, LRPairsError, NotInRingError,
                      VerificationError)
 from .ring import INFINITY, ONE, T, ZERO, RingElem, random_unit, residue, valuation
 from .matrix import (RMatrix, det, diag_from_partition, invariant_partition,
-                     invariant_partition_oracle, inverse, is_mu_admissible,
-                     lu_decompose, mat_mul, minor, minor_order,
-                     minor_order_table, smith_transforms, times_inverse)
+                     inverse, is_mu_admissible, lu_decompose, mat_mul, minor,
+                     minor_order, minor_order_table, smith_transforms,
+                     times_inverse)
 from .tableaux import (Filling, FillingReport, LRSequence, Partition,
                        as_partition, count_fillings, enumerate_fillings,
                        iter_partitions, random_partition,
                        sequence_from_filling, validate_filling)
 from .realize import FactoredRealization, build_factor, random_filling, realize
 from .generic import (GroupElement, MatrixPair, MuGenericCertificate,
-                      VerificationReport, act, corner_invariant_check,
-                      diagonalize_first, genericity_stats,
-                      reset_genericity_stats, to_mu_generic,
+                      VerificationReport, act, diagonalize_first,
+                      genericity_stats, reset_genericity_stats, to_mu_generic,
                       triangularize_right, verify_mu_generic)
 from .extract import (ExtractionResult, counterexample_demo, extract_filling,
-                      extract_from_pair, row_sum_check)
+                      extract_from_pair)
 
 __version__ = "0.1.0"
 
@@ -37,18 +36,16 @@ __all__ = [
     "INFINITY", "ONE", "T", "ZERO", "RingElem", "random_unit", "residue",
     "valuation",
     "RMatrix", "det", "diag_from_partition", "invariant_partition",
-    "invariant_partition_oracle", "inverse", "is_mu_admissible",
-    "lu_decompose", "mat_mul", "minor", "minor_order", "minor_order_table",
-    "smith_transforms", "times_inverse",
+    "inverse", "is_mu_admissible", "lu_decompose", "mat_mul", "minor",
+    "minor_order", "minor_order_table", "smith_transforms", "times_inverse",
     "Filling", "FillingReport", "LRSequence", "Partition", "as_partition",
     "count_fillings", "enumerate_fillings", "iter_partitions",
     "random_partition", "sequence_from_filling", "validate_filling",
     "FactoredRealization", "build_factor", "random_filling", "realize",
     "GroupElement", "MatrixPair", "MuGenericCertificate", "VerificationReport",
-    "act", "corner_invariant_check", "diagonalize_first", "genericity_stats",
-    "reset_genericity_stats", "to_mu_generic", "triangularize_right",
-    "verify_mu_generic",
+    "act", "diagonalize_first", "genericity_stats", "reset_genericity_stats",
+    "to_mu_generic", "triangularize_right", "verify_mu_generic",
     "ExtractionResult", "counterexample_demo", "extract_filling",
-    "extract_from_pair", "row_sum_check",
+    "extract_from_pair",
     "__version__",
 ]

@@ -87,44 +87,22 @@ def _orders_to_json(table) -> dict:
             for (rows, cols), v in table.items()}
 
 
-def _float_text(x: float) -> str:
-    """A finite float as ``json`` writes it."""
-    if x != x or x in (INFINITY, -INFINITY):
-        raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
-    return float.__repr__(x)
-
-
-def _key_text(k) -> str:
-    """A dict key as ``json`` writes it: str as it is, float, True, False,
-    None and int as their JSON text, each then quoted."""
-    if isinstance(k, str):
-        return _quote(k)
-    if isinstance(k, float):
-        return _quote(_float_text(k))
-    if k is True or k is False or k is None:
-        return _quote(_CONSTANTS[k])
-    if isinstance(k, int):
-        return _quote(int.__repr__(k))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
 def _dumps(o, nl: str = "\n") -> str:
-    """The text of json.dumps(o, indent=2, sort_keys=True, allow_nan=False),
+    """The text of json.dumps(o, indent=2, sort_keys=True) for a document of
+    str, int, True, False, None, lists, tuples and dicts with str keys,
     written directly (at an indent ``json`` always runs its pure-Python
     encoder); nl is the line break and indent of o's own level.  The types
     are tried in ``json``'s order, with the same text for each: strings
-    through ``json``'s own ASCII escaper, ints through ``int.__repr__``,
-    floats through ``float.__repr__``, str and int members of a container
-    written in place; NaN and infinities raise ValueError, other types
-    TypeError.  Documents are trees: a cycle is not detected."""
+    through ``json``'s own ASCII escaper, ints through ``int.__repr__``, str
+    and int members of a container written in place; any other type, a
+    float among them, and any non-str key raise TypeError.  Documents are
+    trees: a cycle is not detected."""
     if isinstance(o, str):
         return _quote(o)
     if o is None or o is True or o is False:
         return _CONSTANTS[o]
     if isinstance(o, int):
         return int.__repr__(o)
-    if isinstance(o, float):
-        return _float_text(o)
     inner = nl + "  "
     if isinstance(o, (list, tuple)):
         if not o:
@@ -135,7 +113,7 @@ def _dumps(o, nl: str = "\n") -> str:
     if isinstance(o, dict):
         if not o:
             return "{}"
-        items = [(_quote(k) if type(k) is str else _key_text(k)) + ": "
+        items = [_quote(k) + ": "
                  + (_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
                     else _dumps(v, inner))
                  for k, v in sorted(o.items())]

@@ -28,16 +28,11 @@ from .tableaux import (Filling, Partition, as_partition,
                        sequence_from_filling, validate_filling)
 
 
-def _block_orders(n_star: RMatrix, table=None) -> dict:
+def _block_orders(table: dict, r: int) -> dict:
     """The order of each right-justified minor the readers ask for, keyed
     by its omitted block of rows (lo, q), 1 <= lo <= q <= r, and by None
-    for the whole determinant; ``_omitting`` reads it.
-
-    Orders are read off the minor-order table of n_star, which is built
-    when none is given."""
-    r = n_star.r
-    if table is None:
-        table = minor_order_table(n_star)
+    for the whole determinant, read off the minor-order table of an r x r
+    matrix; ``_omitting`` reads it."""
     rows = tuple(range(1, r + 1))
     orders = {None: table[rows, rows]}
     for q in rows:
@@ -52,14 +47,10 @@ def _omitting(orders: dict, p: int, q: int):
     return orders.get((max(1, p), q), orders[None])
 
 
-def extract_filling(n_star: RMatrix, mu, table=None):
-    """The filling encoded in a mu-generic matrix, validated before return.
-
-    A precomputed minor-order table of n_star (keyed (rows, cols)) is reused
-    when given.
-    """
-    mu = as_partition(mu)
-    return _read_filling(_block_orders(n_star, table), mu, n_star.r)
+def extract_filling(n_star: RMatrix, mu):
+    """The filling encoded in a mu-generic matrix, validated before return."""
+    r = n_star.r
+    return _read_filling(_block_orders(minor_order_table(n_star), r), as_partition(mu), r)
 
 
 def _read_filling(orders: dict, mu: Partition, r: int) -> Filling:
@@ -94,19 +85,13 @@ def _read_filling(orders: dict, mu: Partition, r: int) -> Filling:
     return filling
 
 
-def row_sum_check(filling: Filling, n_star: RMatrix, table=None) -> VerificationReport:
+def _row_sums(filling: Filling, orders: dict) -> VerificationReport:
     """The two telescoping identities tying partial sums of the filling to
-    omitted-rows orders:
+    omitted-rows orders, on the block-order map of a matrix of the
+    filling's size:
       sum over columns j..l of (k_1b + ... + k_ib) = O(j-i, j-1) - O(l-i+1, l)
       k_ii + ... + k_ij = O(j-i+2, j) - O(j-i+1, j)
     """
-    if n_star.r != filling.r:
-        raise InputError(f"filling size {filling.r} does not match matrix size {n_star.r}")
-    return _row_sums(filling, _block_orders(n_star, table))
-
-
-def _row_sums(filling: Filling, orders: dict) -> VerificationReport:
-    """``row_sum_check`` on the block-order map of n_star."""
     r = filling.r
     block_fail = ""
     prefix_fail = ""
@@ -141,12 +126,13 @@ class ExtractionResult(NamedTuple):
 def extract_from_pair(pair: MatrixPair, rng, max_retries: int = 20) -> ExtractionResult:
     """Reduce to mu-generic form, extract, and cross-check the result."""
     cert = to_mu_generic(pair, rng, max_retries=max_retries)
-    orders = _block_orders(cert.n_star, cert.minor_orders)
-    filling = _read_filling(orders, cert.mu, cert.n_star.r)
+    r = cert.n_star.r
+    orders = _block_orders(cert.minor_orders, r)
+    filling = _read_filling(orders, cert.mu, r)
     nu = Partition(filling.content())
     if nu != cert.nu:
         raise GenericityError(f"extracted content {nu} does not match nu {cert.nu}")
-    lam = sequence_from_filling(filling, cert.mu).stage(filling.r)
+    lam = sequence_from_filling(filling, cert.mu).stage(r)
     if lam != cert.lam:
         raise GenericityError(f"extracted shape {lam} does not match lambda {cert.lam}")
     sums = _row_sums(filling, orders)

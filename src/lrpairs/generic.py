@@ -18,14 +18,15 @@ check ends the attempt, naming that stage's failures, and the reduction
 resamples; every random draw of an attempt comes before its first check.
 The verification is exhaustive at every size r: each check covers every
 index pair, or every componentwise triple, of the full minor-order table of
-N*, and takes the minima and interval extrema it compares in one pass over
-the covers of ``matrix._lattice``.  Each table is computed only to the
-precision its checks need, set per pair (I, J): N*'s from its diagonal
-orders in rows I (``_n_star_caps``), and each equation table's entry to
-N*'s own order at that pair (``_equation_failures``).  Both docstrings
-prove that a passing attempt's tables and every attempt's verdict are those
-of the full precision; an attempt that fails the checks on N*'s table names
-its failures from the uncapped table.
+N*, read through the covers of ``matrix._lattice``: the equations' minima
+in one pass over them, the gap inequalities on the triples with a cover
+inside.  Each table is computed only to the precision its checks need, set
+per pair (I, J): N*'s from its diagonal orders in rows I
+(``_n_star_caps``), and each equation table's entry to N*'s own order at
+that pair (``_equation_failures``).  Both docstrings prove that a passing
+attempt's tables and every attempt's verdict are those of the full
+precision; an attempt that fails the checks on N*'s table names its
+failures from the uncapped table.
 
 The extraction and the CLI read only N* and its minor-order table.  The
 certificate's ``t_star`` = (T_L T_U)^-1 and ``group``, which only a replay
@@ -50,11 +51,10 @@ from .errors import (GenericityError, InputError, PrincipalMinorError,
 # det is unused here but stays importable as lrpairs.generic.det, an import
 # site that perfbench's tracer self-test checks
 from .matrix import (RMatrix, _bareiss, _between, _clean, _clear_row,
-                     _lattice, _lu_grid, _mu_weights,
-                     _table_partition, det, diag_from_partition, has_unit_det,
-                     inverse, invariant_partition, is_mu_admissible,
-                     lu_decompose, mat_mul, minor_order, minor_order_table,
-                     smith_transforms, times_inverse)
+                     _lattice, _lu_grid, _mu_weights, _table_partition, det,
+                     has_unit_det, inverse, invariant_partition,
+                     is_mu_admissible, lu_decompose, mat_mul,
+                     minor_order_table, smith_transforms, times_inverse)
 from .ring import (_PONE, INFINITY, ONE, ZERO, RingElem, _padd, _pmul, _pshift,
                    random_unit)
 from .tableaux import Partition, as_partition
@@ -422,9 +422,9 @@ def check_equation_second(tab_n: dict, tab_v: dict, mu: Partition, r: int):
     """order(N*_IJ) == min over H <= I of order(V_HJ) + |mu_H| - |mu_I|,
     V = Q_hat_U N T^-1; checked on pairs with I <= J componentwise (the only
     pairs where the minimum is attained without cancellation; see notes),
-    in ``_comparable_pairs`` order, the first that fails named with its
-    minimum.  The empty pair holds trivially; tab_v is read only at pairs
-    H <= J.
+    in the lattice's ``comparable_plan`` order, the first that fails named
+    with its minimum.  The empty pair holds trivially; tab_v is read only at
+    pairs H <= J.
 
     For each J the down-set minima of order(V_HJ) + |mu_H| over the sets
     H <= J are one pass over the down-covers, which stay <= J; |mu_I| is
@@ -534,22 +534,55 @@ def _equation_failures(tab_n, right, left, v, mu, r, cap):
 # verification
 
 
-def _first_gap(table, weight, i_set, j_set, rows: bool) -> str:
-    """The first H in [I, J], in lexicographic order, at which the row (or,
-    with ``rows`` false, the column) inequality of ``verify_mu_generic``
-    fails, named as that check reports it; "" if none does."""
-    base = table[(i_set, j_set)]
-    w_i = weight[i_set]
-    for h in _between(i_set, j_set):
-        if rows:
-            vh = table[(h, j_set)]
-            if not (base <= vh):
-                return f"I={i_set} H={h} J={j_set}: {base} > {vh}"
-            if base is not INFINITY and (vh is INFINITY or vh > base + w_i - weight[h]):
-                return (f"I={i_set} H={h} J={j_set}: gap {vh} - {base} exceeds "
-                        f"{w_i - weight[h]}")
-        elif not (table[(i_set, h)] >= base):
-            return f"I={i_set} H={h} J={j_set}: {table[(i_set, h)]} < {base}"
+def _gaps_hold(table, weight, lattice):
+    """Whether the row and the column inequalities of ``verify_mu_generic``
+    hold, checked on up-covers: for each up-cover G of H, the rows on the
+    triples H <= G <= J at every J >= G, and the columns on I <= H <= G at
+    every I <= H."""
+    rows_ok = cols_ok = True
+    for ks, covers in zip(lattice.sets[1:], lattice.up_covers[1:]):
+        for h_set, ups in zip(ks, covers):
+            w_h = weight[h_set]
+            bases = [(i_set, table[(i_set, h_set)]) for i_set in lattice.down[h_set]]
+            for g_set in (ks[c] for c in ups):
+                if rows_ok:
+                    step = w_h - weight[g_set]
+                    for j_set in lattice.up[g_set]:
+                        base = table[(h_set, j_set)]
+                        v = table[(g_set, j_set)]
+                        # an infinite base bounds nothing above: inf + step
+                        if v < base or v > base + step:
+                            rows_ok = False
+                            break
+                if cols_ok:
+                    for i_set, base in bases:
+                        if table[(i_set, g_set)] > base:
+                            cols_ok = False
+                            break
+    return rows_ok, cols_ok
+
+
+def _first_gap(table, weight, lattice, rows: bool) -> str:
+    """The first triple I <= H <= J at which the row (or, with ``rows``
+    false, the column) inequality of ``verify_mu_generic`` fails, by pair
+    I <= J in the lattice's ``comparable_plan`` order and then H in
+    lexicographic order, named as that check reports it; "" if none does."""
+    for level in lattice.comparable_plan:
+        for i_set, js in level:
+            w_i = weight[i_set]
+            for j_set in js:
+                base = table[(i_set, j_set)]
+                for h in _between(i_set, j_set):
+                    if rows:
+                        vh = table[(h, j_set)]
+                        if not (base <= vh):
+                            return f"I={i_set} H={h} J={j_set}: {base} > {vh}"
+                        if base is not INFINITY and \
+                                (vh is INFINITY or vh > base + w_i - weight[h]):
+                            return (f"I={i_set} H={h} J={j_set}: gap {vh} - {base} "
+                                    f"exceeds {w_i - weight[h]}")
+                    elif not (table[(i_set, h)] >= base):
+                        return f"I={i_set} H={h} J={j_set}: {table[(i_set, h)]} < {base}"
     return ""
 
 
@@ -563,18 +596,20 @@ def verify_mu_generic(n_star: RMatrix, mu, table=None) -> VerificationReport:
     trivially).  A precomputed minor-order table of n_star is reused when
     given.
 
-    Each pair I <= J, in ``_comparable_pairs`` order, is compared with
-    extrema over the interval [I, J]: the rows hold there exactly when the
-    minimum of order(N*_HJ) is at least order(N*_IJ) and the maximum of
-    order(N*_HJ) + |mu_H| at most order(N*_IJ) + |mu_I| (which holds
-    whenever order(N*_IJ) is infinite); the columns when the minimum of
-    order(N*_IH) is.  [I, J] is I together with [I', J] over the up-covers
-    I' <= J, and also J together with [I, J''] over the down-covers
-    J'' >= I, so one pass per column set J over the sets below it, and one
-    per row set I over the sets above it, gives every extremum; a cover
-    outside the interval holds the neutral value.  The first failing pair
-    of each kind is walked H by H (``_first_gap``) to name its first
-    failing triple.
+    The verdicts are taken on the triples with a cover inside
+    (``_gaps_hold``): the rows on H <= G <= J and the columns on
+    I <= H <= G, for every up-cover G of H.  These are triples of the list
+    above, so a failure among them is a failure of it.  Conversely, every
+    H in [I, J] is reached from I by a chain I = H_0 < H_1 < ... < H_m = H
+    of up-covers inside [I, J], and J from H by one inside [H, J].  Along
+    the first chain the row steps give order(N*_IJ) <= order(N*_H1J) <= ...
+    <= order(N*_HJ); when order(N*_IJ) is finite, each step's upper bound
+    keeps the next order finite, so every step's upper bound applies, and
+    their |mu| terms telescope to |mu_I| - |mu_H|.  Along the second
+    chain the column orders order(N*_IG) fall from order(N*_IH) to
+    order(N*_IJ).  So the cover triples hold exactly when every triple
+    does.  A kind that fails is walked pair by pair and H by H
+    (``_first_gap``) to name its first failing triple.
     """
     mu = as_partition(mu)
     r = n_star.r
@@ -583,64 +618,15 @@ def verify_mu_generic(n_star: RMatrix, mu, table=None) -> VerificationReport:
 
     upper = CheckResult("upper_triangular", n_star.is_upper_triangular())
     lattice = _lattice(r)
-    index = lattice.index
     weight = _mu_weights(mu, r)
-    row_fail = ""
-    col_fail = ""
-    for ks, up_covers, down_covers in zip(lattice.sets[1:], lattice.up_covers[1:],
-                                          lattice.down_covers[1:]):
-        n = len(ks)
-        if not row_fail:
-            # per column set J, over [I, J] for every I <= J: the minima of
-            # order(N*_HJ), and the maxima of order(N*_HJ) + |mu_H| negated
-            row_lo, row_hi = {}, {}
-            for j_set in ks:
-                below = [index[h] for h in reversed(lattice.down[j_set])]
-                low = [INFINITY] * n
-                high = [INFINITY] * n
-                for i in below:
-                    low[i] = table[(ks[i], j_set)]
-                    high[i] = -low[i] - weight[ks[i]]
-                row_lo[j_set] = _cover_minima(low, up_covers, below)
-                row_hi[j_set] = _cover_minima(high, up_covers, below)
-        for i, i_set in enumerate(ks):
-            if row_fail and col_fail:
-                break
-            # the minima of order(N*_IH) over [I, J] for every J >= I
-            above = [index[h] for h in lattice.up[i_set]]
-            bases = [INFINITY] * n
-            for j in above:
-                bases[j] = table[(i_set, ks[j])]
-            col_lo = _cover_minima(bases, down_covers, above)
-            for j in above:
-                j_set, base = ks[j], bases[j]
-                if not col_fail and col_lo[j] < base:
-                    col_fail = _first_gap(table, weight, i_set, j_set, False)
-                if not row_fail and (row_lo[j_set][i] < base
-                                     or -row_hi[j_set][i] > base + weight[i_set]):
-                    row_fail = _first_gap(table, weight, i_set, j_set, True)
+    rows_ok, cols_ok = _gaps_hold(table, weight, lattice)
+    row_fail = "" if rows_ok else _first_gap(table, weight, lattice, True)
+    col_fail = "" if cols_ok else _first_gap(table, weight, lattice, False)
     checks = (
         upper,
-        CheckResult("det_gap_rows", not row_fail, row_fail),
-        CheckResult("det_gap_columns", not col_fail, col_fail),
+        CheckResult("det_gap_rows", rows_ok, row_fail),
+        CheckResult("det_gap_columns", cols_ok, col_fail),
     )
-    return VerificationReport(checks)
-
-
-def corner_invariant_check(n_star: RMatrix, mu) -> VerificationReport:
-    """Corner minors read off the orbit partitions: the top-rows/right-columns
-    minors of N* carry the tail sums of nu, and the bottom-right corners of
-    D_mu N* carry the tail sums of lam.
-
-    nu and lam are recomputed here by diagonal reduction, deliberately not
-    through the minor-order route being checked."""
-    mu = as_partition(mu)
-    r = n_star.r
-    d_mu = diag_from_partition(mu, r)
-    nu = invariant_partition(n_star)
-    lam = invariant_partition(mat_mul(d_mu, n_star))
-    lookup = lambda rows, cols: minor_order(n_star, rows, cols)
-    checks = _corner_checks(lookup, mu, nu, lam, r)
     return VerificationReport(checks)
 
 

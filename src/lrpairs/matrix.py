@@ -522,15 +522,6 @@ def _lattice(r: int) -> _Lattice:
                     index, covers(1), covers(-1))
 
 
-def _comparable_pairs(r: int):
-    """Every nonempty pair I <= J of index sets in 1..r, by size, then I,
-    then J, in lexicographic order."""
-    for rows in _lattice(r).comparable_plan:
-        for I, js in rows:
-            for J in js:
-                yield I, J
-
-
 def minor_order_table(m: RMatrix, cap=None, *, comparable_only=False) -> dict:
     """Orders of every square minor, keyed by (row tuple, column tuple).
 
@@ -786,16 +777,6 @@ def _table_partition(table: dict, r: int, shift_mu=None):
     if INFINITY in best:
         return None
     return Partition(tuple(reversed([best[k] - best[k - 1] for k in range(1, r + 1)])))
-
-
-def invariant_partition_oracle(m: RMatrix) -> Partition:
-    """Same partition by a different route: the minimal order among k-by-k
-    minors is the k-th partial sum of the increasing invariant orders."""
-    _require_over_ring(m, "matrix")
-    part = _table_partition(minor_order_table(m), m.r)
-    if part is None:
-        raise RankError("matrix is rank deficient")
-    return part
 
 
 def _is_exact_power_diagonal_decreasing(m: RMatrix) -> bool:

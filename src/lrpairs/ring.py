@@ -347,10 +347,6 @@ class RingElem:
             return INFINITY
         return min(self.num) - (min(self.den) if self.den is not _PONE else 0)
 
-    def is_unit(self) -> bool:
-        """Unit of the valuation ring, i.e. order exactly zero."""
-        return bool(self.num) and self.valuation() == 0
-
     def in_ring(self) -> bool:
         """True when the order is non-negative."""
         return not self.num or self.valuation() >= 0

@@ -291,10 +291,13 @@ def _walk_fillings(mu, nu, lam):
     """Yield the rows of each valid filling for (mu, nu, lam) in turn.
 
     Rows are filled top to bottom and each row left to right, every entry
-    running upward from 0 to its cap: LR2 and the content left of its label,
-    LR3 (the stage profile stays under the row above after one label less)
-    and LR4 (label i >= 2 in row j is at most label i-1's lead over label i
-    in rows 1..j-1).  The last entry of a row takes what the row has left.
+    running upward to its cap: LR2 and the content left of its label, LR3
+    (the stage profile stays under the row above after one label less) and
+    LR4 (label i >= 2 in row j is at most label i-1's lead over label i in
+    rows 1..j-1).  Each entry starts at the least value for which the
+    later entries' caps can still hold the rest of the row, so only values
+    that could never close the row are skipped.  The last entry of a row
+    takes what the row has left.
     The yielded list is the walk's own state: read it before the next one.
     """
     mu, nu, lam = as_partition(mu), as_partition(nu), as_partition(lam)
@@ -316,6 +319,7 @@ def _walk_fillings(mu, nu, lam):
         above = list(accumulate(rows[j - 1], initial=mu_p[j - 1])) if j else [lam_p[0]]
         caps = [left[0]] + [min(left[i], (nu_p[i - 1] - left[i - 1]) - (nu_p[i] - left[i]))
                             for i in range(1, j + 1)]
+        rest = [sum(caps[i + 1:]) for i in range(j + 1)]
         row = [0] * (j + 1)
         rows.append(row)
 
@@ -328,7 +332,8 @@ def _walk_fillings(mu, nu, lam):
                     yield from walk_rows(j + 1)
                     left[i] += room
                 return
-            for v in range(min(room, caps[i], above[i] - profile) + 1):
+            for v in range(max(0, room - rest[i]),
+                           min(room, caps[i], above[i] - profile) + 1):
                 row[i] = v
                 left[i] -= v
                 yield from walk_entries(i + 1, room - v, profile + v)

@@ -1,11 +1,34 @@
-"""The verification battery's checks as plain enumerations: every pair's
-minimum over its whole up- or down-set, and every triple I <= H <= J of the
-gap inequalities.  ``lrpairs.generic`` takes the same minima and extrema
-in one pass over the cover lattice; these bodies are the references its
-report strings are compared with."""
+"""Second routes to what the package computes, for the tests to compare
+with.
 
-from lrpairs.matrix import _between, _comparable_pairs, _lattice, _mu_weights
+The verification battery's checks as plain enumerations: every pair's
+minimum over its whole up- or down-set, and every triple I <= H <= J of the
+gap inequalities.  ``lrpairs.generic`` takes the same minima in one pass
+over the cover lattice and checks the gaps on covers; these bodies are the
+references its verdicts and report strings are compared with.
+
+The invariant partition read off the full minor-order table, and the corner
+minors of N* checked one Bareiss minor at a time against partitions found
+by diagonal reduction: the second routes of acceptance criteria 5 and 4.
+"""
+
+from lrpairs.errors import RankError
+from lrpairs.generic import VerificationReport, _corner_checks
+from lrpairs.matrix import (RMatrix, _between, _lattice, _mu_weights,
+                            _require_over_ring, _table_partition,
+                            diag_from_partition, invariant_partition, mat_mul,
+                            minor_order, minor_order_table)
 from lrpairs.ring import INFINITY
+from lrpairs.tableaux import Partition, as_partition
+
+
+def comparable_pairs(r):
+    """Every nonempty pair I <= J of index sets in 1..r, by size, then I,
+    then J, in lexicographic order."""
+    for rows in _lattice(r).comparable_plan:
+        for i_set, js in rows:
+            for j_set in js:
+                yield i_set, j_set
 
 
 def pairs_to_check(r):
@@ -30,7 +53,7 @@ def equation_first(tab_n, tab_right, r):
 def equation_second(tab_n, tab_v, mu, r):
     down = _lattice(r).down
     weight = _mu_weights(mu, r)
-    for i_set, j_set in _comparable_pairs(r):
+    for i_set, j_set in comparable_pairs(r):
         want = tab_n[(i_set, j_set)]
         w_i = weight[i_set]
         got = min(tab_v[(h, j_set)] + weight[h] - w_i for h in down[i_set])
@@ -55,7 +78,7 @@ def gap_failures(table, mu, r):
     weight = _mu_weights(mu, r)
     row_fail = ""
     col_fail = ""
-    for i_set, j_set in _comparable_pairs(r):
+    for i_set, j_set in comparable_pairs(r):
         base = table[(i_set, j_set)]
         w_i = weight[i_set]
         for h in _between(i_set, j_set):
@@ -74,3 +97,30 @@ def gap_failures(table, mu, r):
             if row_fail and col_fail:
                 break
     return row_fail, col_fail
+
+
+def invariant_partition_oracle(m: RMatrix) -> Partition:
+    """``invariant_partition`` by a different route: the minimal order among
+    k-by-k minors is the k-th partial sum of the increasing invariant
+    orders."""
+    _require_over_ring(m, "matrix")
+    part = _table_partition(minor_order_table(m), m.r)
+    if part is None:
+        raise RankError("matrix is rank deficient")
+    return part
+
+
+def corner_invariant_check(n_star: RMatrix, mu) -> VerificationReport:
+    """Corner minors read off the orbit partitions: the top-rows/right-columns
+    minors of N* carry the tail sums of nu, and the bottom-right corners of
+    D_mu N* carry the tail sums of lam.
+
+    nu and lam are recomputed here by diagonal reduction, and each minor by
+    its own Bareiss elimination, deliberately not through the minor-order
+    table that the reduction's own corner checks read."""
+    mu = as_partition(mu)
+    r = n_star.r
+    nu = invariant_partition(n_star)
+    lam = invariant_partition(mat_mul(diag_from_partition(mu, r), n_star))
+    lookup = lambda rows, cols: minor_order(n_star, rows, cols)
+    return VerificationReport(_corner_checks(lookup, mu, nu, lam, r))

@@ -13,13 +13,11 @@ from lrpairs.extract import (counterexample_demo, extract_filling,
                              extract_from_pair)
 from lrpairs.generic import (GroupElement, MatrixPair, act,
                              check_equation_first, check_equation_second,
-                             check_equation_third, corner_invariant_check,
-                             genericity_stats, reset_genericity_stats,
-                             verify_mu_generic)
-from lrpairs.matrix import (RMatrix, _comparable_pairs, det,
-                            diag_from_partition, invariant_partition,
-                            invariant_partition_oracle, inverse,
-                            is_mu_admissible, mat_mul, minor_order_table)
+                             check_equation_third, genericity_stats,
+                             reset_genericity_stats, verify_mu_generic)
+from lrpairs.matrix import (RMatrix, det, diag_from_partition,
+                            invariant_partition, inverse, is_mu_admissible,
+                            mat_mul, minor_order_table)
 from lrpairs.realize import random_filling, realize
 from lrpairs.ring import ZERO, RingElem
 from lrpairs.tableaux import (Partition, count_fillings, enumerate_fillings,
@@ -27,6 +25,8 @@ from lrpairs.tableaux import (Partition, count_fillings, enumerate_fillings,
                               validate_filling)
 
 from capcheck import assert_equation_cap_exact
+from checkoracle import (comparable_pairs, corner_invariant_check,
+                         invariant_partition_oracle)
 from golden import FILLING, LAM, MU, NU, golden_mn, golden_n
 
 _CACHE = {}
@@ -227,7 +227,7 @@ def test_equation_tables_capped_at_the_largest_compared_order():
             cert.minor_orders, mat_mul(u, cert.t_upper),
             mat_mul(cert.q_upper, u), v, cert.mu, r, cert.minor_orders)
         assert at_full == ("", "", "")
-        lowered += max(cert.minor_orders[key] for key in _comparable_pairs(r)) < cap
+        lowered += max(cert.minor_orders[key] for key in comparable_pairs(r)) < cap
     assert lowered == len(certs)
 
 

@@ -571,7 +571,7 @@ def _json_text(doc):
 
 
 _leaves = (st.text() | st.integers() | st.integers(-10 ** 400, 10 ** 400) | st.booleans()
-           | st.none() | st.floats(allow_nan=False, allow_infinity=False)
+           | st.none()
            | st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", '"\\/\n\t']))
 _trees = st.recursive(
     _leaves,
@@ -590,10 +590,11 @@ def test_writer_matches_json_dumps(doc):
     assert cli._dumps(doc) == _json_text(doc)
 
 
-@pytest.mark.parametrize("doc", [{2: "a", 2.5: "b", False: "c", True: [1.0]},
-                                 {None: "d"}, {-3: {}, 10 ** 30: []}])
-def test_writer_matches_json_dumps_on_non_str_keys(doc):
-    assert cli._dumps(doc) == _json_text(doc)
+@pytest.mark.parametrize("doc", [1.5, [1, {"a": 0.0}], {2: "a"}, {"a": {None: []}},
+                                 {True: 1}])
+def test_writer_takes_no_float_and_no_non_str_key(doc):
+    with pytest.raises(TypeError):
+        cli._dumps(doc)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -601,11 +602,10 @@ def test_writer_matches_json_dumps_on_non_str_keys(doc):
                                    lambda x: {x: 1}])
 def test_writer_rejects_non_finite_floats_like_json(bad, where):
     doc = where(bad)
-    with pytest.raises(ValueError) as want:
+    with pytest.raises(ValueError):
         _json_text(doc)
-    with pytest.raises(ValueError) as got:
+    with pytest.raises(TypeError):  # no float is written at all
         cli._dumps(doc)
-    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("doc", [object(), [1, {"a": {1, 2}}], {(1, 2): 3},

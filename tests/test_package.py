@@ -13,3 +13,11 @@ def test_star_import():
     namespace = {}
     exec("from lrpairs import *", namespace)
     assert set(lrpairs.__all__) <= set(namespace)
+
+
+def test_retired_names_are_gone():
+    """The test oracles live in the tests, and row_sum_check is read only
+    through extract_from_pair."""
+    for name in ("invariant_partition_oracle", "corner_invariant_check", "row_sum_check"):
+        assert name not in lrpairs.__all__
+        assert not hasattr(lrpairs, name)
