@@ -61,7 +61,9 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: a JSONDecodeError, bytes that are not UTF-8, or an
+        # integer past CPython's digit limit; RecursionError: deep nesting
         raise InputError(f"{path} is not valid JSON: {exc}")
 
 

@@ -8,9 +8,10 @@ full determinant), the entries of the filling fall out as second differences
     k_ij = [O(j-i, j-1) - O(j-i+1, j)] - [O(j-i+1, j-1) - O(j-i+2, j)].
 
 The result is validated as an LR filling; failure means the input was not
-actually mu-generic and the caller should resample upstream.  The module also
-reproduces the two worked pairs that share a filling without sharing an
-orbit, certified through the residue-field linear system.
+actually mu-generic and the caller should resample upstream.  On a
+certificate its content and shape are nu and lam (see ``_read_filling``).
+The module also reproduces the two worked pairs that share a filling
+without sharing an orbit, certified through the residue-field linear system.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import GenericityError, InputError
-from .generic import (CheckResult, MatrixPair, MuGenericCertificate,
-                      VerificationReport, to_mu_generic, verify_mu_generic)
+from .generic import (MatrixPair, MuGenericCertificate, to_mu_generic,
+                      verify_mu_generic)
 from .matrix import (RMatrix, diag_from_partition, det, invariant_partition,
                      mat_mul, minor_order_table)
 from .ring import INFINITY, ZERO, RingElem, residue
@@ -28,52 +29,41 @@ from .tableaux import (Filling, Partition, as_partition,
                        sequence_from_filling, validate_filling)
 
 
-def _block_orders(table: dict, r: int) -> dict:
-    """The order of each right-justified minor the readers ask for, keyed
-    by its omitted block of rows (lo, q), 1 <= lo <= q <= r, and by None
-    for the whole determinant, read off the minor-order table of an r x r
-    matrix; ``_omitting`` reads it."""
-    rows = tuple(range(1, r + 1))
-    orders = {None: table[rows, rows]}
-    for q in rows:
-        for lo in range(1, q + 1):
-            kept = rows[:lo - 1] + rows[q:]
-            orders[lo, q] = table[kept, rows[q - lo + 1:]]
-    return orders
-
-
-def _omitting(orders: dict, p: int, q: int):
-    """O(p, q): omit the consecutive rows max(1, p)..q, none when p > q."""
-    return orders.get((max(1, p), q), orders[None])
-
-
 def extract_filling(n_star: RMatrix, mu):
     """The filling encoded in a mu-generic matrix, validated before return."""
-    r = n_star.r
-    return _read_filling(_block_orders(minor_order_table(n_star), r), as_partition(mu), r)
+    return _read_filling(minor_order_table(n_star), as_partition(mu), n_star.r)
 
 
-def _read_filling(orders: dict, mu: Partition, r: int) -> Filling:
-    """``extract_filling`` on the block-order map of n_star."""
+def _read_filling(table: dict, mu: Partition, r: int) -> Filling:
+    """``extract_filling`` on the minor-order table of n_star.
+
+    Every query has lo = max(1, p) <= q + 1, and lo = q + 1 keeps every row.
+    The second differences telescope: with A(b) = O(b-i, b-1) -
+    O(b-i+1, b-1) and C_b(s) = O(b-s, b-1) - O(b-s+1, b), k_ib = A(b) -
+    A(b+1) and k_sb = C_b(s) - C_b(s-1), where A(i) = C_b(0) = 0 as each
+    names one minor twice.  So the row-sum identities hold on the finite
+    orders read here; k_ii + ... + k_ir = O(r-i+2, r) - O(r-i+1, r) steps
+    between top-right corners, and k_1j + ... + k_jj = O(0, j-1) - O(1, j)
+    between bottom-right ones.  On a certificate's table the corner checks
+    nu_corner_minors and lambda_corner_minors matched those corners with
+    the tail sums of nu and of lam - mu, so the content is nu and the
+    shape, mu plus the row sums, is lam.
+    """
+    rows = tuple(range(1, r + 1))
 
     def o(p, q):
-        v = _omitting(orders, p, q)
+        lo = max(1, p)
+        v = table[rows[:lo - 1] + rows[q:], rows[q - lo + 1:]]
         if v is INFINITY:
             raise GenericityError(
-                f"right-justified minor omitting rows {max(1, p)}..{q} vanishes; "
+                f"right-justified minor omitting rows {lo}..{q} vanishes; "
                 "matrix is not mu-generic")
         return v
 
-    rows = []
-    for j in range(1, r + 1):
-        row = []
-        for i in range(1, j + 1):
-            k = (o(j - i, j - 1) - o(j - i + 1, j)) - (o(j - i + 1, j - 1) - o(j - i + 2, j))
-            row.append(k)
-        rows.append(row)
-
+    k = [[(o(j - i, j - 1) - o(j - i + 1, j)) - (o(j - i + 1, j - 1) - o(j - i + 2, j))
+          for i in range(1, j + 1)] for j in rows]
     try:
-        filling = Filling(rows)
+        filling = Filling(k)
         nu = Partition(filling.content())
         lam = sequence_from_filling(filling, mu).stage(r)
     except InputError as exc:
@@ -85,36 +75,6 @@ def _read_filling(orders: dict, mu: Partition, r: int) -> Filling:
     return filling
 
 
-def _row_sums(filling: Filling, orders: dict) -> VerificationReport:
-    """The two telescoping identities tying partial sums of the filling to
-    omitted-rows orders, on the block-order map of a matrix of the
-    filling's size:
-      sum over columns j..l of (k_1b + ... + k_ib) = O(j-i, j-1) - O(l-i+1, l)
-      k_ii + ... + k_ij = O(j-i+2, j) - O(j-i+1, j)
-    """
-    r = filling.r
-    block_fail = ""
-    prefix_fail = ""
-    for i in range(1, r + 1):
-        for j in range(i, r + 1):
-            want = sum(filling.entry(i, b) for b in range(i, j + 1))
-            got = _omitting(orders, j - i + 2, j) - _omitting(orders, j - i + 1, j)
-            if want != got and not prefix_fail:
-                prefix_fail = f"i={i} j={j}: {want} vs {got}"
-            for lcol in range(j, r + 1):
-                want = sum(filling.entry(s, b)
-                           for b in range(j, lcol + 1)
-                           for s in range(1, min(i, b) + 1))
-                got = _omitting(orders, j - i, j - 1) - _omitting(orders, lcol - i + 1, lcol)
-                if want != got and not block_fail:
-                    block_fail = f"i={i} j={j} l={lcol}: {want} vs {got}"
-    checks = (
-        CheckResult("block_sum_identity", not block_fail, block_fail),
-        CheckResult("row_prefix_identity", not prefix_fail, prefix_fail),
-    )
-    return VerificationReport(checks)
-
-
 class ExtractionResult(NamedTuple):
     filling: Filling
     mu: Partition
@@ -124,22 +84,11 @@ class ExtractionResult(NamedTuple):
 
 
 def extract_from_pair(pair: MatrixPair, rng, max_retries: int = 20) -> ExtractionResult:
-    """Reduce to mu-generic form, extract, and cross-check the result."""
+    """Reduce to mu-generic form and read the filling off the certificate's
+    minor-order table; its content and shape are the certificate's nu and
+    lam (see ``_read_filling``)."""
     cert = to_mu_generic(pair, rng, max_retries=max_retries)
-    r = cert.n_star.r
-    orders = _block_orders(cert.minor_orders, r)
-    filling = _read_filling(orders, cert.mu, r)
-    nu = Partition(filling.content())
-    if nu != cert.nu:
-        raise GenericityError(f"extracted content {nu} does not match nu {cert.nu}")
-    lam = sequence_from_filling(filling, cert.mu).stage(r)
-    if lam != cert.lam:
-        raise GenericityError(f"extracted shape {lam} does not match lambda {cert.lam}")
-    sums = _row_sums(filling, orders)
-    if not sums.ok:
-        raise GenericityError(
-            "row-sum identities failed: "
-            + ", ".join(c.name for c in sums.failures()))
+    filling = _read_filling(cert.minor_orders, cert.mu, cert.n_star.r)
     return ExtractionResult(filling, cert.mu, cert.nu, cert.lam, cert)
 
 

@@ -10,10 +10,14 @@ references its verdicts and report strings are compared with.
 The invariant partition read off the full minor-order table, and the corner
 minors of N* checked one Bareiss minor at a time against partitions found
 by diagonal reduction: the second routes of acceptance criteria 5 and 4.
+
+The row-sum identities that tie a filling's partial sums to the
+right-justified minor orders, which ``lrpairs.extract._read_filling`` proves
+by telescoping instead of checking them.
 """
 
 from lrpairs.errors import RankError
-from lrpairs.generic import VerificationReport, _corner_checks
+from lrpairs.generic import CheckResult, VerificationReport, _corner_checks
 from lrpairs.matrix import (RMatrix, _between, _lattice, _mu_weights,
                             _require_over_ring, _table_partition,
                             diag_from_partition, invariant_partition, mat_mul,
@@ -124,3 +128,38 @@ def corner_invariant_check(n_star: RMatrix, mu) -> VerificationReport:
     lam = invariant_partition(mat_mul(diag_from_partition(mu, r), n_star))
     lookup = lambda rows, cols: minor_order(n_star, rows, cols)
     return VerificationReport(_corner_checks(lookup, mu, nu, lam, r))
+
+
+def row_sum_identities(filling, table) -> VerificationReport:
+    """The two telescoping identities tying partial sums of the filling to
+    the orders O(p, q) of the right-justified minors omitting the rows
+    max(1, p)..q, read off the minor-order table of a matrix of the
+    filling's size:
+      sum over columns j..l of (k_1b + ... + k_ib) = O(j-i, j-1) - O(l-i+1, l)
+      k_ii + ... + k_ij = O(j-i+2, j) - O(j-i+1, j)
+    """
+    r = filling.r
+
+    def o(p, q):
+        kept = tuple(x for x in range(1, r + 1) if not max(1, p) <= x <= q)
+        return table[kept, tuple(range(r - len(kept) + 1, r + 1))]
+
+    block_fail = ""
+    prefix_fail = ""
+    for i in range(1, r + 1):
+        for j in range(i, r + 1):
+            want = sum(filling.entry(i, b) for b in range(i, j + 1))
+            got = o(j - i + 2, j) - o(j - i + 1, j)
+            if want != got and not prefix_fail:
+                prefix_fail = f"i={i} j={j}: {want} vs {got}"
+            for lcol in range(j, r + 1):
+                want = sum(filling.entry(s, b)
+                           for b in range(j, lcol + 1)
+                           for s in range(1, min(i, b) + 1))
+                got = o(j - i, j - 1) - o(lcol - i + 1, lcol)
+                if want != got and not block_fail:
+                    block_fail = f"i={i} j={j} l={lcol}: {want} vs {got}"
+    return VerificationReport((
+        CheckResult("block_sum_identity", not block_fail, block_fail),
+        CheckResult("row_prefix_identity", not prefix_fail, prefix_fail),
+    ))

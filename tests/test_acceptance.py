@@ -11,16 +11,16 @@ import time
 
 from lrpairs.extract import (counterexample_demo, extract_filling,
                              extract_from_pair)
-from lrpairs.generic import (GroupElement, MatrixPair, act,
-                             check_equation_first, check_equation_second,
-                             check_equation_third, genericity_stats,
-                             reset_genericity_stats, verify_mu_generic)
+from lrpairs.generic import (GroupElement, act, check_equation_first,
+                             check_equation_second, check_equation_third,
+                             genericity_stats, reset_genericity_stats,
+                             verify_mu_generic)
 from lrpairs.matrix import (RMatrix, det, diag_from_partition,
                             invariant_partition, inverse, is_mu_admissible,
                             mat_mul, minor_order_table)
 from lrpairs.realize import random_filling, realize
 from lrpairs.ring import ZERO, RingElem
-from lrpairs.tableaux import (Partition, count_fillings, enumerate_fillings,
+from lrpairs.tableaux import (count_fillings, enumerate_fillings,
                               iter_partitions, random_partition,
                               validate_filling)
 

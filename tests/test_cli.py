@@ -15,7 +15,7 @@ from lrpairs.matrix import RMatrix
 from lrpairs.ring import RingElem
 from lrpairs.tableaux import MAX_SIZE, Filling
 
-from golden import FILLING, MU, golden_n
+from golden import FILLING, golden_n
 
 GOLDEN_FILLING_DOC = {"filling": [[4], [2, 4], [1, 1, 3], [1, 0, 1, 2]],
                      "mu": [7, 4, 2, 1]}
@@ -69,6 +69,21 @@ def test_realize_malformed_json_exits_2(tmp_path, capsys):
     bad.write_text("{not json", encoding="utf-8")
     assert main(["realize", "--in", str(bad)]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    b'{"mu": "\xff"}',                   # not UTF-8
+    b"[" * 2000 + b"]" * 2000,           # deeper than the parser recurses
+    b'{"mu": [' + b"1" * 4301 + b"]}",   # past CPython's int digit limit
+], ids=["not_utf8", "nested_2000", "int_4301_digits"])
+def test_unreadable_json_exits_2(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    for command in ("extract", "realize"):
+        assert main([command, "--in", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "lrpairs: input error" in err
+        assert "Traceback" not in err
 
 
 def test_realize_missing_keys_exits_2(tmp_path, capsys):

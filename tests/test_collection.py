@@ -1,11 +1,14 @@
-"""Every test module imports.
+"""Every test module imports, and every import is read.
 
 The tier-1 command runs pytest with ``--continue-on-collection-errors``, so
 a test module that no longer imports (say, one that still imports a name the
 package dropped) would vanish from the run without failing anything.  This
 test turns that into a failure.
+
+No module of the package or of the tests imports a name it never reads.
 """
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -24,3 +27,43 @@ def test_every_test_module_imports():
         except Exception as exc:
             failed[name] = f"{type(exc).__name__}: {exc}"
     assert failed == {}
+
+
+# The one import that no reader of its module needs, and why it stays.
+UNREAD_ALLOWED = {
+    # perfbench's tracer self-test pins it as a wrapped attribute of
+    # lrpairs.generic; ROADMAP item 3 deletes it once the tracer moves on
+    ("lrpairs.generic", "det"),
+}
+
+
+def _unread_imports(path):
+    """Names that ``path`` imports and never reads, outside its ``__all__``
+    and its ``__future__`` imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            imported.update((alias.asname or alias.name).split(".")[0]
+                            for alias in node.names if alias.name != "*")
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return imported - read
+
+
+def test_every_import_is_read():
+    tests = Path(__file__).parent
+    src = tests.parent / "src" / "lrpairs"
+    modules = [(path, "lrpairs." + path.stem) for path in src.glob("*.py")]
+    modules += [(path, path.stem) for path in tests.glob("*.py")]
+    assert len(modules) > 20
+    unread = {(module, name) for path, module in modules
+              for name in _unread_imports(path)}
+    assert unread == UNREAD_ALLOWED

@@ -5,17 +5,17 @@ import random
 import pytest
 
 from lrpairs.errors import GenericityError
-from lrpairs.extract import (_block_orders, _row_sums, counterexample_demo,
-                             extract_filling, extract_from_pair)
+from lrpairs.extract import counterexample_demo, extract_filling, extract_from_pair
 from lrpairs.generic import GroupElement, MatrixPair, act, verify_mu_generic
 from lrpairs.matrix import (RMatrix, diag_from_partition, mat_mul, minor_order,
                             minor_order_table)
 from lrpairs.realize import random_filling, realize
 from lrpairs.ring import ONE, ZERO
-from lrpairs.tableaux import Filling, Partition
+from lrpairs.tableaux import Filling, Partition, sequence_from_filling
 
-from checkoracle import corner_invariant_check
+from checkoracle import corner_invariant_check, row_sum_identities
 from golden import FILLING, KEPT_ORDERS, LAM, MU, NU, c, golden_m, golden_n, t
+from test_generic import _staircase_pair
 
 
 def golden_pair():
@@ -110,11 +110,11 @@ def test_extract_from_diagonal_pair():
 
 
 # ---------------------------------------------------------------------------
-# row-sum identities
+# row-sum identities, which extraction proves rather than checks
 
 
 def row_sum_check(filling, n):
-    return _row_sums(filling, _block_orders(minor_order_table(n), n.r))
+    return row_sum_identities(filling, minor_order_table(n))
 
 
 def test_row_sum_check_golden():
@@ -157,6 +157,23 @@ def test_extract_from_pair_roundtrips_random_fillings():
         res = extract_from_pair(realize(f, mu).pair(), rng)
         assert res.filling == f
         assert res.nu == nu and res.lam == lam
+
+
+def test_extract_from_pair_reads_nu_and_lam_off_the_certificate():
+    """What ``_read_filling`` proves from the certificate's corner checks:
+    the row-sum identities hold on its table, and the filling's content and
+    shape are its nu and lam.  On the golden pair, the staircase at
+    r = 3..6 and 40 random fillings."""
+    rng = random.Random(24)
+    pairs = [golden_pair()] + [_staircase_pair(r) for r in range(3, 7)]
+    pairs += [realize(f, mu).pair()
+              for f, mu, _, _ in (random_filling(rng) for _ in range(40))]
+    for pair in pairs:
+        res = extract_from_pair(pair, rng)
+        cert = res.certificate
+        assert row_sum_identities(res.filling, cert.minor_orders).ok
+        assert Partition(res.filling.content()) == cert.nu
+        assert sequence_from_filling(res.filling, cert.mu).stage(cert.n_star.r) == cert.lam
 
 
 def test_extract_from_pair_is_orbit_invariant():

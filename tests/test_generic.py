@@ -30,8 +30,7 @@ from lrpairs.tableaux import Filling, Partition
 
 import checkoracle
 from capcheck import assert_equation_cap_exact
-from golden import (FILLING, LAM, MU, NU, c, golden_m, golden_mn, golden_n,
-                    t)
+from golden import LAM, MU, NU, c, golden_m, golden_mn, golden_n, t
 from test_matrix import (ROW_DENOMINATORS, cleaning_unit_by_fractions, comparable,
                          uniform_caps)
 

@@ -16,8 +16,9 @@ def test_star_import():
 
 
 def test_retired_names_are_gone():
-    """The test oracles live in the tests, and row_sum_check is read only
-    through extract_from_pair."""
-    for name in ("invariant_partition_oracle", "corner_invariant_check", "row_sum_check"):
+    """The test oracles live in the tests, the row-sum identities among
+    them: extraction proves those rather than checks them."""
+    for name in ("invariant_partition_oracle", "corner_invariant_check",
+                 "row_sum_check", "row_sum_identities"):
         assert name not in lrpairs.__all__
         assert not hasattr(lrpairs, name)

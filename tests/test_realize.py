@@ -7,7 +7,7 @@ import pytest
 
 from lrpairs.errors import InputError
 from lrpairs.matrix import RMatrix, invariant_partition, mat_mul
-from lrpairs.realize import FactoredRealization, build_factor, random_filling, realize
+from lrpairs.realize import build_factor, random_filling, realize
 from lrpairs.ring import ONE, ZERO
 from lrpairs.tableaux import Filling, Partition, validate_filling
 
