@@ -50,13 +50,13 @@ from .errors import (GenericityError, InputError, PrincipalMinorError,
                      RankError, RetriesExhaustedError)
 # det is unused here but stays importable as lrpairs.generic.det, an import
 # site that perfbench's tracer self-test checks
-from .matrix import (RMatrix, _bareiss, _between, _clean, _clear_row,
-                     _lattice, _lu_grid, _mu_weights, _table_partition, det,
-                     has_unit_det, inverse, invariant_partition,
-                     is_mu_admissible, lu_decompose, mat_mul,
-                     minor_order_table, smith_transforms, times_inverse)
-from .ring import (_PONE, INFINITY, ONE, ZERO, RingElem, _padd, _pmul, _pshift,
-                   random_unit)
+from .matrix import (RMatrix, _bareiss, _between, _clean, _clear_by_lcm,
+                     _clear_row, _lattice, _lu_grid, _mu_weights, _smith_grid,
+                     _table_partition, det, has_unit_det, inverse,
+                     invariant_partition, is_mu_admissible, lu_decompose,
+                     mat_mul, minor_order_table, times_inverse)
+from .ring import (_PONE, INFINITY, ONE, ZERO, RingElem, _padd, _pdot, _pmul,
+                   _pshift, random_unit)
 from .tableaux import Partition, as_partition
 
 
@@ -281,28 +281,44 @@ def reset_genericity_stats():
 
 
 def diagonalize_first(pair: MatrixPair):
-    """Move the pair to (D_mu, Q N) with the group element used (T = I).
+    """Move the pair to (D_mu, Q N) with the group element used (T = I),
+    all of it from the one Smith pass on the first component
+    (``matrix._smith_grid``), which raises what ``invariant_partition`` of
+    it raises.
 
-    Rows of Q N are scaled clean (no denominators, integer coefficients with
-    unit content): the scaling diagonal commutes with D_mu, so folding it into
-    both P and Q keeps the first component exactly D_mu."""
+    Row k of the Smith Q is a grid row q_k over one denominator s_k, and N
+    is G / c over one common denominator c, so row k of Q N is the integer
+    polynomial row q_k G over s_k c.  ``_clean`` scales it clean (no
+    denominators, integer coefficients with unit content) by a unit
+    u_k = s_k c / w_k, and row k of P and of Q is the Smith row times u_k,
+    formed once over w_k.  The scaling diagonal commutes with D_mu, so the
+    first component stays exactly D_mu.  A first component that is D_mu
+    already keeps Q = I, and its rows of N are scaled alone."""
     r = pair.r
-    p, q, d = smith_transforms(pair.first)
-    n_input = mat_mul(q, pair.second)
-    units = []
-    rows = []
-    for row in n_input.entries:
-        cleaned, u = _clean(*_clear_row(row))
-        units.append(u)
-        rows.append(cleaned)
-    if any(u != ONE for u in units):
-        du = RMatrix([[units[i] if i == j else ZERO for j in range(r)]
-                      for i in range(r)])
-        n_input = RMatrix(rows)
-        p = mat_mul(du, p)
-        q = mat_mul(du, q)
-    out = MatrixPair(d, n_input)
-    return out, GroupElement(p, q, RMatrix.identity(r))
+    smith = _smith_grid(pair.first)
+    flat = [e for row in pair.second.entries for e in row]
+    nums, c = _clear_by_lcm(flat) or _clear_row(flat)
+    grid = [nums[i * r:(i + 1) * r] for i in range(r)]
+    if smith is None:
+        rows, units = zip(*(_clean(row, c) for row in grid))
+        du = RMatrix.diagonal([RingElem(c, w) for w in units])
+        return MatrixPair(pair.first, RMatrix(rows)), GroupElement(du, du, RMatrix.identity(r))
+    rows, cols = smith
+    p, q, n_rows, diag = [], [], [], []
+    for k, (row, den, a) in enumerate(rows):
+        g_cols = zip(*(grid[cols[j]] for j in range(k, r)))
+        cleaned, w = _clean([_pdot(row[k:r], col) for col in g_cols],
+                            _pshift(_pmul(den, c), a))
+        n_rows.append(cleaned)
+        q_row = [ZERO] * r
+        for j in range(k, r):
+            q_row[cols[j]] = RingElem(_pmul(row[j], c), w)
+        q.append(q_row)
+        c_a = _pshift(c, a)
+        p.append([RingElem(_pmul(e, c_a), w) for e in row[r:]])
+        diag.append(RingElem.t_pow(a))
+    out = MatrixPair(RMatrix.diagonal(diag[::-1]), RMatrix(n_rows[::-1]))
+    return out, GroupElement(RMatrix(p[::-1]), RMatrix(q[::-1]), RMatrix.identity(r))
 
 
 def triangularize_right(a: RMatrix):
@@ -664,8 +680,14 @@ def to_mu_generic(pair: MatrixPair, rng, max_retries: int = 20) -> MuGenericCert
     RetriesExhaustedError after max_retries failed attempts, with the last
     attempt's failed checks, those of the first stage that failed.
     """
-    mu, nu, lam = pair.invariants()
+    # the Smith pass raises what invariant_partition(first) raises, so bad
+    # input fails as it did when mu was computed first; nu and lam still
+    # come from the input pair, and the stage-2 checks compare with them
     diagonal_pair, g_diag = diagonalize_first(pair)
+    d_mu = diagonal_pair.first
+    mu = Partition(tuple(d_mu.entry(i, i).valuation() for i in range(1, pair.r + 1)))
+    nu = invariant_partition(pair.second)
+    lam = invariant_partition(pair.product())
 
     last_failure = ""
     for attempt in range(1, max_retries + 1):

@@ -8,9 +8,12 @@ The order of a minor is the valuation of its exact determinant, +infinity
 when the minor vanishes.
 
 Products stay fraction-free as far as their operands allow: ``mat_mul``
-sums the numerator products of an entry's terms as integer polynomials, one
-sum per pair of denominators, and reduces each sum once, so a product of
-polynomial matrices takes no gcd at all.
+sums the numerator products of an entry's terms as integer polynomials.
+Where a row of a and a column of b have only integer denominators, as the
+orbit's scrambling leaves them, each is scaled once by its lcm and the
+entry takes one integer gcd; elsewhere there is one sum per pair of
+denominators, each reduced once.  A product of polynomial matrices takes no
+gcd at all.
 
 Determinants are computed exactly: rows are first scaled by their
 denominators so the work happens on polynomials, then fraction-free Bareiss
@@ -23,10 +26,15 @@ the invariant partition: with the pivot of minimal order in the whole
 trailing block, its trailing entries are the field elimination's Schur
 complement times the previous pivot, so it picks the field reduction's
 pivots and the differences of their orders are the invariant orders.  The
-same pass on [m | I] gives the Smith transforms (``smith_transforms``).
-One pivot search, ``_min_order_pivot``, serves both, and no elimination
-divides in the field.  ``_clean`` scales a vector given over one
-denominator clean by a unit, through gcds with that denominator.
+same pass on [m | I], ``_smith_grid``, gives the Smith transforms
+(``smith_transforms``) and, read off it directly, the reduction's
+diagonalization of a pair (``generic.diagonalize_first``).  One pivot
+search, ``_min_order_pivot``, serves the invariant partition and the Smith
+pass, and no elimination divides in the field.  ``_clean`` scales a vector
+given over one denominator clean by a unit, through gcds with that
+denominator, and returns the divisor w it leaves, the unit being the
+denominator over w, so other rows scaled by the same unit take one
+reduction per entry.
 Whether a determinant is a unit is read in the residue field instead
 (``has_unit_det``), which needs only the constant terms.
 ``minor_order_table`` batches every (I, J) minor order of a matrix through a
@@ -59,7 +67,7 @@ from typing import NamedTuple
 
 from .errors import InputError, NotInRingError, PrincipalMinorError, RankError
 from .ring import (_PONE, INFINITY, ONE, ZERO, RingElem, _padd, _pcontent,
-                   _pdivexact_int, _pgcd_cof, _pmul, _pscale, _pshift)
+                   _pdivexact_int, _pdot, _pgcd_cof, _pmul, _pscale, _pshift)
 from .tableaux import MAX_SIZE, Partition, as_partition
 
 
@@ -183,52 +191,88 @@ def _coerce_entry(e) -> RingElem:
 def mat_mul(a: RMatrix, b: RMatrix) -> RMatrix:
     """Exact product a b, fraction-free per entry.
 
-    The terms x_ik y_kj of an entry are grouped by their denominator pair
-    (den x, den y); a group's numerator products num x num y are summed as
-    integer polynomials and become one element, reduced once, or built raw
-    when both denominators are 1.  The groups are then added in the ring.
-    A polynomial product therefore costs one dict accumulation per entry;
-    a group of one term with a denominator keeps the cross-cancelling ring
-    product x * y."""
+    Where every denominator of a's row and of b's column is an integer (a
+    polynomial entry's is 1), each side is scaled once by the lcm of its
+    denominators (``_clear_by_lcm``), the entry's numerator products are
+    summed as integer polynomials, and the sum is reduced by one integer gcd
+    against the product of the two lcms; a polynomial product takes none.
+    An entry whose row or column has a polynomial denominator groups its
+    terms by denominator pair instead (``_grouped_entry``)."""
     if a.r != b.r:
         raise InputError(f"size mismatch in product: {a.r} vs {b.r}")
     cols = list(zip(*b.entries))
+    cleared_cols = [_clear_by_lcm(col) for col in cols]
     rows = []
     for arow in a.entries:
+        cleared_row = _clear_by_lcm(arow)
         out = []
-        for bcol in cols:
-            groups = []  # [den x, den y, terms (x, y)]
-            for x, y in zip(arow, bcol):
-                if not x.num or not y.num:
-                    continue
-                xd, yd = x.den, y.den
-                for g in groups:
-                    if (g[0] is xd or g[0] == xd) and (g[1] is yd or g[1] == yd):
-                        g[2].append((x, y))
-                        break
-                else:
-                    groups.append([xd, yd, [(x, y)]])
-            total = ZERO
-            for xd, yd, terms in groups:
-                polynomial = xd is _PONE and yd is _PONE
-                if len(terms) == 1 and not polynomial:
-                    e = terms[0][0] * terms[0][1]
-                else:
-                    acc = {}
-                    for x, y in terms:
-                        for d1, c1 in x.num.items():
-                            for d2, c2 in y.num.items():
-                                d = d1 + d2
-                                acc[d] = acc.get(d, 0) + c1 * c2
-                    num = {d: c for d, c in acc.items() if c}
-                    if not num:
-                        continue
-                    e = (RingElem(num, _PONE, _raw=True) if polynomial
-                         else RingElem(num, _pmul(xd, yd)))
-                total = e if total is ZERO else total + e
-            out.append(total)
+        for bcol, cleared_col in zip(cols, cleared_cols):
+            if cleared_row is None or cleared_col is None:
+                out.append(_grouped_entry(arow, bcol))
+                continue
+            num = _pdot(cleared_row[0], cleared_col[0])
+            if not num:
+                out.append(ZERO)
+                continue
+            den = cleared_row[1][0] * cleared_col[1][0]
+            if den != 1:
+                g = _pcontent(num, den)
+                if g != 1:
+                    num = {d: c // g for d, c in num.items()}
+                    den //= g
+            out.append(RingElem(num, _PONE if den == 1 else {0: den}, _raw=True))
         rows.append(out)
     return RMatrix(rows)
+
+
+def _clear_by_lcm(entries):
+    """(nums, c) as ``_clear_row`` gives them, with c the lcm of the
+    entries' denominators, when each of those is an integer; None when one
+    is a polynomial."""
+    lcm = 1
+    for e in entries:
+        den = e.den
+        if den is not _PONE:
+            if len(den) > 1 or 0 not in den:
+                return None
+            lcm = lcm * den[0] // igcd(lcm, den[0])
+    if lcm == 1:
+        return [e.num for e in entries], _PONE
+    return ([_pscale(e.num, lcm if e.den is _PONE else lcm // e.den[0]) for e in entries],
+            {0: lcm})
+
+
+def _grouped_entry(arow, bcol) -> RingElem:
+    """The entry sum of x_k y_k, its terms grouped by their denominator pair
+    (den x, den y); a group's numerator products num x num y are summed as
+    integer polynomials and become one element, reduced once, or built raw
+    when both denominators are 1.  The groups are then added in the ring; a
+    group of one term with a denominator keeps the cross-cancelling ring
+    product x * y."""
+    groups = []  # [den x, den y, terms (x, y)]
+    for x, y in zip(arow, bcol):
+        if not x.num or not y.num:
+            continue
+        xd, yd = x.den, y.den
+        for g in groups:
+            if (g[0] is xd or g[0] == xd) and (g[1] is yd or g[1] == yd):
+                g[2].append((x, y))
+                break
+        else:
+            groups.append([xd, yd, [(x, y)]])
+    total = ZERO
+    for xd, yd, terms in groups:
+        polynomial = xd is _PONE and yd is _PONE
+        if len(terms) == 1 and not polynomial:
+            e = terms[0][0] * terms[0][1]
+        else:
+            num = _pdot([x.num for x, _ in terms], [y.num for _, y in terms])
+            if not num:
+                continue
+            e = (RingElem(num, _PONE, _raw=True) if polynomial
+                 else RingElem(num, _pmul(xd, yd)))
+        total = e if total is ZERO else total + e
+    return total
 
 
 def diag_from_partition(mu, r: int) -> RMatrix:
@@ -298,14 +342,14 @@ def _row_to_int(polys):
 
 
 def _clean(nums, den):
-    """(entries, unit): the n / den for integer polynomials n in nums,
-    scaled clean by a unit of the ring, and that unit.
+    """(entries, w): the n / den for integer polynomials n in nums, scaled
+    clean by the unit den / w of the ring, so the entries are the n / w.
 
     h = gcd(den, nums) is folded with ``_pgcd_cof`` until it is 1; k is the
-    content of the n / h, signed as the leading coefficient of den / h.  The
-    entries are the integer polynomials n / (h k), over t^v if den / h has
-    the factor t^v (only an entry of negative order gives v > 0), and the
-    unit is den / (h k t^v)."""
+    content of the n / h, signed as the leading coefficient of den / h, and
+    t^v is the power of t in den / h (only an entry of negative order gives
+    v > 0).  w = h k t^v: the entries are the integer polynomials n / (h k),
+    over t^v when v > 0."""
     h = den
     for n in nums:
         if h is _PONE:
@@ -327,7 +371,8 @@ def _clean(nums, den):
         entries = [RingElem(n, {v: 1}) for n in nums]
     else:
         entries = [RingElem(n, _PONE, _raw=True) if n else ZERO for n in nums]
-    return entries, RingElem(den, {v: g or 1})
+    w = {v: g or 1}
+    return entries, w if h is _PONE else _pmul(h, w)
 
 
 def _bareiss(a, find):
@@ -796,31 +841,22 @@ def _is_exact_power_diagonal_decreasing(m: RMatrix) -> bool:
     return True
 
 
-def smith_transforms(m: RMatrix):
-    """Invertible P, Q over the valuation ring with P @ m = D @ Q, where D is
-    the diagonal of decreasing t-powers carrying the invariant partition.
+def _smith_grid(m: RMatrix):
+    """The one ``_bareiss`` pass behind ``smith_transforms``, or None when m
+    is already a diagonal of decreasing t-powers.
 
-    Returns (P, Q, D) with D = diag_from_partition(invariant_partition(m)).
-    A matrix that is already such a diagonal returns identity transforms.
-    Otherwise this is one ``_bareiss`` pass on the rows of [m | I], each
-    cleared by a scale c_k of order 0 (m is over the ring), with
-    ``invariant_partition``'s pivot; the scales follow their rows and the
-    column swaps are recorded.  With p_(-1) = 1 and a_k = ord p_k -
-    ord p_(k-1), row k of P is the grid's right block over p_(k-1) c_k,
-    which is L^-1 Pi of the field elimination with that pivot, and row k of
-    Q is the left block over p_(k-1) c_k t^(a_k), its columns >= k moved
-    back to their places and the rest 0; D = diag(t^(a_k)), and all three
-    are then reversed to decreasing order.  Q is the field reduction's,
-    which divides row k by its pivot's unit part and shears the other
-    columns off it: those column operations touch only row k, so the
-    trailing block is plain elimination and Q = D^-1 P m is fixed by P.
-    Entries are reduced once, and no ring division happens.
-    """
+    The rows of [m | I] are each cleared by a scale c_k of order 0 (m is
+    over the ring) and eliminated with ``invariant_partition``'s pivot; the
+    scales follow their rows and the column swaps are recorded.  Returns
+    (rows, cols): rows[k] = (grid row k, p_(k-1) c_k, a_k) with p_(-1) = 1
+    and a_k = ord p_k - ord p_(k-1), the k-th invariant order in increasing
+    order, and cols[j] the column of m moved to position j.  A matrix that
+    is not over the ring or not of full rank raises as
+    ``invariant_partition`` does."""
     _require_over_ring(m, "matrix")
-    r = m.r
     if _is_exact_power_diagonal_decreasing(m):
-        eye = RMatrix.identity(r)
-        return eye, eye, m
+        return None
+    r = m.r
     grid, scales = map(list, zip(*(
         _clear_row(row + tuple(ONE if i == j else ZERO for j in range(r)))
         for i, row in enumerate(m.entries))))
@@ -837,11 +873,39 @@ def smith_transforms(m: RMatrix):
     pivots, _ = _bareiss(grid, pivot)
     if len(pivots) < r:
         raise RankError("matrix is rank deficient")
-    p, q, d = [], [], []
+    rows = []
     prev = _PONE
-    for k, (row, c, piv) in enumerate(zip(grid, scales, pivots)):
-        a = min(piv) - min(prev)
-        den = _pmul(prev, c)
+    for row, c, piv in zip(grid, scales, pivots):
+        rows.append((row, _pmul(prev, c), min(piv) - min(prev)))
+        prev = piv
+    return rows, cols
+
+
+def smith_transforms(m: RMatrix):
+    """Invertible P, Q over the valuation ring with P @ m = D @ Q, where D is
+    the diagonal of decreasing t-powers carrying the invariant partition.
+
+    Returns (P, Q, D) with D = diag_from_partition(invariant_partition(m)).
+    A matrix that is already such a diagonal returns identity transforms.
+    Otherwise all three are read off ``_smith_grid``'s rows: row k of P is
+    the grid's right block over p_(k-1) c_k, which is L^-1 Pi of the field
+    elimination with that pivot, and row k of Q is the left block over
+    p_(k-1) c_k t^(a_k), its columns >= k moved back to their places and
+    the rest 0; D = diag(t^(a_k)), and all three are then reversed to
+    decreasing order.  Q is the field reduction's, which divides row k by
+    its pivot's unit part and shears the other columns off it: those column
+    operations touch only row k, so the trailing block is plain elimination
+    and Q = D^-1 P m is fixed by P.  Entries are reduced once, and no ring
+    division happens.
+    """
+    smith = _smith_grid(m)
+    if smith is None:
+        eye = RMatrix.identity(m.r)
+        return eye, eye, m
+    rows, cols = smith
+    r = m.r
+    p, q, d = [], [], []
+    for k, (row, den, a) in enumerate(rows):
         p.append([RingElem(e, den) for e in row[r:]])
         den = _pshift(den, a)
         q_row = [ZERO] * r
@@ -849,7 +913,6 @@ def smith_transforms(m: RMatrix):
             q_row[cols[j]] = RingElem(row[j], den)
         q.append(q_row)
         d.append(RingElem.t_pow(a))
-        prev = piv
     return RMatrix(p[::-1]), RMatrix(q[::-1]), RMatrix.diagonal(d[::-1])
 
 

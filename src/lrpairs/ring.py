@@ -65,6 +65,19 @@ def _pmul(a, b):
     return out
 
 
+def _pdot(xs, ys):
+    """The sum of the products x y over the paired integer polynomials of xs
+    and ys, accumulated once and built without its zero terms."""
+    acc = {}
+    for x, y in zip(xs, ys):
+        if x and y:
+            for d1, c1 in x.items():
+                for d2, c2 in y.items():
+                    d = d1 + d2
+                    acc[d] = acc.get(d, 0) + c1 * c2
+    return {d: c for d, c in acc.items() if c}
+
+
 def _pscale(a, c):
     if not c:
         return {}

@@ -14,15 +14,21 @@ by diagonal reduction: the second routes of acceptance criteria 5 and 4.
 The row-sum identities that tie a filling's partial sums to the
 right-justified minor orders, which ``lrpairs.extract._read_filling`` proves
 by telescoping instead of checking them.
+
+The diagonalization of a pair's first component by separate steps: the
+Smith transforms, the product Q N, each of its rows scaled clean on its
+own, and the units multiplied onto P and Q as a diagonal matrix.
+``lrpairs.generic.diagonalize_first`` reads all of it off one Smith pass.
 """
 
 from lrpairs.errors import RankError
-from lrpairs.generic import CheckResult, VerificationReport, _corner_checks
-from lrpairs.matrix import (RMatrix, _between, _lattice, _mu_weights,
-                            _require_over_ring, _table_partition,
+from lrpairs.generic import (CheckResult, GroupElement, MatrixPair,
+                             VerificationReport, _corner_checks)
+from lrpairs.matrix import (RMatrix, _between, _clean, _clear_row, _lattice,
+                            _mu_weights, _require_over_ring, _table_partition,
                             diag_from_partition, invariant_partition, mat_mul,
-                            minor_order, minor_order_table)
-from lrpairs.ring import INFINITY
+                            minor_order, minor_order_table, smith_transforms)
+from lrpairs.ring import INFINITY, RingElem
 from lrpairs.tableaux import Partition, as_partition
 
 
@@ -163,3 +169,20 @@ def row_sum_identities(filling, table) -> VerificationReport:
         CheckResult("block_sum_identity", not block_fail, block_fail),
         CheckResult("row_prefix_identity", not prefix_fail, prefix_fail),
     ))
+
+
+def diagonalize_first_oracle(pair: MatrixPair):
+    """(pair, group element) as ``diagonalize_first`` returns them, by
+    separate steps: (P, Q, D) from ``smith_transforms``, Q N by
+    ``mat_mul``, each row of Q N cleared and scaled clean on its own by a
+    unit u_k, and P and Q multiplied on the left by diag(u)."""
+    p, q, d = smith_transforms(pair.first)
+    rows, units = [], []
+    for row in mat_mul(q, pair.second).entries:
+        nums, den = _clear_row(row)
+        cleaned, w = _clean(nums, den)
+        rows.append(cleaned)
+        units.append(RingElem(den, w))
+    du = RMatrix.diagonal(units)
+    return (MatrixPair(d, RMatrix(rows)),
+            GroupElement(mat_mul(du, p), mat_mul(du, q), RMatrix.identity(pair.r)))

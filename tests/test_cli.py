@@ -257,6 +257,24 @@ def test_extract_rejects_negative_order_entry(tmp_path, capsys, component):
     assert "non-negative order" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("component, first", [
+    ("first", "eye"), ("second", "eye"), ("second", "shear")])
+def test_extract_rejects_singular_component(tmp_path, capsys, component, first):
+    """A singular component exits 2 as rank deficient, the second one also
+    behind a first component that must be diagonalized."""
+    one = {"num": [["1", 0]]}
+    zero = {"num": []}
+    t_ = {"num": [["1", 1]]}
+    eye = {"r": 2, "entries": [[one, zero], [zero, one]]}
+    shear = {"r": 2, "entries": [[t_, one], [zero, one]]}
+    doc = {"first": {"eye": eye, "shear": shear}[first], "second": eye}
+    doc[component] = {"r": 2, "entries": [[one, t_], [one, t_]]}
+    infile = write_json(tmp_path / "pair.json", doc)
+    assert main(["extract", "--in", infile]) == 2
+    err = capsys.readouterr().err
+    assert "rank deficient" in err and "Traceback" not in err
+
+
 def test_extract_has_no_verify_option(tmp_path, capsys):
     infile = write_json(tmp_path / "in.json", GOLDEN_FILLING_DOC)
     assert main(["extract", "--in", infile, "--verify", "full"]) == 2

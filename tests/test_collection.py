@@ -6,10 +6,15 @@ package dropped) would vanish from the run without failing anything.  This
 test turns that into a failure.
 
 No module of the package or of the tests imports a name it never reads.
+
+The package imports nothing outside the standard library and itself, as
+``pyproject.toml`` declares with ``dependencies = []``: numpy or sympy may be
+installed where the tests run, so an import of either would pass unseen.
 """
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +72,20 @@ def test_every_import_is_read():
     unread = {(module, name) for path, module in modules
               for name in _unread_imports(path)}
     assert unread == UNREAD_ALLOWED
+
+
+def test_package_imports_only_the_standard_library():
+    src = Path(__file__).parent.parent / "src" / "lrpairs"
+    outside = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:  # a relative import is the package itself
+                continue
+            outside.update((path.name, root) for root in roots
+                           if root not in sys.stdlib_module_names and root != "lrpairs")
+    assert len(list(src.glob("*.py"))) > 5
+    assert outside == set()

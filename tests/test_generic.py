@@ -195,6 +195,67 @@ def test_diagonalize_first_random_replay():
         assert out.invariants() == (MU, NU, LAM)
 
 
+# Diagonals of the scrambling factors: units of the ring whose inverses have
+# integer denominators, or, in the second tuple, polynomial ones as well.
+INTEGER_UNITS = (ONE, -ONE, c(2), c(3))
+POLYNOMIAL_UNITS = INTEGER_UNITS + (ONE + t(1), c(2) - c(3) * t(1))
+
+
+def diagonalization_pair(kind, rng):
+    """A realized pair of size r <= 4, whose first component is already
+    D_mu, or for kind "integer" or "polynomial" that pair scrambled by a
+    group element of unit triangular products whose diagonals are drawn
+    from ``INTEGER_UNITS`` or ``POLYNOMIAL_UNITS``."""
+    f, mu, _, _ = random_filling(rng, r_max=4, part_max=3)
+    pair = realize(f, mu).pair()
+    if kind == "realized":
+        return pair
+    units = INTEGER_UNITS if kind == "integer" else POLYNOMIAL_UNITS
+
+    def factor(lower):
+        return RMatrix([[rng.choice(units) if i == j
+                         else c(rng.randint(-3, 3)) * t(rng.randint(0, 2))
+                         if (i > j) == lower else ZERO
+                         for j in range(pair.r)] for i in range(pair.r)])
+
+    return act(GroupElement(*(mat_mul(factor(True), factor(False))
+                              for _ in range(3))), pair)
+
+
+def denominator_kinds(pair):
+    return {"integer" if max(e.den) == 0 else "polynomial"
+            for m in (pair.first, pair.second) for row in m.entries
+            for e in row if e.den != ONE.den}
+
+
+def test_diagonalization_pairs_have_their_denominators():
+    rng = random.Random(13)
+    seen = {kind: set() for kind in ("realized", "integer", "polynomial")}
+    for _ in range(10):
+        for kind in seen:
+            seen[kind] |= denominator_kinds(diagonalization_pair(kind, rng))
+    assert seen == {"realized": set(), "integer": {"integer"},
+                    "polynomial": {"integer", "polynomial"}}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("realized", "integer", "polynomial")), st.integers(0, 2 ** 32))
+def test_diagonalize_first_matches_separate_steps(kind, seed):
+    """The one-pass diagonalization equals the Smith transforms, the
+    product Q N and the row-by-row cleaning entry for entry, for the pair
+    and for the group element, and its D carries inv(first); a realized
+    pair keeps its first component."""
+    pair = diagonalization_pair(kind, random.Random(seed))
+    out, g = diagonalize_first(pair)
+    want, want_g = checkoracle.diagonalize_first_oracle(pair)
+    assert (out.first, out.second) == (want.first, want.second)
+    assert (g.p, g.q, g.t) == (want_g.p, want_g.q, want_g.t)
+    orders = tuple(out.first.entry(i, i).valuation() for i in range(1, pair.r + 1))
+    assert Partition(orders) == invariant_partition(pair.first)
+    if kind == "realized":
+        assert out.first is pair.first
+
+
 # ---------------------------------------------------------------------------
 # right triangularization
 

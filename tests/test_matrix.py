@@ -107,12 +107,17 @@ def mat_mul_by_terms(a, b):
 @st.composite
 def product_operands(draw):
     """(a, b) with no denominators, one shared denominator per row of a or
-    per column of b, or denominators drawn per entry; +-1 coefficients on
-    low degrees make terms cancel, and some rows of a and columns of b are
-    zero."""
+    per column of b, denominators drawn per entry, integer denominators
+    drawn per entry, or rows of a and columns of b that each hold one
+    polynomial denominator among integer ones, or only integer ones; +-1
+    coefficients on low degrees make terms cancel, and some rows of a and
+    columns of b are zero.  Even numerators over the integer denominators
+    2, 4 and 6 leave lcms that the summed numerators' content cancels."""
     r = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(("none", "row", "column", "mixed")))
+    kind = draw(st.sampled_from(("none", "row", "column", "mixed", "integer",
+                                 "integer_and_polynomial")))
     dens = [ONE + c(k) * t(1) for k in (1, -2, 3)] + [c(2), c(3) + t(2)]
+    integers = st.sampled_from((ONE, c(2), c(3), c(4), c(6)))
 
     def poly():
         terms = draw(st.lists(st.tuples(st.sampled_from((1, -1, 2)),
@@ -130,6 +135,14 @@ def product_operands(draw):
         elif kind == "mixed":
             rows = [[e / draw(st.sampled_from(dens + [ONE])) for e in row]
                     for row in rows]
+        elif kind == "integer":
+            rows = [[e * draw(st.sampled_from((ONE, c(2)))) / draw(integers)
+                     for e in row] for row in rows]
+        elif kind == "integer_and_polynomial":
+            for row in rows:
+                odd = draw(st.integers(0, r)) if r > 1 else r  # r: integers only
+                row[:] = [e / (draw(st.sampled_from(dens[:3])) if k == odd
+                               else draw(integers)) for k, e in enumerate(row)]
         return RMatrix(rows)
 
     a = grid(kind == "row")
@@ -137,7 +150,7 @@ def product_operands(draw):
     return a, b
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(product_operands())
 def test_mat_mul_agrees_with_termwise_sum(ab):
     a, b = ab
@@ -156,6 +169,24 @@ def test_mat_mul_cancelling_terms():
     assert got.entry(1, 1) == got.entry(2, 1) == got.entry(2, 3) == ZERO
     assert got.entry(1, 2) == ONE - ONE / t(1)
     assert got.entries[2] == (ZERO,) * 3
+
+
+def test_mat_mul_integer_denominators_reduce_once():
+    """Rows and columns over integer denominators: the numerators scaled by
+    the lcms 4 and 3 sum to 2 + 2 t over 12 at (1, 1), whose content 2
+    leaves (1 + t) / 6, and to 6 over 4 at (1, 2), which leaves 3 / 2.
+    Where the content cancels the lcm whole, the entry is a polynomial with
+    the shared denominator 1.  Row 2 has a polynomial denominator and
+    groups its terms."""
+    u = ONE + t(1)
+    a = RMatrix([[ONE / c(2), ONE / c(4)], [ONE / c(6), ONE / u]])
+    b = RMatrix([[ONE / c(3), c(2)], [c(2) * t(1) / c(3), c(2)]])
+    got = mat_mul(a, b)
+    assert got == mat_mul_by_terms(a, b)
+    assert got.entry(1, 1) == (ONE + t(1)) / c(6)
+    assert got.entry(1, 2) == c(3) / c(2)
+    assert mat_mul(RMatrix([[ONE / c(2), ONE / c(2)], [ZERO, ZERO]]),
+                   RMatrix([[ONE, ZERO], [ONE, ZERO]])).entry(1, 1).den is ONE.den
 
 
 def test_transpose_and_predicates():
@@ -700,9 +731,10 @@ def clean_vectors(draw):
 @given(clean_vectors())
 def test_clean_agrees_with_cleaning_unit(elems):
     u = cleaning_unit_by_fractions(elems)
-    entries, unit = _clean(*_clear_row(elems))
-    assert unit == u
-    assert entries == [e * u for e in elems]
+    nums, den = _clear_row(elems)
+    entries, w = _clean(nums, den)
+    assert RingElem(den, w) == u
+    assert entries == [e * u for e in elems] == [RingElem(n, w) for n in nums]
 
 
 @pytest.mark.parametrize("nums, den", [
@@ -719,9 +751,10 @@ def test_clean_over_a_raw_denominator(nums, den):
     with a negative leading coefficient or a factor t."""
     elems = [RingElem(n, den) for n in nums]
     u = cleaning_unit_by_fractions(elems)
-    entries, unit = _clean(nums, den)
+    entries, w = _clean(nums, den)
+    unit = RingElem(den, w)
     assert unit == u
-    assert entries == [e * u for e in elems]
+    assert entries == [e * u for e in elems] == [RingElem(n, w) for n in nums]
     assert unit.valuation() == 0
 
 
