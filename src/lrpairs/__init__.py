@@ -12,9 +12,8 @@ from .errors import (GenericityError, InputError, LRPairsError, NotInRingError,
                      VerificationError)
 from .ring import INFINITY, ONE, T, ZERO, RingElem, random_unit, residue, valuation
 from .matrix import (RMatrix, det, diag_from_partition, invariant_partition,
-                     inverse, is_mu_admissible, lu_decompose, mat_mul, minor,
-                     minor_order, minor_order_table, smith_transforms,
-                     times_inverse)
+                     inverse, is_mu_admissible, lu_decompose, mat_mul,
+                     minor_order_table, times_inverse)
 from .tableaux import (Filling, FillingReport, LRSequence, Partition,
                        as_partition, count_fillings, enumerate_fillings,
                        iter_partitions, random_partition,
@@ -36,8 +35,8 @@ __all__ = [
     "INFINITY", "ONE", "T", "ZERO", "RingElem", "random_unit", "residue",
     "valuation",
     "RMatrix", "det", "diag_from_partition", "invariant_partition",
-    "inverse", "is_mu_admissible", "lu_decompose", "mat_mul", "minor",
-    "minor_order", "minor_order_table", "smith_transforms", "times_inverse",
+    "inverse", "is_mu_admissible", "lu_decompose", "mat_mul",
+    "minor_order_table", "times_inverse",
     "Filling", "FillingReport", "LRSequence", "Partition", "as_partition",
     "count_fillings", "enumerate_fillings", "iter_partitions",
     "random_partition", "sequence_from_filling", "validate_filling",

@@ -29,7 +29,7 @@ from .extract import counterexample_demo, extract_from_pair
 from .generic import MatrixPair, genericity_stats, reset_genericity_stats
 from .matrix import RMatrix
 from .realize import random_filling, realize
-from .ring import INFINITY
+from .ring import INFINITY, MAX_DEGREE
 from .tableaux import MAX_SIZE, Filling, Partition, count_fillings
 
 
@@ -162,7 +162,15 @@ def cmd_realize(args) -> int:
         raise InputError("realize input must be an object with 'filling' and 'mu'")
     filling = _load_filling(data["filling"])
     mu = Partition.from_json(data["mu"])
-    real = realize(filling, mu)
+    # extract reads no degree above MAX_DEGREE, so realize writes none: M's
+    # largest is mu_1 and a factor's the largest filling entry, bounded
+    # before any work, and N's is read off the product
+    top = max(mu.part(1), max((k for row in filling.rows for k in row), default=0))
+    if top <= MAX_DEGREE:
+        real = realize(filling, mu)
+        top = max((d for row in real.n.entries for e in row for d in e.num), default=0)
+    if top > MAX_DEGREE:
+        raise InputError(f"realize would write degree {top}, above the limit {MAX_DEGREE}")
     doc = real.to_json()
     doc["seed"] = args.seed
     doc["verified"] = True

@@ -50,8 +50,8 @@ from .errors import (GenericityError, InputError, PrincipalMinorError,
                      RankError, RetriesExhaustedError)
 # det is unused here but stays importable as lrpairs.generic.det, an import
 # site that perfbench's tracer self-test checks
-from .matrix import (RMatrix, _bareiss, _between, _clean, _clear_by_lcm,
-                     _clear_row, _lattice, _lu_grid, _mu_weights, _smith_grid,
+from .matrix import (RMatrix, _bareiss, _between, _clean, _clear_row,
+                     _lattice, _lu_grid, _mu_weights, _smith_grid,
                      _table_partition, det, has_unit_det, inverse,
                      invariant_partition, is_mu_admissible, lu_decompose,
                      mat_mul, minor_order_table, times_inverse)
@@ -287,17 +287,18 @@ def diagonalize_first(pair: MatrixPair):
     it raises.
 
     Row k of the Smith Q is a grid row q_k over one denominator s_k, and N
-    is G / c over one common denominator c, so row k of Q N is the integer
-    polynomial row q_k G over s_k c.  ``_clean`` scales it clean (no
-    denominators, integer coefficients with unit content) by a unit
-    u_k = s_k c / w_k, and row k of P and of Q is the Smith row times u_k,
-    formed once over w_k.  The scaling diagonal commutes with D_mu, so the
+    is G / c over one common denominator c, from one ``_clear_row`` of N's
+    entries (their lcm when every one is an integer), so row k of Q N is
+    the integer polynomial row q_k G over s_k c.  ``_clean`` scales it
+    clean (no denominators, integer coefficients with unit content) by a
+    unit u_k = s_k c / w_k, and row k of P and of Q is the Smith row times
+    u_k, formed once over w_k.  The scaling diagonal commutes with D_mu, so the
     first component stays exactly D_mu.  A first component that is D_mu
     already keeps Q = I, and its rows of N are scaled alone."""
     r = pair.r
     smith = _smith_grid(pair.first)
     flat = [e for row in pair.second.entries for e in row]
-    nums, c = _clear_by_lcm(flat) or _clear_row(flat)
+    nums, c = _clear_row(flat)
     grid = [nums[i * r:(i + 1) * r] for i in range(r)]
     if smith is None:
         rows, units = zip(*(_clean(row, c) for row in grid))

@@ -7,34 +7,34 @@ partial order I <= H compares componentwise (i_s <= h_s for every position).
 The order of a minor is the valuation of its exact determinant, +infinity
 when the minor vanishes.
 
-Products stay fraction-free as far as their operands allow: ``mat_mul``
-sums the numerator products of an entry's terms as integer polynomials.
-Where a row of a and a column of b have only integer denominators, as the
-orbit's scrambling leaves them, each is scaled once by its lcm and the
-entry takes one integer gcd; elsewhere there is one sum per pair of
-denominators, each reduced once.  A product of polynomial matrices takes no
-gcd at all.
+Every row or column is cleared into integer polynomials by one rule,
+``_clear_row``: by the lcm of its denominators when each is an integer,
+else by the product of the distinct ones.  Products stay fraction-free as
+far as their operands allow: ``mat_mul`` sums the numerator products of an
+entry's terms as integer polynomials.  Where a row of a and a column of b
+clear by integers, as the orbit's scrambling leaves them, the entry takes
+one integer gcd; elsewhere there is one sum per pair of denominators, each
+reduced once.  A product of polynomial matrices takes no gcd at all.
 
-Determinants are computed exactly: rows are first scaled by their
-denominators so the work happens on polynomials, then fraction-free Bareiss
-elimination runs at every size.  Every exact minor comes from this one
-engine, ``_bareiss``, which also runs on rectangular grids.  It gives the LU
-grid, one pass without pivoting (``_lu_grid``), which the reduction reads as
-it is and ``lu_decompose`` turns into factors, the right triangularization of
-the reduction (``generic.triangularize_right``, on a transposed stack), and
-the invariant partition: with the pivot of minimal order in the whole
-trailing block, its trailing entries are the field elimination's Schur
-complement times the previous pivot, so it picks the field reduction's
-pivots and the differences of their orders are the invariant orders.  The
-same pass on [m | I], ``_smith_grid``, gives the Smith transforms
-(``smith_transforms``) and, read off it directly, the reduction's
-diagonalization of a pair (``generic.diagonalize_first``).  One pivot
-search, ``_min_order_pivot``, serves the invariant partition and the Smith
-pass, and no elimination divides in the field.  ``_clean`` scales a vector
-given over one denominator clean by a unit, through gcds with that
-denominator, and returns the divisor w it leaves, the unit being the
-denominator over w, so other rows scaled by the same unit take one
-reduction per entry.
+Determinants are computed exactly: ``det`` clears the rows so the work
+happens on polynomials, then fraction-free Bareiss elimination runs at
+every size.  Every exact minor comes from this one engine, ``_bareiss``,
+which also runs on rectangular grids.  It gives the LU grid, one pass
+without pivoting (``_lu_grid``), which the reduction reads as it is and
+``lu_decompose`` turns into factors, the right triangularization of the
+reduction (``generic.triangularize_right``, on a transposed stack), and the
+invariant partition: with the pivot of minimal order in the whole trailing
+block, its trailing entries are the field elimination's Schur complement
+times the previous pivot, so it picks the field reduction's pivots and the
+differences of their orders are the invariant orders.  The same pass on
+[m | I], ``_smith_grid``, is the one Smith pass: the reduction's
+diagonalization of a pair (``generic.diagonalize_first``) reads its
+transforms directly off it.  One pivot search, ``_min_order_pivot``, serves
+the invariant partition and the Smith pass, and no elimination divides in
+the field.  ``_clean`` scales a vector given over one denominator clean by
+a unit, through gcds with that denominator, and returns the divisor w it
+leaves, the unit being the denominator over w, so other rows scaled by the
+same unit take one reduction per entry.
 Whether a determinant is a unit is read in the residue field instead
 (``has_unit_det``), which needs only the constant terms.
 ``minor_order_table`` batches every (I, J) minor order of a matrix through a
@@ -60,28 +60,15 @@ are formed only when read.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress, count
 from math import gcd as igcd
 from typing import NamedTuple
 
 from .errors import InputError, NotInRingError, PrincipalMinorError, RankError
 from .ring import (_PONE, INFINITY, ONE, ZERO, RingElem, _padd, _pcontent,
-                   _pdivexact_int, _pdot, _pgcd_cof, _pmul, _pscale, _pshift)
+                   _pdivexact_int, _pdot, _pgcd_cof, _pmul, _pscale)
 from .tableaux import MAX_SIZE, Partition, as_partition
-
-
-def _as_tuple(indices) -> tuple:
-    t = tuple(indices)
-    for i in t:
-        if type(i) is not int:
-            raise InputError(f"index sets hold integers, got {i!r} in {indices!r}")
-    for a, b in zip(t, t[1:]):
-        if a >= b:
-            raise InputError(f"index set must be strictly increasing, got {t}")
-    if t and t[0] < 1:
-        raise InputError(f"index sets are 1-based, got {t}")
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -191,30 +178,31 @@ def _coerce_entry(e) -> RingElem:
 def mat_mul(a: RMatrix, b: RMatrix) -> RMatrix:
     """Exact product a b, fraction-free per entry.
 
-    Where every denominator of a's row and of b's column is an integer (a
-    polynomial entry's is 1), each side is scaled once by the lcm of its
-    denominators (``_clear_by_lcm``), the entry's numerator products are
-    summed as integer polynomials, and the sum is reduced by one integer gcd
-    against the product of the two lcms; a polynomial product takes none.
-    An entry whose row or column has a polynomial denominator groups its
-    terms by denominator pair instead (``_grouped_entry``)."""
+    Each row of a and column of b is cleared once by ``_clear_row``.  Where
+    both scales are integers, the entry's numerator products are summed as
+    integer polynomials and the sum is reduced by one integer gcd against the
+    product of the two scales, the lcms of their denominators; a polynomial
+    product takes none.  An entry whose row or column has a polynomial
+    denominator groups its terms by denominator pair instead
+    (``_grouped_entry``)."""
     if a.r != b.r:
         raise InputError(f"size mismatch in product: {a.r} vs {b.r}")
     cols = list(zip(*b.entries))
-    cleared_cols = [_clear_by_lcm(col) for col in cols]
+    cleared_cols = [_clear_row(col) for col in cols]
     rows = []
     for arow in a.entries:
-        cleared_row = _clear_by_lcm(arow)
+        row_nums, row_c = _clear_row(arow)
+        integer_row = len(row_c) == 1 and 0 in row_c
         out = []
-        for bcol, cleared_col in zip(cols, cleared_cols):
-            if cleared_row is None or cleared_col is None:
+        for bcol, (col_nums, col_c) in zip(cols, cleared_cols):
+            if not (integer_row and len(col_c) == 1 and 0 in col_c):
                 out.append(_grouped_entry(arow, bcol))
                 continue
-            num = _pdot(cleared_row[0], cleared_col[0])
+            num = _pdot(row_nums, col_nums)
             if not num:
                 out.append(ZERO)
                 continue
-            den = cleared_row[1][0] * cleared_col[1][0]
+            den = row_c[0] * col_c[0]
             if den != 1:
                 g = _pcontent(num, den)
                 if g != 1:
@@ -223,23 +211,6 @@ def mat_mul(a: RMatrix, b: RMatrix) -> RMatrix:
             out.append(RingElem(num, _PONE if den == 1 else {0: den}, _raw=True))
         rows.append(out)
     return RMatrix(rows)
-
-
-def _clear_by_lcm(entries):
-    """(nums, c) as ``_clear_row`` gives them, with c the lcm of the
-    entries' denominators, when each of those is an integer; None when one
-    is a polynomial."""
-    lcm = 1
-    for e in entries:
-        den = e.den
-        if den is not _PONE:
-            if len(den) > 1 or 0 not in den:
-                return None
-            lcm = lcm * den[0] // igcd(lcm, den[0])
-    if lcm == 1:
-        return [e.num for e in entries], _PONE
-    return ([_pscale(e.num, lcm if e.den is _PONE else lcm // e.den[0]) for e in entries],
-            {0: lcm})
 
 
 def _grouped_entry(arow, bcol) -> RingElem:
@@ -287,15 +258,27 @@ def diag_from_partition(mu, r: int) -> RMatrix:
 # exact minors
 
 def _clear_row(row):
-    """Numerators of a row scaled by the product c of its distinct
-    denominators (constant ones included), together with c (``_PONE`` when
-    the row has none)."""
+    """(nums, c): the row's entries times c, as integer polynomials, for
+    the scale c = ``_PONE`` when the row has no denominator, {0: lcm} when
+    every denominator is an integer (a polynomial entry's is 1), and
+    otherwise the product of the distinct denominators, constant ones
+    included."""
+    lcm = 1
+    for e in row:
+        den = e.den
+        if den is not _PONE:
+            if len(den) > 1 or 0 not in den:
+                break
+            lcm = lcm * den[0] // igcd(lcm, den[0])
+    else:
+        if lcm == 1:
+            return [e.num for e in row], _PONE
+        return ([_pscale(e.num, lcm if e.den is _PONE else lcm // e.den[0]) for e in row],
+                {0: lcm})
     dens = []
     for e in row:
         if e.den is not _PONE and e.den not in dens:
             dens.append(e.den)
-    if not dens:
-        return [e.num for e in row], _PONE
     cleared = []
     for e in row:
         p = e.num
@@ -312,11 +295,10 @@ def _clear_row(row):
 def _cleared_grid(m: RMatrix):
     """Scale each row into integer-coefficient polynomial form.
 
-    Returns (grid, shifts): grid[i][j] is a polynomial dict proportional to
-    the row entry times the product of the row's distinct denominators (the
-    whole row additionally scaled to integer coefficients, which changes no
-    orders); shifts[i] is the order of the denominator product, which minor
-    orders must subtract."""
+    Returns (grid, shifts): grid[i][j] is the row entry times the row's
+    ``_clear_row`` scale c, the whole row divided by its integer content
+    (which changes no orders); shifts[i] is ord c, which minor orders must
+    subtract."""
     grid = []
     shifts = []
     for row in m.entries:
@@ -436,34 +418,6 @@ def _poly_det(sub):
     return _pscale(pivots[-1], sign)
 
 
-def _validated_minor_indices(m, rows, cols):
-    rows, cols = _as_tuple(rows), _as_tuple(cols)
-    if len(rows) != len(cols):
-        raise InputError(f"minor needs equally long row and column sets, got {rows} and {cols}")
-    if rows and rows[-1] > m.r:
-        raise InputError(f"row index {rows[-1]} outside 1..{m.r}")
-    if cols and cols[-1] > m.r:
-        raise InputError(f"column index {cols[-1]} outside 1..{m.r}")
-    return rows, cols
-
-
-def minor(m: RMatrix, rows, cols) -> RingElem:
-    """Exact determinant of the submatrix (empty minor = 1)."""
-    rows, cols = _validated_minor_indices(m, rows, cols)
-    if not rows:
-        return ONE
-    correction = _PONE
-    sub = []
-    for i in rows:
-        cleared, c = _clear_row([m.entries[i - 1][j - 1] for j in cols])
-        sub.append(cleared)
-        correction = _pmul(correction, c)
-    det_poly = _poly_det(sub)
-    if not det_poly:
-        return ZERO
-    return RingElem(det_poly, correction)
-
-
 def has_unit_det(m: RMatrix) -> bool:
     """For m over the ring: det(m) is a unit exactly when det(m mod t) != 0.
 
@@ -485,15 +439,12 @@ def has_unit_det(m: RMatrix) -> bool:
     return bool(_poly_det(grid))
 
 
-def minor_order(m: RMatrix, rows, cols):
-    """Order of the minor; +infinity when it vanishes."""
-    v = minor(m, rows, cols)
-    return v.valuation()
-
-
 def det(m: RMatrix) -> RingElem:
-    full = tuple(range(1, m.r + 1))
-    return minor(m, full, full)
+    """Exact determinant: ``_poly_det`` of the rows cleared by
+    ``_clear_row``, over the product of their scales."""
+    grid, scales = zip(*(_clear_row(row) for row in m.entries))
+    num = _poly_det(grid)
+    return RingElem(num, reduce(_pmul, scales)) if num else ZERO
 
 
 def _between(lo: tuple, hi: tuple):
@@ -842,15 +793,20 @@ def _is_exact_power_diagonal_decreasing(m: RMatrix) -> bool:
 
 
 def _smith_grid(m: RMatrix):
-    """The one ``_bareiss`` pass behind ``smith_transforms``, or None when m
-    is already a diagonal of decreasing t-powers.
+    """The one Smith pass: ``_bareiss`` on [m | I], or None when m is
+    already a diagonal of decreasing t-powers.
 
     The rows of [m | I] are each cleared by a scale c_k of order 0 (m is
     over the ring) and eliminated with ``invariant_partition``'s pivot; the
     scales follow their rows and the column swaps are recorded.  Returns
     (rows, cols): rows[k] = (grid row k, p_(k-1) c_k, a_k) with p_(-1) = 1
     and a_k = ord p_k - ord p_(k-1), the k-th invariant order in increasing
-    order, and cols[j] the column of m moved to position j.  A matrix that
+    order, and cols[j] the column of m moved to position j.  Row k's right
+    block over p_(k-1) c_k is row k of P = L^-1 Pi, the field elimination
+    with that pivot, and its left block over p_(k-1) c_k t^(a_k), columns
+    >= k moved back to cols and the rest 0, is row k of Q, so that
+    P m = diag(t^(a_k)) Q with P and Q invertible over the ring; the
+    reduction's ``generic.diagonalize_first`` reads them so.  A matrix that
     is not over the ring or not of full rank raises as
     ``invariant_partition`` does."""
     _require_over_ring(m, "matrix")
@@ -879,41 +835,6 @@ def _smith_grid(m: RMatrix):
         rows.append((row, _pmul(prev, c), min(piv) - min(prev)))
         prev = piv
     return rows, cols
-
-
-def smith_transforms(m: RMatrix):
-    """Invertible P, Q over the valuation ring with P @ m = D @ Q, where D is
-    the diagonal of decreasing t-powers carrying the invariant partition.
-
-    Returns (P, Q, D) with D = diag_from_partition(invariant_partition(m)).
-    A matrix that is already such a diagonal returns identity transforms.
-    Otherwise all three are read off ``_smith_grid``'s rows: row k of P is
-    the grid's right block over p_(k-1) c_k, which is L^-1 Pi of the field
-    elimination with that pivot, and row k of Q is the left block over
-    p_(k-1) c_k t^(a_k), its columns >= k moved back to their places and
-    the rest 0; D = diag(t^(a_k)), and all three are then reversed to
-    decreasing order.  Q is the field reduction's, which divides row k by
-    its pivot's unit part and shears the other columns off it: those column
-    operations touch only row k, so the trailing block is plain elimination
-    and Q = D^-1 P m is fixed by P.  Entries are reduced once, and no ring
-    division happens.
-    """
-    smith = _smith_grid(m)
-    if smith is None:
-        eye = RMatrix.identity(m.r)
-        return eye, eye, m
-    rows, cols = smith
-    r = m.r
-    p, q, d = [], [], []
-    for k, (row, den, a) in enumerate(rows):
-        p.append([RingElem(e, den) for e in row[r:]])
-        den = _pshift(den, a)
-        q_row = [ZERO] * r
-        for j in range(k, r):
-            q_row[cols[j]] = RingElem(row[j], den)
-        q.append(q_row)
-        d.append(RingElem.t_pow(a))
-    return RMatrix(p[::-1]), RMatrix(q[::-1]), RMatrix.diagonal(d[::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,12 @@ The row-sum identities that tie a filling's partial sums to the
 right-justified minor orders, which ``lrpairs.extract._read_filling`` proves
 by telescoping instead of checking them.
 
+Single minors, each the exact determinant of its own submatrix: the route
+every minor-order table is compared with.
+
+The Smith transforms P, Q, D read off ``lrpairs.matrix._smith_grid``, the
+pass the reduction reads directly.
+
 The diagonalization of a pair's first component by separate steps: the
 Smith transforms, the product Q N, each of its rows scaled clean on its
 own, and the units multiplied onto P and Q as a diagonal matrix.
@@ -25,11 +31,60 @@ from lrpairs.errors import RankError
 from lrpairs.generic import (CheckResult, GroupElement, MatrixPair,
                              VerificationReport, _corner_checks)
 from lrpairs.matrix import (RMatrix, _between, _clean, _clear_row, _lattice,
-                            _mu_weights, _require_over_ring, _table_partition,
-                            diag_from_partition, invariant_partition, mat_mul,
-                            minor_order, minor_order_table, smith_transforms)
-from lrpairs.ring import INFINITY, RingElem
+                            _mu_weights, _require_over_ring, _smith_grid,
+                            _table_partition, det, diag_from_partition,
+                            invariant_partition, mat_mul, minor_order_table)
+from lrpairs.ring import INFINITY, ONE, ZERO, RingElem, _pshift
 from lrpairs.tableaux import Partition, as_partition
+
+
+def minor(m: RMatrix, rows, cols) -> RingElem:
+    """Exact determinant of the submatrix in rows and cols, 1-based
+    increasing index sets (the empty minor is 1): ``det`` of that
+    submatrix, one ``_poly_det`` of its rows cleared by ``_clear_row``."""
+    if not rows:
+        return ONE
+    return det(RMatrix([[m.entries[i - 1][j - 1] for j in cols] for i in rows]))
+
+
+def minor_order(m: RMatrix, rows, cols):
+    """Order of the minor; +infinity when it vanishes."""
+    return minor(m, rows, cols).valuation()
+
+
+def smith_transforms(m: RMatrix):
+    """Invertible P, Q over the valuation ring with P @ m = D @ Q, where D is
+    the diagonal of decreasing t-powers carrying the invariant partition.
+
+    Returns (P, Q, D) with D = diag_from_partition(invariant_partition(m)).
+    A matrix that is already such a diagonal returns identity transforms.
+    Otherwise all three are read off ``_smith_grid``'s rows: row k of P is
+    the grid's right block over p_(k-1) c_k, which is L^-1 Pi of the field
+    elimination with that pivot, and row k of Q is the left block over
+    p_(k-1) c_k t^(a_k), its columns >= k moved back to their places and
+    the rest 0; D = diag(t^(a_k)), and all three are then reversed to
+    decreasing order.  Q is the field reduction's, which divides row k by
+    its pivot's unit part and shears the other columns off it: those column
+    operations touch only row k, so the trailing block is plain elimination
+    and Q = D^-1 P m is fixed by P.  Entries are reduced once, and no ring
+    division happens.
+    """
+    smith = _smith_grid(m)
+    if smith is None:
+        eye = RMatrix.identity(m.r)
+        return eye, eye, m
+    rows, cols = smith
+    r = m.r
+    p, q, d = [], [], []
+    for k, (row, den, a) in enumerate(rows):
+        p.append([RingElem(e, den) for e in row[r:]])
+        den = _pshift(den, a)
+        q_row = [ZERO] * r
+        for j in range(k, r):
+            q_row[cols[j]] = RingElem(row[j], den)
+        q.append(q_row)
+        d.append(RingElem.t_pow(a))
+    return RMatrix(p[::-1]), RMatrix(q[::-1]), RMatrix.diagonal(d[::-1])
 
 
 def comparable_pairs(r):

@@ -185,6 +185,24 @@ def test_realize_rejects_oversized_filling(tmp_path, capsys, monkeypatch):
         assert "exceeds the limit" in capsys.readouterr().err
 
 
+def test_realize_writes_no_degree_extract_refuses(tmp_path, capsys):
+    """realize refuses, writing nothing, a document whose degrees extract
+    would refuse: M's t^mu_1, or N's t^12000 = t^(k_12 + k_22) from entries
+    of 6000.  At mu_1 = MAX_DEGREE the document loads as a pair."""
+    out = tmp_path / "out.json"
+    for doc, degree in (({"filling": [[3], [1, 2]], "mu": [100_000_000, 5]}, 100_000_000),
+                        ({"filling": [[6000], [6000, 6000]], "mu": [6000]}, 12000)):
+        assert main(["realize", "--in", write_json(tmp_path / "big.json", doc),
+                     "--out", str(out)]) == 2
+        assert f"degree {degree}, above the limit" in capsys.readouterr().err
+        assert not out.exists()
+    edge = write_json(tmp_path / "edge.json",
+                      {"filling": [[3], [1, 2]], "mu": [ring_mod.MAX_DEGREE, 5]})
+    assert main(["realize", "--in", edge, "--out", str(out)]) == 0
+    pair = cli._load_pair(json.loads(out.read_text(encoding="utf-8")))
+    assert pair.first.entry(1, 1) == RingElem.t_pow(ring_mod.MAX_DEGREE)
+
+
 def test_roundtrip_rejects_oversized_rmax(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "random_filling", _never("sampling"))
     assert main(["roundtrip", "--rmax", str(MAX_SIZE + 1), "--trials", "1"]) == 2

@@ -7,6 +7,9 @@ test turns that into a failure.
 
 No module of the package or of the tests imports a name it never reads.
 
+No module-level private function of the package is read only by tests: each
+is read somewhere in the package outside its own body.
+
 The package imports nothing outside the standard library and itself, as
 ``pyproject.toml`` declares with ``dependencies = []``: numpy or sympy may be
 installed where the tests run, so an import of either would pass unseen.
@@ -72,6 +75,27 @@ def test_every_import_is_read():
     unread = {(module, name) for path, module in modules
               for name in _unread_imports(path)}
     assert unread == UNREAD_ALLOWED
+
+
+def test_every_private_function_is_read_in_the_package():
+    """A module-level ``_`` function of the package that no package code
+    reads outside its own body is kept alive only by tests, or by nothing:
+    each one must be read somewhere in ``src/lrpairs``."""
+    src = Path(__file__).parent.parent / "src" / "lrpairs"
+    defined = set()
+    read = set()
+    for path in src.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(top, ast.FunctionDef) and top.name.startswith("_") \
+                    and not top.name.startswith("__"):
+                own = top.name
+                defined.add(own)
+            read.update(node.id for node in ast.walk(top)
+                        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                        and node.id != own)
+    assert len(defined) > 20
+    assert defined - read == set()
 
 
 def test_package_imports_only_the_standard_library():

@@ -7,13 +7,12 @@ import pytest
 from lrpairs.errors import GenericityError
 from lrpairs.extract import counterexample_demo, extract_filling, extract_from_pair
 from lrpairs.generic import GroupElement, MatrixPair, act, verify_mu_generic
-from lrpairs.matrix import (RMatrix, diag_from_partition, mat_mul, minor_order,
-                            minor_order_table)
+from lrpairs.matrix import RMatrix, diag_from_partition, mat_mul, minor_order_table
 from lrpairs.realize import random_filling, realize
 from lrpairs.ring import ONE, ZERO
 from lrpairs.tableaux import Filling, Partition, sequence_from_filling
 
-from checkoracle import corner_invariant_check, row_sum_identities
+from checkoracle import corner_invariant_check, minor_order, row_sum_identities
 from golden import FILLING, KEPT_ORDERS, LAM, MU, NU, c, golden_m, golden_n, t
 from test_generic import _staircase_pair
 

@@ -14,14 +14,14 @@ import lrpairs.matrix as matrix_mod
 from lrpairs.matrix import (RMatrix, _bareiss, _clean, _clear_row, _poly_det,
                             det, diag_from_partition,
                             has_unit_det, invariant_partition, inverse,
-                            is_mu_admissible, lu_decompose, mat_mul, minor,
-                            minor_order, minor_order_table, smith_transforms,
-                            times_inverse)
+                            is_mu_admissible, lu_decompose, mat_mul,
+                            minor_order_table, times_inverse)
 from lrpairs.generic import GroupElement, MatrixPair, act, to_mu_generic
-from lrpairs.ring import INFINITY, ONE, ZERO, RingElem
+from lrpairs.ring import _PONE, INFINITY, ONE, ZERO, RingElem
 from lrpairs.tableaux import MAX_SIZE, Partition
 
-from checkoracle import comparable_pairs, invariant_partition_oracle
+from checkoracle import (comparable_pairs, invariant_partition_oracle, minor,
+                         minor_order, smith_transforms)
 from golden import (KEPT_ORDERS, LAM, MU, NU, c, golden_factors, golden_m,
                     golden_mn, golden_n, t)
 
@@ -189,6 +189,27 @@ def test_mat_mul_integer_denominators_reduce_once():
                    RMatrix([[ONE, ZERO], [ONE, ZERO]])).entry(1, 1).den is ONE.den
 
 
+def test_clear_row_scales_by_the_lcm_of_integer_denominators():
+    """A row with only integer denominators clears by their lcm: (1/2, 1/4,
+    1/6, t) by 12, not by their product 48.  A row with a polynomial
+    denominator clears by the product of its distinct denominators, 3 (1 + t)
+    for 1/3 and 1/(1 + t), and a row without one returns the shared _PONE.
+    mat_mul, which routes on these scales, equals the termwise sum on every
+    kind of row and column."""
+    u = ONE + t(1)
+    integer = [ONE / c(2), ONE / c(4), ONE / c(6), t(1)]
+    mixed = [ONE / c(3), ONE / u, t(1), ONE]
+    plain = [t(1), ONE, ZERO, c(2)]
+    assert _clear_row(integer) == ([{0: 6}, {0: 3}, {0: 2}, {1: 12}], {0: 12})
+    assert _clear_row(mixed) == ([{0: 1, 1: 1}, {0: 3}, {1: 3, 2: 3}, {0: 3, 1: 3}],
+                                 {0: 3, 1: 3})
+    nums, scale = _clear_row(plain)
+    assert nums == [{1: 1}, {0: 1}, {}, {0: 2}] and scale is _PONE
+    a = RMatrix([integer, mixed, plain, [ONE, t(2), ONE / c(4), ZERO]])
+    for x, y in ((a, a), (a, a.transpose()), (a.transpose(), a)):
+        assert mat_mul(x, y) == mat_mul_by_terms(x, y)
+
+
 def test_transpose_and_predicates():
     n = golden_n()
     assert n.is_upper_triangular()
@@ -281,25 +302,19 @@ def test_minor_golden_kept_orders():
         assert minor_order(n, rows, cols) == want, rows
 
 
-@pytest.mark.parametrize("rows, cols", [
-    ((1.9,), (2.2,)),   # would read the (1, 2) minor after int()
-    ("12", "12"),       # would read the full 2x2 minor
-    ((True,), (1,)),    # would read row 1
-    ((1,), (2.0,)),
-])
-def test_minor_rejects_non_integer_indices(rows, cols):
-    m = golden_n()
-    with pytest.raises(InputError):
-        minor_order(m, rows, cols)
-    with pytest.raises(InputError):
-        minor(m, rows, cols)
-
-
 def test_minor_empty_and_full():
+    """The empty minor is 1 and a vanishing one has order infinity.  The
+    full minor is det, here of an upper triangular matrix, its diagonal
+    product, and of a singular one, zero."""
     n = golden_n()
     assert minor(n, (), ()) == ONE
-    assert minor(n, (1, 2, 3, 4), (1, 2, 3, 4)) == det(n)
     assert minor_order(n, (2,), (1,)) is INFINITY
+    want = ONE
+    for i in range(1, 5):
+        want = want * n.entry(i, i)
+    assert det(n) == want
+    u = ONE + t(1)
+    assert det(RMatrix([[ONE / u, c(2) / u], [c(3) / c(2), c(3)]])) == ZERO
 
 
 def random_shifted_matrix(rng, r):
@@ -558,7 +573,7 @@ def test_minor_order_table_cap_truncates_products():
 def test_minor_fractional_entries_are_exact():
     m = RMatrix([[c(1) / c(3), c(1) / c(2)], [c(2) / c(7), c(5)]])
     want = c(1) / c(3) * c(5) - c(1) / c(2) * c(2) / c(7)
-    assert minor(m, (1, 2), (1, 2)) == want
+    assert det(m) == want
 
 
 # ---------------------------------------------------------------------------
@@ -931,7 +946,7 @@ def test_inverse_of_inverse_is_its_source():
 
 
 def _no_determinant(*args):
-    raise AssertionError("det or minor called")
+    raise AssertionError("det called")
 
 
 @pytest.mark.parametrize("rows", [
@@ -945,9 +960,8 @@ def _no_determinant(*args):
 ])
 def test_inverse_raises_rank_error_before_returning(monkeypatch, rows):
     """The entries of inverse(m) are formed on first read, but a singular m
-    is refused by inverse itself, with det and minor patched to raise."""
+    is refused by inverse itself, with det patched to raise."""
     monkeypatch.setattr(matrix_mod, "det", _no_determinant)
-    monkeypatch.setattr(matrix_mod, "minor", _no_determinant)
     with pytest.raises(RankError):
         inverse(RMatrix(rows))
 

@@ -17,8 +17,11 @@ def test_star_import():
 
 def test_retired_names_are_gone():
     """The test oracles live in the tests, the row-sum identities among
-    them: extraction proves those rather than checks them."""
+    them: extraction proves those rather than checks them.  So do the
+    single-minor route and the Smith transforms: the package reads minors
+    off one table or one determinant, and its one Smith pass directly."""
     for name in ("invariant_partition_oracle", "corner_invariant_check",
-                 "row_sum_check", "row_sum_identities"):
+                 "row_sum_check", "row_sum_identities", "minor",
+                 "minor_order", "smith_transforms"):
         assert name not in lrpairs.__all__
         assert not hasattr(lrpairs, name)
