@@ -10,11 +10,13 @@ when the minor vanishes.
 Every row or column is cleared into integer polynomials by one rule,
 ``_clear_row``: by the lcm of its denominators when each is an integer,
 else by the product of the distinct ones.  Products stay fraction-free as
-far as their operands allow: ``mat_mul`` sums the numerator products of an
-entry's terms as integer polynomials.  Where a row of a and a column of b
-clear by integers, as the orbit's scrambling leaves them, the entry takes
-one integer gcd; elsewhere there is one sum per pair of denominators, each
-reduced once.  A product of polynomial matrices takes no gcd at all.
+far as their operands' integer denominators allow: where a row of a and a
+column of b clear by integers, as the orbit's scrambling leaves them,
+``mat_mul`` sums the entry's numerator products as integer polynomials and
+takes one integer gcd, and a product of polynomial matrices takes none.  An
+entry with a polynomial denominator in its row or column is the ring's sum
+of its cross-cancelling terms.  A constant row scale moves no minor order,
+so the minor-order grids read the cleared rows as they are.
 
 Determinants are computed exactly: ``det`` clears the rows so the work
 happens on polynomials, then fraction-free Bareiss elimination runs at
@@ -176,15 +178,14 @@ def _coerce_entry(e) -> RingElem:
 
 
 def mat_mul(a: RMatrix, b: RMatrix) -> RMatrix:
-    """Exact product a b, fraction-free per entry.
+    """Exact product a b, fraction-free where the denominators are integers.
 
     Each row of a and column of b is cleared once by ``_clear_row``.  Where
     both scales are integers, the entry's numerator products are summed as
     integer polynomials and the sum is reduced by one integer gcd against the
     product of the two scales, the lcms of their denominators; a polynomial
     product takes none.  An entry whose row or column has a polynomial
-    denominator groups its terms by denominator pair instead
-    (``_grouped_entry``)."""
+    denominator is the ring sum of the cross-cancelling products x y."""
     if a.r != b.r:
         raise InputError(f"size mismatch in product: {a.r} vs {b.r}")
     cols = list(zip(*b.entries))
@@ -196,7 +197,7 @@ def mat_mul(a: RMatrix, b: RMatrix) -> RMatrix:
         out = []
         for bcol, (col_nums, col_c) in zip(cols, cleared_cols):
             if not (integer_row and len(col_c) == 1 and 0 in col_c):
-                out.append(_grouped_entry(arow, bcol))
+                out.append(sum((x * y for x, y in zip(arow, bcol) if x and y), ZERO))
                 continue
             num = _pdot(row_nums, col_nums)
             if not num:
@@ -211,39 +212,6 @@ def mat_mul(a: RMatrix, b: RMatrix) -> RMatrix:
             out.append(RingElem(num, _PONE if den == 1 else {0: den}, _raw=True))
         rows.append(out)
     return RMatrix(rows)
-
-
-def _grouped_entry(arow, bcol) -> RingElem:
-    """The entry sum of x_k y_k, its terms grouped by their denominator pair
-    (den x, den y); a group's numerator products num x num y are summed as
-    integer polynomials and become one element, reduced once, or built raw
-    when both denominators are 1.  The groups are then added in the ring; a
-    group of one term with a denominator keeps the cross-cancelling ring
-    product x * y."""
-    groups = []  # [den x, den y, terms (x, y)]
-    for x, y in zip(arow, bcol):
-        if not x.num or not y.num:
-            continue
-        xd, yd = x.den, y.den
-        for g in groups:
-            if (g[0] is xd or g[0] == xd) and (g[1] is yd or g[1] == yd):
-                g[2].append((x, y))
-                break
-        else:
-            groups.append([xd, yd, [(x, y)]])
-    total = ZERO
-    for xd, yd, terms in groups:
-        polynomial = xd is _PONE and yd is _PONE
-        if len(terms) == 1 and not polynomial:
-            e = terms[0][0] * terms[0][1]
-        else:
-            num = _pdot([x.num for x, _ in terms], [y.num for _, y in terms])
-            if not num:
-                continue
-            e = (RingElem(num, _PONE, _raw=True) if polynomial
-                 else RingElem(num, _pmul(xd, yd)))
-        total = e if total is ZERO else total + e
-    return total
 
 
 def diag_from_partition(mu, r: int) -> RMatrix:
@@ -290,37 +258,6 @@ def _clear_row(row):
     for d in dens[1:]:
         c = _pmul(c, d)
     return cleared, c
-
-
-def _cleared_grid(m: RMatrix):
-    """Scale each row into integer-coefficient polynomial form.
-
-    Returns (grid, shifts): grid[i][j] is the row entry times the row's
-    ``_clear_row`` scale c, the whole row divided by its integer content
-    (which changes no orders); shifts[i] is ord c, which minor orders must
-    subtract."""
-    grid = []
-    shifts = []
-    for row in m.entries:
-        cleared, c = _clear_row(row)
-        grid.append(_row_to_int(cleared))
-        shifts.append(min(c))
-    return grid, shifts
-
-
-def _row_to_int(polys):
-    """Divide a row of integer polynomials by its joint content.
-
-    Row scalings by nonzero constants shift no orders, so minor-order grids
-    may normalize freely; the smaller integers keep the expansions cheap."""
-    g = 0
-    for p in polys:
-        g = _pcontent(p, g)
-        if g == 1:
-            return polys
-    if g == 0:
-        return polys
-    return [{d: c // g for d, c in p.items()} for p in polys]
 
 
 def _clean(nums, den):
@@ -547,7 +484,9 @@ def minor_order_table(m: RMatrix, cap=None, *, comparable_only=False) -> dict:
     r = m.r
     lattice = _lattice(r)
     drops = lattice.drops
-    grid, shifts = _cleared_grid(m)
+    # row i's scale c shifts its minors by ord c; c's constant factor by none
+    grid, scales = zip(*(_clear_row(row) for row in m.entries))
+    shifts = [min(c) for c in scales]
     triangular = all(not grid[i][j] for i in range(r) for j in range(i))
     comparable = comparable_only or triangular
     plan = lattice.comparable_plan if comparable else lattice.full_plan
@@ -744,8 +683,7 @@ def invariant_partition(m: RMatrix) -> Partition:
     entries of non-negative order.
     """
     _require_over_ring(m, "matrix")
-    grid, _ = _cleared_grid(m)
-    pivots, _ = _bareiss(grid, _min_order_pivot)
+    pivots, _ = _bareiss([_clear_row(row)[0] for row in m.entries], _min_order_pivot)
     if len(pivots) < m.r:
         raise RankError("matrix is rank deficient")
     orders = [min(p) for p in pivots]

@@ -512,9 +512,12 @@ def _coefficient(c):
 
 
 def _coerce(x):
+    """x as a ring element, or NotImplemented for anything but a
+    ``RingElem``, int or Fraction: a bool too, so x == True is False and
+    x + True raises TypeError."""
     if isinstance(x, RingElem):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return RingElem.const(x)
     return NotImplemented
 

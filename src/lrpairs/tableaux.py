@@ -33,14 +33,18 @@ class Partition:
     """A weakly decreasing tuple of non-negative integers.
 
     Trailing zeros are stripped, so equality ignores them.  ``part(k)`` is
-    1-based and returns 0 beyond the length.
+    1-based and returns 0 beyond the length.  A part that is not an int
+    raises ``InputError``, a bool too: JSON's true and false arrive as
+    bools, an int subclass.
     """
 
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
         for p in parts:
+            if type(p) is not int:
+                raise InputError(f"partition parts must be integers, got {p!r}")
             if p < 0:
                 raise InputError(f"partition parts must be non-negative, got {p}")
         for a, b in zip(parts, parts[1:]):
@@ -81,7 +85,10 @@ class Partition:
         if isinstance(other, Partition):
             return self.parts == other.parts
         if isinstance(other, (tuple, list)):
-            return self == Partition(other)
+            other = tuple(other)
+            while other and other[-1] == 0:
+                other = other[:-1]
+            return self.parts == other
         return NotImplemented
 
     def __hash__(self):
@@ -95,8 +102,7 @@ class Partition:
 
     @staticmethod
     def from_json(obj) -> "Partition":
-        # type(...) is int: JSON true/false arrive as bools, an int subclass
-        if not isinstance(obj, list) or not all(type(p) is int for p in obj):
+        if not isinstance(obj, list):
             raise InputError(f"partition must be a list of integers, got {obj!r}")
         return Partition(obj)
 
@@ -106,13 +112,16 @@ def as_partition(x) -> Partition:
 
 
 class Filling:
-    """Triangular integer array; row j holds (k_1j, ..., k_jj)."""
+    """Triangular integer array; row j holds (k_1j, ..., k_jj).  An entry
+    that is not an int, a bool included, raises ``InputError``."""
 
     __slots__ = ("r", "rows")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        rows = tuple(tuple(row) for row in rows)
         for j, row in enumerate(rows, start=1):
+            if not all(type(v) is int for v in row):
+                raise InputError(f"filling row {j} must hold integers, got {list(row)!r}")
             if len(row) != j:
                 raise InputError(f"filling row {j} must have {j} entries, got {len(row)}")
         self.rows = rows
@@ -151,9 +160,7 @@ class Filling:
         if not isinstance(obj, dict) or "rows" not in obj:
             raise InputError(f"filling must be an object with a 'rows' list, got {obj!r}")
         rows = obj["rows"]
-        if not isinstance(rows, list) or not all(
-            isinstance(row, list) and all(type(v) is int for v in row) for row in rows
-        ):
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise InputError("filling 'rows' must be a list of integer lists")
         if len(rows) > MAX_SIZE:
             raise InputError(f"filling size {len(rows)} exceeds the limit {MAX_SIZE}")

@@ -13,11 +13,19 @@ is read somewhere in the package outside its own body.
 The package imports nothing outside the standard library and itself, as
 ``pyproject.toml`` declares with ``dependencies = []``: numpy or sympy may be
 installed where the tests run, so an import of either would pass unseen.
+
+No name the docs quote is stale: a deleted helper that a docstring or the
+README still names fails here.
 """
 
 import ast
+import builtins
 import importlib
+import inspect
+import io
+import re
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -113,3 +121,91 @@ def test_package_imports_only_the_standard_library():
                            if root not in sys.stdlib_module_names and root != "lrpairs")
     assert len(list(src.glob("*.py"))) > 5
     assert outside == set()
+
+
+# ``name`` or ``module.name`` in a docstring or comment, or the callee of
+# ``name(...)``
+_QUOTED = re.compile(r"``([A-Za-z_]\w*(?:\.\w+)*)(?=``|\()")
+
+
+def _params(node):
+    a = node.args
+    return {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs
+            + [a.vararg, a.kwarg] if arg is not None}
+
+
+def _quoted_names(path):
+    """(name, parameters of the function it documents) for every quoted name
+    in the docstrings and comments of the module at path."""
+    text = path.read_text(encoding="utf-8")
+    tree = ast.parse(text)
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    found = []
+    for node in [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)] + functions:
+        params = _params(node) if node in functions else set()
+        found += [(name, params) for name in _QUOTED.findall(ast.get_docstring(node) or "")]
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.COMMENT:
+            line = tok.start[0]
+            around = [f for f in functions if f.lineno <= line <= f.end_lineno]
+            params = _params(max(around, key=lambda f: f.lineno)) if around else set()
+            found += [(name, params) for name in _QUOTED.findall(tok.string)]
+    return found
+
+
+def _package():
+    """The package's modules by name (the package itself as ``lrpairs``) and
+    its classes."""
+    src = Path(__file__).parent.parent / "src" / "lrpairs"
+    modules = {path.stem: importlib.import_module("lrpairs." + path.stem)
+               for path in src.glob("*.py") if path.stem != "__init__"}
+    modules["lrpairs"] = importlib.import_module("lrpairs")
+    classes = {obj for module in modules.values() for obj in vars(module).values()
+               if inspect.isclass(obj) and obj.__module__.startswith("lrpairs")}
+    return modules, classes
+
+
+def _has(obj, name):
+    return hasattr(obj, name) or name in getattr(obj, "__annotations__", {})
+
+
+def _resolves(name, params, modules, classes):
+    """name is a parameter, or its head is a package module, an attribute of
+    one, a class attribute or a builtin, and the rest of it is attributes."""
+    head, *rest = name.split(".")
+    if not rest and head in params:
+        return True
+    owners = ([modules[head]] if head in modules else []) \
+        + [getattr(m, head) for m in modules.values() if hasattr(m, head)] \
+        + [getattr(cls, head, None) for cls in classes if _has(cls, head)] \
+        + ([getattr(builtins, head)] if hasattr(builtins, head) else [])
+    for obj in owners:
+        for attr in rest:
+            if not _has(obj, attr):
+                break
+            obj = getattr(obj, attr, None)
+        else:
+            return True
+    return False
+
+
+def test_names_quoted_in_the_package_docs_resolve():
+    src = Path(__file__).parent.parent / "src" / "lrpairs"
+    modules, classes = _package()
+    quoted = [(path.name, name) for path in sorted(src.glob("*.py"))
+              for name, params in _quoted_names(path)
+              if not _resolves(name, params, modules, classes)]
+    assert len(modules) > 5 and len(classes) > 5
+    assert quoted == []
+
+
+def test_module_names_quoted_in_the_readme_resolve():
+    """`module.name` in README.md, for a module of the package or the
+    package itself, names an attribute of that module."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    modules, _ = _package()
+    dotted = [name for name in re.findall(r"(?<!`)`([A-Za-z_]\w*(?:\.\w+)+)`(?!`)", readme)
+              if name.split(".")[0] in modules]
+    assert len(dotted) > 3
+    assert [name for name in dotted if not _resolves(name, set(), modules, set())] == []

@@ -153,6 +153,13 @@ def product_operands(draw):
 @settings(max_examples=250, deadline=None)
 @given(product_operands())
 def test_mat_mul_agrees_with_termwise_sum(ab):
+    """Where a row of a and a column of b clear by integers, the
+    fraction-free entry equals the ring sum of its terms.  An entry with a
+    polynomial denominator is that ring sum itself, so for the polynomial
+    kinds this only pins the route choice; the sum is checked independently
+    by ``test_ring_sympy``: its ring operations against sympy's cancel, and
+    ``times_inverse``, whose product a adj(G) takes this route, against
+    sympy's inverse."""
     a, b = ab
     assert mat_mul(a, b) == mat_mul_by_terms(a, b)
 
@@ -637,6 +644,56 @@ def unit_denominator_matrices(draw, max_r=5):
 @given(unit_denominator_matrices())
 def test_invariant_partition_agrees_with_oracle(m):
     assert invariant_partition(m) == invariant_partition_oracle(m)
+
+
+@st.composite
+def row_scaled(draw, matrices):
+    """(m, factors, m with row i multiplied by factors[i]), the factors
+    nonzero integers, at least one of them above 1 in size."""
+    m = draw(matrices)
+    factors = [draw(st.sampled_from((2, -3, 6, 10)))]
+    factors += draw(st.lists(st.sampled_from((1, -1, 2, -3, 6, 10)),
+                             min_size=m.r - 1, max_size=m.r - 1))
+    factors = draw(st.permutations(factors))
+    return m, factors, RMatrix([[e * f for e in row] for row, f in zip(m.entries, factors)])
+
+
+@st.composite
+def cancelling_matrices(draw, max_r=4):
+    """A + t B over the ring, A of rank one, each row over a denominator of
+    ROW_DENOMINATORS: the lowest terms of every larger minor cancel, so its
+    order depends on the exact coefficients, not on degrees alone."""
+    r = draw(st.integers(1, max_r))
+    small = st.integers(-3, 3)
+    w = [draw(small) for _ in range(r)]
+    rows = []
+    for _ in range(r):
+        a = draw(small)
+        u = draw(st.sampled_from(ROW_DENOMINATORS))
+        rows.append([(c(a * wj) + c(draw(small)) * t(1)) / u for wj in w])
+    return RMatrix(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from((None, 0, 3, 6)))
+def test_minor_orders_do_not_depend_on_row_scale(data, cap):
+    """A constant row scale moves no minor order, so the tables, capped or
+    not, and the invariant partition read the cleared rows undivided, though
+    a row of shifted_matrices scaled by f clears to integer polynomials whose
+    content f divides (their denominators have content 1)."""
+    m, factors, scaled = data.draw(row_scaled(shifted_matrices()))
+    for row, f in zip(scaled.entries, factors):
+        nums, _ = _clear_row(row)
+        assert gcd(*(v for p in nums for v in p.values())) % f == 0
+    for m, scaled in ((m, scaled), data.draw(row_scaled(cancelling_matrices()))[::2]):
+        caps = uniform_caps(m.r, cap)
+        for comparable_only in (False, True):
+            assert minor_order_table(scaled, cap=caps, comparable_only=comparable_only) \
+                == minor_order_table(m, cap=caps, comparable_only=comparable_only)
+    for matrices in (unit_denominator_matrices(max_r=4), cancelling_matrices()):
+        u, _, scaled = data.draw(row_scaled(matrices))
+        if not det(u).is_zero():
+            assert invariant_partition(scaled) == invariant_partition(u)
 
 
 def test_invariant_partition_repeated_orders():

@@ -298,6 +298,20 @@ def test_equality_against_plain_ints():
     assert T != 1
 
 
+def test_equality_with_a_bool_answers_false():
+    """A bool is no ring element: == and in answer False, where they used
+    to raise TypeError, and arithmetic with a bool still raises."""
+    assert not RingElem.const(1) == True  # noqa: E712
+    assert RingElem.const(1) != True  # noqa: E712
+    assert not ZERO == False  # noqa: E712
+    assert True not in [ONE] and False not in [ZERO]
+    assert ONE in [True, ONE]
+    for op in (lambda x: x + True, lambda x: True * x, lambda x: x - False,
+               lambda x: x / True):
+        with pytest.raises(TypeError):
+            op(ONE)
+
+
 def test_hash_agrees_with_equality_on_constants():
     for value in (5, -3, 1, 0, Fraction(3, 7), Fraction(-8, 3)):
         x = RingElem.const(value)

@@ -66,6 +66,34 @@ def test_partition_json_rejects_booleans():
         Partition.from_json([2, False])
 
 
+def test_partition_equals_sequences_without_building_one():
+    """A list or tuple is compared part by part, trailing zeros ignored: an
+    unsorted, non-numeric or fractional one answers False, not an error."""
+    assert Partition((2, 1)) == [2, 1, 0] and Partition(()) == []
+    assert Partition((2, 1)) != [1, 2]
+    assert Partition((2, 1)) != ("x",)
+    assert Partition((2,)) != [2.5]
+    assert Partition((2,)) != (2, 1)
+
+
+@pytest.mark.parametrize("parts", [[2.7, 1.2], [2.0], ["2"], [True], [3, False], [None]])
+def test_partition_parts_must_be_ints(parts):
+    with pytest.raises(InputError, match="must be integers"):
+        Partition(parts)
+
+
+@pytest.mark.parametrize("rows", [[[1.9]], [[1], [0, 2.0]], [["1"]], [[True]], [[0], [1, None]]])
+def test_filling_entries_must_be_ints(rows):
+    with pytest.raises(InputError, match="must hold integers"):
+        Filling(rows)
+
+
+def test_int_parts_and_entries_still_load():
+    assert Partition([3, 1, 0]).parts == (3, 1)
+    assert Filling([[1], [0, 2]]).rows == ((1,), (0, 2))
+    assert Filling([(1,), [0, 2]]) == Filling(((1,), (0, 2)))
+
+
 def test_as_partition():
     p = Partition((2, 1))
     assert as_partition(p) is p
