@@ -14,8 +14,8 @@ from .ring import INFINITY, ONE, T, ZERO, RingElem, random_unit, residue, valuat
 from .matrix import (RMatrix, det, diag_from_partition, invariant_partition,
                      inverse, is_mu_admissible, lu_decompose, mat_mul,
                      minor_order_table, times_inverse)
-from .tableaux import (Filling, FillingReport, LRSequence, Partition,
-                       as_partition, count_fillings, enumerate_fillings,
+from .tableaux import (Filling, FillingReport, Partition, as_partition,
+                       count_fillings, enumerate_fillings,
                        iter_partitions, random_partition,
                        sequence_from_filling, validate_filling)
 from .realize import FactoredRealization, build_factor, random_filling, realize
@@ -37,7 +37,7 @@ __all__ = [
     "RMatrix", "det", "diag_from_partition", "invariant_partition",
     "inverse", "is_mu_admissible", "lu_decompose", "mat_mul",
     "minor_order_table", "times_inverse",
-    "Filling", "FillingReport", "LRSequence", "Partition", "as_partition",
+    "Filling", "FillingReport", "Partition", "as_partition",
     "count_fillings", "enumerate_fillings", "iter_partitions",
     "random_partition", "sequence_from_filling", "validate_filling",
     "FactoredRealization", "build_factor", "random_filling", "realize",

@@ -65,7 +65,7 @@ def _read_filling(table: dict, mu: Partition, r: int) -> Filling:
     try:
         filling = Filling(k)
         nu = Partition(filling.content())
-        lam = sequence_from_filling(filling, mu).stage(r)
+        lam = sequence_from_filling(filling, mu)[r]
     except InputError as exc:
         raise GenericityError(f"extracted array is not an LR filling: {exc}") from exc
     report = validate_filling(filling, mu, nu, lam)

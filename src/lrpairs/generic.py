@@ -235,7 +235,7 @@ class MuGenericCertificate:
     @cached_property
     def group(self) -> GroupElement:
         """Total transform from the original pair: act(group, pair) == self.pair."""
-        p = _conjugate_by_diagonal(self.q, self.mu, self.pair.r)
+        p = _conjugate(self.q, self.mu.padded(self.pair.r))  # D_mu Q D_mu^-1
         # g_diag's T is the identity; T* is kept as is, with its record
         g = self.g_diag
         return GroupElement(mat_mul(p, g.p), mat_mul(self.q, g.q), self.t_star)
@@ -370,28 +370,18 @@ def triangularize_right(a: RMatrix):
     return RMatrix([[cols[j][j + 1 + i] for j in range(r)] for i in range(r)]), RMatrix(u)
 
 
-def _random_unit_upper(r: int, rng) -> RMatrix:
-    return RMatrix([
-        [random_unit(rng) if j >= i else ZERO for j in range(r)]
-        for i in range(r)
-    ])
+def _random_units(r: int, rng, lower: bool) -> RMatrix:
+    """A triangular matrix of random units, ``random_unit`` drawn row by row
+    on and below the diagonal when lower, on and above it otherwise."""
+    return RMatrix([[random_unit(rng) if (j <= i if lower else j >= i) else ZERO
+                     for j in range(r)] for i in range(r)])
 
 
-def _sample_lower_factors(mu: Partition, r: int, rng):
-    """Q_L0 with random units at and below the diagonal, and its conjugate
-    Q_L = D_mu^-1 Q_L0 D_mu built entry by entry (monomials c t^(mu_j - mu_i))."""
-    units = [[random_unit(rng) if j <= i else None for j in range(r)] for i in range(r)]
-    q_l0 = RMatrix([
-        [units[i][j] if j <= i else ZERO for j in range(r)]
-        for i in range(r)
-    ])
-    q_lower = RMatrix([
-        [units[i][j] * RingElem.t_pow(mu.part(j + 1) - mu.part(i + 1))
-         if j <= i else ZERO
-         for j in range(r)]
-        for i in range(r)
-    ])
-    return q_l0, q_lower
+def _conjugate(q: RMatrix, e) -> RMatrix:
+    """diag(t^e) q diag(t^e)^-1 for integer exponents e, one per row: entry
+    (i, j) times t^(e_i - e_j), zeros and zero shifts left as they are."""
+    return RMatrix([[x * RingElem.t_pow(ei - ej) if x and ei != ej else x
+                     for x, ej in zip(row, e)] for row, ei in zip(q.entries, e)])
 
 
 # ---------------------------------------------------------------------------
@@ -705,21 +695,6 @@ def to_mu_generic(pair: MatrixPair, rng, max_retries: int = 20) -> MuGenericCert
     raise RetriesExhaustedError(max_retries, last_failure)
 
 
-def _conjugate_by_diagonal(q: RMatrix, mu: Partition, r: int) -> RMatrix:
-    """D_mu Q D_mu^-1 for an admissible Q (entries shift by t^(mu_i - mu_j))."""
-    rows = []
-    for i in range(1, r + 1):
-        row = []
-        for j in range(1, r + 1):
-            e = q.entry(i, j)
-            shift = mu.part(i) - mu.part(j)
-            if not e.is_zero() and shift:
-                e = e * RingElem.t_pow(shift)
-            row.append(e)
-        rows.append(row)
-    return RMatrix(rows)
-
-
 def _lu_factors_in_ring(grid, scales, pivots, mu) -> bool:
     """Q_hat_U over R with a unit determinant, and Q_hat_L over R and
     mu-admissible, from orders alone: Q_hat_U's row k is a_kh / (p_(k-1) c_k)
@@ -793,10 +768,11 @@ def _attempt_reduction(diagonal_pair, g_diag, mu, nu, lam, rng,
                        attempt) -> MuGenericCertificate:
     d_mu, n_input = diagonal_pair.first, diagonal_pair.second
     r = diagonal_pair.r
-    q_l0, q_lower = _sample_lower_factors(mu, r, rng)
+    q_l0 = _random_units(r, rng, lower=True)
+    q_lower = _conjugate(q_l0, [-m for m in mu.padded(r)])
     t_lower, u = triangularize_right(mat_mul(q_lower, n_input))
-    q_upper = _random_unit_upper(r, rng)
-    t_upper = _random_unit_upper(r, rng)
+    q_upper = _random_units(r, rng, lower=False)
+    t_upper = _random_units(r, rng, lower=False)
     ut = mat_mul(u, t_upper)
     n_star = mat_mul(q_upper, ut)
     q = mat_mul(q_upper, q_lower)

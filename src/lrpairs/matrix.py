@@ -714,25 +714,17 @@ def _table_partition(table: dict, r: int, shift_mu=None):
 
 
 def _is_exact_power_diagonal_decreasing(m: RMatrix) -> bool:
-    if not m.is_diagonal():
-        return False
-    prev = None
-    for i in range(1, m.r + 1):
-        e = m.entry(i, i)
-        if e.is_zero():
-            return False
-        v = e.valuation()
-        if e != RingElem.t_pow(v):
-            return False
-        if prev is not None and v > prev:
-            return False
-        prev = v
-    return True
+    """True when m is diag(t^(v_1), ..., t^(v_r)) with v_1 >= ... >= v_r."""
+    v = [row[i].valuation() for i, row in enumerate(m.entries)]
+    return (INFINITY not in v and all(a >= b for a, b in zip(v, v[1:]))
+            and m == RMatrix.diagonal([RingElem.t_pow(k) for k in v]))
 
 
 def _smith_grid(m: RMatrix):
     """The one Smith pass: ``_bareiss`` on [m | I], or None when m is
-    already a diagonal of decreasing t-powers.
+    already a diagonal of non-increasing t-powers, which
+    ``_is_exact_power_diagonal_decreasing`` reads off the diagonal's orders
+    and one comparison with the diagonal they define.
 
     The rows of [m | I] are each cleared by a scale c_k of order 0 (m is
     over the ring) and eliminated with ``invariant_partition``'s pivot; the

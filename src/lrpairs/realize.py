@@ -101,8 +101,8 @@ def realize(filling: Filling, mu) -> FactoredRealization:
         nu = Partition(filling.content())
     except InputError as exc:
         raise InputError(f"filling content is not a partition: {exc}") from exc
-    seq = sequence_from_filling(filling, mu)
-    lam = seq.stage(r)
+    stages = sequence_from_filling(filling, mu)
+    lam = stages[r]
     report = validate_filling(filling, mu, nu, lam)
     if not report.valid:
         raise InputError(f"not a valid LR filling: {report.failure_summary()}")
@@ -125,13 +125,12 @@ def realize(filling: Filling, mu) -> FactoredRealization:
             raise VerificationError(
                 f"partial product {i}: invariant partition {got_n} != {want_n}")
         got_mn = invariant_partition(mat_mul(m, prefixes[i - 1]))
-        if got_mn != seq.stage(i):
+        if got_mn != stages[i]:
             raise VerificationError(
                 f"partial product {i} with M: invariant partition {got_mn} "
-                f"!= stage {seq.stage(i)}")
+                f"!= stage {stages[i]}")
 
-    return FactoredRealization(m, factors, n, mu, nu, lam, filling,
-                               [seq.stage(i) for i in range(0, r + 1)])
+    return FactoredRealization(m, factors, n, mu, nu, lam, filling, stages)
 
 
 def random_filling(rng, r_max: int = 4, part_max: int = 6):

@@ -7,12 +7,14 @@ zero element gets the sentinel +infinity.  ``RingElem`` stores a reduced
 fraction of integer polynomials (coprime, joint content 1, positive leading
 coefficient in the denominator), so equality, order and residue are
 canonical, every operation is exact, and the arithmetic never leaves the
-integers.  Products, quotients and sums cancel common factors across their
-operands before multiplying (Henrici's cross-cancellation), so no gcd is
-ever taken of a full unreduced product.  Fractions appear only at the
-boundaries: rational constants and JSON are cleared of denominators on the
-way in, and ``to_json``/``str`` divide by the denominator's leading
-coefficient on the way out.
+integers.  Products and quotients cancel common factors across their
+operands before multiplying (Henrici's cross-cancellation), and every sum
+takes one route, whatever its denominators: the gcd of the two denominators
+first, then only that gcd's gcd with the new numerator (Knuth, TAOCP
+4.5.1).  So no gcd is ever taken of a full unreduced product.  Fractions
+appear only at the boundaries: rational constants and JSON are cleared of
+denominators on the way in, and ``to_json``/``str`` divide by the
+denominator's leading coefficient on the way out.
 
 Polynomials are plain dicts mapping degree -> nonzero int coefficient;
 sparse on purpose, since most matrix entries in this package are short sums
@@ -367,28 +369,16 @@ class RingElem:
     # -- arithmetic ----------------------------------------------------------
 
     def _add(self, other, sign):
-        sd, od = self.den, other.den
-        if sd is _PONE and od is _PONE:
-            num = _padd(self.num, other.num, sign)
-            return RingElem(num, _PONE, _raw=True) if num else _ZERO
-        # n/d + p stays canonical: gcd(n + p d, d) = gcd(n, d) = 1, and a
-        # prime dividing d's content and n + p d would divide n as well
-        if od is _PONE:
-            return RingElem(_padd(self.num, _pmul(other.num, sd), sign), sd, _raw=True)
-        if sd is _PONE:
-            num = _padd(_pmul(self.num, od), other.num, sign)
-            return RingElem(num, od, _raw=True)
-        if sd == od:
-            return _make(_padd(self.num, other.num, sign), sd)
-        # a/b + c/d with g = gcd(b, d): num = a d' + c b' shares no factor
-        # with b' d', so only gcd(num, g) is left to cancel (Knuth 4.5.1)
-        g, sd, od = _pgcd_cof(sd, od)
+        # one route for all denominators, 1 and equal ones included: a/b + c/d
+        # with g = gcd(b, d) (the shared _PONE when b, d are coprime), then
+        # num = a d' + c b' shares no factor with b' d', so only gcd(num, g)
+        # is left to cancel (Knuth 4.5.1)
+        g, sd, od = _pgcd_cof(self.den, other.den)
         num = _padd(_pmul(self.num, od), _pmul(other.num, sd), sign)
         if not num:
             return _ZERO
-        if g is _PONE:
-            return _normal(num, _pmul(self.den, od))
-        _, num, g = _pgcd_cof(num, g)
+        if g is not _PONE:
+            _, num, g = _pgcd_cof(num, g)
         return _normal(num, _pmul(_pmul(sd, od), g))
 
     def __add__(self, other):
@@ -440,7 +430,7 @@ class RingElem:
         return other / self
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
+        if type(n) is not int:  # a bool too, as in _coerce
             return NotImplemented
         if n < 0:
             return _ONE / self ** (-n)

@@ -170,27 +170,18 @@ class Filling:
         return f
 
 
-@dataclass(frozen=True)
-class LRSequence:
-    """The interpolating profiles mu = lam^(0), lam^(1), ..., lam^(r) = lam."""
+def sequence_from_filling(filling: Filling, mu) -> tuple:
+    """The interpolating profiles mu = lam^(0), lam^(1), ..., lam^(r) = lam
+    as a tuple of partitions: lam^(i)_j = mu_j + k_1j + ... + k_{min(i,j),j}.
 
-    steps: tuple
-
-    def __iter__(self):
-        return iter(self.steps)
-
-    def stage(self, i: int) -> Partition:
-        return self.steps[i]
-
-
-def sequence_from_filling(filling: Filling, mu) -> LRSequence:
-    """Stage profiles lam^(i)_j = mu_j + k_1j + ... + k_{min(i,j),j}.
-
-    Raises InputError when some stage is not weakly decreasing, i.e. the
-    filling does not even define a chain of partitions.
+    Raises InputError when mu has more parts than the filling has rows, or
+    when some stage is not weakly decreasing, i.e. the filling does not even
+    define a chain of partitions.
     """
     mu = as_partition(mu)
     r = filling.r
+    if len(mu) > r:
+        raise InputError(f"mu has {len(mu)} parts but the filling only {r} rows")
     steps = []
     for i in range(0, r + 1):
         row = []
@@ -203,7 +194,7 @@ def sequence_from_filling(filling: Filling, mu) -> LRSequence:
                     f"stage {i} profile {row} is not weakly decreasing; invalid filling"
                 )
         steps.append(Partition(row))
-    return LRSequence(tuple(steps))
+    return tuple(steps)
 
 
 @dataclass(frozen=True)

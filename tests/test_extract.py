@@ -172,7 +172,7 @@ def test_extract_from_pair_reads_nu_and_lam_off_the_certificate():
         cert = res.certificate
         assert row_sum_identities(res.filling, cert.minor_orders).ok
         assert Partition(res.filling.content()) == cert.nu
-        assert sequence_from_filling(res.filling, cert.mu).stage(cert.n_star.r) == cert.lam
+        assert sequence_from_filling(res.filling, cert.mu)[cert.n_star.r] == cert.lam
 
 
 def test_extract_from_pair_is_orbit_invariant():

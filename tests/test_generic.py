@@ -32,7 +32,7 @@ import checkoracle
 from capcheck import assert_equation_cap_exact
 from golden import LAM, MU, NU, c, golden_m, golden_mn, golden_n, t
 from test_matrix import (ROW_DENOMINATORS, cleaning_unit_by_fractions, comparable,
-                         uniform_caps)
+                         shifted_matrices, uniform_caps, unit_denominator_matrices)
 
 
 def golden_pair():
@@ -462,6 +462,17 @@ def test_to_mu_generic_from_scrambled_pair():
     assert checkoracle.corner_invariant_check(cert.n_star, MU).ok
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_conjugate_agrees_with_the_adjugate_route(data):
+    """_conjugate(q, e) is D q D^-1 for D = diag(t^e), the exponents of
+    either sign; the adjugate in times_inverse is the independent route."""
+    q = data.draw(st.one_of(shifted_matrices(), unit_denominator_matrices(max_r=4)))
+    e = data.draw(st.lists(st.integers(-3, 3), min_size=q.r, max_size=q.r))
+    d = RMatrix.diagonal([RingElem.t_pow(k) for k in e])
+    assert generic_mod._conjugate(q, e) == times_inverse(mat_mul(d, q), d)
+
+
 def test_certificate_equations_hold_on_all_pairs():
     cert = to_mu_generic(golden_pair(), random.Random(42))
     r = 4
@@ -568,10 +579,10 @@ def attempt_running_every_check(diagonal_pair, mu, nu, lam, rng):
     Draws from rng as the attempt does; returns (report, N*'s table)."""
     g = generic_mod
     n_input, r = diagonal_pair.second, diagonal_pair.r
-    _, q_lower = g._sample_lower_factors(mu, r, rng)
+    q_lower = g._conjugate(g._random_units(r, rng, lower=True), [-m for m in mu.padded(r)])
     t_lower, u = triangularize_right(mat_mul(q_lower, n_input))
-    q_upper = g._random_unit_upper(r, rng)
-    t_upper = g._random_unit_upper(r, rng)
+    q_upper = g._random_units(r, rng, lower=False)
+    t_upper = g._random_units(r, rng, lower=False)
     ut = mat_mul(u, t_upper)
     n_star = mat_mul(q_upper, ut)
     q = mat_mul(q_upper, q_lower)

@@ -952,6 +952,21 @@ def test_smith_short_circuit_on_power_diagonal():
     assert p == RMatrix.identity(4) and q == RMatrix.identity(4)
 
 
+def test_exact_power_diagonal_short_cut_known_cases():
+    """The Smith pass skips exactly the diagonals of non-increasing
+    t-powers, ties included; the reference elimination above shares the
+    predicate, so it is pinned here on its own."""
+    short_cut = matrix_mod._is_exact_power_diagonal_decreasing
+    for diagonal in ([t(3), t(1), t(1), ONE], [ONE], [t(2)]):
+        m = RMatrix.diagonal(diagonal)
+        assert short_cut(m) and matrix_mod._smith_grid(m) is None
+    for diagonal in ([t(1), t(2)], [c(2) * t(1), ONE], [-t(1)], [t(1), ZERO],
+                     [ZERO, ONE], [t(1), ONE + t(1)], [ONE / (ONE + t(1))]):
+        assert not short_cut(RMatrix.diagonal(diagonal)), diagonal
+    for rows in ([[t(2), t(1)], [ZERO, ONE]], [[t(1), ZERO], [t(3), ONE]]):
+        assert not short_cut(RMatrix(rows)), rows
+
+
 def test_smith_contract_random():
     rng = random.Random(21)
     for _ in range(25):

@@ -291,6 +291,15 @@ def test_power_operator():
     assert x ** 2 == x * x
 
 
+def test_power_of_a_bool_raises():
+    """A bool is no exponent, as it is no operand of + or *."""
+    for n in (True, False):
+        with pytest.raises(TypeError):
+            T ** n
+    with pytest.raises(TypeError):
+        T ** 2.0
+
+
 def test_equality_against_plain_ints():
     assert ONE == 1
     assert ZERO == 0
@@ -450,6 +459,24 @@ def test_cross_cancelling_ops_match_make_of_cross_products(pair):
         want = _unreduced(op, a, b)
         assert_identical(got, want)
         assert_canonical(got)
+
+
+@pytest.mark.parametrize("a, b", [
+    (poly((2, 0), (1, 1)), poly((-2, 0), (3, 2))),
+    (poly((1, 0), (1, 1)), (T - 1) / (T + 1)),
+    (ONE / (T * (T + 1)), poly((3, 1), (-1, 2))),
+    (T / (2 * T + 1), (T + 1) / (2 * T + 1)),
+    (T / (2 * T + 1), -T / (2 * T + 1)),
+    ((T + 3) / 6, (T - 1) / 6),
+], ids=["both-dens-one", "one-on-the-left", "one-on-the-right",
+        "equal-polynomial-dens", "equal-dens-cancelling", "equal-integer-dens"])
+def test_sums_over_each_denominator_class(a, b):
+    """Every sum takes the one gcd route; the classes that once had routes
+    of their own give the reduced cross products, as a general sum does."""
+    for x, y in ((a, b), (b, a)):
+        for op, got in (("+", x + y), ("-", x - y)):
+            assert_identical(got, _unreduced(op, x, y))
+            assert_canonical(got)
 
 
 def test_cross_cancellation_known_cases():

@@ -149,18 +149,27 @@ def test_filling_json_size_is_bounded():
 
 
 def test_sequence_stages_golden():
-    seq = sequence_from_filling(FILLING, MU)
-    assert seq.stage(0) == MU
-    assert seq.stage(1) == (11, 6, 3, 2)
-    assert seq.stage(2) == (11, 10, 4, 2)
-    assert seq.stage(3) == (11, 10, 7, 3)
-    assert seq.stage(4) == LAM
-    assert [s for s in seq] == [seq.stage(i) for i in range(5)]
+    stages = sequence_from_filling(FILLING, MU)
+    assert type(stages) is tuple and len(stages) == 5
+    assert all(type(s) is Partition for s in stages)
+    assert stages[0] == MU
+    assert stages[1] == (11, 6, 3, 2)
+    assert stages[2] == (11, 10, 4, 2)
+    assert stages[3] == (11, 10, 7, 3)
+    assert stages[4] == LAM
 
 
 def test_sequence_rejects_non_partition_stage():
     with pytest.raises(InputError):
         sequence_from_filling(Filling(((0,), (0, 3))), Partition((1,)))
+
+
+def test_sequence_rejects_mu_longer_than_the_filling():
+    """Stage 0 is mu, so mu's parts beyond the filling's rows cannot be
+    dropped; realize refuses such a mu with the same message."""
+    with pytest.raises(InputError, match="mu has 2 parts but the filling only 1 rows"):
+        sequence_from_filling(Filling([[1]]), (3, 2))
+    assert sequence_from_filling(Filling([[0], [0, 1]]), (3, 2)) == ((3, 2), (3, 2), (3, 3))
 
 
 # ---------------------------------------------------------------------------
