@@ -147,12 +147,6 @@ class RMatrix:
             self.entries[i][j].is_zero() for i in range(self.r) for j in range(i)
         )
 
-    def is_diagonal(self) -> bool:
-        return all(
-            self.entries[i][j].is_zero()
-            for i in range(self.r) for j in range(self.r) if i != j
-        )
-
     def to_json(self):
         return {"r": self.r, "entries": [[e.to_json() for e in row] for row in self.entries]}
 

@@ -21,8 +21,8 @@ from .generic import MatrixPair
 from .matrix import (RMatrix, diag_from_partition, invariant_partition,
                      mat_mul)
 from .ring import ONE, ZERO, RingElem
-from .tableaux import (Filling, Partition, as_partition, enumerate_fillings,
-                       iter_partitions, random_partition,
+from .tableaux import (Filling, Partition, _may_fill, _partition_tuples,
+                       as_partition, enumerate_fillings, random_partition,
                        sequence_from_filling, validate_filling)
 
 
@@ -94,8 +94,6 @@ def realize(filling: Filling, mu) -> FactoredRealization:
     r = filling.r
     if r == 0:
         raise InputError("filling must have at least one row")
-    if len(mu) > r:
-        raise InputError(f"mu has {len(mu)} parts but the filling only {r} rows")
 
     try:
         nu = Partition(filling.content())
@@ -135,7 +133,13 @@ def realize(filling: Filling, mu) -> FactoredRealization:
 
 def random_filling(rng, r_max: int = 4, part_max: int = 6):
     """Sample (filling, mu, nu, lam): random mu and nu within the bounds,
-    then a random compatible lam, then a uniform filling of that triple."""
+    then a random compatible lam, then a uniform filling of that triple.
+
+    The candidates are the shapes of the right weight, with at most r_max
+    parts, that contain mu and have at least len(nu) parts, in shuffled
+    walk order; the first one with a filling is taken.  A candidate that
+    fails ``_may_fill`` has none, so its fillings are not walked.
+    """
     if r_max < 1 or part_max < 1:
         raise InputError("sampling bounds must be at least 1")
     for _ in range(200):
@@ -144,10 +148,14 @@ def random_filling(rng, r_max: int = 4, part_max: int = 6):
         w = mu.weight() + nu.weight()
         if w == 0:
             continue
-        candidates = [lam for lam in iter_partitions(w, r_max, mu)
-                      if len(lam) >= len(nu)]
+        mu_p, nu_p = mu.padded(r_max), nu.padded(r_max)
+        floors = tuple(max(m, 1) if k < len(nu) else m for k, m in enumerate(mu_p))
+        candidates = list(_partition_tuples(w, floors))
         rng.shuffle(candidates)
-        for lam in candidates:
+        for parts in candidates:
+            if not _may_fill(mu_p, nu_p, parts + (0,) * (r_max - len(parts))):
+                continue
+            lam = Partition(parts)
             fillings = enumerate_fillings(mu, nu, lam)
             if fillings:
                 return rng.choice(fillings), mu, nu, lam

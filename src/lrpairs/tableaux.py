@@ -304,6 +304,8 @@ def _walk_fillings(mu, nu, lam):
             or len(nu) > r):
         return
     mu_p, nu_p, lam_p = mu.padded(r), nu.padded(r), lam.padded(r)
+    if not _may_fill(mu_p, nu_p, lam_p):
+        return
     # the weights agree and no entry exceeds what is left of its label, so
     # every label is used up when the last row is full
     left = list(nu_p)
@@ -357,30 +359,63 @@ def count_fillings(mu, nu, lam) -> int:
     return sum(1 for _ in _walk_fillings(mu, nu, lam))
 
 
-def iter_partitions(weight: int, max_len: int, mu=()):
-    """The partitions of weight with at most max_len parts that contain mu,
-    largest first part first (decreasing lexicographic order).
+def _may_fill(mu_p, nu_p, lam_p) -> bool:
+    """Whether (mu, nu, lam), each padded to one length r, passes two tests
+    that every triple with a filling passes: nu fits inside lam, and lam is
+    dominated by mu + nu.  So False means there is no filling; True
+    decides nothing.
+
+    Dominance: row j receives labels i <= j only, so the first k rows hold
+    at most the nu_1 + ... + nu_k cells of labels 1..k, and lam_1 + ... +
+    lam_k <= mu_1 + ... + mu_k + nu_1 + ... + nu_k.  Containment: the
+    fillings of (mu, nu, lam) and of (nu, mu, lam) are equinumerous
+    (c^lam_{mu nu} = c^lam_{nu mu}; Fulton, Young Tableaux, 1997, sec. 5),
+    and every filling's shape contains its inner shape.
+    """
+    top = low = 0
+    for m, n, l in zip(mu_p, nu_p, lam_p):
+        top += m + n
+        low += l
+        if n > l or low > top:
+            return False
+    return True
+
+
+def _partition_tuples(weight: int, floors: tuple):
+    """The partitions of weight with at most len(floors) parts whose part k
+    is at least floors[k], as tuples, largest first part first (decreasing
+    lexicographic order).  floors must be weakly decreasing.
 
     Part k runs down from the largest value that leaves the rest of the
-    weight enough to reach mu's later parts, to the larger of mu_k and the
-    least value that lets the slots still free hold the rest.  So every
+    weight enough to reach the later floors, to the larger of its floor and
+    the least value that lets the slots still free hold the rest.  So every
     prefix the walk builds ends in a partition it yields.
     """
-    mu = as_partition(mu)
-    if len(mu) > max_len or weight < mu.weight() or (weight and not max_len):
+    max_len = len(floors)
+    if weight < sum(floors) or (weight and not max_len):
         return
-    floors = mu.padded(max_len) + (0,)
-    tails = [sum(floors[k:]) for k in range(len(floors))]  # 0-based k
+    tails = [sum(floors[k:]) for k in range(max_len + 1)]  # 0-based k
 
     def rec(remaining, k, cap, prefix):
         if remaining == 0:
-            yield Partition(prefix)
+            yield prefix
             return
         low = max(floors[k], -(-remaining // (max_len - k)), 1)
         for p in range(min(cap, remaining - tails[k + 1]), low - 1, -1):
             yield from rec(remaining - p, k + 1, p, prefix + (p,))
 
     yield from rec(weight, 0, weight, ())
+
+
+def iter_partitions(weight: int, max_len: int, mu=()):
+    """The partitions of weight with at most max_len parts that contain mu,
+    largest first part first (decreasing lexicographic order): the tuple
+    walk with mu's parts as its floors."""
+    mu = as_partition(mu)
+    if len(mu) > max_len:
+        return
+    for parts in _partition_tuples(weight, mu.padded(max_len)):
+        yield Partition(parts)
 
 
 def random_partition(rng, max_len: int, max_part: int) -> Partition:

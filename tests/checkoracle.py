@@ -25,9 +25,15 @@ The diagonalization of a pair's first component by separate steps: the
 Smith transforms, the product Q N, each of its rows scaled clean on its
 own, and the units multiplied onto P and Q as a diagonal matrix.
 ``lrpairs.generic.diagonalize_first`` reads all of it off one Smith pass.
+
+The sampler with its candidate shapes as a list of ``Partition``s,
+filtered by length, shuffled, and the fillings of each shape in turn
+enumerated until one has any: ``lrpairs.realize.random_filling`` must make
+the same draws and leave its rng in the same state, though it lists plain
+tuples and walks no shape that ``_may_fill`` rules out.
 """
 
-from lrpairs.errors import RankError
+from lrpairs.errors import InputError, RankError, RetriesExhaustedError
 from lrpairs.generic import (CheckResult, GroupElement, MatrixPair,
                              VerificationReport, _corner_checks)
 from lrpairs.matrix import (RMatrix, _between, _clean, _clear_row, _lattice,
@@ -35,7 +41,8 @@ from lrpairs.matrix import (RMatrix, _between, _clean, _clear_row, _lattice,
                             _table_partition, det, diag_from_partition,
                             invariant_partition, mat_mul, minor_order_table)
 from lrpairs.ring import INFINITY, ONE, ZERO, RingElem, _pshift
-from lrpairs.tableaux import Partition, as_partition
+from lrpairs.tableaux import (Partition, as_partition, enumerate_fillings,
+                              iter_partitions, random_partition)
 
 
 def minor(m: RMatrix, rows, cols) -> RingElem:
@@ -241,3 +248,24 @@ def diagonalize_first_oracle(pair: MatrixPair):
     du = RMatrix.diagonal(units)
     return (MatrixPair(d, RMatrix(rows)),
             GroupElement(mat_mul(du, p), mat_mul(du, q), RMatrix.identity(pair.r)))
+
+
+def random_filling_oracle(rng, r_max: int = 4, part_max: int = 6):
+    """(filling, mu, nu, lam) as ``random_filling`` draws it, every
+    candidate a ``Partition`` and every candidate's fillings enumerated."""
+    if r_max < 1 or part_max < 1:
+        raise InputError("sampling bounds must be at least 1")
+    for _ in range(200):
+        mu = random_partition(rng, r_max, part_max)
+        nu = random_partition(rng, r_max, part_max)
+        w = mu.weight() + nu.weight()
+        if w == 0:
+            continue
+        candidates = [lam for lam in iter_partitions(w, r_max, mu)
+                      if len(lam) >= len(nu)]
+        rng.shuffle(candidates)
+        for lam in candidates:
+            fillings = enumerate_fillings(mu, nu, lam)
+            if fillings:
+                return rng.choice(fillings), mu, nu, lam
+    raise RetriesExhaustedError(200, "no triple with a valid filling found")

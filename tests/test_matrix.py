@@ -75,11 +75,11 @@ def det_by_permutations(m):
 
 def test_identity_and_diagonal():
     eye = RMatrix.identity(3)
-    assert eye.is_diagonal() and eye.is_upper_triangular()
+    assert eye == RMatrix.diagonal([ONE] * 3) and eye.is_upper_triangular()
     assert eye.entry(1, 1) == ONE and eye.entry(1, 2) == ZERO
     d = diag_from_partition(MU, 4)
     assert d.entry(1, 1) == t(7) and d.entry(4, 4) == t(1)
-    assert d.is_diagonal()
+    assert d == RMatrix.diagonal([t(7), t(4), t(2), t(1)])
     # shorter partition pads with exponent zero
     d2 = diag_from_partition(Partition((2,)), 2)
     assert d2.entry(2, 2) == ONE
@@ -220,7 +220,7 @@ def test_clear_row_scales_by_the_lcm_of_integer_denominators():
 def test_transpose_and_predicates():
     n = golden_n()
     assert n.is_upper_triangular()
-    assert not n.is_diagonal()
+    assert n != RMatrix.diagonal(n.entry(i, i) for i in range(1, 5))
     assert n.transpose().transpose() == n
     assert not n.transpose().is_upper_triangular()
     assert n.is_over_ring()
@@ -939,7 +939,7 @@ def test_smith_agrees_with_field_elimination(kind_m):
 def test_smith_contract_golden():
     p, q, d = smith_transforms(golden_n())
     assert mat_mul(p, golden_n()) == mat_mul(d, q)
-    assert d.is_diagonal()
+    assert d == RMatrix.diagonal(d.entry(i, i) for i in range(1, 5))
     assert det(p).valuation() == 0 and det(q).valuation() == 0
     orders = [d.entry(i, i).valuation() for i in range(1, 5)]
     assert orders == [8, 5, 4, 2]
@@ -974,7 +974,7 @@ def test_smith_contract_random():
         m = random_full_rank(rng, r)
         p, q, d = smith_transforms(m)
         assert mat_mul(p, m) == mat_mul(d, q)
-        assert d.is_diagonal()
+        assert d == RMatrix.diagonal(d.entry(i, i) for i in range(1, r + 1))
         assert p.is_over_ring() and q.is_over_ring()
         assert det(p).valuation() == 0 and det(q).valuation() == 0
         orders = [d.entry(i, i).valuation() for i in range(1, r + 1)]

@@ -11,6 +11,7 @@ from lrpairs.realize import build_factor, random_filling, realize
 from lrpairs.ring import ONE, ZERO
 from lrpairs.tableaux import Filling, Partition, validate_filling
 
+from checkoracle import random_filling_oracle
 from golden import (FILLING, LAM, MU, NU, golden_factors, golden_m, golden_mn,
                     golden_n, t)
 
@@ -86,8 +87,16 @@ def test_realize_rejects_lr_violation():
 
 
 def test_realize_rejects_oversized_mu():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="mu has 2 parts but the filling only 1 rows"):
         realize(Filling(((1,),)), Partition((2, 1)))
+
+
+def test_realize_reports_the_content_before_the_length_of_mu():
+    """A filling whose content is no partition, over a mu longer than its
+    rows, fails the content check first: the length check is
+    ``sequence_from_filling``'s, which runs after it."""
+    with pytest.raises(InputError, match="filling content is not a partition"):
+        realize(Filling(((0,), (0, 1))), Partition((1, 1, 1)))
 
 
 def test_realize_rejects_empty_filling():
@@ -132,6 +141,20 @@ def test_random_filling_pinned_draws(seed, r_max, part_max):
         f, mu, nu, lam = random_filling(rng, r_max, part_max)
         h.update(repr((f.rows, mu.parts, nu.parts, lam.parts)).encode())
     assert h.hexdigest() == PINNED_DRAWS[seed, r_max, part_max]
+
+
+@pytest.mark.parametrize("r_max,part_max", [(1, 3), (2, 2), (2, 6), (4, 6), (6, 4), (6, 6)])
+def test_random_filling_matches_the_partition_list_sampler(r_max, part_max):
+    """Draw by draw the tuple walk with its skipped walks gives the list
+    sampler's draw, and leaves the rng in the same state."""
+    for seed in (1, 2, 7919):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(40):
+            f, mu, nu, lam = random_filling(rng, r_max, part_max)
+            want = random_filling_oracle(ref, r_max, part_max)
+            assert (f, mu, nu, lam) == want
+            assert all(type(p) is int for p in lam)
+            assert rng.getstate() == ref.getstate()
 
 
 def test_random_filling_respects_bounds():

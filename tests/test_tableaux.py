@@ -1,12 +1,15 @@
 """Partitions, fillings, LR conditions and the enumeration engine."""
 
+import json
 import random
-from itertools import accumulate
+import sys
+from itertools import accumulate, combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lrpairs import tableaux
+from lrpairs.cli import main
 from lrpairs.errors import InputError
 from lrpairs.tableaux import (MAX_SIZE, Filling, Partition, as_partition,
                               count_fillings,
@@ -355,12 +358,24 @@ def partitions(max_len, max_part):
 
 
 @settings(max_examples=300, deadline=None)
-@given(weight=st.integers(-1, 16), max_len=st.integers(0, 6), mu=partitions(6, 6))
-@example(weight=6, max_len=2, mu=Partition((2, 1, 1)))   # mu longer than max_len
-@example(weight=3, max_len=3, mu=Partition((3, 1)))      # weight below |mu|
-@example(weight=9, max_len=3, mu=Partition((3, 3, 3)))   # mu itself, no slack
-def test_iter_partitions_matches_filtered_reference(weight, max_len, mu):
-    assert list(iter_partitions(weight, max_len, mu)) == partitions_reference(weight, max_len, mu)
+@given(weight=st.integers(-1, 16), max_len=st.integers(0, 6), mu=partitions(6, 6),
+       nu_len=st.integers(0, 6))
+@example(weight=6, max_len=2, mu=Partition((2, 1, 1)), nu_len=0)  # mu longer than max_len
+@example(weight=3, max_len=3, mu=Partition((3, 1)), nu_len=0)     # weight below |mu|
+@example(weight=9, max_len=3, mu=Partition((3, 3, 3)), nu_len=0)  # mu itself, no slack
+@example(weight=6, max_len=3, mu=Partition((2, 1)), nu_len=3)     # floors past mu
+@example(weight=2, max_len=3, mu=Partition(()), nu_len=3)         # floors above the weight
+def test_iter_partitions_matches_filtered_reference(weight, max_len, mu, nu_len):
+    """iter_partitions is the reference list; the tuple walk under it, with
+    floors of 1 on the first nu_len parts as well, yields exactly the
+    shapes of at least nu_len parts, in the same order."""
+    want = partitions_reference(weight, max_len, mu)
+    assert list(iter_partitions(weight, max_len, mu)) == want
+    if len(mu) > max_len or nu_len > max_len:
+        return
+    floors = tuple(max(m, 1) if k < nu_len else m for k, m in enumerate(mu.padded(max_len)))
+    assert list(tableaux._partition_tuples(weight, floors)) == [
+        lam.parts for lam in want if len(lam) >= nu_len]
 
 
 def dominated(a, b, r):
@@ -392,6 +407,55 @@ def test_fillings_match_row_checked_reference(triple):
     want = fillings_reference(mu, nu, lam)
     assert enumerate_fillings(mu, nu, lam) == want
     assert count_fillings(mu, nu, lam) == len(want)
+
+
+def test_may_fill_rules_out_only_triples_without_fillings(monkeypatch):
+    """Every mu and nu with at most 3 parts of at most 3, and every lam of
+    weight |mu| + |nu| with at most 6 parts that contains mu: where
+    ``_may_fill`` is False the walk, its test switched off, finds no
+    filling, and with the test on every count is the same."""
+    may_fill = tableaux._may_fill
+    box = [Partition(sorted(parts, reverse=True))
+           for parts in combinations_with_replacement(range(4), 3)]
+    triples = [(mu, nu, lam) for mu in box for nu in box
+               for lam in iter_partitions(mu.weight() + nu.weight(), 6, mu)]
+    assert len(triples) == 9246
+    counts = [count_fillings(*triple) for triple in triples]
+    monkeypatch.setattr(tableaux, "_may_fill", lambda mu_p, nu_p, lam_p: True)
+    rejected = 0
+    for (mu, nu, lam), count in zip(triples, counts):
+        walked = count_fillings(mu, nu, lam)
+        assert count == walked, (mu, nu, lam)
+        if not may_fill(mu.padded(6), nu.padded(6), lam.padded(6)):
+            rejected += 1
+            assert walked == 0, (mu, nu, lam)
+    assert rejected == 4078
+
+
+def test_count_stops_before_the_rows_on_a_dominance_failure(capsys):
+    """(1,1), (1,1), (3,1): weights agree and lam contains mu and nu, but
+    lam_1 = 3 > mu_1 + nu_1, so ``count`` answers 0 without entering the
+    row walk; the golden triple enters it."""
+    entered = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "walk_rows":
+            entered.append(frame.f_code)
+
+    assert not tableaux._may_fill((1, 1), (1, 1), (3, 1))
+    sys.setprofile(watch)
+    try:
+        rc = main(["count", "1,1", "1,1", "3,1"])
+    finally:
+        sys.setprofile(None)
+    assert rc == 0 and json.loads(capsys.readouterr().out)["count"] == 0
+    assert entered == []
+    sys.setprofile(watch)
+    try:
+        assert count_fillings(MU, NU, LAM) == 7
+    finally:
+        sys.setprofile(None)
+    assert entered
 
 
 # ---------------------------------------------------------------------------
