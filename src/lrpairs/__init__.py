@@ -10,7 +10,7 @@ transformations (generic), and reads the filling back off minor orders
 from .errors import (GenericityError, InputError, LRPairsError, NotInRingError,
                      PrincipalMinorError, RankError, RetriesExhaustedError,
                      VerificationError)
-from .ring import INFINITY, ONE, T, ZERO, RingElem, random_unit, residue, valuation
+from .ring import INFINITY, ONE, T, ZERO, RingElem, random_unit, residue
 from .matrix import (RMatrix, det, diag_from_partition, invariant_partition,
                      inverse, is_mu_admissible, lu_decompose, mat_mul,
                      minor_order_table, times_inverse)
@@ -33,7 +33,6 @@ __all__ = [
     "PrincipalMinorError", "RankError", "RetriesExhaustedError",
     "VerificationError",
     "INFINITY", "ONE", "T", "ZERO", "RingElem", "random_unit", "residue",
-    "valuation",
     "RMatrix", "det", "diag_from_partition", "invariant_partition",
     "inverse", "is_mu_admissible", "lu_decompose", "mat_mul",
     "minor_order_table", "times_inverse",

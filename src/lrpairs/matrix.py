@@ -32,13 +32,14 @@ differences of their orders are the invariant orders.  The same pass on
 [m | I], ``_smith_grid``, is the one Smith pass: the reduction's
 diagonalization of a pair (``generic.diagonalize_first``) reads its
 transforms directly off it.  One pivot search, ``_min_order_pivot``, serves
-the invariant partition and the Smith pass, and no elimination divides in
-the field.  ``_clean`` scales a vector given over one denominator clean by
-a unit, through gcds with that denominator, and returns the divisor w it
-leaves, the unit being the denominator over w, so other rows scaled by the
-same unit take one reduction per entry.
-Whether a determinant is a unit is read in the residue field instead
-(``has_unit_det``), which needs only the constant terms.
+the determinant, its cofactors and unit test, the invariant partition and
+the Smith pass, and no elimination divides in the field.  ``_clean`` scales
+a vector given over one denominator clean by a unit, through gcds with that
+denominator, and returns the divisor w it leaves, the unit being the
+denominator over w, so other rows scaled by the same unit take one
+reduction per entry.  Whether a determinant is a unit is read in the
+residue field instead (``has_unit_det``), which needs only the constant
+terms.
 ``minor_order_table`` batches every (I, J) minor order of a matrix through a
 shared-subminor expansion along the last row, which the verification and
 extraction code paths rely on.  That expansion keeps the comparable pairs
@@ -89,7 +90,7 @@ class RMatrix:
     __slots__ = ("r", "entries", "_inverse_of")
 
     def __init__(self, rows):
-        rows = tuple(tuple(_coerce_entry(e) for e in row) for row in rows)
+        rows = tuple(tuple(RingElem.const(e) for e in row) for row in rows)
         r = len(rows)
         if r < 1:
             raise InputError("matrices must have size at least 1")
@@ -113,7 +114,7 @@ class RMatrix:
 
     @staticmethod
     def diagonal(elems) -> "RMatrix":
-        elems = [_coerce_entry(e) for e in elems]
+        elems = [RingElem.const(e) for e in elems]
         r = len(elems)
         return RMatrix([[elems[i] if i == j else ZERO for j in range(r)] for i in range(r)])
 
@@ -163,12 +164,6 @@ class RMatrix:
         if "r" in obj and (type(obj["r"]) is not int or obj["r"] != m.r):
             raise InputError(f"matrix declares r={obj['r']!r} but has {m.r} rows")
         return m
-
-
-def _coerce_entry(e) -> RingElem:
-    if isinstance(e, RingElem):
-        return e
-    return RingElem.const(e)
 
 
 def mat_mul(a: RMatrix, b: RMatrix) -> RMatrix:
@@ -332,17 +327,12 @@ def _bareiss(a, find):
     return pivots, sign
 
 
-def _first_nonzero_in_column(a, k):
-    for i in range(k, len(a)):
-        if a[i][k]:
-            return i, k
-    return None
-
-
 def _poly_det(sub):
-    """Determinant of a grid of integer polynomials, by ``_bareiss`` with
-    the first nonzero entry of each column as its pivot."""
-    pivots, sign = _bareiss([list(row) for row in sub], _first_nonzero_in_column)
+    """Determinant of a square grid of integer polynomials, by ``_bareiss``
+    with the pivot search of ``invariant_partition``, ``_min_order_pivot``.
+    The last pivot is the determinant up to the sign of the row and column
+    swaps, which ``_bareiss`` returns, so the pivot order changes nothing."""
+    pivots, sign = _bareiss([list(row) for row in sub], _min_order_pivot)
     if len(pivots) < len(sub):
         return {}
     # _pscale copies, so at k = 1 the caller's entry is not handed back

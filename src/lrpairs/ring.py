@@ -645,11 +645,6 @@ _ONE = RingElem(_PONE, _PONE, _raw=True)
 # module-level operations
 
 
-def valuation(x: RingElem):
-    """Order of x at t = 0: the k with x = unit * t**k; +infinity for 0."""
-    return _coerce_strict(x).valuation()
-
-
 def residue(x: RingElem) -> Fraction:
     """Image of x in the residue field: num(0)/den(0) when the order is 0.
 

@@ -4,8 +4,11 @@ with.
 The verification battery's checks as plain enumerations: every pair's
 minimum over its whole up- or down-set, and every triple I <= H <= J of the
 gap inequalities.  ``lrpairs.generic`` takes the same minima in one pass
-over the cover lattice and checks the gaps on covers; these bodies are the
-references its verdicts and report strings are compared with.
+over the cover lattice and checks the gaps on covers.  These bodies are the
+references its verdicts are compared with, and for the three equations its
+report strings too.  For the gaps ``gap_failures`` is the reference for
+verdicts only: the package names the first failing cover triple of its own
+walk, which may not be the first triple here.
 
 The invariant partition read off the full minor-order table, and the corner
 minors of N* checked one Bareiss minor at a time against partitions found
@@ -146,7 +149,9 @@ def equation_third(tab_n, tab_left, r):
 
 def gap_failures(table, mu, r):
     """(rows, columns) failure strings of ``verify_mu_generic``'s two gap
-    checks, from every triple."""
+    checks, from every triple, each naming the first failing triple by pair
+    I <= J and then H; "" where a check holds.  Compared for the verdict
+    alone."""
     weight = _mu_weights(mu, r)
     row_fail = ""
     col_fail = ""

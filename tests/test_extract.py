@@ -3,18 +3,19 @@
 import random
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
-from lrpairs.errors import GenericityError
+from lrpairs.errors import GenericityError, RankError
 from lrpairs.extract import counterexample_demo, extract_filling, extract_from_pair
 from lrpairs.generic import GroupElement, MatrixPair, act, verify_mu_generic
 from lrpairs.matrix import RMatrix, diag_from_partition, mat_mul, minor_order_table
 from lrpairs.realize import random_filling, realize
-from lrpairs.ring import ONE, ZERO
+from lrpairs.ring import ONE, ZERO, RingElem
 from lrpairs.tableaux import Filling, Partition, sequence_from_filling
 
 from checkoracle import corner_invariant_check, minor_order, row_sum_identities
 from golden import FILLING, KEPT_ORDERS, LAM, MU, NU, c, golden_m, golden_n, t
-from test_generic import _staircase_pair
+from test_generic import _staircase_pair, random_group_element
 
 
 def golden_pair():
@@ -226,3 +227,76 @@ def test_counterexample_residue_system_only_trivial():
 
 def test_counterexample_is_deterministic():
     assert counterexample_demo() == counterexample_demo()
+
+
+# ---------------------------------------------------------------------------
+# pairs that realize never produces
+
+
+def _terms(rng):
+    """0 with probability 0.4, otherwise one or two terms c t^d with
+    0 < |c| <= 3 and d <= 4."""
+    if rng.random() < 0.4:
+        return ZERO
+    return RingElem.from_terms([(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(0, 4))
+                                for _ in range(rng.randint(1, 2))])
+
+
+@st.composite
+def unrealized_pairs(draw):
+    """(D_mu, N) for r in {2, 3, 4}, mu with parts at most 3 and N with
+    sparse entries of one or two terms, scrambled by a product of unit
+    triangular factors as in acceptance criterion 3; a pair of rank below
+    r is drawn again where it is reduced."""
+    r = draw(st.integers(2, 4))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    mu = Partition(tuple(sorted((rng.randint(0, 3) for _ in range(r)), reverse=True)))
+    n = RMatrix([[_terms(rng) for _ in range(r)] for _ in range(r)])
+    return act(random_group_element(rng, r), MatrixPair(diag_from_partition(mu, r), n)), rng
+
+
+@settings(max_examples=35, deadline=None)
+@given(unrealized_pairs())
+def test_orbit_invariants_on_pairs_realize_never_builds(drawn):
+    """Filling, mu, nu and lambda are orbit invariants of every full-rank
+    pair, not only of the one orbit per filling that ``realize`` builds,
+    and the certificate's group element replays the reduction.  So are
+    those of the transposed pair (N^T, M^T), whose orbit holds the
+    transposed pairs of the whole orbit, with nu and mu swapped."""
+    pair, rng = drawn
+    try:
+        before = extract_from_pair(pair, rng)
+    except RankError:
+        reject()
+    assert act(before.certificate.group, pair) == before.certificate.pair
+    moved = act(random_group_element(rng, pair.r), pair)
+    after = extract_from_pair(moved, rng)
+    assert after[:4] == before[:4]
+    dual_before, dual_after = (
+        extract_from_pair(MatrixPair(p.second.transpose(), p.first.transpose()), rng)
+        for p in (pair, moved))
+    assert dual_before[1:4] == (before.nu, before.mu, before.lam)
+    assert dual_after[:4] == dual_before[:4]
+
+
+def test_one_filling_two_orbits_told_apart_by_the_transposed_pair():
+    """M = diag(t^2, t, 1) with N_a and N_b: both pairs have mu = nu = (2, 1),
+    lambda = (3, 2, 1) and one filling, but their transposed pairs
+    (N^T, M^T), orbit invariants of the pairs too, extract two fillings, so
+    the pairs lie in different orbits."""
+    m = diag_from_partition(Partition((2, 1)), 3)
+    n_a = RMatrix([[ZERO, c(2) * t(1), ZERO],
+                   [-c(2) * t(1), ZERO, c(3)],
+                   [c(3) * t(2), c(2) * t(4) + c(2) * t(3), ZERO]])
+    n_b = RMatrix([[ZERO, c(3), t(2)],
+                   [c(2) * t(2), t(3), c(2) * t(4) + c(3) * t(1)],
+                   [c(2) * t(2), -t(1), ZERO]])
+    for seed in range(3):
+        for n, dual in ((n_a, [[1], [1, 0], [0, 1, 0]]), (n_b, [[1], [0, 1], [1, 0, 0]])):
+            res = extract_from_pair(MatrixPair(m, n), random.Random(seed))
+            assert res.filling == Filling([[1], [0, 1], [1, 0, 0]])
+            assert (res.mu, res.nu, res.lam) == ((2, 1), (2, 1), (3, 2, 1))
+            res_t = extract_from_pair(MatrixPair(n.transpose(), m.transpose()),
+                                      random.Random(seed))
+            assert res_t.filling == Filling(dual)
+            assert (res_t.mu, res_t.nu, res_t.lam) == ((2, 1), (2, 1), (3, 2, 1))

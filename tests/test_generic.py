@@ -1,8 +1,10 @@
 """Group action, triangularization, and the mu-generic reduction pipeline."""
 
+import ast
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -1187,6 +1189,42 @@ def check_inputs(draw):
             edited(want_third), edited(gaps))
 
 
+_WITNESS = re.compile(r"I=(\([\d, ]*\)) H=(\([\d, ]*\)) J=(\([\d, ]*\)): (.*)")
+
+
+def _order(text):
+    return INFINITY if text == "inf" else int(text)
+
+
+def assert_gap_witness(detail, table, mu, r, rows):
+    """detail names a cover triple I <= H <= J (H an up-cover of I for the
+    rows, J an up-cover of H for the columns) in one of the check's
+    formats, with the table's orders at its keys, and the inequality fails
+    there."""
+    i_set, h_set, j_set, claim = _WITNESS.fullmatch(detail).groups()
+    i_set, h_set, j_set = (ast.literal_eval(x) for x in (i_set, h_set, j_set))
+    lattice = matrix_mod._lattice(r)
+    index = lattice.index
+    assert h_set in lattice.up[i_set] and j_set in lattice.up[h_set]
+    lo, hi = (i_set, h_set) if rows else (h_set, j_set)
+    assert index[hi] in lattice.up_covers[len(lo)][index[lo]]
+    weight = matrix_mod._mu_weights(mu, r)
+    step = weight[i_set] - weight[h_set]
+    if not rows:
+        a, b = map(_order, claim.split(" < "))
+        assert (a, b) == (table[(i_set, h_set)], table[(i_set, j_set)])
+        assert a < b
+    elif claim.startswith("gap "):
+        gap = re.fullmatch(r"gap (\S+) - (\S+) exceeds (-?\d+)", claim)
+        v, base, s = _order(gap[1]), _order(gap[2]), int(gap[3])
+        assert (v, base, s) == (table[(h_set, j_set)], table[(i_set, j_set)], step)
+        assert base is not INFINITY and v > base + s
+    else:
+        a, b = map(_order, claim.split(" > "))
+        assert (a, b) == (table[(i_set, j_set)], table[(h_set, j_set)])
+        assert a > b
+
+
 @settings(max_examples=150, deadline=None)
 @given(check_inputs())
 def test_checks_match_enumerating_oracles(inputs):
@@ -1200,7 +1238,10 @@ def test_checks_match_enumerating_oracles(inputs):
     for tab in (tab_gaps, tab_first, right):
         gaps = verify_mu_generic(RMatrix.identity(r), mu, table=tab).checks[1:]
         want = checkoracle.gap_failures(tab, mu, r)
-        # the verdict is the cover check's own, so it is compared as well: a
-        # check too strict would still name no triple
-        assert tuple(c.detail for c in gaps) == want
         assert tuple(c.passed for c in gaps) == tuple(not w for w in want)
+        # a failing check names a cover triple of its own walk, which may
+        # differ from the oracle's first triple but fails as it says
+        for check, rows in zip(gaps, (True, False)):
+            assert (check.detail == "") == check.passed
+            if check.detail:
+                assert_gap_witness(check.detail, tab, mu, r, rows)

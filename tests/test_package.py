@@ -30,12 +30,14 @@ def test_retired_names_are_gone():
     them: extraction proves those rather than checks them.  So do the
     single-minor route and the Smith transforms: the package reads minors
     off one table or one determinant, and its one Smith pass directly.
-    ``sequence_from_filling`` returns its stages as a plain tuple, and a
-    diagonal matrix compares equal to ``RMatrix.diagonal`` of its diagonal."""
+    ``sequence_from_filling`` returns its stages as a plain tuple, a
+    diagonal matrix compares equal to ``RMatrix.diagonal`` of its diagonal,
+    and an element's order is read off its own ``valuation`` method."""
     for name in ("invariant_partition_oracle", "corner_invariant_check",
                  "row_sum_check", "row_sum_identities", "minor",
-                 "minor_order", "smith_transforms", "LRSequence"):
+                 "minor_order", "smith_transforms", "LRSequence", "valuation"):
         assert name not in lrpairs.__all__
         assert not hasattr(lrpairs, name)
     assert not hasattr(lrpairs.tableaux, "LRSequence")
+    assert not hasattr(lrpairs.ring, "valuation")
     assert not hasattr(lrpairs.RMatrix, "is_diagonal")
