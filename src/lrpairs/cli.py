@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
@@ -31,6 +32,8 @@ from .matrix import RMatrix
 from .realize import random_filling, realize
 from .ring import INFINITY, MAX_DEGREE
 from .tableaux import MAX_SIZE, Filling, Partition, count_fillings
+
+_PART = re.compile(r"[0-9]+")
 
 
 # Largest --rmax x --pmax box that roundtrip draws mu and nu from.
@@ -48,12 +51,20 @@ _CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _parse_partition(text: str) -> Partition:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
+    """Comma-separated parts, each ASCII digits once stripped of blanks, as
+    the digits of a JSON coefficient; an empty argument is the empty
+    partition."""
+    if not text.strip():
+        return Partition()
+    parts = [p.strip() for p in text.split(",")]
     if len(parts) > MAX_SIZE:
         raise InputError(f"partition of {len(parts)} parts exceeds the limit {MAX_SIZE}")
+    for p in parts:
+        if not _PART.fullmatch(p):
+            raise InputError(f"bad partition {text!r}: part {p!r} is not decimal digits")
     try:
         return Partition(tuple(int(p) for p in parts))
-    except ValueError as exc:
+    except ValueError as exc:  # digits past CPython's int limit
         raise InputError(f"bad partition {text!r}: {exc}")
 
 

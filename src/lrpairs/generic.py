@@ -20,13 +20,8 @@ The verification is exhaustive at every size r: each check covers every
 index pair, or every componentwise triple, of the full minor-order table of
 N*, read through the covers of ``matrix._lattice``: the equations' minima
 in one pass over them, the gap inequalities on the triples with a cover
-inside.  Each table is computed only to the precision its checks need, set
-per pair (I, J): N*'s from its diagonal orders in rows I
-(``_n_star_caps``), and each equation table's entry to N*'s own order at
-that pair (``_equation_failures``).  Both docstrings prove that a passing
-attempt's tables and every attempt's verdict are those of the full
-precision; an attempt that fails the checks on N*'s table names its
-failures from the uncapped table.
+inside.  Every table is exact (``matrix.minor_order_table``), so each
+check reads true orders, and N*'s table is built once per attempt.
 
 The extraction and the CLI read only N* and its minor-order table.  The
 certificate's ``t_star`` = (T_L T_U)^-1 and ``group``, which only a replay
@@ -474,69 +469,6 @@ def check_equation_third(tab_n: dict, tab_left: dict, r: int):
     return ""
 
 
-def _n_star_caps(n_star: RMatrix, nu_weight: int):
-    """Precision for N*'s table: cap(I, J) = min(|nu|, sum over i in I of
-    ord N*_ii) at every comparable pair I <= J.
-
-    Called once an attempt's cheap checks pass, so N* = Q_U U T_U is over R
-    and upper triangular, and ord N*_II is the sum over I.  Its diagonal
-    entries are U's pivots times units, nonzero since ``triangularize_right``
-    raises RankError otherwise, so every diagonal order is finite and >= 0.
-    An attempt that can pass has a table equal to the uncapped one,
-    whichever it is built with.  If the attempt passes uncapped,
-    ord det N* = |nu| (the nu check), so ord N*_II <= |nu| and
-    ord N*_II <= cap(I, J); det_gap_columns with H = I bounds every
-    comparable ord N*_IJ by ord N*_II, so each is at most its cap and exact,
-    and the other minors vanish identically.  If it passes at the caps, the
-    nu check read a finite, hence exact, order |nu| for the whole row set,
-    so again ord N*_II <= cap(I, I) is exact, and det_gap_columns read every
-    comparable entry at most that: finite, hence exact.  So the two tables
-    differ only in attempts that fail at both precisions, where an entry
-    above its cap fails det_gap_columns; such an attempt names its failures
-    from the uncapped table, whose checks may fail otherwise."""
-    r = n_star.r
-    diag = [n_star.entry(i, i).valuation() for i in range(1, r + 1)]
-    caps = {}
-    for rows, up in _lattice(r).up.items():
-        cap = min(nu_weight, sum(diag[i - 1] for i in rows))
-        caps.update(((rows, cols), cap) for cols in up)
-    return caps
-
-
-def _equation_failures(tab_n, right, left, v, mu, r, cap):
-    """The three equations' failure strings ("" where one holds), on the
-    tables of U T_U, Q_U U and V built at precision cap, a per-pair mapping
-    (``minor_order_table``'s) or None for full precision; v may be V's rows
-    times units, which moves no minor order.
-
-    The reduction passes ``tab_n`` itself as the mapping: each equation
-    table's entry is needed exactly to N*'s order at the same pair.  It
-    does so once the checks on ``tab_n`` pass, so N* is upper triangular,
-    det_gap_rows and det_gap_columns hold, and every entry of ``tab_n`` is
-    exact (``_n_star_caps``): the comparable ones are finite, at most
-    ord N*_II by det_gap_columns with H = I, and the others vanish
-    identically.  Each equation compares a want w = ord N*_IJ with a
-    minimum of terms t + s, t an entry of a table at a pair P built to
-    cap(P) and s >= 0 a shift.  Where w - s <= cap(P), a term at or below w
-    has t <= cap(P) and is exact, and a term above it reads exact or
-    infinite, above w either way; so the minimum equals w at the caps
-    exactly when it does at full precision.
-      * first, terms tab_right (S, J) for S >= I, s = 0: for S <= J,
-        det_gap_rows on I <= S <= J gives w <= ord N*_SJ = cap(S, J); for S
-        not <= J the minor of U T_U vanishes identically, infinite at any
-        cap.  When I is not <= J every S is such, and w is infinite.
-      * second, terms tab_v (H, J) for H <= I <= J, s = |mu_H| - |mu_I|:
-        det_gap_rows on H <= I <= J gives w - s <= ord N*_HJ = cap(H, J).
-      * third, terms tab_left (I, H) for H <= J, s = 0: for I <= H,
-        det_gap_columns on I <= H <= J gives w <= ord N*_IH = cap(I, H); for
-        I not <= H the minor of Q_U U vanishes identically.  When I is not
-        <= J every H is such, and w is infinite."""
-    tab_v = minor_order_table(v, cap=cap, comparable_only=True)
-    return (check_equation_first(tab_n, minor_order_table(right, cap=cap), r),
-            check_equation_second(tab_n, tab_v, mu, r),
-            check_equation_third(tab_n, minor_order_table(left, cap=cap), r))
-
-
 # ---------------------------------------------------------------------------
 # verification
 
@@ -765,27 +697,20 @@ def _attempt_reduction(diagonal_pair, g_diag, mu, nu, lam, rng,
              CheckResult("n_star_over_ring", n_star.is_over_ring()))
     _fail_on(cheap)
 
-    # stage 2: the checks that read tab_n, exact whenever the attempt can
-    # pass at precision min(|nu|, ord N*_II) at pairs in rows I, see
-    # _n_star_caps.  A failure is named from the uncapped table, where the
-    # stage fails too: the capped one may fail other checks of it.
-    for cap in (_n_star_caps(n_star, nu.weight()), None):
-        tab_n = minor_order_table(n_star, cap=cap)
-        nu_star = _table_partition(tab_n, r)
-        lam_star = _table_partition(tab_n, r, shift_mu=mu)
-        invariants = (CheckResult("nu_preserved", nu_star == nu,
-                                  "" if nu_star == nu else f"{nu_star} vs {nu}"),
-                      CheckResult("lambda_preserved", lam_star == lam,
-                                  "" if lam_star == lam else f"{lam_star} vs {lam}"))
-        # corners against the input pair's nu and lam, straight from the table
-        gaps = (verify_mu_generic(n_star, mu, table=tab_n).checks
-                + _corner_checks(lambda rows, cols: tab_n[(rows, cols)], mu, nu, lam, r))
-        if all(c.passed for c in invariants + gaps):
-            break
+    # stage 2: the checks that read N*'s table
+    tab_n = minor_order_table(n_star)
+    nu_star = _table_partition(tab_n, r)
+    lam_star = _table_partition(tab_n, r, shift_mu=mu)
+    invariants = (CheckResult("nu_preserved", nu_star == nu,
+                              "" if nu_star == nu else f"{nu_star} vs {nu}"),
+                  CheckResult("lambda_preserved", lam_star == lam,
+                              "" if lam_star == lam else f"{lam_star} vs {lam}"))
+    # corners against the input pair's nu and lam, straight from the table
+    gaps = (verify_mu_generic(n_star, mu, table=tab_n).checks
+            + _corner_checks(lambda rows, cols: tab_n[(rows, cols)], mu, nu, lam, r))
     _fail_on(invariants + gaps)
 
-    # stage 3: Q's LU stage, then the equation tables, each entry up to N*'s
-    # order at its pair, see _equation_failures
+    # stage 3: Q's LU stage, then the equation tables
     try:
         grid, scales, pivots = _lu_grid(q)
     except PrincipalMinorError as exc:  # the detail stays on the chain
@@ -794,8 +719,10 @@ def _attempt_reduction(diagonal_pair, g_diag, mu, nu, lam, rng,
         CheckResult("lu_factors_in_ring", _lu_factors_in_ring(grid, scales, pivots, mu)),
         CheckResult("lu_product_consistent", _lu_product_consistent(q, grid, pivots)))
     v = _v_rows_times_units(grid, scales, pivots, mat_mul(n_input, t_inv))
-    failures = _equation_failures(tab_n, ut, mat_mul(q_upper, u), v, mu, r,
-                                  tab_n)
+    # the tables of U T_U, V (its rows times units, as orders go) and Q_U U
+    failures = (check_equation_first(tab_n, minor_order_table(ut), r),
+                check_equation_second(tab_n, minor_order_table(v, comparable_only=True), mu, r),
+                check_equation_third(tab_n, minor_order_table(mat_mul(q_upper, u)), r))
     lu_and_equations = lu_checks + tuple(
         CheckResult("equation_" + name, not fail, fail)
         for name, fail in zip(("first", "second", "third"), failures))

@@ -45,13 +45,12 @@ shared-subminor expansion along the last row, which the verification and
 extraction code paths rely on.  That expansion keeps the comparable pairs
 I <= J closed, so an upper triangular matrix, whose other minors vanish, and
 the reduction's V table, which is read only there, are expanded on those
-pairs alone.  Its minors are dense coefficient lists truncated at the
-requested precision, one per pair.  A pair's precision is raised to what the
-larger minors that expand into it need, each less the order of the entry
-that multiplies it (``_closed_pair_lims``).  Every table and every check
-walks the index sets through one lattice per size, ``_lattice``, built once
-from ``_between``: the sets by size, each set's up- and down-set, drops and
-up- and down-covers, and the table plans.
+pairs alone.  Each minor is kept as its lowest term, and its exact
+polynomial is formed only where the lowest terms of its expansion cancel,
+so every order in a table is exact.  Every table and every check walks the
+index sets through one lattice per size, ``_lattice``, built once from
+``_between``: the sets by size, each set's up- and down-set, drops and up-
+and down-covers, and the table plans.
 
 Products with an inverse go through one adjugate engine, ``times_inverse``:
 with b's rows cleared once into G, a b^-1 = (a adj(G)) diag(c) / det(G)
@@ -64,7 +63,6 @@ are formed only when read.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import compress, count
 from math import gcd as igcd
 from typing import NamedTuple
 
@@ -439,31 +437,28 @@ def _lattice(r: int) -> _Lattice:
                     index, covers(1), covers(-1))
 
 
-def minor_order_table(m: RMatrix, cap=None, *, comparable_only=False) -> dict:
+def minor_order_table(m: RMatrix, *, comparable_only=False) -> dict:
     """Orders of every square minor, keyed by (row tuple, column tuple).
 
-    Includes the empty minor (order 0).  Each k-by-k minor is expanded along
-    its last row into (k-1)-by-(k-1) minors already in the table, so the
-    whole table costs little more than the single full determinant.
+    Includes the empty minor (order 0).  Each k-by-k minor of the cleared
+    grid is expanded along its last row into (k-1)-by-(k-1) minors already
+    in the table: the sum over p of +-e_p s_p, with e_p the row's entry in
+    column J[p] and s_p the minor without that column.  A minor is kept as
+    its lowest term, its order d and its coefficient of t^d: d is the least
+    ord e_p + ord s_p, and since Z[t] has no zero divisors, the coefficient
+    is the signed sum of lc(e_p) lc(s_p) over the p that attain d, lc the
+    lowest coefficient (Murota's combinatorial relaxation, SIAM J. Comput.
+    1995).  Only where that sum is 0 is the minor's exact polynomial formed,
+    from its children's exact polynomials, each formed on demand and once.
+    So every order in the table is exact, and a minor whose lowest terms do
+    not cancel costs k integer products.
+
     Removing the last row i_k and any column j_p of a pair I <= J leaves a
     pair I' <= J', so the comparable pairs are closed under this expansion.
     An upper triangular m (N*, U T_U, Q_U U, ...) is expanded on comparable
     pairs only: its other minors vanish identically, and their keys get
     infinity.  With ``comparable_only`` the table holds the comparable pairs
     and nothing else, whatever m is.
-
-    ``cap``, when given, maps every pair (I, J) that the table computes to
-    its own precision cap[(I, J)] (other keys are not read), and minor
-    (I, J) is computed modulo t^(cap[(I, J)] + 1): an order at most its cap
-    is exact, a larger one is exact or infinity.  A finite reading is always
-    exact; only infinity may stand for an order above the cap.  Minors that
-    vanish identically still report infinity either way, so caps of at least
-    the largest finite orders that matter make the truncated table
-    authoritative.  The table closes the mapping itself
-    (``_closed_pair_lims``), so any mapping will do.  Minors are dense
-    coefficient lists truncated at their precision, or with no cap at the
-    sum of the rows' largest degrees, which no product passes; the product
-    loop stops there instead of forming terms it would discard.
     """
     r = m.r
     lattice = _lattice(r)
@@ -474,96 +469,66 @@ def minor_order_table(m: RMatrix, cap=None, *, comparable_only=False) -> dict:
     triangular = all(not grid[i][j] for i in range(r) for j in range(i))
     comparable = comparable_only or triangular
     plan = lattice.comparable_plan if comparable else lattice.full_plan
-    if cap is None:
-        lims = None
-        acc_cap = INFINITY
-    else:
-        lims = _closed_pair_lims(plan, drops, grid, shifts, cap)
-        acc_cap = max(max(js.values()) for js in lims.values())
-    # each entry as its ascending (degree, coefficient) terms up to acc_cap
-    terms = [[sorted(dc for dc in e.items() if dc[0] <= acc_cap) for e in row]
-             for row in grid]
-    row_deg = [max((e[-1][0] for e in row if e), default=0) for row in terms]
+    lows = [[(min(e), e[min(e)]) if e else None for e in row] for row in grid]
     orders = {((), ()): 0}
-    # prev[I'][J'] is a (k-1)-minor as (its order d, its dense coefficients
-    # of t^d and up), or None when it vanishes (or is not needed)
-    prev = {(): {(): (0, [1])}}
+    # lead[I][J] is minor (I, J)'s lowest term (d, lc), or None when it vanishes
+    lead = {(): {(): (0, 1)}}
+    exact = {((), ()): _PONE}
+
+    def poly(I, J):
+        """Minor (I, J) of the grid, the signed sum of its entries times its
+        children's polynomials, each formed once; a child that vanishes is
+        skipped."""
+        row, subs, acc = grid[I[-1] - 1], lead[I[:-1]], {}
+        sign = 1 if len(I) % 2 else -1
+        for j, sub_cols in drops[J]:
+            if row[j] and subs[sub_cols] is not None:
+                sub = (exact.get((I[:-1], sub_cols)) or poly(I[:-1], sub_cols)).items()
+                for d1, c1 in row[j].items():
+                    c1 *= sign
+                    for d2, c2 in sub:
+                        d = d1 + d2
+                        acc[d] = acc.get(d, 0) + c1 * c2
+            sign = -sign
+        p = exact[(I, J)] = {d: c for d, c in acc.items() if c}
+        return p
+
     for k, rows in enumerate(plan, 1):
-        cur = {}
         first_sign = 1 if k % 2 else -1  # (-1)^(k+1): position (k, 1) of the minor
         for I, js in rows:
-            row = terms[I[-1] - 1]
-            subs = prev[I[:-1]]
-            deg = min(acc_cap, sum(row_deg[i - 1] for i in I))
-            pair_lims = lims[I] if lims else None
+            row = lows[I[-1] - 1]
+            subs = lead[I[:-1]]
             shift_i = sum(shifts[i - 1] for i in I)
-            found = cur[I] = {}
+            found = lead[I] = {}
             for J in js:
-                lim = min(pair_lims[J], deg) if pair_lims else deg
-                acc = [0] * (lim + 1)
+                d = INFINITY
+                lc = 0
                 sign = first_sign
                 for j, sub_cols in drops[J]:
                     e = row[j]
-                    if e:
+                    if e is not None:
                         sub = subs[sub_cols]
                         if sub is not None:
-                            v2, coeffs = sub
-                            for d1, c1 in e:
-                                d = d1 + v2
-                                if d > lim:
-                                    break
-                                c1 *= sign
-                                for c2 in coeffs[:lim - d + 1]:
-                                    acc[d] += c1 * c2
-                                    d += 1
+                            v = e[0] + sub[0]
+                            if v < d:
+                                d = v
+                                lc = sign * e[1] * sub[1]
+                            elif v == d:
+                                lc += sign * e[1] * sub[1]
                     sign = -sign
-                v = next(compress(count(), acc), None)  # lowest nonzero degree
-                if v is None:
+                if not lc and d != INFINITY:  # the lowest terms cancel
+                    p = poly(I, J)
+                    d = min(p, default=INFINITY)
+                    lc = p.get(d, 0)
+                if lc:
+                    found[J] = (d, lc)
+                    orders[(I, J)] = d - shift_i
+                else:
                     found[J] = None
                     orders[(I, J)] = INFINITY
-                else:
-                    while not acc[-1]:
-                        acc.pop()
-                    found[J] = (v, acc[v:])
-                    orders[(I, J)] = v - shift_i
-        prev = cur
     if comparable and not comparable_only:
         orders.update(dict.fromkeys(lattice.off, INFINITY))
     return orders
-
-
-def _closed_pair_lims(plan, drops, grid, shifts, cap: dict) -> dict:
-    """For every pair (I, J) of the plan, the degree to which its minor in
-    the cleared grid is computed, as lims[I][J]: cap[(I, J)] plus the shift
-    of rows I, raised to what the larger minors that expand into it need.
-
-    A minor (I, J) is the signed sum over p of row I[-1]'s cleared entry
-    e_p in column J[p] times the minor (I[:-1], J minus J[p]), so its
-    terms up to degree lim need that minor only up to lim - ord e_p, and
-    not at all where ord e_p > lim or e_p = 0.  Cleared entries are
-    polynomials, so these needs never exceed lim, and a pair left below 0
-    needs no term: it reads infinity, and no larger minor reads it."""
-    ords = [[min(e, default=None) for e in row] for row in grid]
-    lims = {}
-    for rows in reversed(plan):
-        for I, js in rows:
-            shift = sum(shifts[i - 1] for i in I)
-            row = ords[I[-1] - 1]
-            own = lims.setdefault(I, {})
-            below = lims.setdefault(I[:-1], {}) if len(I) > 1 else None
-            for J in js:
-                lim = cap[(I, J)] + shift
-                pushed = own.get(J, -1)
-                if pushed > lim:
-                    lim = pushed
-                own[J] = lim
-                if below is None:
-                    continue
-                for j, sub_cols in drops[J]:
-                    d = row[j]
-                    if d is not None and d <= lim and below.get(sub_cols, -1) < lim - d:
-                        below[sub_cols] = lim - d
-    return lims
 
 
 def times_inverse(a: RMatrix, b: RMatrix) -> RMatrix:

@@ -24,9 +24,8 @@ from lrpairs.tableaux import (count_fillings, enumerate_fillings,
                               iter_partitions, random_partition,
                               validate_filling)
 
-from capcheck import assert_equation_cap_exact
-from checkoracle import (comparable_pairs, corner_invariant_check,
-                         invariant_partition_oracle)
+from checkoracle import (corner_invariant_check, invariant_partition_oracle,
+                         minor_order)
 from golden import FILLING, LAM, MU, NU, golden_mn, golden_n
 
 _CACHE = {}
@@ -200,35 +199,12 @@ def test_criterion_4_certificates_fully_verify():
 
 
 def test_n_star_tables_exact_at_precision_nu():
-    """Every certificate of the shared run carries N*'s table built at
-    precision min(|nu|, ord N*_II) at each pair in rows I, equal to the
-    uncapped table of its N*."""
+    """Every certificate of the shared run carries N*'s exact table: each
+    minor's order, its determinant taken on its own."""
     run = _collected()
     for cert in run["roundtrip"][1] + run["orbit"][1]:
-        assert cert.minor_orders == minor_order_table(cert.n_star)
-
-
-def test_equation_tables_capped_at_the_largest_compared_order():
-    """The reduction builds each equation table's entry only up to N*'s
-    order at the same pair, the largest order compared with it; on every
-    certificate of the shared run, the uncapped tables give the same
-    entries up to there and the same verdicts.  The gap inequalities bound
-    every comparable order of a mu-generic N* by |mu| + |nu|, so each
-    certificate's caps lie below |mu| + |nu| + 1."""
-    run = _collected()
-    certs = run["roundtrip"][1] + run["orbit"][1]
-    lowered = 0
-    for cert in certs:
-        cap = cert.mu.weight() + cert.nu.weight() + 1
-        r = cert.n_star.r
-        u = mat_mul(mat_mul(cert.q_lower, cert.n_input), cert.t_lower)
-        v = mat_mul(cert.q_hat_u, mat_mul(cert.n_input, cert.t_inv))
-        at_full = assert_equation_cap_exact(
-            cert.minor_orders, mat_mul(u, cert.t_upper),
-            mat_mul(cert.q_upper, u), v, cert.mu, r, cert.minor_orders)
-        assert at_full == ("", "", "")
-        lowered += max(cert.minor_orders[key] for key in comparable_pairs(r)) < cap
-    assert lowered == len(certs)
+        assert cert.minor_orders == {(rows, cols): minor_order(cert.n_star, rows, cols)
+                                     for rows, cols in cert.minor_orders}
 
 
 def _random_entry(rng):

@@ -480,6 +480,21 @@ def test_count_bad_partition_exits_2(capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("form", ["1_0", "+3", "-0", "\u0663", "3,,1"])
+def test_count_rejects_number_forms_json_refuses(capsys, form):
+    """A part is ASCII digits, as in a JSON coefficient: an underscore, a
+    sign, another script's digit and an empty part each exit 2."""
+    assert main(["count", form, "0", form]) == 2
+    assert "bad partition" in capsys.readouterr().err
+
+
+def test_count_reads_blanks_and_the_empty_argument(capsys):
+    rc, out = run(capsys, "count", " 2 , 1 ", "", "2,1")
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["mu"], doc["nu"], doc["count"]) == ([2, 1], [], 1)
+
+
 def test_count_increasing_parts_exit_2(capsys):
     assert main(["count", "1,2", "1", "3,1"]) == 2
 

@@ -31,10 +31,9 @@ from lrpairs.ring import INFINITY, ONE, ZERO, RingElem, _padd
 from lrpairs.tableaux import Filling, Partition
 
 import checkoracle
-from capcheck import assert_equation_cap_exact
 from golden import LAM, MU, NU, c, golden_m, golden_mn, golden_n, t
 from test_matrix import (ROW_DENOMINATORS, cleaning_unit_by_fractions, comparable,
-                         shifted_matrices, uniform_caps, unit_denominator_matrices)
+                         shifted_matrices, unit_denominator_matrices)
 
 
 def golden_pair():
@@ -494,85 +493,10 @@ def test_certificate_equations_hold_on_all_pairs():
     assert det(cert.q_hat_u).valuation() == 0
 
 
-def test_equation_cap_is_the_largest_finite_order():
-    """The reduction builds each equation table's entry at a pair to N*'s
-    order at that pair.  On certificates, where the gaps hold, that is the
-    largest want (less its shift) that any of the three equations compares
-    with the entry: the bounds of ``_equation_failures``, tight at every
-    comparable pair, on the golden certificate and the staircase at
-    r = 3..5."""
-    certs = [to_mu_generic(golden_pair(), random.Random(42))]
-    certs += [to_mu_generic(_staircase_pair(r), random.Random(r)) for r in range(3, 6)]
-    for cert in certs:
-        tab_n, r = cert.minor_orders, cert.n_star.r
-        weight = matrix_mod._mu_weights(cert.mu, r)
-        lattice = matrix_mod._lattice(r)
-        up, down = lattice.up, lattice.down
-        right, v, left = {}, {}, {}
-
-        def need(table, key, want):
-            table[key] = max(table.get(key, -INFINITY), want)
-
-        for i_set, j_set in checkoracle.comparable_pairs(r):
-            w = tab_n[(i_set, j_set)]
-            for s in up[i_set]:  # first: (S, J) for S >= I
-                if comparable(s, j_set):
-                    need(right, (s, j_set), w)
-            for h in down[i_set]:  # second: (H, J) for H <= I, shift |mu_H| - |mu_I|
-                need(v, (h, j_set), w + weight[i_set] - weight[h])
-            for h in down[j_set]:  # third: (I, H) for H <= J
-                if comparable(i_set, h):
-                    need(left, (i_set, h), w)
-        caps = {key: tab_n[key] for key in checkoracle.comparable_pairs(r)}
-        assert right == v == left == caps
-
-
 def _staircase_pair(r):
     mu = Partition(tuple(range(r, 0, -1)))
     filling = Filling([[0] * (j - 1) + [r - j + 1] for j in range(1, r + 1)])
     return realize(filling, mu).pair()
-
-
-@pytest.mark.parametrize("units", ["random", "plus_minus_one"])
-def test_equation_cap_keeps_every_verdict(monkeypatch, units):
-    """Every attempt's equation tables, rebuilt uncapped, agree with
-    the ones at the per-pair caps on the staircase r = 3..6 and on random
-    fillings.  Every attempt that builds them, passing or failing, gets
-    N*'s own table as the caps.  Units of +-1 cancel often, so some of those
-    attempts fail an equation, at both precisions."""
-    calls = []
-    real = generic_mod._equation_failures
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(generic_mod, "_equation_failures", spy)
-    if units == "plus_minus_one":
-        monkeypatch.setattr(generic_mod, "random_unit",
-                            lambda rng: RingElem.const(rng.choice((1, -1))))
-    rng = random.Random(5)
-    pairs = [_staircase_pair(r) for r in range(3, 7)]
-    pairs += [realize(f, mu).pair()
-              for f, mu, _, _ in (random_filling(rng) for _ in range(30))]
-    seen = Counter()
-    for pair in pairs:
-        start = len(calls)
-        try:
-            to_mu_generic(pair, rng, max_retries=3)
-        except RetriesExhaustedError:
-            passed = False
-        else:
-            passed = True
-        for tab_n, right, left, v, mu_n, r, pair_caps in calls[start:]:
-            assert pair_caps is tab_n
-            at_full = assert_equation_cap_exact(tab_n, right, left, v,
-                                                mu_n, r, pair_caps)
-            seen["failing" if any(at_full) else "passing"] += 1
-        seen["passed attempt"] += passed
-    assert seen["passing"] >= seen["passed attempt"] > 0
-    if units == "plus_minus_one":
-        assert seen["failing"]
 
 
 def attempt_running_every_check(diagonal_pair, mu, nu, lam, rng):
@@ -638,8 +562,7 @@ def test_attempt_verdicts_match_running_every_check(monkeypatch, units):
     Pass or fail matches, and a passing attempt's report and N*'s table are
     the reference's.  A failing attempt names exactly the failed checks of
     the reference's first failed stage.  An attempt that fails at the checks
-    on N*'s table builds that table twice: at its caps, then uncapped, to
-    name the failures."""
+    on N*'s table builds that table once, and no other."""
     tables = []
     real_table = generic_mod.minor_order_table
 
@@ -664,8 +587,8 @@ def test_attempt_verdicts_match_running_every_check(monkeypatch, units):
                          if any(c.name in names for c in want.failures()))
             want_failed = {c.name for c in want.failures()} & STAGES[stage]
             assert failed == want_failed, (failed, want_failed)
-            if stage < 2:  # no table, or N*'s at its caps and then uncapped
-                assert len(tables) == 2 * stage, (failed, len(tables))
+            if stage < 2:  # no table, or N*'s alone
+                assert len(tables) == stage, (failed, len(tables))
             seen[f"failed stage {stage + 1}"] += 1
             raise
         assert want.ok
@@ -711,43 +634,14 @@ def test_attempt_failing_cheap_checks_builds_no_table(monkeypatch):
 
 
 def test_n_star_table_exact_at_precision_nu():
-    """The reduction builds N*'s table at each pair in rows I modulo
-    t^(c+1), with c = min(|nu|, ord N*_II); on the staircase at r = 3..7
-    each certificate's table equals the uncapped one."""
+    """On the staircase at r = 3..7 each certificate's table of N* holds
+    every minor's exact order, each minor's determinant taken on its own."""
     for r in range(3, 8):
         cert = to_mu_generic(_staircase_pair(r), random.Random(r))
-        assert cert.minor_orders == minor_order_table(cert.n_star)
-
-
-def test_passing_attempt_tables_get_pair_caps(monkeypatch):
-    """On the staircase at r = 5 and 6, all four tables of the passing
-    attempt are built at a per-pair mapping that is not one uniform
-    precision: N*'s at min(|nu|, ord N*_II) on every comparable pair, and
-    the three equation tables at N*'s own table, which varies within a row
-    set."""
-    caps = []
-    real = generic_mod.minor_order_table
-
-    def spy(m, cap=None, **kw):
-        caps.append(cap)
-        return real(m, cap=cap, **kw)
-
-    monkeypatch.setattr(generic_mod, "minor_order_table", spy)
-    for r in (5, 6):
-        del caps[:]
-        cert = to_mu_generic(_staircase_pair(r), random.Random(1))
-        assert cert.report.ok and len(caps) >= 4
-        n_caps, *equation_caps = caps[-4:]
-        diag = [cert.n_star.entry(i, i).valuation() for i in range(1, r + 1)]
-        assert n_caps == {(rows, cols): min(cert.nu.weight(), sum(diag[i - 1] for i in rows))
-                          for rows, cols in checkoracle.comparable_pairs(r)} | {((), ()): 0}
-        assert len(set(n_caps.values())) > 1
-        up = matrix_mod._lattice(r).up
-        for cap in equation_caps:
-            assert cap is cert.minor_orders
-            assert any(len({cap[(rows, cols)] for cols in js}) > 1
-                       for rows, js in up.items())
-        assert cert.minor_orders == minor_order_table(cert.n_star)  # not the spy
+        n_star = cert.n_star
+        assert cert.minor_orders == {
+            (rows, cols): checkoracle.minor_order(n_star, rows, cols)
+            for rows, cols in cert.minor_orders}
 
 
 def test_reduction_inverts_nothing(monkeypatch):
@@ -1055,18 +949,8 @@ def test_lu_stage_on_grid_agrees_with_fractions(args):
     got_ok, got_consistent, got_v = lu_stage_on_grid(q, mu, w)
     assert got_ok == lu_ok
     assert got_consistent and consistent
-    for cap in (5, 12, 40):
-        got = minor_order_table(got_v, uniform_caps(q.r, cap), comparable_only=True)
-        want = minor_order_table(v, uniform_caps(q.r, cap), comparable_only=True)
-        if v.is_over_ring():
-            assert got == want
-        else:
-            # rows off the ring carry denominator products of different
-            # orders on the two routes, and those set how far past the cap
-            # a reading stays exact; up to the cap every reading agrees
-            assert got.keys() == want.keys()
-            for key, order in want.items():
-                assert got[key] == order or min(got[key], order) > cap, key
+    assert minor_order_table(got_v, comparable_only=True) \
+        == minor_order_table(v, comparable_only=True)
 
 
 @settings(max_examples=150, deadline=None)

@@ -353,28 +353,6 @@ def test_minor_order_table_matches_single_queries():
                     assert table[(rows, cols)] == minor_order(m, rows, cols)
 
 
-def test_minor_order_table_cap_is_a_precision_cut():
-    """Up to cap the capped table is exact; above it an entry is either
-    exact or infinity."""
-    rng = random.Random(17)
-    shifted = 0
-    for r in (1, 2, 3, 4):
-        for _ in range(6):
-            m = random_shifted_matrix(rng, r)
-            shifted += any(not e.in_ring() for row in m.entries for e in row)
-            exact = minor_order_table(m)
-            for cap in (0, 1, 3, 6, 10):
-                capped = minor_order_table(m, cap=uniform_caps(r, cap))
-                assert capped.keys() == exact.keys()
-                for key, want in exact.items():
-                    got = capped[key]
-                    if want <= cap:
-                        assert got == want, (key, cap)
-                    else:
-                        assert got is INFINITY or got == want, (key, cap)
-    assert shifted > 10
-
-
 def comparable(rows, cols):
     return all(i <= j for i, j in zip(rows, cols))
 
@@ -435,11 +413,6 @@ def test_index_set_lattice_against_combinations(r):
         == tuple(map(len, sets))
 
 
-def uniform_caps(r, cap):
-    """The one precision cap at every pair in 1..r, or None for no cap."""
-    return None if cap is None else dict.fromkeys(all_pairs(r), cap)
-
-
 @st.composite
 def shifted_matrices(draw, triangular=False, max_r=4):
     """Entries c t^a / (t^s (1 + b t)); the first row always carries a
@@ -461,58 +434,49 @@ def shifted_matrices(draw, triangular=False, max_r=4):
     return RMatrix(rows)
 
 
-def assert_agrees_under_cap(table, m, cap, keys):
-    """Every key carries minor_order's value; with a cap, one per pair, an
-    order above the cap of its pair may read infinity instead."""
-    assert table.keys() == set(keys)
-    for rows, cols in keys:
-        want = minor_order(m, rows, cols)
-        got = table[(rows, cols)]
-        pair_cap = None if cap is None else cap.get((rows, cols))
-        if pair_cap is None or want <= pair_cap:
-            assert got == want, (rows, cols, cap)
-        else:
-            assert got is INFINITY or got == want, (rows, cols, cap)
-
-
-@settings(max_examples=60, deadline=None)
-@given(shifted_matrices(), st.sampled_from((None, 0, 1, 3, 6, 10)), st.booleans())
-def test_minor_order_table_agrees_with_minor_order(m, cap, comparable_only):
-    cap = uniform_caps(m.r, cap)
-    table = minor_order_table(m, cap=cap, comparable_only=comparable_only)
-    keys = [key for key in all_pairs(m.r)
-            if not comparable_only or comparable(*key)]
-    assert_agrees_under_cap(table, m, cap, keys)
-
-
-@settings(max_examples=60, deadline=None)
-@given(shifted_matrices(triangular=True), st.sampled_from((None, 0, 1, 3, 6, 10)))
-def test_minor_order_table_agrees_on_triangular_input(m, cap):
-    assert m.is_upper_triangular()
-    cap = uniform_caps(m.r, cap)
-    assert_agrees_under_cap(minor_order_table(m, cap=cap), m, cap, all_pairs(m.r))
+ROW_DENOMINATORS = (ONE, c(3), ONE + t(1), c(2) - c(5) * t(1))
 
 
 @st.composite
-def pair_cap_mappings(draw, r):
-    """A random precision for every nonempty pair in 1..r, negative ones
-    included, and not closed: minor_order_table closes the mapping itself."""
-    return {(rows, cols): draw(st.integers(-2, 8))
-            for k in range(1, r + 1)
-            for rows in itertools.combinations(range(1, r + 1), k)
-            for cols in itertools.combinations(range(1, r + 1), k)}
+def cancelling_matrices(draw, max_r=4):
+    """A + t B over the ring, A of rank one, each row over a denominator of
+    ROW_DENOMINATORS: the lowest terms of every larger minor cancel, so its
+    order depends on the exact coefficients, not on degrees alone."""
+    r = draw(st.integers(1, max_r))
+    small = st.integers(-3, 3)
+    w = [draw(small) for _ in range(r)]
+    rows = []
+    for _ in range(r):
+        a = draw(small)
+        u = draw(st.sampled_from(ROW_DENOMINATORS))
+        rows.append([(c(a * wj) + c(draw(small)) * t(1)) / u for wj in w])
+    return RMatrix(rows)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data(), st.sampled_from(("plain", "triangular", "comparable_only")))
-def test_minor_order_table_agrees_under_pair_caps(data, kind):
-    m = data.draw(shifted_matrices(triangular=kind == "triangular"))
-    caps = data.draw(pair_cap_mappings(m.r))
-    comparable_only = kind == "comparable_only"
-    table = minor_order_table(m, cap=caps, comparable_only=comparable_only)
+def assert_agrees(table, m, keys):
+    """The table has exactly the keys, each with minor_order's value."""
+    assert table.keys() == set(keys)
+    for rows, cols in keys:
+        assert table[(rows, cols)] == minor_order(m, rows, cols), (rows, cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(shifted_matrices(), cancelling_matrices()), st.booleans())
+def test_minor_order_table_agrees_with_minor_order(m, comparable_only):
+    """On shifted_matrices, and on cancelling_matrices, where the lowest
+    terms of a larger minor cancel and the table forms its exact
+    polynomial."""
+    table = minor_order_table(m, comparable_only=comparable_only)
     keys = [key for key in all_pairs(m.r)
             if not comparable_only or comparable(*key)]
-    assert_agrees_under_cap(table, m, caps, keys)
+    assert_agrees(table, m, keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shifted_matrices(triangular=True))
+def test_minor_order_table_agrees_on_triangular_input(m):
+    assert m.is_upper_triangular()
+    assert_agrees(minor_order_table(m), m, all_pairs(m.r))
 
 
 def catalan(n):
@@ -523,8 +487,8 @@ def test_comparable_only_table_has_catalan_many_keys():
     rng = random.Random(23)
     for r in range(1, 6):
         m = random_shifted_matrix(rng, r)
-        full = minor_order_table(m, cap=uniform_caps(r, 6))
-        table = minor_order_table(m, cap=uniform_caps(r, 6), comparable_only=True)
+        full = minor_order_table(m)
+        table = minor_order_table(m, comparable_only=True)
         assert len(table) == catalan(r + 1)
         assert all(comparable(*key) for key in table)
         assert all(table[key] == full[key] for key in table)
@@ -550,11 +514,14 @@ def test_triangular_table_is_full_with_infinity_off_the_comparable_set():
             assert minor_order_table(low)[((r,), (1,))] == 0
 
 
-@pytest.mark.parametrize("cap", [None, 4])
-def test_minor_order_table_sees_cancellation(cap):
-    """Orders where the lowest terms cancel.  Random entries almost never
-    cancel, so only these cases tell the signed expansion from a wrong sign
-    pattern, such as a permanent's."""
+@pytest.mark.parametrize("shift", [None, 4])
+def test_minor_order_table_sees_cancellation(shift):
+    """Orders where the lowest terms cancel, pinned cases of the exact
+    polynomial's fallback.  Random entries almost never cancel, so only
+    these cases tell the signed expansion from a wrong sign pattern, such as
+    a permanent's.  With ``shift`` every entry is multiplied by t^shift, so
+    the lowest terms cancel above order 0 and a k-by-k minor's order moves
+    by k * shift."""
     singular = RMatrix([[c(1), c(2), c(3)], [c(4), c(5), c(6)], [c(7), c(8), c(9)]])
     lowest = RMatrix([[ONE, ONE], [ONE, ONE + t(1)]])
     upper = RMatrix([[ONE, ONE, ONE], [ZERO, ONE, ONE], [ZERO, ZERO, t(1)]])
@@ -563,18 +530,11 @@ def test_minor_order_table_sees_cancellation(cap):
                          (lowest, ((1, 2), (1, 2)), 1),
                          (upper, ((1, 2), (2, 3)), INFINITY),
                          (upper, ((1, 3), (2, 3)), 1)):
-        table = minor_order_table(m, cap=uniform_caps(m.r, cap))
-        assert table[key] == want == minor_order(m, *key), (key, cap)
-
-
-def test_minor_order_table_cap_truncates_products():
-    """The cap is a real precision cut: a minor all of whose terms lie past
-    t^cap is never formed and reads infinity, while its factors are kept."""
-    m = RMatrix([[t(2), ZERO], [ZERO, t(2)]])
-    assert minor_order_table(m)[((1, 2), (1, 2))] == 4
-    capped = minor_order_table(m, cap=uniform_caps(2, 3))
-    assert capped[((1,), (1,))] == 2
-    assert capped[((1, 2), (1, 2))] is INFINITY
+        if shift is not None:
+            m = RMatrix([[e * t(shift) for e in row] for row in m.entries])
+            if want is not INFINITY:
+                want += shift * len(key[0])
+        assert minor_order_table(m)[key] == want == minor_order(m, *key), (key, shift)
 
 
 def test_minor_fractional_entries_are_exact():
@@ -613,9 +573,6 @@ def test_invariant_partition_random_cross_validation():
         r = rng.randint(1, 4)
         m = random_full_rank(rng, r)
         assert invariant_partition(m) == invariant_partition_oracle(m)
-
-
-ROW_DENOMINATORS = (ONE, c(3), ONE + t(1), c(2) - c(5) * t(1))
 
 
 @st.composite
@@ -658,38 +615,21 @@ def row_scaled(draw, matrices):
     return m, factors, RMatrix([[e * f for e in row] for row, f in zip(m.entries, factors)])
 
 
-@st.composite
-def cancelling_matrices(draw, max_r=4):
-    """A + t B over the ring, A of rank one, each row over a denominator of
-    ROW_DENOMINATORS: the lowest terms of every larger minor cancel, so its
-    order depends on the exact coefficients, not on degrees alone."""
-    r = draw(st.integers(1, max_r))
-    small = st.integers(-3, 3)
-    w = [draw(small) for _ in range(r)]
-    rows = []
-    for _ in range(r):
-        a = draw(small)
-        u = draw(st.sampled_from(ROW_DENOMINATORS))
-        rows.append([(c(a * wj) + c(draw(small)) * t(1)) / u for wj in w])
-    return RMatrix(rows)
-
-
 @settings(max_examples=80, deadline=None)
-@given(st.data(), st.sampled_from((None, 0, 3, 6)))
-def test_minor_orders_do_not_depend_on_row_scale(data, cap):
-    """A constant row scale moves no minor order, so the tables, capped or
-    not, and the invariant partition read the cleared rows undivided, though
-    a row of shifted_matrices scaled by f clears to integer polynomials whose
-    content f divides (their denominators have content 1)."""
+@given(st.data())
+def test_minor_orders_do_not_depend_on_row_scale(data):
+    """A constant row scale moves no minor order, so the tables and the
+    invariant partition read the cleared rows undivided, though a row of
+    shifted_matrices scaled by f clears to integer polynomials whose content
+    f divides (their denominators have content 1)."""
     m, factors, scaled = data.draw(row_scaled(shifted_matrices()))
     for row, f in zip(scaled.entries, factors):
         nums, _ = _clear_row(row)
         assert gcd(*(v for p in nums for v in p.values())) % f == 0
     for m, scaled in ((m, scaled), data.draw(row_scaled(cancelling_matrices()))[::2]):
-        caps = uniform_caps(m.r, cap)
         for comparable_only in (False, True):
-            assert minor_order_table(scaled, cap=caps, comparable_only=comparable_only) \
-                == minor_order_table(m, cap=caps, comparable_only=comparable_only)
+            assert minor_order_table(scaled, comparable_only=comparable_only) \
+                == minor_order_table(m, comparable_only=comparable_only)
     for matrices in (unit_denominator_matrices(max_r=4), cancelling_matrices()):
         u, _, scaled = data.draw(row_scaled(matrices))
         if not det(u).is_zero():
