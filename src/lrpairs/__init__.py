@@ -14,9 +14,8 @@ from .ring import INFINITY, ONE, T, ZERO, RingElem, random_unit, residue
 from .matrix import (RMatrix, det, diag_from_partition, invariant_partition,
                      inverse, is_mu_admissible, lu_decompose, mat_mul,
                      minor_order_table, times_inverse)
-from .tableaux import (Filling, FillingReport, Partition, as_partition,
-                       count_fillings, enumerate_fillings,
-                       iter_partitions, random_partition,
+from .tableaux import (Filling, Partition, as_partition, count_fillings,
+                       enumerate_fillings, random_partition,
                        sequence_from_filling, validate_filling)
 from .realize import FactoredRealization, build_factor, random_filling, realize
 from .generic import (GroupElement, MatrixPair, MuGenericCertificate,
@@ -36,9 +35,9 @@ __all__ = [
     "RMatrix", "det", "diag_from_partition", "invariant_partition",
     "inverse", "is_mu_admissible", "lu_decompose", "mat_mul",
     "minor_order_table", "times_inverse",
-    "Filling", "FillingReport", "Partition", "as_partition",
-    "count_fillings", "enumerate_fillings", "iter_partitions",
-    "random_partition", "sequence_from_filling", "validate_filling",
+    "Filling", "Partition", "as_partition", "count_fillings",
+    "enumerate_fillings", "random_partition", "sequence_from_filling",
+    "validate_filling",
     "FactoredRealization", "build_factor", "random_filling", "realize",
     "GroupElement", "MatrixPair", "MuGenericCertificate", "VerificationReport",
     "act", "diagonalize_first", "genericity_stats", "reset_genericity_stats",

@@ -22,16 +22,16 @@ from typing import NamedTuple
 from .errors import GenericityError, InputError
 from .generic import (MatrixPair, MuGenericCertificate, to_mu_generic,
                       verify_mu_generic)
-from .matrix import (RMatrix, diag_from_partition, det, invariant_partition,
-                     mat_mul, minor_order_table)
+from .matrix import (RMatrix, _fitted, diag_from_partition, det,
+                     invariant_partition, mat_mul, minor_order_table)
 from .ring import INFINITY, ZERO, RingElem, residue
-from .tableaux import (Filling, Partition, as_partition,
-                       sequence_from_filling, validate_filling)
+from .tableaux import Filling, Partition, sequence_from_filling, validate_filling
 
 
 def extract_filling(n_star: RMatrix, mu):
-    """The filling encoded in a mu-generic matrix, validated before return."""
-    return _read_filling(minor_order_table(n_star), as_partition(mu), n_star.r)
+    """The filling encoded in a mu-generic matrix, validated before return.
+    A mu with more parts than n_star has rows raises InputError."""
+    return _read_filling(minor_order_table(n_star), _fitted(mu, n_star.r), n_star.r)
 
 
 def _read_filling(table: dict, mu: Partition, r: int) -> Filling:
@@ -68,10 +68,9 @@ def _read_filling(table: dict, mu: Partition, r: int) -> Filling:
         lam = sequence_from_filling(filling, mu)[r]
     except InputError as exc:
         raise GenericityError(f"extracted array is not an LR filling: {exc}") from exc
-    report = validate_filling(filling, mu, nu, lam)
-    if not report.valid:
-        raise GenericityError(
-            f"extracted array fails validation: {report.failure_summary()}")
+    failure = validate_filling(filling, mu, nu, lam)
+    if failure:
+        raise GenericityError(f"extracted array fails validation: {failure}")
     return filling
 
 

@@ -45,14 +45,14 @@ from .errors import (GenericityError, InputError, PrincipalMinorError,
                      RankError, RetriesExhaustedError)
 # det is unused here but stays importable as lrpairs.generic.det, an import
 # site that perfbench's tracer self-test checks
-from .matrix import (RMatrix, _bareiss, _clean, _clear_row, _lattice,
+from .matrix import (RMatrix, _bareiss, _clean, _clear_row, _fitted, _lattice,
                      _lu_grid, _mu_weights, _smith_grid, _table_partition,
                      det, has_unit_det, inverse, invariant_partition,
                      is_mu_admissible, lu_decompose, mat_mul,
                      minor_order_table, times_inverse)
 from .ring import (_PONE, INFINITY, ONE, ZERO, RingElem, _padd, _pdot, _pmul,
                    _pshift, random_unit)
-from .tableaux import Partition, as_partition
+from .tableaux import Partition
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +424,7 @@ def check_equation_second(tab_n: dict, tab_v: dict, mu: Partition, r: int):
     """order(N*_IJ) == min over H <= I of order(V_HJ) + |mu_H| - |mu_I|,
     V = Q_hat_U N T^-1; checked on pairs with I <= J componentwise (the only
     pairs where the minimum is attained without cancellation; see notes),
-    in the lattice's ``comparable_plan`` order, the first that fails named
+    by size, then I, then J in I's up-set, the first that fails named
     with its minimum.  The empty pair holds trivially; tab_v is read only at
     pairs H <= J.
 
@@ -535,8 +535,8 @@ def verify_mu_generic(n_star: RMatrix, mu, table=None) -> VerificationReport:
     in the one pass that decides it, as I=... H=... J=...: the rows' H
     is an up-cover of their I, the columns' J one of their H.
     """
-    mu = as_partition(mu)
     r = n_star.r
+    mu = _fitted(mu, r)
     if table is None:
         table = minor_order_table(n_star)
 
@@ -699,8 +699,7 @@ def _attempt_reduction(diagonal_pair, g_diag, mu, nu, lam, rng,
 
     # stage 2: the checks that read N*'s table
     tab_n = minor_order_table(n_star)
-    nu_star = _table_partition(tab_n, r)
-    lam_star = _table_partition(tab_n, r, shift_mu=mu)
+    nu_star, lam_star = _table_partition(tab_n, r, mu)
     invariants = (CheckResult("nu_preserved", nu_star == nu,
                               "" if nu_star == nu else f"{nu_star} vs {nu}"),
                   CheckResult("lambda_preserved", lam_star == lam,

@@ -49,8 +49,8 @@ pairs alone.  Each minor is kept as its lowest term, and its exact
 polynomial is formed only where the lowest terms of its expansion cancel,
 so every order in a table is exact.  Every table and every check walks the
 index sets through one lattice per size, ``_lattice``, built once from
-``_between``: the sets by size, each set's up- and down-set, drops and up-
-and down-covers, and the table plans.
+``_between``: the sets by size, each set's up- and down-set, drops, up-
+and down-covers, and the pairs I not <= J.
 
 Products with an inverse go through one adjugate engine, ``times_inverse``:
 with b's rows cleared once into G, a b^-1 = (a adj(G)) diag(c) / det(G)
@@ -201,11 +201,17 @@ def mat_mul(a: RMatrix, b: RMatrix) -> RMatrix:
     return RMatrix(rows)
 
 
-def diag_from_partition(mu, r: int) -> RMatrix:
-    """diag(t**mu_1, ..., t**mu_r); missing parts give exponent 0."""
+def _fitted(mu, r: int) -> Partition:
+    """mu as a partition of at most r parts, else InputError."""
     mu = as_partition(mu)
     if len(mu) > r:
         raise InputError(f"partition {mu.parts} does not fit in size {r}")
+    return mu
+
+
+def diag_from_partition(mu, r: int) -> RMatrix:
+    """diag(t**mu_1, ..., t**mu_r); missing parts give exponent 0."""
+    mu = _fitted(mu, r)
     return RMatrix.diagonal([RingElem.t_pow(mu.part(i)) for i in range(1, r + 1)])
 
 
@@ -384,15 +390,16 @@ def _between(lo: tuple, hi: tuple):
 
 class _Lattice(NamedTuple):
     """The index sets of 1..r under the componentwise order, and what every
-    minor table and every check walks over them."""
+    minor table and every check walks over them.  A table walks each row
+    set I of ``sets`` with ``up[I]``, or with every set of its size; ``off``
+    holds the keys an upper triangular table sets to infinity, built once
+    per size rather than per table."""
 
     sets: tuple             # sets[k]: the k-subsets in lexicographic order
     up: dict                # S -> the sets H >= S of its size, in order
     down: dict              # S -> the sets H <= S of its size, in order
     drops: dict             # J -> (J[p] - 1, J without J[p]) for each position p
-    comparable_plan: tuple  # per k >= 1: each row set I with its sets J >= I
-    full_plan: tuple        # per k >= 1: each row set I with every k-set
-    off: tuple              # every pair (I, J) with I not <= J, in plan order
+    off: tuple              # every pair (I, J) with I not <= J, by size, I, J
     index: dict             # S -> its position in sets[len(S)]
     up_covers: tuple        # up_covers[k][i]: positions of sets[k][i]'s up-covers
     down_covers: tuple      # down_covers[k][i]: positions of its down-covers
@@ -431,10 +438,7 @@ def _lattice(r: int) -> _Lattice:
                            for S in ks)
                      for ks in sets)
 
-    return _Lattice(sets, up, down, drops,
-                    tuple(tuple((I, up[I]) for I in ks) for ks in sets[1:]),
-                    tuple(tuple((I, ks) for I in ks) for ks in sets[1:]), tuple(off),
-                    index, covers(1), covers(-1))
+    return _Lattice(sets, up, down, drops, tuple(off), index, covers(1), covers(-1))
 
 
 def minor_order_table(m: RMatrix, *, comparable_only=False) -> dict:
@@ -456,9 +460,10 @@ def minor_order_table(m: RMatrix, *, comparable_only=False) -> dict:
     Removing the last row i_k and any column j_p of a pair I <= J leaves a
     pair I' <= J', so the comparable pairs are closed under this expansion.
     An upper triangular m (N*, U T_U, Q_U U, ...) is expanded on comparable
-    pairs only: its other minors vanish identically, and their keys get
-    infinity.  With ``comparable_only`` the table holds the comparable pairs
-    and nothing else, whatever m is.
+    pairs only, each row set I with the sets of its up-set: its other
+    minors vanish identically, and their keys get infinity.  With
+    ``comparable_only`` the table holds the comparable pairs and nothing
+    else, whatever m is.
     """
     r = m.r
     lattice = _lattice(r)
@@ -468,7 +473,6 @@ def minor_order_table(m: RMatrix, *, comparable_only=False) -> dict:
     shifts = [min(c) for c in scales]
     triangular = all(not grid[i][j] for i in range(r) for j in range(i))
     comparable = comparable_only or triangular
-    plan = lattice.comparable_plan if comparable else lattice.full_plan
     lows = [[(min(e), e[min(e)]) if e else None for e in row] for row in grid]
     orders = {((), ()): 0}
     # lead[I][J] is minor (I, J)'s lowest term (d, lc), or None when it vanishes
@@ -493,14 +497,14 @@ def minor_order_table(m: RMatrix, *, comparable_only=False) -> dict:
         p = exact[(I, J)] = {d: c for d, c in acc.items() if c}
         return p
 
-    for k, rows in enumerate(plan, 1):
+    for k, ks in enumerate(lattice.sets[1:], 1):
         first_sign = 1 if k % 2 else -1  # (-1)^(k+1): position (k, 1) of the minor
-        for I, js in rows:
+        for I in ks:
             row = lows[I[-1] - 1]
             subs = lead[I[:-1]]
             shift_i = sum(shifts[i - 1] for i in I)
             found = lead[I] = {}
-            for J in js:
+            for J in (lattice.up[I] if comparable else ks):
                 d = INFINITY
                 lc = 0
                 sign = first_sign
@@ -644,22 +648,25 @@ def _mu_weights(mu: Partition, r: int) -> dict:
     return {s: mu.sum_over(s) for s in _lattice(r).up}
 
 
-def _table_partition(table: dict, r: int, shift_mu=None):
-    """Invariant partition read off a minor-order table: the minimal order
-    among k-by-k minors is the k-th partial sum of the increasing invariant
-    orders.  With shift_mu, reads the table of D_mu times the matrix through
-    row-weight shifts, |mu_I| read once per row set.  None when some size k
+def _table_partition(table: dict, r: int, mu: Partition):
+    """The invariant partitions of a matrix N and of D_mu N, read off N's
+    minor-order table in one pass: the minimal order among k-by-k minors is
+    the k-th partial sum of the increasing invariant orders, and D_mu N's
+    minor (I, J) is N's shifted by |mu_I|.  Either is None when some size k
     has no finite minor."""
+    weight = _mu_weights(mu, r)
     best = [0] + [INFINITY] * r
-    weight = None if shift_mu is None else _mu_weights(shift_mu, r)
+    best_mu = best[:]
     for (i_set, _), v in table.items():
-        if weight is not None:
-            v = v + weight[i_set]
-        if v < best[len(i_set)]:
-            best[len(i_set)] = v
-    if INFINITY in best:
-        return None
-    return Partition(tuple(reversed([best[k] - best[k - 1] for k in range(1, r + 1)])))
+        k = len(i_set)
+        if v < best[k]:
+            best[k] = v
+        v += weight[i_set]
+        if v < best_mu[k]:
+            best_mu[k] = v
+    return tuple(None if INFINITY in b else
+                 Partition(tuple(reversed([b[k] - b[k - 1] for k in range(1, r + 1)])))
+                 for b in (best, best_mu))
 
 
 def _is_exact_power_diagonal_decreasing(m: RMatrix) -> bool:

@@ -101,9 +101,9 @@ def realize(filling: Filling, mu) -> FactoredRealization:
         raise InputError(f"filling content is not a partition: {exc}") from exc
     stages = sequence_from_filling(filling, mu)
     lam = stages[r]
-    report = validate_filling(filling, mu, nu, lam)
-    if not report.valid:
-        raise InputError(f"not a valid LR filling: {report.failure_summary()}")
+    failure = validate_filling(filling, mu, nu, lam)
+    if failure:
+        raise InputError(f"not a valid LR filling: {failure}")
 
     factors = [build_factor(filling, i, r) for i in range(1, r + 1)]
     m = diag_from_partition(mu, r)

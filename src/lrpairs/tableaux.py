@@ -18,7 +18,6 @@ to lam; row j of the skew diagram receives its entries in rows i <= j only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import InputError
@@ -197,35 +196,11 @@ def sequence_from_filling(filling: Filling, mu) -> tuple:
     return tuple(steps)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    ok: bool
-    first_violation: tuple | None = None
-
-
-@dataclass(frozen=True)
-class FillingReport:
-    lr1: ConditionReport
-    lr2: ConditionReport
-    lr3: ConditionReport
-    lr4: ConditionReport
-
-    @property
-    def valid(self) -> bool:
-        return self.lr1.ok and self.lr2.ok and self.lr3.ok and self.lr4.ok
-
-    def failure_summary(self) -> str:
-        parts = []
-        for name in ("lr1", "lr2", "lr3", "lr4"):
-            c = getattr(self, name)
-            if not c.ok:
-                parts.append(f"{name} at {c.first_violation}")
-        return "; ".join(parts)
-
-
-def validate_filling(filling: Filling, mu, nu, lam) -> FillingReport:
-    """Check LR1-LR4 for the triple (mu, nu, lam); reports the first
-    violating cell per condition rather than stopping at the first failure."""
+def validate_filling(filling: Filling, mu, nu, lam) -> str:
+    """Check LR1-LR4 for the triple (mu, nu, lam): "" when the filling is
+    valid, else each failing condition with its first violating cell,
+    joined by "; " as in "lr1 at ('row', 1); lr3 at (1, 3)".  Every
+    condition is checked, not only up to the first that fails."""
     mu, nu, lam = as_partition(mu), as_partition(nu), as_partition(lam)
     r = filling.r
     if len(lam) > r:
@@ -281,8 +256,8 @@ def validate_filling(filling: Filling, mu, nu, lam) -> FillingReport:
         if lr4:
             break
 
-    mk = lambda v: ConditionReport(v is None, v)
-    return FillingReport(mk(lr1), mk(lr2), mk(lr3), mk(lr4))
+    return "; ".join(f"lr{n} at {cell}" for n, cell in enumerate((lr1, lr2, lr3, lr4), 1)
+                     if cell is not None)
 
 
 def _walk_fillings(mu, nu, lam):
@@ -405,17 +380,6 @@ def _partition_tuples(weight: int, floors: tuple):
             yield from rec(remaining - p, k + 1, p, prefix + (p,))
 
     yield from rec(weight, 0, weight, ())
-
-
-def iter_partitions(weight: int, max_len: int, mu=()):
-    """The partitions of weight with at most max_len parts that contain mu,
-    largest first part first (decreasing lexicographic order): the tuple
-    walk with mu's parts as its floors."""
-    mu = as_partition(mu)
-    if len(mu) > max_len:
-        return
-    for parts in _partition_tuples(weight, mu.padded(max_len)):
-        yield Partition(parts)
 
 
 def random_partition(rng, max_len: int, max_part: int) -> Partition:

@@ -29,6 +29,9 @@ Smith transforms, the product Q N, each of its rows scaled clean on its
 own, and the units multiplied onto P and Q as a diagonal matrix.
 ``lrpairs.generic.diagonalize_first`` reads all of it off one Smith pass.
 
+The partitions of a weight that contain a given one, as ``Partition``s over
+the tuple walk ``lrpairs.tableaux._partition_tuples``.
+
 The sampler with its candidate shapes as a list of ``Partition``s,
 filtered by length, shuffled, and the fillings of each shape in turn
 enumerated until one has any: ``lrpairs.realize.random_filling`` must make
@@ -44,8 +47,8 @@ from lrpairs.matrix import (RMatrix, _between, _clean, _clear_row, _lattice,
                             _table_partition, det, diag_from_partition,
                             invariant_partition, mat_mul, minor_order_table)
 from lrpairs.ring import INFINITY, ONE, ZERO, RingElem, _pshift
-from lrpairs.tableaux import (Partition, as_partition, enumerate_fillings,
-                              iter_partitions, random_partition)
+from lrpairs.tableaux import (Partition, _partition_tuples, as_partition,
+                              enumerate_fillings, random_partition)
 
 
 def minor(m: RMatrix, rows, cols) -> RingElem:
@@ -100,9 +103,10 @@ def smith_transforms(m: RMatrix):
 def comparable_pairs(r):
     """Every nonempty pair I <= J of index sets in 1..r, by size, then I,
     then J, in lexicographic order."""
-    for rows in _lattice(r).comparable_plan:
-        for i_set, js in rows:
-            for j_set in js:
+    lattice = _lattice(r)
+    for sets in lattice.sets[1:]:
+        for i_set in sets:
+            for j_set in lattice.up[i_set]:
                 yield i_set, j_set
 
 
@@ -181,7 +185,7 @@ def invariant_partition_oracle(m: RMatrix) -> Partition:
     k-by-k minors is the k-th partial sum of the increasing invariant
     orders."""
     _require_over_ring(m, "matrix")
-    part = _table_partition(minor_order_table(m), m.r)
+    part = _table_partition(minor_order_table(m), m.r, Partition(()))[0]
     if part is None:
         raise RankError("matrix is rank deficient")
     return part
@@ -253,6 +257,17 @@ def diagonalize_first_oracle(pair: MatrixPair):
     du = RMatrix.diagonal(units)
     return (MatrixPair(d, RMatrix(rows)),
             GroupElement(mat_mul(du, p), mat_mul(du, q), RMatrix.identity(pair.r)))
+
+
+def iter_partitions(weight: int, max_len: int, mu=()):
+    """The partitions of weight with at most max_len parts that contain mu,
+    largest first part first (decreasing lexicographic order): the tuple
+    walk with mu's parts as its floors."""
+    mu = as_partition(mu)
+    if len(mu) > max_len:
+        return
+    for parts in _partition_tuples(weight, mu.padded(max_len)):
+        yield Partition(parts)
 
 
 def random_filling_oracle(rng, r_max: int = 4, part_max: int = 6):

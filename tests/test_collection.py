@@ -16,6 +16,9 @@ installed where the tests run, so an import of either would pass unseen.
 
 No name the docs quote is stale: a deleted helper that a docstring or the
 README still names fails here.
+
+No name the package exports is read by its own tests alone: each is read by
+package code or by the benchmark.
 """
 
 import ast
@@ -209,3 +212,41 @@ def test_module_names_quoted_in_the_readme_resolve():
               if name.split(".")[0] in modules]
     assert len(dotted) > 3
     assert [name for name in dotted if not _resolves(name, set(), modules, set())] == []
+
+
+def _reads(tree, strings=False):
+    """(top-level definition, name) for every name read in tree as a
+    ``Name`` load or an attribute, and with strings the dotted words of its
+    string constants other than docstrings (a tracer's "module.name"
+    entries); the definition is None outside any."""
+    docs = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    found = set()
+    for top in tree.body:
+        own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add((own, node.id))
+            elif isinstance(node, ast.Attribute):
+                found.add((own, node.attr))
+            elif strings and isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str) and id(node) not in docs:
+                found.update((own, word) for word in re.findall(r"[A-Za-z_]\w*", node.value))
+    return found
+
+
+def test_every_exported_name_has_a_reader():
+    """A name of ``lrpairs.__all__`` is read by package code outside its own
+    definition and ``__init__.py``, or by the benchmark in ``perfbench/``:
+    API surface that only its own tests use is not exported."""
+    root = Path(__file__).parent.parent
+    read = set()
+    for path in (root / "src" / "lrpairs").glob("*.py"):
+        if path.name != "__init__.py":
+            read.update(name for own, name in _reads(ast.parse(path.read_text(encoding="utf-8")))
+                        if own != name)
+    for path in (root / "perfbench").glob("*.py"):
+        read.update(name for _, name in _reads(ast.parse(path.read_text(encoding="utf-8")),
+                                               strings=True))
+    exported = set(importlib.import_module("lrpairs").__all__) - {"__version__"}
+    assert len(exported) > 30
+    assert exported - read == set()

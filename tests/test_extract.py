@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from lrpairs.errors import GenericityError, RankError
-from lrpairs.extract import counterexample_demo, extract_filling, extract_from_pair
+from lrpairs.errors import GenericityError, InputError, RankError
+from lrpairs.extract import (_counterexample_matrices, counterexample_demo,
+                             extract_filling, extract_from_pair)
 from lrpairs.generic import GroupElement, MatrixPair, act, verify_mu_generic
 from lrpairs.matrix import RMatrix, diag_from_partition, mat_mul, minor_order_table
 from lrpairs.realize import random_filling, realize
@@ -88,6 +89,14 @@ def test_extract_filling_rejects_non_lr_array():
     n = RMatrix([[ONE, ONE], [ZERO, t(1)]])
     with pytest.raises(GenericityError):
         extract_filling(n, Partition(()))
+
+
+def test_extract_filling_rejects_mu_longer_than_n():
+    """A mu with more parts than N has rows is the caller's input error, not
+    the resample signal GenericityError."""
+    mu, n, _ = _counterexample_matrices()
+    with pytest.raises(InputError, match=r"partition \(6, 3, 1, 1\) does not fit in size 3"):
+        extract_filling(n, Partition(mu.parts + (1,)))
 
 
 def test_diagonal_matrix_is_not_mu_generic():

@@ -21,7 +21,7 @@ from lrpairs.generic import (GroupElement, MatrixPair, act,
 import lrpairs.generic as generic_mod
 import lrpairs.matrix as matrix_mod
 import lrpairs.ring as ring_mod
-from lrpairs.extract import extract_from_pair
+from lrpairs.extract import _counterexample_matrices, extract_from_pair
 from lrpairs.matrix import (RMatrix, det, diag_from_partition,
                             has_unit_det, invariant_partition, inverse,
                             is_mu_admissible, lu_decompose, mat_mul,
@@ -411,6 +411,15 @@ def test_verify_mu_generic_detects_gap_violation():
     assert {ch.name for ch in rep.failures()} == {"det_gap_rows", "det_gap_columns"}
 
 
+def test_verify_mu_generic_rejects_mu_longer_than_n():
+    """The gap weights |mu_S| read parts 1..r only, so a mu with more parts
+    than N has rows would pass with its extra parts dropped: it is refused."""
+    mu, n, _ = _counterexample_matrices()
+    assert verify_mu_generic(n, mu).ok
+    with pytest.raises(InputError, match=r"partition \(6, 3, 1, 1\) does not fit in size 3"):
+        verify_mu_generic(n, Partition(mu.parts + (1,)))
+
+
 def test_verify_mu_generic_flags_non_upper():
     rep = verify_mu_generic(golden_n().transpose(), MU)
     assert not rep.ok
@@ -519,9 +528,8 @@ def attempt_running_every_check(diagonal_pair, mu, nu, lam, rng):
               g.CheckResult("u_upper_triangular", u.is_upper_triangular()),
               g.CheckResult("n_star_over_ring", n_star.is_over_ring())]
     tab_n = minor_order_table(n_star)
-    for name, got, want in (("nu_preserved", matrix_mod._table_partition(tab_n, r), nu),
-                            ("lambda_preserved",
-                             matrix_mod._table_partition(tab_n, r, shift_mu=mu), lam)):
+    nu_got, lam_got = matrix_mod._table_partition(tab_n, r, mu)
+    for name, got, want in (("nu_preserved", nu_got, nu), ("lambda_preserved", lam_got, lam)):
         checks.append(g.CheckResult(name, got == want, "" if got == want else f"{got} vs {want}"))
     try:
         grid, scales, pivots = matrix_mod._lu_grid(q)
@@ -633,7 +641,7 @@ def test_attempt_failing_cheap_checks_builds_no_table(monkeypatch):
                               "(failed checks: q_admissible)")
 
 
-def test_n_star_table_exact_at_precision_nu():
+def test_n_star_table_is_exact():
     """On the staircase at r = 3..7 each certificate's table of N* holds
     every minor's exact order, each minor's determinant taken on its own."""
     for r in range(3, 8):

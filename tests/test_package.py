@@ -32,12 +32,18 @@ def test_retired_names_are_gone():
     off one table or one determinant, and its one Smith pass directly.
     ``sequence_from_filling`` returns its stages as a plain tuple, a
     diagonal matrix compares equal to ``RMatrix.diagonal`` of its diagonal,
-    and an element's order is read off its own ``valuation`` method."""
+    and an element's order is read off its own ``valuation`` method.
+    ``validate_filling`` returns its failure string, the partition walk is
+    a test oracle, and every table walks the lattice's sets and up-sets."""
     for name in ("invariant_partition_oracle", "corner_invariant_check",
                  "row_sum_check", "row_sum_identities", "minor",
-                 "minor_order", "smith_transforms", "LRSequence", "valuation"):
+                 "minor_order", "smith_transforms", "LRSequence", "valuation",
+                 "FillingReport", "iter_partitions"):
         assert name not in lrpairs.__all__
         assert not hasattr(lrpairs, name)
-    assert not hasattr(lrpairs.tableaux, "LRSequence")
+    for name in ("LRSequence", "FillingReport", "ConditionReport", "iter_partitions"):
+        assert not hasattr(lrpairs.tableaux, name)
     assert not hasattr(lrpairs.ring, "valuation")
     assert not hasattr(lrpairs.RMatrix, "is_diagonal")
+    for name in ("comparable_plan", "full_plan"):
+        assert name not in lrpairs.matrix._Lattice._fields

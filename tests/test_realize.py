@@ -114,7 +114,7 @@ def test_random_filling_deterministic_and_valid():
         assert f.r <= 4
         assert all(p <= 6 for p in mu.parts)
         assert all(p <= 6 for p in nu.parts)
-        assert validate_filling(f, mu, nu, lam).valid
+        assert not validate_filling(f, mu, nu, lam)
         assert lam.weight() == mu.weight() + nu.weight()
 
 
