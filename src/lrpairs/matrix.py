@@ -28,10 +28,11 @@ reduction (``generic.triangularize_right``, on a transposed stack), and the
 invariant partition: with the pivot of minimal order in the whole trailing
 block, its trailing entries are the field elimination's Schur complement
 times the previous pivot, so it picks the field reduction's pivots and the
-differences of their orders are the invariant orders.  The same pass on
-[m | I], ``_smith_grid``, is the one Smith pass: the reduction's
-diagonalization of a pair (``generic.diagonalize_first``) reads its
-transforms directly off it.  One pivot search, ``_min_order_pivot``, serves
+differences of their orders are the invariant orders; ``_grid_partition``
+is that pass on a grid already cleared, which ``realize`` hands its integer
+grids directly.  The same pass on [m | I], ``_smith_grid``, is the one
+Smith pass: the reduction's diagonalization of a pair
+(``generic.diagonalize_first``) reads its transforms directly off it.  One pivot search, ``_min_order_pivot``, serves
 the determinant, its cofactors and unit test, the invariant partition and
 the Smith pass, and no elimination divides in the field.  ``_clean`` scales
 a vector given over one denominator clean by a unit, through gcds with that
@@ -202,10 +203,10 @@ def mat_mul(a: RMatrix, b: RMatrix) -> RMatrix:
 
 
 def _fitted(mu, r: int) -> Partition:
-    """mu as a partition of at most r parts, else InputError."""
+    """mu as a partition of at most r parts, else ``Partition.padded``'s
+    InputError."""
     mu = as_partition(mu)
-    if len(mu) > r:
-        raise InputError(f"partition {mu.parts} does not fit in size {r}")
+    mu.padded(r)
     return mu
 
 
@@ -636,8 +637,15 @@ def invariant_partition(m: RMatrix) -> Partition:
     entries of non-negative order.
     """
     _require_over_ring(m, "matrix")
-    pivots, _ = _bareiss([_clear_row(row)[0] for row in m.entries], _min_order_pivot)
-    if len(pivots) < m.r:
+    return _grid_partition([_clear_row(row)[0] for row in m.entries])
+
+
+def _grid_partition(grid) -> Partition:
+    """The invariant partition of a square grid of integer polynomials, by
+    ``_bareiss`` with ``_min_order_pivot``, which eliminates the grid in
+    place; RankError when it is singular."""
+    pivots, _ = _bareiss(grid, _min_order_pivot)
+    if len(pivots) < len(grid):
         raise RankError("matrix is rank deficient")
     orders = [min(p) for p in pivots]
     return Partition(tuple(reversed([v - u for u, v in zip([0] + orders, orders)])))

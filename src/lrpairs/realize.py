@@ -10,17 +10,21 @@ products satisfy
     inv(M N_1 ... N_i) = the i-th stage of the filling's shape sequence,
 
 which is what makes (M, N_1...N_r) a realization of the triple (mu, nu, lam).
-``realize`` recomputes all of these invariant partitions and refuses to
-return a pair that does not check out.
+``realize`` forms no matrix product.  It keeps the rows of X_i = N_1 ... N_i
+as integer polynomials: right multiplication by N_i keeps the columns before
+i, turns column j > i into t^k_ij times itself plus column j - 1, and column
+i into t^k_ii times itself.  M X_i is X_i with row a shifted by t^mu_a.  It
+still recomputes all 2r + 1 invariant partitions, of M and of both products
+at every stage, and refuses to return a pair that does not check out.
 """
 
 from __future__ import annotations
 
 from .errors import InputError, RetriesExhaustedError, VerificationError
 from .generic import MatrixPair
-from .matrix import (RMatrix, diag_from_partition, invariant_partition,
-                     mat_mul)
-from .ring import ONE, ZERO, RingElem
+from .matrix import (RMatrix, _grid_partition, diag_from_partition,
+                     invariant_partition)
+from .ring import _PONE, ONE, ZERO, RingElem, _padd, _pshift
 from .tableaux import (Filling, Partition, _may_fill, _partition_tuples,
                        as_partition, enumerate_fillings, random_partition,
                        sequence_from_filling, validate_filling)
@@ -86,9 +90,12 @@ def build_factor(filling: Filling, i: int, r: int) -> RMatrix:
 def realize(filling: Filling, mu) -> FactoredRealization:
     """Build (M, N_1..N_r) for the filling over the base shape mu.
 
-    Every partial-product invariant partition is recomputed exactly; a
-    mismatch raises VerificationError, since it can only come from an
-    arithmetic bug, not from valid input.
+    X_i = N_1 ... N_i is formed from X_(i-1) by N_i's column operations on
+    one grid of integer polynomials, and N is X_r.  At every stage the
+    invariant partitions of X_i and of M X_i (X_i's rows shifted by mu) are
+    recomputed exactly, on copies of the grid, as is M's; a mismatch raises
+    VerificationError, since it can only come from an arithmetic bug, not
+    from valid input.
     """
     mu = as_partition(mu)
     r = filling.r
@@ -107,26 +114,36 @@ def realize(filling: Filling, mu) -> FactoredRealization:
 
     factors = [build_factor(filling, i, r) for i in range(1, r + 1)]
     m = diag_from_partition(mu, r)
-    n = factors[0]
-    prefixes = [n]
-    for f in factors[1:]:
-        n = mat_mul(n, f)
-        prefixes.append(n)
-
     if invariant_partition(m) != mu:
         raise VerificationError("diagonal first component lost its invariant partition")
     content = nu.padded(r)
+    shifts = mu.padded(r)
+    # the rows of X_i = N_1 ... N_i over Z[t], from X_0 = I; 0-based
+    # column j takes k_i(j+1) = rows[j][i - 1]
+    rows = filling.rows
+    grid = [[_PONE if a == b else {} for b in range(r)] for a in range(r)]
     for i in range(1, r + 1):
-        got_n = invariant_partition(prefixes[i - 1])
+        for row in grid:
+            # from the right, so column j - 1 is still X_(i-1)'s when read;
+            # it comes first, as in mat_mul's sum, so each entry keeps the
+            # product's term order, where order-sensitive loops such as
+            # _pcontent's early exit stop
+            for j in range(r - 1, i - 1, -1):
+                row[j] = _padd(row[j - 1], _pshift(row[j], rows[j][i - 1]))
+            row[i - 1] = _pshift(row[i - 1], rows[i - 1][i - 1])
+        got_n = _grid_partition([list(row) for row in grid])
         want_n = Partition(content[:i])
         if got_n != want_n:
             raise VerificationError(
                 f"partial product {i}: invariant partition {got_n} != {want_n}")
-        got_mn = invariant_partition(mat_mul(m, prefixes[i - 1]))
+        got_mn = _grid_partition([[_pshift(e, s) for e in row]
+                                  for row, s in zip(grid, shifts)])
         if got_mn != stages[i]:
             raise VerificationError(
                 f"partial product {i} with M: invariant partition {got_mn} "
                 f"!= stage {stages[i]}")
+    n = RMatrix([[RingElem(e, _PONE, _raw=True) if e else ZERO for e in row]
+                 for row in grid])
 
     return FactoredRealization(m, factors, n, mu, nu, lam, filling, stages)
 

@@ -177,15 +177,13 @@ def sequence_from_filling(filling: Filling, mu) -> tuple:
     when some stage is not weakly decreasing, i.e. the filling does not even
     define a chain of partitions.
     """
-    mu = as_partition(mu)
     r = filling.r
-    if len(mu) > r:
-        raise InputError(f"mu has {len(mu)} parts but the filling only {r} rows")
+    base = as_partition(mu).padded(r)
     steps = []
     for i in range(0, r + 1):
         row = []
         for j in range(1, r + 1):
-            v = mu.part(j) + sum(filling.entry(s, j) for s in range(1, min(i, j) + 1))
+            v = base[j - 1] + sum(filling.entry(s, j) for s in range(1, min(i, j) + 1))
             row.append(v)
         for a, b in zip(row, row[1:]):
             if a < b:

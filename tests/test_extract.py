@@ -95,7 +95,7 @@ def test_extract_filling_rejects_mu_longer_than_n():
     """A mu with more parts than N has rows is the caller's input error, not
     the resample signal GenericityError."""
     mu, n, _ = _counterexample_matrices()
-    with pytest.raises(InputError, match=r"partition \(6, 3, 1, 1\) does not fit in size 3"):
+    with pytest.raises(InputError, match=r"partition \(6, 3, 1, 1\) has more than 3 parts"):
         extract_filling(n, Partition(mu.parts + (1,)))
 
 

@@ -416,7 +416,7 @@ def test_verify_mu_generic_rejects_mu_longer_than_n():
     than N has rows would pass with its extra parts dropped: it is refused."""
     mu, n, _ = _counterexample_matrices()
     assert verify_mu_generic(n, mu).ok
-    with pytest.raises(InputError, match=r"partition \(6, 3, 1, 1\) does not fit in size 3"):
+    with pytest.raises(InputError, match=r"partition \(6, 3, 1, 1\) has more than 3 parts"):
         verify_mu_generic(n, Partition(mu.parts + (1,)))
 
 

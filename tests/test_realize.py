@@ -1,11 +1,14 @@
 """Factored realizations: fillings to matrix pairs with prescribed invariants."""
 
 import hashlib
+import importlib
+import json
 import random
+from functools import reduce
 
 import pytest
 
-from lrpairs.errors import InputError
+from lrpairs.errors import InputError, VerificationError
 from lrpairs.matrix import RMatrix, invariant_partition, mat_mul
 from lrpairs.realize import build_factor, random_filling, realize
 from lrpairs.ring import ONE, ZERO
@@ -87,7 +90,7 @@ def test_realize_rejects_lr_violation():
 
 
 def test_realize_rejects_oversized_mu():
-    with pytest.raises(InputError, match="mu has 2 parts but the filling only 1 rows"):
+    with pytest.raises(InputError, match=r"partition \(2, 1\) has more than 1 parts"):
         realize(Filling(((1,),)), Partition((2, 1)))
 
 
@@ -166,9 +169,64 @@ def test_random_filling_respects_bounds():
         assert all(p <= 2 for p in nu.parts)
 
 
+# sha256 of the realizations below with at least r_max - 1 rows, pinned
+# while N was still formed as the product of its factors
+LARGER_DRAWS_SHA256 = "e63ee8bbf7d5a776f75ba803c44a8872fbdf2fd9ce2642be0b5b0c0d81f5bf05"
+
+
 def test_random_filling_realizes_cleanly():
     rng = random.Random(31)
     for _ in range(10):
         f, mu, nu, lam = random_filling(rng)
         real = realize(f, mu)
         assert real.nu == nu and real.lam == lam
+    # N is the product of its factors, and M N has type lam, at sizes the
+    # golden filling does not reach
+    rng = random.Random(32)
+    h = hashlib.sha256()
+    for r_max, part_max in ((4, 6), (6, 4), (8, 3)):
+        kept = 0
+        while kept < 3:
+            f, mu, nu, lam = random_filling(rng, r_max, part_max)
+            if f.r < r_max - 1:
+                continue
+            kept += 1
+            real = realize(f, mu)
+            product = reduce(mat_mul, real.factors)
+            assert product == real.n
+            # term for term in the product's order too
+            assert ([[list(e.num) for e in row] for row in real.n.entries]
+                    == [[list(e.num) for e in row] for row in product.entries])
+            assert invariant_partition(mat_mul(real.m, real.n)) == lam
+            h.update(json.dumps(real.to_json(), sort_keys=True).encode())
+    assert h.hexdigest() == LARGER_DRAWS_SHA256
+
+
+def test_realize_stage_checks_fail_loudly(monkeypatch):
+    """A wrong partition from one stage check, the N check of stage 2 or the
+    M check of stage 3, or from the check of M itself, raises
+    VerificationError naming that check."""
+    # lrpairs.realize is the function; the module is read by its full name
+    realize_module = importlib.import_module("lrpairs.realize")
+
+    def wrong_on(call, real_check):
+        calls = []
+
+        def check(arg):
+            calls.append(arg)
+            got = real_check(arg)
+            return Partition((got.part(1) + 1,) + got.parts[1:]) if len(calls) == call else got
+        return check
+
+    # the stage checks run N, M N for stage 1, then stage 2, ...
+    grid_partition = realize_module._grid_partition
+    for call, message in ((3, "partial product 2: invariant partition"),
+                          (6, "partial product 3 with M: invariant partition")):
+        monkeypatch.setattr(realize_module, "_grid_partition", wrong_on(call, grid_partition))
+        with pytest.raises(VerificationError, match=message):
+            realize(FILLING, MU)
+    monkeypatch.setattr(realize_module, "_grid_partition", grid_partition)
+    monkeypatch.setattr(realize_module, "invariant_partition",
+                        wrong_on(1, realize_module.invariant_partition))
+    with pytest.raises(VerificationError, match="diagonal first component"):
+        realize(FILLING, MU)

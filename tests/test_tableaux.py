@@ -170,7 +170,7 @@ def test_sequence_rejects_non_partition_stage():
 def test_sequence_rejects_mu_longer_than_the_filling():
     """Stage 0 is mu, so mu's parts beyond the filling's rows cannot be
     dropped; realize refuses such a mu with the same message."""
-    with pytest.raises(InputError, match="mu has 2 parts but the filling only 1 rows"):
+    with pytest.raises(InputError, match=r"partition \(3, 2\) has more than 1 parts"):
         sequence_from_filling(Filling([[1]]), (3, 2))
     assert sequence_from_filling(Filling([[0], [0, 1]]), (3, 2)) == ((3, 2), (3, 2), (3, 3))
 
