@@ -7,9 +7,10 @@ Subcommands:
   count           number of LR fillings of lambda/mu with content nu
   counterexample  fixed inequivalent pairs sharing one filling
 
-Each command emits a single JSON document, written to --out when given and
-to stdout otherwise.  All randomness flows from --seed, which is echoed in
-the document, so equal invocations produce byte-identical output.
+Each command returns a single JSON document and its exit code; main stamps
+--seed into the document and writes it, to --out when given and to stdout
+otherwise.  All randomness flows from --seed, so equal invocations produce
+byte-identical output.
 
 Exit codes: 0 success, 2 invalid input, 3 verification failure, 4 retries
 exhausted.
@@ -144,14 +145,6 @@ def _write(path, text):
         raise InputError(f"cannot write {path}: {exc}")
 
 
-def _emit(doc, out_path):
-    text = _dumps(doc)
-    if out_path:
-        _write(out_path, text + "\n")
-    else:
-        print(text)
-
-
 def _check_options(args):
     """Reject --retries and --out values that no command can use, before any
     work is done."""
@@ -169,7 +162,7 @@ def _check_options(args):
 # commands
 
 
-def cmd_realize(args) -> int:
+def cmd_realize(args):
     data = _load_json(args.infile)
     if not isinstance(data, dict) or "filling" not in data or "mu" not in data:
         raise InputError("realize input must be an object with 'filling' and 'mu'")
@@ -184,31 +177,24 @@ def cmd_realize(args) -> int:
         top = max((d for row in real.n.entries for e in row for d in e.num), default=0)
     if top > MAX_DEGREE:
         raise InputError(f"realize would write degree {top}, above the limit {MAX_DEGREE}")
-    doc = real.to_json()
-    doc["seed"] = args.seed
-    doc["verified"] = True
-    _emit(doc, args.out)
-    return 0
+    return {**real.to_json(), "verified": True}, 0
 
 
-def cmd_extract(args) -> int:
+def cmd_extract(args):
     pair = _load_pair(_load_json(args.infile))
     rng = random.Random(args.seed)
     res = extract_from_pair(pair, rng, max_retries=args.retries)
-    doc = {
-        "seed": args.seed,
+    return {
         "filling": res.filling.to_json(),
         "mu": res.mu.to_json(),
         "nu": res.nu.to_json(),
         "lambda": res.lam.to_json(),
         "minor_orders": _orders_to_json(res.certificate.minor_orders),
         "certificate": res.certificate.to_json(),
-    }
-    _emit(doc, args.out)
-    return 0
+    }, 0
 
 
-def cmd_roundtrip(args) -> int:
+def cmd_roundtrip(args):
     if args.rmax > MAX_SIZE:
         raise InputError(f"--rmax {args.rmax} exceeds the limit {MAX_SIZE}")
     if args.rmax < 1 or args.pmax < 1:
@@ -244,46 +230,39 @@ def cmd_roundtrip(args) -> int:
         _write(path, _dumps(artifact))
         artifacts.append(path)
     stats = genericity_stats()
-    doc = {
-        "seed": args.seed,
+    return {
         "trials": args.trials,
         "passes": passes,
         "failures": args.trials - passes,
         "artifacts": artifacts,
         "genericity": {"attempts": stats.attempts, "resamples": stats.resamples,
                        "successes": stats.successes},
-    }
-    _emit(doc, args.out)
-    return 0 if passes == args.trials else 3
+    }, 0 if passes == args.trials else 3
 
 
-def cmd_count(args) -> int:
+def cmd_count(args):
     mu = _parse_partition(args.mu)
     nu = _parse_partition(args.nu)
     lam = _parse_partition(args.lam)
-    doc = {
-        "seed": args.seed,
+    return {
         "mu": mu.to_json(),
         "nu": nu.to_json(),
         "lambda": lam.to_json(),
         "count": count_fillings(mu, nu, lam),
-    }
-    _emit(doc, args.out)
-    return 0
+    }, 0
 
 
-def cmd_counterexample(args) -> int:
-    doc = counterexample_demo()
-    doc["seed"] = args.seed
-    _emit(doc, args.out)
-    return 0
+def cmd_counterexample(args):
+    return counterexample_demo(), 0
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
 
 
-def build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call."""
     parser = argparse.ArgumentParser(
         prog="lrpairs",
         description="Littlewood-Richardson fillings as matrix-pair invariants "
@@ -332,12 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on the first call."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -345,7 +318,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _check_options(args)
-        return args.func(args)
+        doc, code = args.func(args)
+        doc["seed"] = args.seed
+        text = _dumps(doc)
+        if args.out:
+            _write(args.out, text + "\n")
+        else:
+            print(text)
+        return code
     except (InputError, NotInRingError, RankError) as exc:
         print(f"lrpairs: input error: {exc}", file=sys.stderr)
         return 2

@@ -81,14 +81,9 @@ class Partition:
         return sum(self.part(i) for i in indices)
 
     def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        if isinstance(other, (tuple, list)):
-            other = tuple(other)
-            while other and other[-1] == 0:
-                other = other[:-1]
-            return self.parts == other
-        return NotImplemented
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return self.parts == other.parts
 
     def __hash__(self):
         return hash(self.parts)

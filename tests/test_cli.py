@@ -544,34 +544,35 @@ def test_unknown_command_exits_nonzero(capsys):
     assert main(["frobnicate"]) != 0
 
 
-def test_parser_is_built_once_per_process(capsys, monkeypatch):
-    built = []
-    real_build = cli.build_parser
-
-    def counted():
-        built.append(1)
-        return real_build()
-
-    monkeypatch.setattr(cli, "build_parser", counted)
+def test_parser_is_built_once_per_process(capsys):
     cli._parser.cache_clear()
     try:
         assert main(["count", "1", "1", "1,1"]) == 0
         assert main(["count", "2", "1", "2,1", "--seed", "3"]) == 0
         assert main(["frobnicate"]) != 0
+        assert cli._parser.cache_info().misses == 1
     finally:
         cli._parser.cache_clear()
-    assert len(built) == 1
     first, second = capsys.readouterr().out.split("}\n{")
     assert json.loads(first + "}")["count"] == 1
     assert json.loads("{" + second)["seed"] == 3
 
 
 def test_seed_echoed_everywhere(tmp_path, capsys):
+    """Every command echoes --seed, and writes the same bytes to stdout as
+    to --out."""
     infile = write_json(tmp_path / "in.json", GOLDEN_FILLING_DOC)
-    rc, out = run(capsys, "realize", "--in", infile, "--seed", "42")
-    assert json.loads(out)["seed"] == 42
-    rc, out = run(capsys, "count", "1", "1", "1,1", "--seed", "42")
-    assert json.loads(out)["seed"] == 42
+    real_file = tmp_path / "real.json"
+    assert main(["realize", "--in", infile, "--out", str(real_file)]) == 0
+    for argv in (["realize", "--in", infile], ["extract", "--in", str(real_file)],
+                 ["roundtrip", "--trials", "1"], ["count", "1", "1", "1,1"],
+                 ["counterexample"]):
+        out_file = tmp_path / "out.json"
+        rc, out = run(capsys, *argv, "--seed", "42")
+        assert rc == 0 and json.loads(out)["seed"] == 42, argv[0]
+        assert main([*argv, "--seed", "42", "--out", str(out_file)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out_file.read_bytes() == out.encode("utf-8"), argv[0]
 
 
 # ---------------------------------------------------------------------------

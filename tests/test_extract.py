@@ -300,12 +300,13 @@ def test_one_filling_two_orbits_told_apart_by_the_transposed_pair():
     n_b = RMatrix([[ZERO, c(3), t(2)],
                    [c(2) * t(2), t(3), c(2) * t(4) + c(3) * t(1)],
                    [c(2) * t(2), -t(1), ZERO]])
+    shapes = (Partition((2, 1)), Partition((2, 1)), Partition((3, 2, 1)))
     for seed in range(3):
         for n, dual in ((n_a, [[1], [1, 0], [0, 1, 0]]), (n_b, [[1], [0, 1], [1, 0, 0]])):
             res = extract_from_pair(MatrixPair(m, n), random.Random(seed))
             assert res.filling == Filling([[1], [0, 1], [1, 0, 0]])
-            assert (res.mu, res.nu, res.lam) == ((2, 1), (2, 1), (3, 2, 1))
+            assert (res.mu, res.nu, res.lam) == shapes
             res_t = extract_from_pair(MatrixPair(n.transpose(), m.transpose()),
                                       random.Random(seed))
             assert res_t.filling == Filling(dual)
-            assert (res_t.mu, res_t.nu, res_t.lam) == ((2, 1), (2, 1), (3, 2, 1))
+            assert (res_t.mu, res_t.nu, res_t.lam) == shapes

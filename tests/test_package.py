@@ -3,6 +3,7 @@
 import types
 
 import lrpairs
+import lrpairs.cli
 
 
 def test_every_exported_name_resolves():
@@ -34,7 +35,9 @@ def test_retired_names_are_gone():
     diagonal matrix compares equal to ``RMatrix.diagonal`` of its diagonal,
     and an element's order is read off its own ``valuation`` method.
     ``validate_filling`` returns its failure string, the partition walk is
-    a test oracle, and every table walks the lattice's sets and up-sets."""
+    a test oracle, and every table walks the lattice's sets and up-sets.
+    The command line builds its parser in ``_parser`` and writes each
+    command's document in ``main``."""
     for name in ("invariant_partition_oracle", "corner_invariant_check",
                  "row_sum_check", "row_sum_identities", "minor",
                  "minor_order", "smith_transforms", "LRSequence", "valuation",
@@ -47,3 +50,5 @@ def test_retired_names_are_gone():
     assert not hasattr(lrpairs.RMatrix, "is_diagonal")
     for name in ("comparable_plan", "full_plan"):
         assert name not in lrpairs.matrix._Lattice._fields
+    for name in ("build_parser", "_emit"):
+        assert not hasattr(lrpairs.cli, name)

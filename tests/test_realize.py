@@ -37,7 +37,7 @@ def test_realize_golden_invariants():
     real = realize(FILLING, MU)
     assert real.mu == MU and real.nu == NU and real.lam == LAM
     assert real.stages[0] == MU
-    assert real.stages[1] == (11, 6, 3, 2)
+    assert real.stages[1] == Partition((11, 6, 3, 2))
     assert real.stages[4] == LAM
     assert invariant_partition(real.n) == NU
     assert invariant_partition(mat_mul(real.m, real.n)) == LAM
@@ -72,7 +72,7 @@ def test_zero_filling_gives_unit_bidiagonal():
 def test_realize_single_box():
     real = realize(Filling(((1,),)), Partition(()))
     assert real.n == RMatrix([[t(1)]])
-    assert real.lam == (1,)
+    assert real.lam == Partition((1,))
 
 
 def test_realize_rejects_non_partition_stages():

@@ -28,7 +28,7 @@ def test_partition_normalization():
     assert Partition((3, 2, 0, 0)) == Partition((3, 2))
     assert Partition(()) == Partition((0, 0))
     assert Partition([5, 5, 1]).parts == (5, 5, 1)
-    assert Partition((3, 2)) == (3, 2, 0)  # tuple comparison normalizes too
+    assert Partition((3, 2)) == Partition([3, 2, 0])  # a list normalizes too
 
 
 def test_partition_rejects_bad_shapes():
@@ -69,14 +69,14 @@ def test_partition_json_rejects_booleans():
         Partition.from_json([2, False])
 
 
-def test_partition_equals_sequences_without_building_one():
-    """A list or tuple is compared part by part, trailing zeros ignored: an
-    unsorted, non-numeric or fractional one answers False, not an error."""
-    assert Partition((2, 1)) == [2, 1, 0] and Partition(()) == []
-    assert Partition((2, 1)) != [1, 2]
-    assert Partition((2, 1)) != ("x",)
-    assert Partition((2,)) != [2.5]
-    assert Partition((2,)) != (2, 1)
+def test_partition_equals_only_partitions():
+    """A partition equals no tuple or list, so equal objects hash alike and
+    a padded tuple finds no partition in a set or dict."""
+    assert Partition((2, 1)) != (2, 1, 0) and Partition((2, 1)) != (2, 1)
+    assert Partition(()) != [] and Partition((2,)) != [2.5]
+    assert (2, 1, 0) not in {Partition((2, 1))}
+    assert hash(Partition((2, 1, 0))) == hash(Partition([2, 1]))
+    assert {Partition((2, 1)): 1}[Partition((2, 1, 0, 0))] == 1
 
 
 @pytest.mark.parametrize("parts", [[2.7, 1.2], [2.0], ["2"], [True], [3, False], [None]])
@@ -156,9 +156,9 @@ def test_sequence_stages_golden():
     assert type(stages) is tuple and len(stages) == 5
     assert all(type(s) is Partition for s in stages)
     assert stages[0] == MU
-    assert stages[1] == (11, 6, 3, 2)
-    assert stages[2] == (11, 10, 4, 2)
-    assert stages[3] == (11, 10, 7, 3)
+    assert stages[1] == Partition((11, 6, 3, 2))
+    assert stages[2] == Partition((11, 10, 4, 2))
+    assert stages[3] == Partition((11, 10, 7, 3))
     assert stages[4] == LAM
 
 
@@ -172,7 +172,8 @@ def test_sequence_rejects_mu_longer_than_the_filling():
     dropped; realize refuses such a mu with the same message."""
     with pytest.raises(InputError, match=r"partition \(3, 2\) has more than 1 parts"):
         sequence_from_filling(Filling([[1]]), (3, 2))
-    assert sequence_from_filling(Filling([[0], [0, 1]]), (3, 2)) == ((3, 2), (3, 2), (3, 3))
+    assert sequence_from_filling(Filling([[0], [0, 1]]), (3, 2)) == (
+        Partition((3, 2)), Partition((3, 2)), Partition((3, 3)))
 
 
 # ---------------------------------------------------------------------------
