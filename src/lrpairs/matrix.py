@@ -13,9 +13,16 @@ else by the product of the distinct ones.  Products stay fraction-free as
 far as their operands' integer denominators allow: where a row of a and a
 column of b clear by integers, as the orbit's scrambling leaves them,
 ``mat_mul`` sums the entry's numerator products as integer polynomials and
-takes one integer gcd, and a product of polynomial matrices takes none.  An
-entry with a polynomial denominator in its row or column is the ring's sum
-of its cross-cancelling terms.  A constant row scale moves no minor order,
+takes one integer gcd, and a product of polynomial matrices takes none.
+Those sums take one of two routes: ``_pdot``'s term-by-term loop, or, for
+large dense operands, Kronecker substitution (``_packed_dot``): every
+cleared row and column is packed once into Python ints at t = 2^w, w wide
+enough that the balanced base-2^w digits of each entry's sum of r big-int
+products are exactly its coefficients (Harvey, J. Symbolic Comput. 2009).
+A gate on term counts and degree spans keeps small and sparse products on
+``_pdot``; both routes give the same polynomial.  An entry with a
+polynomial denominator in its row or column is the ring's sum of its
+cross-cancelling terms.  A constant row scale moves no minor order,
 so the minor-order grids read the cleared rows as they are.
 
 Determinants are computed exactly: ``det`` clears the rows so the work
@@ -64,7 +71,9 @@ are formed only when read.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from itertools import chain
 from math import gcd as igcd
+from operator import mul
 from typing import NamedTuple
 
 from .errors import InputError, NotInRingError, PrincipalMinorError, RankError
@@ -172,22 +181,31 @@ def mat_mul(a: RMatrix, b: RMatrix) -> RMatrix:
     both scales are integers, the entry's numerator products are summed as
     integer polynomials and the sum is reduced by one integer gcd against the
     product of the two scales, the lcms of their denominators; a polynomial
-    product takes none.  An entry whose row or column has a polynomial
-    denominator is the ring sum of the cross-cancelling products x y."""
+    product takes none.  The sums take ``_pdot``'s term-by-term loop, or,
+    where every scale is an integer and ``_packed_dot``'s gate finds
+    the operands large and dense (many term products per entry, degree
+    spans close to the term counts), Kronecker substitution with each row
+    and column packed once into ints at t = 2^w.  w exceeds the bit length
+    of a bound on every coefficient of the sum, so its balanced base-2^w
+    digits are the coefficients: both routes give the same polynomial, a
+    packed one with its terms in ascending degree.  An entry whose row or
+    column has a polynomial denominator is the ring sum of the
+    cross-cancelling products x y."""
     if a.r != b.r:
         raise InputError(f"size mismatch in product: {a.r} vs {b.r}")
     cols = list(zip(*b.entries))
+    cleared_rows = [_clear_row(row) for row in a.entries]
     cleared_cols = [_clear_row(col) for col in cols]
+    dot = _packed_dot(cleared_rows, cleared_cols) or _pdot
     rows = []
-    for arow in a.entries:
-        row_nums, row_c = _clear_row(arow)
+    for arow, (row_nums, row_c) in zip(a.entries, cleared_rows):
         integer_row = len(row_c) == 1 and 0 in row_c
         out = []
         for bcol, (col_nums, col_c) in zip(cols, cleared_cols):
             if not (integer_row and len(col_c) == 1 and 0 in col_c):
                 out.append(sum((x * y for x, y in zip(arow, bcol) if x and y), ZERO))
                 continue
-            num = _pdot(row_nums, col_nums)
+            num = dot(row_nums, col_nums)
             if not num:
                 out.append(ZERO)
                 continue
@@ -200,6 +218,118 @@ def mat_mul(a: RMatrix, b: RMatrix) -> RMatrix:
             out.append(RingElem(num, _PONE if den == 1 else {0: den}, _raw=True))
         rows.append(out)
     return RMatrix(rows)
+
+
+# The packed route's gate, set from the measured crossover with _pdot: a
+# must average _PACK_MIN_TERMS terms per entry, the two term counts must
+# promise _PACK_TERM_PRODUCTS term products per entry, and neither operand
+# may pack to more than _PACK_SPREAD base-2^w digits per term.
+_PACK_MIN_TERMS = 2
+_PACK_TERM_PRODUCTS = 50
+_PACK_SPREAD = 2
+
+
+def _packed_dot(rows, cols):
+    """A stand-in for ``_pdot`` on the cleared rows x of a and columns y of
+    b, ``_clear_row``'s (nums, scale) pairs, that forms x . y by Kronecker
+    substitution; None when a scale is not an integer or the gate leaves
+    the product to ``_pdot``.  It knows each row and column by the identity
+    of its nums list, which the caller keeps.
+
+    Each entry of a row x is packed once, as its value at t = 2^w over
+    t^lo, lo the least degree in x, and so is each entry of a column y;
+    x . y is then the sum of its r big-int products.  With m the lesser of
+    the two operands' largest term counts and A, B their largest
+    coefficients, each coefficient of the sum is a sum of at most r m
+    products of two coefficients, so its magnitude is at most r m A B <
+    2^(w-1) for w = bitlen(r m A B) + 2, rounded up to whole bytes.  Its
+    balanced base-2^w digits are therefore exactly its coefficients, and
+    ``_punpack`` reads them off (the argument of ``ring._pfromint``).
+
+    The gate reads term counts first, so a product of small entries costs
+    one sum of a's term counts.  Below ``_PACK_TERM_PRODUCTS`` term products
+    per entry, about t_a t_b / r^3 for operands of t_a and t_b terms, the
+    packing costs more than ``_pdot``'s loop.  Entries that pack to more
+    than ``_PACK_SPREAD`` digits per term, sparse ones spread over high
+    degrees, stay on ``_pdot`` too: their ints grow with the degrees, not
+    the terms."""
+    r = len(rows)
+    terms_x = sum([len(p) for x, _ in rows for p in x])
+    if terms_x < _PACK_MIN_TERMS * r * r:
+        return None
+    terms_y = sum([len(p) for y, _ in cols for p in y])
+    if (terms_x * terms_y < _PACK_TERM_PRODUCTS * r ** 3
+            or not all(len(c) == 1 and 0 in c for _, c in rows + cols)):
+        return None
+    xs = [x for x, _ in rows]
+    ys = [y for y, _ in cols]
+    lo_x, digits_x, longest_x, top_x = _packing(xs)
+    lo_y, digits_y, longest_y, top_y = _packing(ys)
+    if digits_x > _PACK_SPREAD * terms_x or digits_y > _PACK_SPREAD * terms_y:
+        return None
+    bound = r * min(longest_x, longest_y) * top_x * top_y
+    w = (bound.bit_length() + 9) // 8 * 8
+    packed = {}
+    for lines, lows in ((xs, lo_x), (ys, lo_y)):
+        for line, lo in zip(lines, lows):
+            ints = []
+            for p in line:
+                n = 0
+                for d, c in p.items():
+                    n += c << w * (d - lo)
+                ints.append(n)
+            packed[id(line)] = ints, lo
+
+    def dot(x, y):
+        (ints_x, lo_x), (ints_y, lo_y) = packed[id(x)], packed[id(y)]
+        return _punpack(sum(map(mul, ints_x, ints_y)), w, lo_x + lo_y)
+
+    return dot
+
+
+def _packing(lines):
+    """(lows, digits, longest, top) for rows or columns of integer
+    polynomials, not all zero: each line's least degree (0 for a zero
+    line), the base-2^w digits its entries pack to over it, the most terms
+    in one entry and the largest coefficient magnitude."""
+    lows = []
+    digits = 0
+    for line in lines:
+        line = list(filter(None, line))
+        low = min(map(min, line), default=0)
+        lows.append(low)
+        digits += sum(map(max, line)) - (low - 1) * len(line)
+    entries = list(filter(None, chain.from_iterable(lines)))
+    values = list(map(dict.values, entries))
+    top = max(max(map(max, values)), -min(map(min, values)))
+    return lows, digits, max(map(len, entries)), top
+
+
+def _punpack(n, w, lo):
+    """The integer polynomial whose coefficients are the balanced base-2^w
+    digits of n, its degrees raised by lo, for w a multiple of 8 and every
+    digit of magnitude below 2^(w-1).
+
+    Adding 2^(w-1) to every digit makes them all non-negative and below 2^w,
+    so no digit carries into the next; the digits are then byte slices of
+    one conversion to bytes, read in time linear in their count, where a
+    loop of shifts by w would copy n once per digit.  All d + 1 digits of a
+    polynomial of degree d are read, since |n| > 2^(w d - 2); a spare digit
+    reads 0."""
+    if not n:
+        return {}
+    size = w // 8
+    half = 1 << (w - 1)
+    count = (n.bit_length() + 1) // w + 1
+    data = (n + int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+            ).to_bytes(count * size, "little")
+    out = {}
+    for k in range(0, count * size, size):
+        c = int.from_bytes(data[k:k + size], "little") - half
+        if c:
+            out[lo] = c
+        lo += 1
+    return out
 
 
 def _fitted(mu, r: int) -> Partition:

@@ -125,7 +125,7 @@ def realize(filling: Filling, mu) -> FactoredRealization:
     for i in range(1, r + 1):
         for row in grid:
             # from the right, so column j - 1 is still X_(i-1)'s when read;
-            # it comes first, as in mat_mul's sum, so each entry keeps the
+            # it comes first, as in _pdot's sum, so each entry keeps the
             # product's term order, where order-sensitive loops such as
             # _pcontent's early exit stop
             for j in range(r - 1, i - 1, -1):

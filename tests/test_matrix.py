@@ -17,7 +17,7 @@ from lrpairs.matrix import (RMatrix, _bareiss, _clean, _clear_row, _poly_det,
                             is_mu_admissible, lu_decompose, mat_mul,
                             minor_order_table, times_inverse)
 from lrpairs.generic import GroupElement, MatrixPair, act, to_mu_generic
-from lrpairs.ring import _PONE, INFINITY, ONE, ZERO, RingElem
+from lrpairs.ring import _PONE, INFINITY, MAX_DEGREE, ONE, ZERO, RingElem
 from lrpairs.tableaux import MAX_SIZE, Partition
 
 from checkoracle import (comparable_pairs, invariant_partition_oracle, minor,
@@ -112,10 +112,13 @@ def product_operands(draw):
     polynomial denominator among integer ones, or only integer ones; +-1
     coefficients on low degrees make terms cancel, and some rows of a and
     columns of b are zero.  Even numerators over the integer denominators
-    2, 4 and 6 leave lcms that the summed numerators' content cancels."""
-    r = draw(st.integers(1, 4))
+    2, 4 and 6 leave lcms that the summed numerators' content cancels.
+    The dense kind is ``dense_operands``'s.  Returns (kind, a, b)."""
     kind = draw(st.sampled_from(("none", "row", "column", "mixed", "integer",
-                                 "integer_and_polynomial")))
+                                 "integer_and_polynomial", "dense")))
+    if kind == "dense":
+        return (kind,) + dense_operands(draw)
+    r = draw(st.integers(1, 4))
     dens = [ONE + c(k) * t(1) for k in (1, -2, 3)] + [c(2), c(3) + t(2)]
     integers = st.sampled_from((ONE, c(2), c(3), c(4), c(6)))
 
@@ -147,21 +150,149 @@ def product_operands(draw):
 
     a = grid(kind == "row")
     b = grid(kind == "column").transpose()
-    return a, b
+    return kind, a, b
+
+
+def dense_operands(draw):
+    """(a, b) of size 2..4 whose entries hold 8-15 terms on nearly
+    consecutive degrees, with coefficients of 40-120 bits and mixed signs,
+    large and dense enough for ``mat_mul``'s packed route.  a's second
+    column repeats its first and b's second row is minus its first plus 0
+    or 2 t^d per column, so the first two term products of an entry cancel
+    but for a_i1 2 t^d: at r = 2 the entry is 0 or that shorter
+    polynomial.  a's entries are over integer denominators 1..6 and b's
+    coefficients are even, so the summed content cancels part of a row's
+    lcm.  One draw in every ten instead gives every entry of a and b the
+    same degrees and the same positive coefficient A and no denominator,
+    so the middle coefficients reach the width bound r m A^2 exactly."""
+    rng = draw(st.randoms(use_true_random=False))
+    r = rng.randint(2, 4)
+    bits = rng.randint(40, 120)
+    if rng.random() < 0.1:
+        top = 2 ** bits - 1
+        e = RingElem.from_terms([(top, d) for d in range(rng.randint(8, 15))])
+        return RMatrix([[e] * r] * r), RMatrix([[e] * r] * r)
+
+    def poly(scale):
+        n = rng.randint(8, 15)
+        low = rng.randint(0, 2)
+        return RingElem.from_terms(
+            (scale * rng.choice((1, -1)) * rng.randint(1, 2 ** bits), d)
+            for d in rng.sample(range(low, low + n + n // 2), n))
+
+    a = [[poly(1) / c(rng.randint(1, 6)) for _ in range(r)] for _ in range(r)]
+    for row in a:
+        row[1] = row[0]
+    b = [[poly(2) for _ in range(r)] for _ in range(r)]
+    b[1] = [-e + c(2 * rng.randint(0, 1)) * t(rng.randint(0, 3)) for e in b[0]]
+    return RMatrix(a), RMatrix(b)
+
+
+def _packs(a, b):
+    """Whether mat_mul(a, b) takes the packed route."""
+    return matrix_mod._packed_dot(
+        [_clear_row(row) for row in a.entries],
+        [_clear_row(col) for col in zip(*b.entries)]) is not None
 
 
 @settings(max_examples=250, deadline=None)
 @given(product_operands())
-def test_mat_mul_agrees_with_termwise_sum(ab):
+def test_mat_mul_agrees_with_termwise_sum(kab):
     """Where a row of a and a column of b clear by integers, the
-    fraction-free entry equals the ring sum of its terms.  An entry with a
-    polynomial denominator is that ring sum itself, so for the polynomial
-    kinds this only pins the route choice; the sum is checked independently
-    by ``test_ring_sympy``: its ring operations against sympy's cancel, and
-    ``times_inverse``, whose product a adj(G) takes this route, against
-    sympy's inverse."""
-    a, b = ab
+    fraction-free entry equals the ring sum of its terms, on the packed
+    route for the dense kind and on ``_pdot``'s for the others.  An entry
+    with a polynomial denominator is that ring sum itself, so for the
+    polynomial kinds this only pins the route choice; the sum is checked
+    independently by ``test_ring_sympy``: its ring operations against
+    sympy's cancel, and ``times_inverse``, whose product a adj(G) takes this
+    route, against sympy's inverse."""
+    kind, a, b = kab
+    assert _packs(a, b) == (kind == "dense")
     assert mat_mul(a, b) == mat_mul_by_terms(a, b)
+
+
+def test_packed_route_cancels_and_reaches_the_width_bound():
+    """At r = 2, with a's columns equal and b's second row minus its first
+    plus 2 t^3 in column 2, the packed product's first column cancels to 0
+    and its second to a_i1 2 t^3; its rows start at degrees 2 and 1.  With
+    every coefficient A = 3 2^60 on degrees 0..9, the middle coefficient is
+    r m A^2 = 20 A^2, the bound the digit width is set from, which fills
+    exactly 128 bits: w = 136, and a width of its bit length alone fails."""
+    p = RingElem.from_terms([(3 ** 40 * (-1) ** d, d + 2) for d in range(10)])
+    q = RingElem.from_terms([(5 ** 30 - d, d + 1) for d in range(12)])
+    a, b = RMatrix([[p, p], [q, q]]), RMatrix([[q, p], [-q, c(2) * t(3) - p]])
+    assert _packs(a, b)
+    assert mat_mul(a, b) == RMatrix([[ZERO, c(2) * t(3) * p], [ZERO, c(2) * t(3) * q]])
+    top = 3 * 2 ** 60
+    assert (20 * top ** 2).bit_length() == 128
+    e = RingElem.from_terms([(top, d) for d in range(10)])
+    a = RMatrix([[e, e], [e, e]])
+    got = mat_mul(a, a)
+    assert _packs(a, a) and got == mat_mul_by_terms(a, a)
+    assert got.entry(1, 1).num[9] == 2 * 10 * top ** 2
+    assert list(got.entry(1, 1).num) == list(range(19))  # ascending degrees
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9).map(lambda k: 8 * k),
+       st.lists(st.integers(-2 ** 71, 2 ** 71), max_size=12), st.integers(0, 5))
+def test_punpack_reads_balanced_digits(w, coeffs, lo):
+    """Any coefficients of magnitude below 2^(w-1), the top one +-1 over
+    extreme lower digits included, come back from the value at 2^w."""
+    coeffs = [max(-2 ** (w - 1) + 1, min(2 ** (w - 1) - 1, x)) for x in coeffs]
+    n = sum(x << w * d for d, x in enumerate(coeffs))
+    assert matrix_mod._punpack(n, w, lo) == {d + lo: x for d, x in enumerate(coeffs) if x}
+    edge = [-(2 ** (w - 1)) + 1] * 3 + [1]
+    n = sum(x << w * d for d, x in enumerate(edge))
+    assert matrix_mod._punpack(n, w, lo) == {d + lo: x for d, x in enumerate(edge)}
+
+
+def _orbit_size_operands(seed):
+    """A dense r = 3 product like the orbit replay's: entries of 5-15 terms
+    with 30-95-bit coefficients, over integer denominators."""
+    rng = random.Random(seed)
+
+    def entry():
+        n = rng.randint(5, 15)
+        return RingElem.from_terms((rng.choice((1, -1)) * rng.randint(2 ** 30, 2 ** 95), d)
+                                   for d in range(n)) / c(rng.randint(1, 9))
+
+    return tuple(RMatrix([[entry() for _ in range(3)] for _ in range(3)]) for _ in range(2))
+
+
+def test_dense_product_does_not_need_pdot(monkeypatch):
+    """An orbit-size product succeeds with ``_pdot`` raising: it packs."""
+    a, b = _orbit_size_operands(35)
+    want = mat_mul_by_terms(a, b)
+
+    def no_pdot(xs, ys):
+        raise AssertionError("a dense product reached _pdot")
+
+    monkeypatch.setattr(matrix_mod, "_pdot", no_pdot)
+    assert mat_mul(a, b) == want
+
+
+def test_small_and_sparse_products_stay_on_pdot(monkeypatch):
+    """A roundtrip-size product (the golden factors, r = 4, monomials and
+    binomials) and an r = 3 product of 50-term entries spread over degrees
+    up to ``ring.MAX_DEGREE`` never pack: the first has too few terms, the
+    second packs to far more digits than terms."""
+    rng = random.Random(36)
+
+    def sparse():
+        return RingElem.from_terms((rng.choice((1, -1)) * rng.randint(1, 9), d)
+                                   for d in rng.sample(range(MAX_DEGREE - 1000, MAX_DEGREE + 1), 50))
+
+    s1, s2 = (RMatrix([[sparse() for _ in range(3)] for _ in range(3)]) for _ in range(2))
+    n1, n2, n3, n4 = golden_factors()
+    want = [mat_mul_by_terms(n1, n2), mat_mul_by_terms(golden_m(), golden_n()),
+            mat_mul_by_terms(s1, s2)]
+
+    def no_packing(n, w, lo):
+        raise AssertionError("a small or sparse product was packed")
+
+    monkeypatch.setattr(matrix_mod, "_punpack", no_packing)
+    assert [mat_mul(n1, n2), mat_mul(golden_m(), golden_n()), mat_mul(s1, s2)] == want
 
 
 def test_mat_mul_cancelling_terms():
